@@ -1,0 +1,273 @@
+"""Dawid-Skene categorical rating model.
+
+Ratings are stored as a dense I x J matrix (complete design: every rater
+rates every item once), with category labels 0..K-1 internally.  No
+ordering constraint on the parameters; label switching is handled by the
+diagonal-heavy Dirichlet priors on the confusion rows.
+"""
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from . import transforms as tr
+from scipy.special import gammaln
+
+from .stats import log_dirichlet_pdf, log_sum_exp, lse_rows
+
+
+@dataclass
+class DSData:
+    ratings: np.ndarray     # (I, J) ints in 0..K-1
+    n_categories: int
+
+    def __post_init__(self):
+        self.ratings = np.asarray(self.ratings, dtype=int)
+        if self.ratings.ndim != 2:
+            raise ValueError("ratings must be an I x J matrix")
+        if self.ratings.size and (
+                self.ratings.min() < 0 or self.ratings.max() >= self.n_categories):
+            raise ValueError("rating outside 0..K-1")
+
+    @property
+    def n_items(self):
+        return self.ratings.shape[0]
+
+    @property
+    def n_raters(self):
+        return self.ratings.shape[1]
+
+    def rating_onehot(self):
+        """(J, K, I) indicator cache: onehot[j, c, i] = [y_ij == c]."""
+        if not hasattr(self, "_onehot"):
+            i_n, j_n = self.ratings.shape
+            oh = np.zeros((j_n, self.n_categories, i_n))
+            for j in range(j_n):
+                oh[j, self.ratings[:, j], np.arange(i_n)] = 1.0
+            self._onehot = oh
+        return self._onehot
+
+
+@dataclass
+class DSParams:
+    pi: np.ndarray          # (K,) simplex
+    theta: np.ndarray       # (J, K, K); theta[j, k] = rater j's row for true k
+
+
+@dataclass
+class DSHyper:
+    alpha: np.ndarray = None    # (K,), defaults to 3's
+    concentration: float = 8.0  # N
+    diag_mass: float = 0.6      # p
+
+    def resolved_alpha(self, k):
+        if self.alpha is None:
+            return np.full(k, 3.0)
+        return np.asarray(self.alpha, dtype=float)
+
+
+def ds_beta_matrix(hyper, k):
+    """K x K Dirichlet hyper-matrix: N*p on the diagonal, rows summing to N."""
+    if k < 2:
+        raise ValueError(f"need at least 2 categories, got {k}")
+    n, p = hyper.concentration, hyper.diag_mass
+    if not (n > 0 and 0 < p < 1):
+        raise ValueError("need concentration > 0 and diag mass in (0,1)")
+    beta = np.full((k, k), n * (1.0 - p) / (k - 1))
+    np.fill_diagonal(beta, n * p)
+    return beta
+
+
+def _item_category_loglik(data, params):
+    """C[i, k] = sum_j log theta[j, k, y_ij]  (I x K)."""
+    log_theta = np.log(params.theta)
+    c = np.zeros((data.n_items, len(params.pi)))
+    for j in range(data.n_raters):
+        c += log_theta[j][:, data.ratings[:, j]].T
+    return c
+
+
+def _dirichlet_log_norm(alpha):
+    return gammaln(alpha.sum()) - gammaln(alpha).sum()
+
+
+def ds_log_prior(params, hyper):
+    k = len(params.pi)
+    alpha = hyper.resolved_alpha(k)
+    beta = ds_beta_matrix(hyper, k)
+    j = params.theta.shape[0]
+    lp = _dirichlet_log_norm(alpha) + float(np.dot(alpha - 1.0, np.log(params.pi)))
+    lp += j * sum(_dirichlet_log_norm(beta[kk]) for kk in range(k))
+    lp += float(((beta - 1.0)[None, :, :] * np.log(params.theta)).sum())
+    return lp
+
+
+def ds_full_log_joint(data, latent, params, hyper):
+    """Log joint of (y, z, params) for the unmarginalised model."""
+    z = np.asarray(latent, dtype=int)
+    if z.shape != (data.n_items,):
+        raise ValueError("latent labels must match item count")
+    c = _item_category_loglik(data, params)
+    ll = np.log(params.pi)[z].sum() + c[np.arange(len(z)), z].sum()
+    return float(ll + ds_log_prior(params, hyper))
+
+
+def ds_marginal_log_lik(data, params):
+    """sum_i log sum_k pi_k prod_j theta[j, k, y_ij], in log space."""
+    c = _item_category_loglik(data, params)
+    return float(lse_rows(np.log(params.pi)[None, :] + c).sum())
+
+
+def ds_marginal_log_joint(data, params, hyper):
+    return ds_marginal_log_lik(data, params) + ds_log_prior(params, hyper)
+
+
+def ds_z_full_conditional(data, params, i=None):
+    """P(z_i = k | y, params); matrix of rows if i is None."""
+    ll = np.log(params.pi)[None, :] + _item_category_loglik(data, params)
+    probs = np.exp(ll - lse_rows(ll)[:, None])
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs if i is None else probs[i]
+
+
+# ------------------------------------------------- unconstrained interface
+
+def n_unconstrained(j, k):
+    return (k - 1) * (1 + j * k)
+
+
+def constrain(u, j, k):
+    """Unconstrained vector -> (DSParams, log |Jacobian|).
+
+    Layout: pi sticks (K-1), then theta rows in (j, k) order, K-1 each.
+    """
+    u = np.asarray(u, dtype=float)
+    rows, log_j = tr.constrain_simplex_rows(u.reshape(1 + j * k, k - 1))
+    pi = rows[0]
+    theta = rows[1:].reshape(j, k, k)
+    return DSParams(pi=pi, theta=theta), float(log_j.sum())
+
+
+def unconstrain(params):
+    j, k = params.theta.shape[:2]
+    parts = [tr.unconstrain_simplex(params.pi)]
+    parts += [tr.unconstrain_simplex(row)
+              for row in params.theta.reshape(j * k, k)]
+    return np.concatenate(parts)
+
+
+def _constrained_grad(data, params, hyper):
+    """Gradients of the marginal log joint wrt pi and every theta row."""
+    pi, theta = params.pi, params.theta
+    k = len(pi)
+    j = theta.shape[0]
+    c = _item_category_loglik(data, params)
+    ll = np.log(pi)[None, :] + c
+    r = np.exp(ll - lse_rows(ll)[:, None])   # I x K responsibilities
+
+    alpha = hyper.resolved_alpha(k)
+    g_pi = r.sum(axis=0) / pi + (alpha - 1.0) / pi
+
+    beta = ds_beta_matrix(hyper, k)
+    # likelihood: dL/dtheta[j,k,c] = sum_{i: y_ij=c} r_ik / theta[j,k,c]
+    onehot = data.rating_onehot()                       # (J, K, I)
+    counts = np.einsum("jci,ik->jkc", onehot, r)
+    g_theta = (beta[None, :, :] - 1.0 + counts) / theta
+    return g_pi, g_theta
+
+
+def ds_marginal_grad(data, u, j, k, hyper):
+    """Gradient of [marginal log joint o constrain + logJ] at u."""
+    u = np.asarray(u, dtype=float)
+    params, _ = constrain(u, j, k)
+    g_pi, g_theta = _constrained_grad(data, params, hyper)
+    g_rows = np.vstack([g_pi[None, :], g_theta.reshape(j * k, k)])
+    return tr.grad_simplex_rows(u.reshape(1 + j * k, k - 1), g_rows).ravel()
+
+
+def ds_marginal_logpost_grad_u(data, u, j, k, hyper):
+    """Fused (value, gradient) of the unconstrained log posterior.
+
+    Shares the item-by-category log-likelihood matrix and the stick
+    transform between the two evaluations.
+    """
+    u = np.asarray(u, dtype=float)
+    raw = u.reshape(1 + j * k, k - 1)
+    rows, log_j = tr.constrain_simplex_rows(raw)
+    pi = rows[0]
+    theta = rows[1:].reshape(j, k, k)
+    params = DSParams(pi=pi, theta=theta)
+
+    c = _item_category_loglik(data, params)
+    ll = np.log(pi)[None, :] + c
+    row_lse = lse_rows(ll)
+    value = float(row_lse.sum()) + ds_log_prior(params, hyper) \
+        + float(log_j.sum())
+    if not np.isfinite(value):
+        return -np.inf, np.zeros_like(u)
+
+    r = np.exp(ll - row_lse[:, None])
+    alpha = hyper.resolved_alpha(k)
+    g_pi = (r.sum(axis=0) + alpha - 1.0) / pi
+    beta = ds_beta_matrix(hyper, k)
+    counts = np.einsum("jci,ik->jkc", data.rating_onehot(), r)
+    g_theta = (beta[None, :, :] - 1.0 + counts) / theta
+    g_rows = np.vstack([g_pi[None, :], g_theta.reshape(j * k, k)])
+    return value, tr.grad_simplex_rows(raw, g_rows).ravel()
+
+
+class DawidSkeneModel:
+    """Model handle used by the samplers and harness."""
+
+    name = "dawid-skene"
+
+    def __init__(self, n_raters, n_categories, hyper=None):
+        self.j = int(n_raters)
+        self.k = int(n_categories)
+        self.hyper = hyper if hyper is not None else DSHyper()
+
+    @property
+    def n_dim(self):
+        return n_unconstrained(self.j, self.k)
+
+    def param_names(self):
+        names = [f"pi[{i+1}]" for i in range(self.k)]
+        for jj in range(self.j):
+            for kk in range(self.k):
+                for c in range(self.k):
+                    names.append(f"theta[{jj+1},{kk+1},{c+1}]")
+        return names
+
+    def flatten(self, params):
+        return np.concatenate([params.pi, params.theta.ravel()])
+
+    def constrain(self, u):
+        return constrain(u, self.j, self.k)
+
+    def unconstrain(self, params):
+        return unconstrain(params)
+
+    def log_post_u(self, data, u):
+        params, lj = self.constrain(u)
+        return ds_marginal_log_joint(data, params, self.hyper) + lj
+
+    def grad_u(self, data, u):
+        return ds_marginal_grad(data, u, self.j, self.k, self.hyper)
+
+    def log_post_grad_u(self, data, u):
+        return ds_marginal_logpost_grad_u(data, u, self.j, self.k, self.hyper)
+
+    def init_params(self, rng):
+        """Prior draw for pi and every confusion row."""
+        k = self.k
+        pi = rng.dirichlet(self.hyper.resolved_alpha(k))
+        beta = ds_beta_matrix(self.hyper, k)
+        theta = np.empty((self.j, k, k))
+        for jj in range(self.j):
+            for kk in range(k):
+                theta[jj, kk] = rng.dirichlet(beta[kk])
+        eps = 1e-12
+        pi = np.clip(pi, eps, None); pi /= pi.sum()
+        theta = np.clip(theta, eps, None)
+        theta /= theta.sum(axis=2, keepdims=True)
+        return DSParams(pi=pi, theta=theta)

@@ -1,0 +1,106 @@
+"""Convergence and efficiency diagnostics for multi-chain MCMC output.
+
+Effective sample size uses the multi-chain autocovariance estimator with
+Geyer's initial monotone sequence truncation; potential scale reduction
+is the split version (each chain halved before comparison), so a single
+slowly-drifting chain is also flagged.
+"""
+
+import numpy as np
+
+
+def _autocovariance(x):
+    """Biased autocovariance function of a 1-d series via FFT."""
+    n = len(x)
+    x = x - x.mean()
+    m = 1 << (2 * n - 1).bit_length()   # zero-pad to avoid circular wrap
+    f = np.fft.rfft(x, m)
+    acov = np.fft.irfft(f * np.conj(f), m)[:n].real
+    return acov / n
+
+
+def ess(chains):
+    """Effective sample size from an (M, N) array of chains.
+
+    Combines within-chain autocovariances with the between-chain variance
+    (so stuck-apart chains shrink the answer), sums paired autocorrelations
+    until the first negative pair, enforces Geyer's monotone decrease, and
+    caps the result at the total draw count.
+    """
+    chains = np.atleast_2d(np.asarray(chains, dtype=float))
+    m, n = chains.shape
+    if n < 4:
+        raise ValueError("need at least 4 draws per chain")
+    if np.allclose(chains, chains.flat[0]):
+        raise ValueError("effective sample size undefined for a constant chain")
+
+    chain_means = chains.mean(axis=1)
+    chain_vars = chains.var(axis=1, ddof=1)
+    w = chain_vars.mean()
+    var_plus = w * (n - 1) / n
+    if m > 1:
+        var_plus += chain_means.var(ddof=1)
+    if var_plus <= 0 or not np.isfinite(var_plus):
+        raise ValueError("effective sample size undefined for a constant chain")
+
+    acov = np.mean([_autocovariance(c) for c in chains], axis=0)
+    rho = 1.0 - (w - acov) / var_plus
+    rho[0] = 1.0
+
+    # Geyer: sum adjacent pairs, stop at the first negative, force monotone
+    max_pairs = (n - 1) // 2
+    pair_sums = rho[1:2 * max_pairs + 1:2] + rho[2:2 * max_pairs + 1:2]
+    total = 0.0
+    running_min = np.inf
+    for s in pair_sums:
+        if s < 0:
+            break
+        running_min = min(running_min, s)
+        total += running_min
+    tau = max(1.0 + 2.0 * total, 1.0 / (m * n))
+    return float(min(m * n / tau, m * n))
+
+
+def split_rhat(chains):
+    """Split potential scale reduction factor from an (M, N) array."""
+    chains = np.atleast_2d(np.asarray(chains, dtype=float))
+    m, n = chains.shape
+    if n < 4:
+        raise ValueError("need at least 4 draws per chain")
+    half = n // 2
+    split = np.vstack([chains[:, :half], chains[:, n - half:n]])
+    sm, sn = split.shape
+    w = split.var(axis=1, ddof=1).mean()
+    if w <= 0 or not np.isfinite(w):
+        raise ValueError("scale reduction undefined: zero within-chain variance")
+    b = sn * split.mean(axis=1).var(ddof=1)
+    var_plus = w * (sn - 1) / sn + b / sn
+    return float(np.sqrt(var_plus / w))
+
+
+def efficiency_report(chain_list, param_names=None):
+    """Summarise a list of ChainDraws into min-ESS, max-Rhat, and timing.
+
+    Only continuous parameters are considered.  `time_per_min_ess` is
+    total wall time (warmup plus sampling, summed over chains) divided by
+    the minimum effective sample size across parameters.
+    """
+    from .draws import stack_param_chains
+
+    stacked = stack_param_chains(chain_list)
+    if param_names is not None:
+        stacked = {k: v for k, v in stacked.items() if k in set(param_names)}
+    ess_by_param = {k: ess(v) for k, v in stacked.items()}
+    rhat_by_param = {k: split_rhat(v) for k, v in stacked.items()}
+    min_ess = min(ess_by_param.values())
+    max_rhat = max(rhat_by_param.values())
+    total_time = sum(c.wall_time for c in chain_list)
+    return {
+        "min_ess": float(min_ess),
+        "max_rhat": float(max_rhat),
+        "comp_time_s": float(total_time),
+        "time_per_min_ess": float(total_time / min_ess),
+        "ess": ess_by_param,
+        "rhat": rhat_by_param,
+        "divergences": int(sum(c.divergences for c in chain_list)),
+    }

@@ -1,0 +1,458 @@
+"""Within-Gibbs MCMC for the full and marginalised models.
+
+Three modes mirror the benchmark arms:
+
+  full-conjugate  -- discrete labels + conjugate Dirichlet blocks, slice
+                     moves for the remaining continuous coordinates
+  full-restricted -- discrete labels, every continuous coordinate updated
+                     by 1-d slice moves (simplexes via stick coordinates)
+  marginal-slice  -- no labels; every continuous coordinate of the
+                     marginalised posterior updated by 1-d slice moves
+
+full-restricted and marginal-slice use the identical sampler set on the
+continuous coordinates by construction, so differences between them
+isolate the effect of marginalisation itself.
+
+Update order is fixed: labels z, then pi, then theta or (mu, sigma).
+"""
+
+import time
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import dawid_skene as dsm
+from . import mixture as mx
+from . import transforms as tr
+from .draws import ChainDraws
+from .stats import (LOG_2PI, log_dirichlet_pdf, log_lognormal_pdf,
+                    log_sum_exp, lse_rows, sample_categorical_rows, sample_dirichlet)
+from scipy import special
+
+MODES = ("full-conjugate", "full-restricted", "marginal-slice")
+
+
+@dataclass
+class GibbsConfig:
+    mode: str
+    iterations: int = 3000
+    warmup: int = 1500
+    slice_width: float = 1.0
+    slice_max_doublings: int = 10
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if not (0 <= self.warmup < self.iterations):
+            raise ValueError("need 0 <= warmup < iterations")
+        if self.slice_width <= 0:
+            raise ValueError("slice width must be positive")
+
+
+class SliceError(RuntimeError):
+    pass
+
+
+def slice_sample_1d(logdensity, current, width, max_doublings, rng,
+                    lower=-np.inf, upper=np.inf):
+    """One slice-sampling move (Neal's doubling procedure with shrinkage).
+
+    `lower`/`upper` restrict the support; the density is treated as zero
+    outside, which keeps the doubling bookkeeping exact.
+    """
+    def lf(x):
+        if x <= lower or x >= upper:
+            return -np.inf
+        return logdensity(x)
+
+    logf0 = lf(current)
+    if not np.isfinite(logf0):
+        raise SliceError(f"log density not finite at current point {current}")
+    logy = logf0 + np.log(rng.random())
+
+    left = current - width * rng.random()
+    right = left + width
+    if np.isfinite(lower) and left < lower:
+        right += lower - left
+        left = lower
+    if np.isfinite(upper) and right > upper:
+        left -= right - upper
+        right = upper
+    fl, fr = lf(left), lf(right)
+    k = max_doublings
+    while k > 0 and (fl > logy or fr > logy):
+        if rng.random() < 0.5:
+            left -= right - left
+            fl = lf(left)
+        else:
+            right += right - left
+            fr = lf(right)
+        k -= 1
+    # doublings may be exhausted before both ends leave the slice; Neal's
+    # limited-doubling variant proceeds and stays exact via the accept test
+    lb, rb = left, right
+    for _ in range(1000):
+        x1 = lb + rng.random() * (rb - lb)
+        if lf(x1) > logy and _doubling_accept(lf, current, x1, logy,
+                                              left, right, width):
+            return x1
+        if x1 < current:
+            lb = x1
+        else:
+            rb = x1
+    raise SliceError("slice shrinkage failed to find an acceptable point")
+
+
+def _doubling_accept(lf, x0, x1, logy, left, right, width):
+    """Neal's acceptance test for intervals produced by doubling."""
+    d = False
+    while right - left > 1.1 * width:
+        mid = 0.5 * (left + right)
+        if (x0 < mid <= x1) or (x1 < mid <= x0):
+            d = True
+        if x1 < mid:
+            right = mid
+        else:
+            left = mid
+        if d and lf(left) <= logy and lf(right) <= logy:
+            return False
+    return True
+
+
+def update_pi_conjugate(counts, alpha, rng):
+    """Dirichlet-categorical conjugate draw: Dirichlet(alpha + counts)."""
+    counts = np.asarray(counts, dtype=float)
+    if np.any(counts < 0):
+        raise ValueError("counts must be non-negative")
+    return sample_dirichlet(rng, np.asarray(alpha, dtype=float) + counts)
+
+
+def update_theta_conjugate(data, latent, hyper, rng):
+    """Confusion rows from their Dirichlet full conditionals."""
+    j, k = data.n_raters, data.n_categories
+    beta = dsm.ds_beta_matrix(hyper, k)
+    counts = np.zeros((j, k, k))
+    for jj in range(j):
+        np.add.at(counts[jj], (latent, data.ratings[:, jj]), 1.0)
+    theta = np.empty((j, k, k))
+    for jj in range(j):
+        for kk in range(k):
+            theta[jj, kk] = sample_dirichlet(rng, beta[kk] + counts[jj, kk])
+    return theta
+
+
+def update_z_block(model, data, params, rng):
+    """Draw every label from its full conditional given the continuous state."""
+    if model.name == "mixture":
+        probs = mx.mix_z_full_conditional(data, params)
+    else:
+        probs = dsm.ds_z_full_conditional(data, params)
+    return sample_categorical_rows(rng, probs)
+
+
+def _slice_simplex_coords(u_row, target_of_row, cfg, rng):
+    """Slice each stick coordinate of one simplex; returns updated sticks."""
+    u_row = u_row.copy()
+    for c in range(len(u_row)):
+        def logf(v, c=c):
+            u2 = u_row.copy()
+            u2[c] = v
+            p, lj = tr.constrain_simplex(u2)
+            return target_of_row(p) + lj
+        u_row[c] = slice_sample_1d(logf, u_row[c], cfg.slice_width,
+                                   cfg.slice_max_doublings, rng)
+    return u_row
+
+
+# ------------------------------------------------------------- mixture
+
+class _MixtureGibbs:
+    def __init__(self, model, data, cfg, rng, init):
+        self.model, self.data, self.cfg, self.rng = model, data, cfg, rng
+        self.k = model.k
+        self.params = init
+        if not np.isfinite(mx.log_prior(init)):
+            raise ValueError("initial parameters outside the prior support")
+        self.marginal = cfg.mode == "marginal-slice"
+        if not self.marginal:
+            self.z = update_z_block(model, data, self.params, rng)
+        self.u_pi = tr.unconstrain_simplex(self.params.pi)
+        self.assignment = self._assignment()
+
+    def _assignment(self):
+        conj = self.cfg.mode == "full-conjugate"
+        a = {f"mu[{i+1}]": "slice" for i in range(self.k)}
+        a["sigma"] = "slice"
+        a["pi"] = "conjugate" if conj else "slice"
+        return a
+
+    def sweep(self):
+        cfg, rng, k = self.cfg, self.rng, self.k
+        mu, sigma, pi = self.params.mu, self.params.sigma, self.params.pi
+        if self.marginal:
+            self._sweep_marginal()
+            return
+        # (1) labels
+        self.z = update_z_block(self.model, self.data, self.params, rng)
+        z = self.z
+        counts = np.bincount(z, minlength=k).astype(float)
+        sum_x = np.bincount(z, weights=self.data.x, minlength=k)
+        sum_x2 = np.bincount(z, weights=self.data.x**2, minlength=k)
+        # (2) pi
+        if cfg.mode == "full-conjugate":
+            pi = update_pi_conjugate(counts, np.ones(k), rng)
+            self.u_pi = tr.unconstrain_simplex(pi)
+        else:
+            def pi_target(p):
+                return float(np.dot(counts, np.log(p)))  # Dirichlet(1) prior flat
+            self.u_pi = _slice_simplex_coords(self.u_pi, pi_target, cfg, rng)
+            pi, _ = tr.constrain_simplex(self.u_pi)
+        # (3) mu then sigma, by slice
+        mu = mu.copy()
+        for kk in range(k):
+            lo = mu[kk - 1] if kk > 0 else -np.inf
+            hi = mu[kk + 1] if kk < k - 1 else np.inf
+
+            def mu_target(m, kk=kk):
+                quad = -(sum_x2[kk] - 2.0 * m * sum_x[kk]
+                         + counts[kk] * m * m) / (2.0 * sigma**2)
+                a = m / mx.PRIOR_MU_SD
+                lp = -0.5 * a * a      # N(0, 10^2) prior kernel
+                if kk < k - 1:
+                    # truncation renormaliser of the next component's prior
+                    lp -= special.log_ndtr(-a)
+                return quad + lp
+            mu[kk] = slice_sample_1d(mu_target, mu[kk], cfg.slice_width,
+                                     cfg.slice_max_doublings, rng,
+                                     lower=lo, upper=hi)
+        sse = float(np.sum((self.data.x - mu[z])**2))
+        n = len(self.data.x)
+
+        def log_sigma_target(ls):
+            s = np.exp(ls)
+            if not np.isfinite(s) or s <= 0:
+                return -np.inf
+            return (-n * ls - sse / (2.0 * s * s)
+                    + log_lognormal_pdf(s, 0.0, 1.0) + ls)
+        ls = slice_sample_1d(log_sigma_target, np.log(sigma), cfg.slice_width,
+                             cfg.slice_max_doublings, rng)
+        self.params = mx.MixtureParams(mu=mu, sigma=float(np.exp(ls)), pi=pi)
+
+    def _sweep_marginal(self):
+        cfg, rng, k = self.cfg, self.rng, self.k
+        x = self.data.x
+        mu = self.params.mu.copy()
+        sigma = self.params.sigma
+        pi = self.params.pi
+
+        def norm_cols(mu_vec, s):
+            z = (x[:, None] - mu_vec[None, :]) / s
+            return -np.log(s) - 0.5 * LOG_2PI - 0.5 * z * z
+
+        ll = norm_cols(mu, sigma)  # cached log f(x_i | mu_k, sigma^2) columns
+
+        def mu_prior(m, kk):
+            a = m / mx.PRIOR_MU_SD
+            lp = -0.5 * a * a
+            if kk < k - 1:
+                lp -= float(special.log_ndtr(-a))
+            return lp
+
+        # pi via stick coordinates against the marginal joint
+        def pi_target(p):
+            return float(lse_rows(ll + np.log(p)[None, :]).sum())
+        self.u_pi = _slice_simplex_coords(self.u_pi, pi_target, cfg, rng)
+        pi, _ = tr.constrain_simplex(self.u_pi)
+
+        log_pi = np.log(pi)
+        m_mat = ll + log_pi[None, :]
+        for kk in range(k):
+            lo = mu[kk - 1] if kk > 0 else -np.inf
+            hi = mu[kk + 1] if kk < k - 1 else np.inf
+
+            def mu_target(m, kk=kk):
+                z = (x - m) / sigma
+                m_mat[:, kk] = (log_pi[kk] - np.log(sigma) - 0.5 * LOG_2PI
+                                - 0.5 * z * z)
+                return float(lse_rows(m_mat).sum()) + mu_prior(m, kk)
+            mu[kk] = slice_sample_1d(mu_target, mu[kk], cfg.slice_width,
+                                     cfg.slice_max_doublings, rng,
+                                     lower=lo, upper=hi)
+            mu_target(mu[kk], kk)  # leave the cached column at the accepted value
+
+        def log_sigma_target(ls):
+            s = np.exp(ls)
+            if not np.isfinite(s) or s <= 0:
+                return -np.inf
+            lik = float(lse_rows(norm_cols(mu, s) + log_pi[None, :]).sum())
+            return lik - 0.5 * ls * ls  # Lognormal(0,1) kernel + exp Jacobian
+        ls = slice_sample_1d(log_sigma_target, np.log(sigma), cfg.slice_width,
+                             cfg.slice_max_doublings, rng)
+        self.params = mx.MixtureParams(mu=mu, sigma=float(np.exp(ls)), pi=pi)
+
+    def state(self):
+        return self.model.flatten(self.params)
+
+    def latent(self):
+        return None if self.marginal else self.z.copy()
+
+
+# --------------------------------------------------------- Dawid-Skene
+
+class _DawidSkeneGibbs:
+    def __init__(self, model, data, cfg, rng, init):
+        self.model, self.data, self.cfg, self.rng = model, data, cfg, rng
+        self.j, self.k = model.j, model.k
+        self.hyper = model.hyper
+        self.beta = dsm.ds_beta_matrix(self.hyper, self.k)
+        self.alpha = self.hyper.resolved_alpha(self.k)
+        self.params = init
+        self.marginal = cfg.mode == "marginal-slice"
+        if not self.marginal:
+            self.z = update_z_block(model, data, self.params, rng)
+        self.u_pi = tr.unconstrain_simplex(self.params.pi)
+        self.u_theta = np.stack([
+            np.stack([tr.unconstrain_simplex(self.params.theta[jj, kk])
+                      for kk in range(self.k)])
+            for jj in range(self.j)])
+        if self.marginal:
+            self._rebuild_cache()
+        conj = cfg.mode == "full-conjugate"
+        self.assignment = {"pi": "conjugate" if conj else "slice",
+                           "theta": "conjugate" if conj else "slice"}
+
+    def _rebuild_cache(self):
+        # C[i, k] = sum_j log theta[j, k, y_ij]; G[j, k] the per-rater gather
+        log_theta = np.log(self.params.theta)
+        self.g = np.empty((self.j, self.k, self.data.n_items))
+        for jj in range(self.j):
+            self.g[jj] = log_theta[jj][:, self.data.ratings[:, jj]]
+        self.c = self.g.sum(axis=0).T  # (I, K)
+
+    def sweep(self):
+        if self.marginal:
+            self._sweep_marginal()
+        else:
+            self._sweep_full()
+
+    def _sweep_full(self):
+        cfg, rng = self.cfg, self.rng
+        data, j, k = self.data, self.j, self.k
+        # (1) labels
+        self.z = update_z_block(self.model, data, self.params, rng)
+        z = self.z
+        z_counts = np.bincount(z, minlength=k).astype(float)
+        rating_counts = np.zeros((j, k, k))
+        for jj in range(j):
+            np.add.at(rating_counts[jj], (z, data.ratings[:, jj]), 1.0)
+        # (2) pi
+        if cfg.mode == "full-conjugate":
+            pi = update_pi_conjugate(z_counts, self.alpha, rng)
+            self.u_pi = tr.unconstrain_simplex(pi)
+        else:
+            def pi_target(p):
+                return float(np.dot(z_counts + self.alpha - 1.0, np.log(p)))
+            self.u_pi = _slice_simplex_coords(self.u_pi, pi_target, cfg, rng)
+            pi, _ = tr.constrain_simplex(self.u_pi)
+        # (3) theta
+        if cfg.mode == "full-conjugate":
+            theta = update_theta_conjugate(data, z, self.hyper, rng)
+            for jj in range(j):
+                for kk in range(k):
+                    self.u_theta[jj, kk] = tr.unconstrain_simplex(theta[jj, kk])
+        else:
+            theta = self.params.theta.copy()
+            for jj in range(j):
+                for kk in range(k):
+                    weights = rating_counts[jj, kk] + self.beta[kk] - 1.0
+
+                    def row_target(p, w=weights):
+                        return float(np.dot(w, np.log(p)))
+                    self.u_theta[jj, kk] = _slice_simplex_coords(
+                        self.u_theta[jj, kk], row_target, cfg, rng)
+                    theta[jj, kk], _ = tr.constrain_simplex(self.u_theta[jj, kk])
+        self.params = dsm.DSParams(pi=pi, theta=theta)
+
+    def _sweep_marginal(self):
+        cfg, rng = self.cfg, self.rng
+        data, j, k = self.data, self.j, self.k
+        alpha_m1 = self.alpha - 1.0
+
+        # pi stick coordinates (Dirichlet kernel; the normaliser is constant)
+        def pi_target(p):
+            return (float(lse_rows(np.log(p)[None, :] + self.c).sum())
+                    + float(np.dot(alpha_m1, np.log(p))))
+        self.u_pi = _slice_simplex_coords(self.u_pi, pi_target, cfg, rng)
+        pi, _ = tr.constrain_simplex(self.u_pi)
+        log_pi = np.log(pi)
+
+        # theta rows, one stick coordinate at a time; per-item log-sum-exp
+        # over the K-1 untouched columns is cached per row
+        theta = self.params.theta.copy()
+        base = log_pi[None, :] + self.c
+        for jj in range(j):
+            y_j = data.ratings[:, jj]
+            for kk in range(k):
+                col_wo_row = self.c[:, kk] - np.log(theta[jj, kk])[y_j]
+                saved = base[:, kk].copy()
+                base[:, kk] = -np.inf
+                others = lse_rows(base)          # (I,) reduction over k' != kk
+                base[:, kk] = saved
+                beta_m1 = self.beta[kk] - 1.0
+                u_row = self.u_theta[jj, kk].copy()
+                for cc in range(k - 1):
+                    def logf(v, cc=cc):
+                        u2 = u_row.copy()
+                        u2[cc] = v
+                        row, lj = tr.constrain_simplex(u2)
+                        log_row = np.log(row)
+                        col = log_pi[kk] + col_wo_row + log_row[y_j]
+                        return (float(np.logaddexp(others, col).sum())
+                                + float(np.dot(beta_m1, log_row)) + lj)
+                    u_row[cc] = slice_sample_1d(logf, u_row[cc],
+                                                cfg.slice_width,
+                                                cfg.slice_max_doublings, rng)
+                self.u_theta[jj, kk] = u_row
+                theta[jj, kk], _ = tr.constrain_simplex(u_row)
+                new_col = col_wo_row + np.log(theta[jj, kk])[y_j]
+                self.c[:, kk] = new_col
+                base[:, kk] = log_pi[kk] + new_col
+        self.params = dsm.DSParams(pi=pi, theta=theta)
+        self._rebuild_cache()
+
+    def state(self):
+        return self.model.flatten(self.params)
+
+    def latent(self):
+        return None if self.marginal else self.z.copy()
+
+
+def gibbs_run(model, data, config, rng, init=None):
+    """Run one Gibbs chain; deterministic given (rng state, init, config)."""
+    if init is None:
+        init = model.init_params(rng)
+    cls = _MixtureGibbs if model.name == "mixture" else _DawidSkeneGibbs
+    state = cls(model, data, config, rng, init)
+
+    errstate = np.errstate(over="ignore", divide="ignore", invalid="ignore")
+    n_keep = config.iterations - config.warmup
+    draws = np.empty((n_keep, len(model.param_names())))
+    keep_latent = not state.marginal
+    latent = None
+    with errstate:
+        t0 = time.perf_counter()
+        for _ in range(config.warmup):
+            state.sweep()
+        t1 = time.perf_counter()
+        for it in range(n_keep):
+            state.sweep()
+            draws[it] = state.state()
+            if keep_latent:
+                if latent is None:
+                    latent = np.empty((n_keep, len(state.latent())), dtype=np.int8)
+                latent[it] = state.latent()
+        t2 = time.perf_counter()
+    return ChainDraws(draws=draws, param_names=model.param_names(),
+                      warmup_time=t1 - t0, sampling_time=t2 - t1,
+                      latent_draws=latent,
+                      sampler_assignment=state.assignment)

@@ -1,0 +1,148 @@
+"""Log densities, primitive samplers and the shared RNG contract.
+
+Everything downstream composes densities in log space only; products of
+small probabilities (e.g. 5 confusion-matrix entries per item) underflow
+in linear space at benchmark scale.
+"""
+
+import numpy as np
+from scipy import special
+
+LOG_2PI = np.log(2.0 * np.pi)
+
+
+def make_rng(seed, stream=0):
+    """Deterministic generator for (seed, stream).
+
+    Distinct streams are independent by construction (SeedSequence keying),
+    so per-chain generators never share state.
+    """
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence((int(seed), int(stream))))
+    )
+
+
+def log_normal_pdf(x, mu, sigma):
+    """Log density of N(mu, sigma^2), evaluated directly in log space."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)) or not np.isfinite(mu):
+        raise ValueError("non-finite input to log_normal_pdf")
+    if not (sigma > 0):
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    z = (x - mu) / sigma
+    return -0.5 * LOG_2PI - np.log(sigma) - 0.5 * z * z
+
+
+def log_truncated_normal_pdf(x, mu, sigma, lower):
+    """Log density of N(mu, sigma^2) left-truncated at `lower`.
+
+    Returns -inf for x <= lower.  With lower = -inf this reduces to the
+    plain normal log density.
+    """
+    if not (sigma > 0):
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    if np.isneginf(lower):
+        return log_normal_pdf(x, mu, sigma)
+    if x <= lower:
+        return -np.inf
+    # normalising constant is the upper-tail mass above `lower`
+    log_tail = special.log_ndtr(-(lower - mu) / sigma)
+    return log_normal_pdf(x, mu, sigma) - log_tail
+
+
+def log_lognormal_pdf(x, mu, sigma):
+    """Log density of Lognormal(mu, sigma); zero density off (0, inf)."""
+    if not (sigma > 0):
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    if x <= 0:
+        return -np.inf
+    lx = np.log(x)
+    z = (lx - mu) / sigma
+    return -lx - np.log(sigma) - 0.5 * LOG_2PI - 0.5 * z * z
+
+
+def log_dirichlet_pdf(p, alpha):
+    """Log Dirichlet density including the log multivariate beta constant."""
+    p = np.asarray(p, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    if p.shape != alpha.shape:
+        raise ValueError(f"dimension mismatch: {p.shape} vs {alpha.shape}")
+    if np.any(alpha <= 0):
+        raise ValueError("alpha must be positive")
+    if np.any(p <= 0):
+        return -np.inf
+    log_norm = special.gammaln(alpha.sum()) - special.gammaln(alpha).sum()
+    return log_norm + np.sum((alpha - 1.0) * np.log(p))
+
+
+def log_sum_exp(v, axis=None):
+    """Stable log(sum(exp(v))); -inf for all-(-inf) input."""
+    v = np.asarray(v, dtype=float)
+    if v.size == 0:
+        raise ValueError("log_sum_exp of empty vector")
+    return special.logsumexp(v, axis=axis)
+
+
+def lse_rows(m):
+    """Row-wise log-sum-exp of a 2-d array (fast path for the hot loops)."""
+    mm = m.max(axis=1)
+    if not np.all(np.isfinite(mm)):
+        return log_sum_exp(m, axis=1)
+    return mm + np.log(np.exp(m - mm[:, None]).sum(axis=1))
+
+
+def check_simplex(p, atol=1e-12):
+    p = np.asarray(p, dtype=float)
+    if np.any(p < -atol) or np.any(p > 1 + atol):
+        raise ValueError(f"simplex entries outside [0,1]: {p}")
+    if abs(p.sum() - 1.0) > 1e-8:
+        raise ValueError(f"simplex does not sum to 1: sum={p.sum()}")
+    return p
+
+
+def sample_categorical(rng, p):
+    """Draw one index in {0..K-1} with probabilities p."""
+    p = check_simplex(p)
+    return int(np.searchsorted(np.cumsum(p), rng.random(), side="right").clip(0, len(p) - 1))
+
+
+def sample_categorical_rows(rng, probs):
+    """Vectorised categorical draw: one index per row of `probs` (n x K)."""
+    probs = np.asarray(probs, dtype=float)
+    cum = np.cumsum(probs, axis=1)
+    cum /= cum[:, -1:]
+    u = rng.random(probs.shape[0])
+    return (u[:, None] > cum).sum(axis=1)
+
+
+def sample_dirichlet(rng, alpha):
+    """Draw a simplex from Dirichlet(alpha)."""
+    alpha = np.asarray(alpha, dtype=float)
+    if np.any(alpha <= 0):
+        raise ValueError("alpha must be positive")
+    p = rng.dirichlet(alpha)
+    # guard against exact zeros from tiny gamma draws
+    eps = 1e-300
+    p = np.clip(p, eps, None)
+    return p / p.sum()
+
+
+def sample_truncated_normal(rng, mu, sigma, lower):
+    """Inverse-CDF draw from N(mu, sigma^2) truncated to (lower, inf).
+
+    The tail branch works on the complementary CDF so draws stay finite
+    even when `lower` is many sd's above the mean.
+    """
+    if np.isneginf(lower):
+        return mu + sigma * rng.standard_normal()
+    a = (lower - mu) / sigma
+    # sample u uniform on the upper-tail mass, invert via the sf
+    log_tail = special.log_ndtr(-a)
+    u = rng.random()
+    # P(Z > z) = u * P(Z > a)  =>  z = -ndtri(exp(log u + log_tail))
+    log_p = np.log(u) + log_tail
+    if log_p < -700:
+        # numerically degenerate tail: fall back to the mode of the region
+        return mu + sigma * a
+    z = -special.ndtri(np.exp(log_p))
+    return mu + sigma * z

@@ -1,0 +1,155 @@
+"""Bijections between constrained parameter blocks and unconstrained space.
+
+Three transforms cover every model block:
+  * ordered vector   (first coordinate free, log-increments)
+  * positive scalar  (exp)
+  * simplex          (stick-breaking with the centring offset log(K-k))
+
+Each transform ships a constrain / unconstrain pair, the log |Jacobian|
+of constrain, and a reverse-mode helper that pulls a gradient in
+constrained space (plus the Jacobian term) back to unconstrained space.
+"""
+
+import numpy as np
+
+
+def expit(x):
+    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+
+
+# ---------------------------------------------------------------- ordered
+
+def constrain_ordered(raw):
+    """raw -> strictly increasing vector; logJ = sum(raw[1:])."""
+    raw = np.asarray(raw, dtype=float)
+    incr = np.concatenate([[raw[0]], np.exp(raw[1:])])
+    return np.cumsum(incr), float(np.sum(raw[1:]))
+
+
+def unconstrain_ordered(mu):
+    mu = np.asarray(mu, dtype=float)
+    if np.any(np.diff(mu) <= 0):
+        raise ValueError(f"vector not strictly increasing: {mu}")
+    return np.concatenate([[mu[0]], np.log(np.diff(mu))])
+
+
+def grad_ordered(raw, g_mu):
+    """Pull d/dmu back to d/draw, including the logJ gradient."""
+    raw = np.asarray(raw, dtype=float)
+    g_mu = np.asarray(g_mu, dtype=float)
+    # mu_j depends on raw_k for all j >= k
+    tail = np.cumsum(g_mu[::-1])[::-1]
+    g_raw = np.empty_like(raw)
+    g_raw[0] = tail[0]
+    g_raw[1:] = tail[1:] * np.exp(raw[1:]) + 1.0  # +1 from logJ
+    return g_raw
+
+
+# --------------------------------------------------------------- positive
+
+def constrain_positive(raw):
+    return float(np.exp(raw)), float(raw)
+
+
+def unconstrain_positive(x):
+    if x <= 0:
+        raise ValueError(f"value not positive: {x}")
+    return float(np.log(x))
+
+
+def grad_positive(raw, g_x):
+    return g_x * np.exp(raw) + 1.0  # +1 from logJ
+
+
+# ---------------------------------------------------------------- simplex
+
+def constrain_simplex(raw):
+    """Stick-breaking: raw in R^(K-1) -> simplex of length K, with logJ."""
+    raw = np.asarray(raw, dtype=float)
+    km1 = raw.shape[0]
+    if km1 == 0:
+        return np.ones(1), 0.0
+    z = expit(raw - np.log(np.arange(km1, 0, -1)))
+    one_mz = 1.0 - z
+    rem = np.empty(km1)  # remaining stick before each break
+    rem[0] = 1.0
+    if km1 > 1:
+        rem[1:] = np.cumprod(one_mz[:-1])
+    p = np.empty(km1 + 1)
+    p[:km1] = rem * z
+    p[km1] = rem[-1] * one_mz[-1]
+    log_j = float(np.sum(np.log(z) + np.log1p(-z) + np.log(rem)))
+    return p, log_j
+
+
+def unconstrain_simplex(p):
+    p = np.asarray(p, dtype=float)
+    k = p.shape[0]
+    raw = np.empty(k - 1)
+    rem = 1.0
+    for i in range(k - 1):
+        z = p[i] / rem
+        raw[i] = np.log(z) - np.log1p(-z) + np.log(k - 1 - i)
+        rem -= p[i]
+    return raw
+
+
+def constrain_simplex_rows(rows):
+    """Stick-breaking applied row-wise: (R, K-1) -> ((R, K), (R,) logJ)."""
+    rows = np.asarray(rows, dtype=float)
+    r, w = rows.shape
+    z = expit(rows - np.log(np.arange(w, 0, -1))[None, :])
+    one_mz = 1.0 - z
+    rem = np.empty((r, w))
+    rem[:, 0] = 1.0
+    if w > 1:
+        rem[:, 1:] = np.cumprod(one_mz[:, :-1], axis=1)
+    p = np.empty((r, w + 1))
+    p[:, :w] = rem * z
+    p[:, w] = rem[:, -1] * one_mz[:, -1]
+    log_j = (np.log(z) + np.log1p(-z) + np.log(rem)).sum(axis=1)
+    return p, log_j
+
+
+def grad_simplex_rows(rows, g_p):
+    """Row-wise version of grad_simplex: (R, K-1), (R, K) -> (R, K-1)."""
+    rows = np.asarray(rows, dtype=float)
+    g_p = np.asarray(g_p, dtype=float)
+    r, w = rows.shape
+    z = expit(rows - np.log(np.arange(w, 0, -1))[None, :])
+    one_mz = 1.0 - z
+    rem = np.empty((r, w))
+    rem[:, 0] = 1.0
+    if w > 1:
+        rem[:, 1:] = np.cumprod(one_mz[:, :-1], axis=1)
+    g_z = np.empty((r, w))
+    g_rem = g_p[:, w].copy()
+    for i in range(w - 1, -1, -1):
+        g_z[:, i] = (g_p[:, i] - g_rem) * rem[:, i] \
+            + 1.0 / z[:, i] - 1.0 / one_mz[:, i]
+        g_rem = g_p[:, i] * z[:, i] + g_rem * one_mz[:, i]
+        if i > 0:
+            g_rem += 1.0 / rem[:, i]
+    return g_z * z * one_mz
+
+
+def grad_simplex(raw, g_p):
+    """Pull d/dp back to d/draw, including the stick-breaking logJ gradient."""
+    raw = np.asarray(raw, dtype=float)
+    g_p = np.asarray(g_p, dtype=float)
+    km1 = raw.shape[0]
+    k = km1 + 1
+    z = expit(raw - np.log(np.arange(k - 1, 0, -1)))
+    rem = np.empty(k)  # rem[i] = remaining stick before break i
+    rem[0] = 1.0
+    for i in range(km1):
+        rem[i + 1] = rem[i] * (1.0 - z[i])
+    g_z = np.zeros(km1)
+    g_rem = g_p[km1]  # adjoint of rem[km1] = p[K-1]
+    for i in range(km1 - 1, -1, -1):
+        g_z[i] = g_p[i] * rem[i] - g_rem * rem[i]
+        g_z[i] += 1.0 / z[i] - 1.0 / (1.0 - z[i])  # logJ wrt z_i
+        g_rem = g_p[i] * z[i] + g_rem * (1.0 - z[i])
+        if i > 0:
+            g_rem += 1.0 / rem[i]  # logJ wrt rem[i]
+    return g_z * z * (1.0 - z)
