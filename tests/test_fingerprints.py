@@ -1,0 +1,52 @@
+"""Bit-identity pins: sha256 of fixed-seed draws for every (model, method)
+pair.  Refactors that are meant to leave the samplers' arithmetic alone
+must leave these digests unchanged; a deliberate change to a sampler
+updates the digest here in the same commit, with the reason."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from margmcmc import harness as hz
+from margmcmc.simulate import gen_dataset, get_scenario
+from margmcmc.stats import make_rng
+
+SEED = 2024
+
+# (scenario, method, iterations, warmup, sha256).  NUTS runs long enough
+# for one mass-matrix window, so the step-size search runs twice.
+PINS = [
+    ("two-comp-1", "nuts-marginal", 200, 160,
+     "068521cf5d42cb5f5564b0cb232eb886cea3339d6c218295dc911f785684f566"),
+    ("two-comp-1", "gibbs-full", 60, 30,
+     "f7a878c985bc5a5ecc38e3e467fdf5caba341563cf8df6bfd0d63a3e29aecf4b"),
+    ("two-comp-1", "gibbs-full-restricted", 60, 30,
+     "968d87702bf07ca94c8b9a9d78b854fe020f404b87ffe1e193ab66b9f5fcbead"),
+    ("two-comp-1", "gibbs-marginal", 60, 30,
+     "90e144628921be89c8c656e369ff246d49ec315531ce6dd9e81189f780e58e9d"),
+    ("ds", "nuts-marginal", 200, 160,
+     "2488efc1ca92f5778cbf95c349a71c5120a102926956abfae7b335ec8c4acb76"),
+    ("ds", "gibbs-full", 60, 30,
+     "756d4d03ce6f537acffc0b569b2843a3675d5608363310935f3f5229df92c08d"),
+    ("ds", "gibbs-marginal", 30, 15,
+     "20d0adcd1740d12417b037f561ce79692bcfa71f38c9a9be9610f7be249e38c7"),
+]
+
+
+def chain_digest(scenario_id, method, iterations, warmup):
+    scenario = get_scenario(scenario_id)
+    data, _ = gen_dataset(scenario, 1, SEED)
+    model = hz._build_model(scenario)
+    rng = make_rng(SEED, hz._chain_stream(scenario_id, method, 1, 0))
+    chain = hz.run_chain(model, data, method, iterations, warmup, rng)
+    h = hashlib.sha256(np.ascontiguousarray(chain.draws, dtype=np.float64))
+    if chain.tree_depths is not None:
+        h.update(np.ascontiguousarray(chain.tree_depths).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("scenario_id,method,iterations,warmup,digest", PINS,
+                         ids=[f"{p[0]}-{p[1]}" for p in PINS])
+def test_draws_bit_identical(scenario_id, method, iterations, warmup, digest):
+    assert chain_digest(scenario_id, method, iterations, warmup) == digest
