@@ -6,14 +6,14 @@ ordering constraint on the parameters; label switching is handled by the
 diagonal-heavy Dirichlet priors on the confusion rows.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import transforms as tr
 from scipy.special import gammaln
 
-from .stats import log_dirichlet_pdf, log_sum_exp, lse_rows
+from .stats import lse_rows
 
 
 @dataclass
@@ -156,35 +156,6 @@ def unconstrain(params):
     return np.concatenate(parts)
 
 
-def _constrained_grad(data, params, hyper):
-    """Gradients of the marginal log joint wrt pi and every theta row."""
-    pi, theta = params.pi, params.theta
-    k = len(pi)
-    j = theta.shape[0]
-    c = _item_category_loglik(data, params)
-    ll = np.log(pi)[None, :] + c
-    r = np.exp(ll - lse_rows(ll)[:, None])   # I x K responsibilities
-
-    alpha = hyper.resolved_alpha(k)
-    g_pi = r.sum(axis=0) / pi + (alpha - 1.0) / pi
-
-    beta = ds_beta_matrix(hyper, k)
-    # likelihood: dL/dtheta[j,k,c] = sum_{i: y_ij=c} r_ik / theta[j,k,c]
-    onehot = data.rating_onehot()                       # (J, K, I)
-    counts = np.einsum("jci,ik->jkc", onehot, r)
-    g_theta = (beta[None, :, :] - 1.0 + counts) / theta
-    return g_pi, g_theta
-
-
-def ds_marginal_grad(data, u, j, k, hyper):
-    """Gradient of [marginal log joint o constrain + logJ] at u."""
-    u = np.asarray(u, dtype=float)
-    params, _ = constrain(u, j, k)
-    g_pi, g_theta = _constrained_grad(data, params, hyper)
-    g_rows = np.vstack([g_pi[None, :], g_theta.reshape(j * k, k)])
-    return tr.grad_simplex_rows(u.reshape(1 + j * k, k - 1), g_rows).ravel()
-
-
 def ds_marginal_logpost_grad_u(data, u, j, k, hyper):
     """Fused (value, gradient) of the unconstrained log posterior.
 
@@ -250,9 +221,6 @@ class DawidSkeneModel:
     def log_post_u(self, data, u):
         params, lj = self.constrain(u)
         return ds_marginal_log_joint(data, params, self.hyper) + lj
-
-    def grad_u(self, data, u):
-        return ds_marginal_grad(data, u, self.j, self.k, self.hyper)
 
     def log_post_grad_u(self, data, u):
         return ds_marginal_logpost_grad_u(data, u, self.j, self.k, self.hyper)

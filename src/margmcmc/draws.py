@@ -1,6 +1,6 @@
 """Per-chain output container shared by both samplers."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

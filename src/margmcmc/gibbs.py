@@ -25,8 +25,8 @@ from . import dawid_skene as dsm
 from . import mixture as mx
 from . import transforms as tr
 from .draws import ChainDraws
-from .stats import (LOG_2PI, log_dirichlet_pdf, log_lognormal_pdf,
-                    log_sum_exp, lse_rows, sample_categorical_rows, sample_dirichlet)
+from .stats import (LOG_2PI, log_lognormal_pdf, lse_rows,
+                    sample_categorical_rows, sample_dirichlet)
 from scipy import special
 
 MODES = ("full-conjugate", "full-restricted", "marginal-slice")
@@ -188,7 +188,8 @@ class _MixtureGibbs:
 
     def sweep(self):
         cfg, rng, k = self.cfg, self.rng, self.k
-        mu, sigma, pi = self.params.mu, self.params.sigma, self.params.pi
+        mu, pi = self.params.mu, self.params.pi
+        sigma = np.float64(self.params.sigma)   # inf instead of OverflowError
         if self.marginal:
             self._sweep_marginal()
             return
@@ -209,13 +210,14 @@ class _MixtureGibbs:
             pi, _ = tr.constrain_simplex(self.u_pi)
         # (3) mu then sigma, by slice
         mu = mu.copy()
+        two_var = 2.0 * sigma**2
         for kk in range(k):
             lo = mu[kk - 1] if kk > 0 else -np.inf
             hi = mu[kk + 1] if kk < k - 1 else np.inf
 
             def mu_target(m, kk=kk):
                 quad = -(sum_x2[kk] - 2.0 * m * sum_x[kk]
-                         + counts[kk] * m * m) / (2.0 * sigma**2)
+                         + counts[kk] * m * m) / two_var
                 a = m / mx.PRIOR_MU_SD
                 lp = -0.5 * a * a      # N(0, 10^2) prior kernel
                 if kk < k - 1:

@@ -9,7 +9,7 @@ Parallelism, when requested, is applied across records.
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

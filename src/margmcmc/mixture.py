@@ -14,8 +14,7 @@ import numpy as np
 from scipy import special
 
 from . import transforms as tr
-from .stats import (LOG_2PI, log_dirichlet_pdf, log_lognormal_pdf,
-                    log_sum_exp, lse_rows)
+from .stats import LOG_2PI, lse_rows
 
 PRIOR_MU_SD = 10.0
 
@@ -130,40 +129,6 @@ def unconstrain(params):
                 tr.unconstrain_simplex(params.pi))
 
 
-def _constrained_grad(data, params):
-    """Gradients of the marginal log joint wrt (mu, sigma, pi)."""
-    x = data.x
-    mu, pi = params.mu, params.pi
-    sigma = np.float64(params.sigma)   # inf instead of OverflowError
-    ll = _component_loglik(x, params)
-    r = np.exp(ll - lse_rows(ll)[:, None])  # responsibilities
-    diff = x[:, None] - mu[None, :]
-    g_mu = (r * diff).sum(axis=0) / sigma**2
-    g_sigma = float((r * (diff**2 / sigma**3 - 1.0 / sigma)).sum())
-    g_pi = r.sum(axis=0) / pi
-
-    # priors: N(0, 10^2) terms and the truncation renormalisers
-    g_mu = g_mu - mu / PRIOR_MU_SD**2
-    if len(mu) > 1:
-        a = mu[:-1] / PRIOR_MU_SD
-        hazard = np.exp(-0.5 * LOG_2PI - 0.5 * a * a - special.log_ndtr(-a))
-        g_mu[:-1] += hazard / PRIOR_MU_SD
-    # lognormal(0,1) prior on sigma
-    g_sigma += -1.0 / sigma - np.log(sigma) / sigma
-    # Dirichlet(1) prior on pi is flat: no contribution
-    return g_mu, g_sigma, g_pi
-
-
-def mix_marginal_grad(data, u, k):
-    """Gradient of [marginal log joint o constrain + logJ] at u."""
-    mu_raw, log_sigma, pi_raw = split(u, k)
-    params, _ = constrain(u, k)
-    g_mu, g_sigma, g_pi = _constrained_grad(data, params)
-    return pack(tr.grad_ordered(mu_raw, g_mu),
-                tr.grad_positive(log_sigma, g_sigma),
-                tr.grad_simplex(pi_raw, g_pi))
-
-
 def mix_marginal_log_post_u(data, u, k):
     """Marginal log joint plus logJ at an unconstrained point."""
     params, lj = constrain(u, k)
@@ -234,9 +199,6 @@ class MixtureModel:
 
     def log_post_u(self, data, u):
         return mix_marginal_log_post_u(data, u, self.k)
-
-    def grad_u(self, data, u):
-        return mix_marginal_grad(data, u, self.k)
 
     def log_post_grad_u(self, data, u):
         return mix_marginal_logpost_grad_u(data, u, self.k)

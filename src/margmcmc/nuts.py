@@ -5,11 +5,12 @@ Multinomial sampling across the trajectory with the generalised
 (metric-aware) U-turn criterion; trajectory doubling stops on a U-turn,
 on reaching the maximum tree depth, or on a divergence (energy error
 above 1000).  Operates on the marginalised models only, through the
-model handle's unconstrained log posterior and gradient.
+model handle's fused `log_post_grad_u`, which returns the unconstrained
+log posterior and its gradient from one evaluation.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +44,6 @@ class AdaptState:
     log_step_avg: float = 0.0
     h_bar: float = 0.0
     count: int = 0
-    inv_mass: np.ndarray = None
 
     # dual-averaging constants (Hoffman & Gelman defaults)
     gamma: float = 0.05
@@ -70,14 +70,6 @@ class AdaptState:
 
     def freeze(self):
         self.step_size = float(np.exp(self.log_step_avg))
-
-
-def leapfrog(position, momentum, step_size, inv_mass, grad_fn):
-    """One symplectic leapfrog step; reversible to integrator precision."""
-    momentum = momentum + 0.5 * step_size * grad_fn(position)
-    position = position + step_size * inv_mass * momentum
-    momentum = momentum + 0.5 * step_size * grad_fn(position)
-    return position, momentum
 
 
 class _Tree:
@@ -219,25 +211,22 @@ class _NutsKernel:
         return (q_prop, lp_prop, g_prop), accept_stat, depth, diverged
 
 
-def find_reasonable_step_size(logp_grad_fn, inv_mass, q, rng):
-    """Crude bracketing of a step size with acceptance ratio near 1/2."""
+def find_reasonable_step_size(kernel, q, rng):
+    """Crude bracketing of a step size with acceptance ratio near 1/2
+    (Hoffman & Gelman 2014, Alg. 4), one kernel leapfrog step per trial."""
     eps = 1.0
+    inv_mass = kernel.inv_mass
     p = rng.standard_normal(len(q)) / np.sqrt(inv_mass)
-    lp0, g0 = logp_grad_fn(q)
-    h0 = lp0 - 0.5 * float(p @ (inv_mass * p))
+    lp0, g0 = kernel.logp_grad(q)
+    h0 = -lp0 + 0.5 * float(p @ (inv_mass * p))
 
-    def try_step(eps_):
-        p_half = p + 0.5 * eps_ * g0
-        q1 = q + eps_ * (inv_mass * p_half)
-        lp1, g1 = logp_grad_fn(q1)
-        p1 = p_half + 0.5 * eps_ * g1
-        h1 = lp1 - 0.5 * float(p1 @ (inv_mass * p1))
-        return h1 if np.isfinite(h1) else -np.inf
+    def log_ratio(eps_):
+        return kernel._leaf(q, p, g0, 1, eps_, h0).log_sum_weight
 
-    direction = 1 if (try_step(eps) - h0) > np.log(0.5) else -1
+    direction = 1 if log_ratio(eps) > np.log(0.5) else -1
     for _ in range(100):
         eps *= 2.0 ** direction
-        if direction * (try_step(eps) - h0) <= direction * np.log(0.5):
+        if direction * log_ratio(eps) <= direction * np.log(0.5):
             return eps
     return eps
 
@@ -268,26 +257,18 @@ def nuts_run(model, data, config, rng, init=None):
         init = rng.uniform(-config.init_jitter, config.init_jitter, size=d)
     q = np.asarray(init, dtype=float)
 
-    if hasattr(model, "log_post_grad_u"):
-        def logp_grad_fn(u):
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                v, g = model.log_post_grad_u(data, u)
-            return (v, g) if np.isfinite(v) else (-np.inf, g)
-    else:
-        def logp_grad_fn(u):
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                v = model.log_post_u(data, u)
-                g = model.grad_u(data, u)
-            return (v if np.isfinite(v) else -np.inf), g
+    def logp_grad_fn(u):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            v, g = model.log_post_grad_u(data, u)
+        return (v, g) if np.isfinite(v) else (-np.inf, g)
 
     lp0, g0 = logp_grad_fn(q)
     if not np.all(np.isfinite(g0)) or not np.isfinite(lp0):
         raise ValueError("non-finite log density or gradient at the initial point")
 
-    inv_mass = np.ones(d)
-    kernel = _NutsKernel(logp_grad_fn, inv_mass, config.max_tree_depth, rng)
-    eps = find_reasonable_step_size(logp_grad_fn, inv_mass, q, rng)
-    adapt = AdaptState(step_size=eps, inv_mass=inv_mass)
+    kernel = _NutsKernel(logp_grad_fn, np.ones(d), config.max_tree_depth, rng)
+    eps = find_reasonable_step_size(kernel, q, rng)
+    adapt = AdaptState(step_size=eps)
     adapt.restart(eps)
 
     window_ends = _adaptation_windows(config.warmup) if config.adapt else []
@@ -312,12 +293,10 @@ def nuts_run(model, data, config, rng, init=None):
                 n = sample.shape[0]
                 var = sample.var(axis=0, ddof=1)
                 # regularise toward unit scale, as the window may be short
-                inv_mass = (n / (n + 5.0)) * var + 1e-3 * (5.0 / (n + 5.0))
-                kernel.inv_mass = inv_mass
-                adapt.inv_mass = inv_mass
+                kernel.inv_mass = ((n / (n + 5.0)) * var
+                                   + 1e-3 * (5.0 / (n + 5.0)))
                 window_draws = []
-                eps = find_reasonable_step_size(logp_grad_fn, inv_mass,
-                                                state[0], rng)
+                eps = find_reasonable_step_size(kernel, state[0], rng)
                 adapt.restart(eps)
     if config.adapt:
         adapt.freeze()

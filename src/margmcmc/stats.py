@@ -100,12 +100,6 @@ def check_simplex(p, atol=1e-12):
     return p
 
 
-def sample_categorical(rng, p):
-    """Draw one index in {0..K-1} with probabilities p."""
-    p = check_simplex(p)
-    return int(np.searchsorted(np.cumsum(p), rng.random(), side="right").clip(0, len(p) - 1))
-
-
 def sample_categorical_rows(rng, probs):
     """Vectorised categorical draw: one index per row of `probs` (n x K)."""
     probs = np.asarray(probs, dtype=float)
@@ -125,24 +119,3 @@ def sample_dirichlet(rng, alpha):
     eps = 1e-300
     p = np.clip(p, eps, None)
     return p / p.sum()
-
-
-def sample_truncated_normal(rng, mu, sigma, lower):
-    """Inverse-CDF draw from N(mu, sigma^2) truncated to (lower, inf).
-
-    The tail branch works on the complementary CDF so draws stay finite
-    even when `lower` is many sd's above the mean.
-    """
-    if np.isneginf(lower):
-        return mu + sigma * rng.standard_normal()
-    a = (lower - mu) / sigma
-    # sample u uniform on the upper-tail mass, invert via the sf
-    log_tail = special.log_ndtr(-a)
-    u = rng.random()
-    # P(Z > z) = u * P(Z > a)  =>  z = -ndtri(exp(log u + log_tail))
-    log_p = np.log(u) + log_tail
-    if log_p < -700:
-        # numerically degenerate tail: fall back to the mode of the region
-        return mu + sigma * a
-    z = -special.ndtri(np.exp(log_p))
-    return mu + sigma * z

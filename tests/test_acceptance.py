@@ -126,14 +126,14 @@ def test_criterion_3_gradient_correctness():
     data = mx.MixtureData(rng.normal(0, 4, size=30))
     for k in (2, 3):
         check(lambda u, k=k: mx.mix_marginal_log_post_u(data, u, k),
-              lambda u, k=k: mx.mix_marginal_grad(data, u, k),
+              lambda u, k=k: mx.mix_marginal_logpost_grad_u(data, u, k)[1],
               mx.n_unconstrained(k), 10)
 
     j_n, k = 3, 3
     ds_data = dsm.DSData(rng.integers(0, k, size=(20, j_n)), k)
     ds_model = dsm.DawidSkeneModel(j_n, k)
     check(lambda u: ds_model.log_post_u(ds_data, u),
-          lambda u: ds_model.grad_u(ds_data, u),
+          lambda u: ds_model.log_post_grad_u(ds_data, u)[1],
           ds_model.n_dim, 20, scale=0.5)
     elapsed = time.time() - t0
     report("criterion 3 (analytic gradients vs finite differences)",

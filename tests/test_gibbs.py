@@ -192,6 +192,15 @@ class TestMixtureGibbs:
         assert full.latent_draws.shape == (20, len(mixdata.x))
         assert marg.latent_draws is None
 
+    def test_huge_sigma_start_stays_finite(self):
+        # sigma**2 overflows a Python float here; the sweep must carry on
+        data = gen_mixture(get_scenario("three-comp-4"), 1, 0)[0]
+        init = mx.MixtureParams(mu=np.array([-5.0, 0.0, 5.0]), sigma=1.3e164,
+                                pi=np.full(3, 1.0 / 3.0))
+        cfg = GibbsConfig(mode="full-conjugate", iterations=50, warmup=0)
+        chain = gibbs_run(mx.MixtureModel(3), data, cfg, make_rng(59, 1), init)
+        assert np.all(np.isfinite(chain.draws))
+
 
 class TestDawidSkeneGibbs:
     def test_full_conjugate_recovers_accuracy(self):

@@ -126,7 +126,7 @@ class TestUnconstrainedInterface:
         h = 1e-6
         for _ in range(10):
             u = rng.normal(size=mx.n_unconstrained(k))
-            got = mx.mix_marginal_grad(data, u, k)
+            got = mx.mix_marginal_logpost_grad_u(data, u, k)[1]
             for i in range(len(u)):
                 e = np.zeros(len(u))
                 e[i] = h
@@ -139,9 +139,8 @@ class TestUnconstrainedInterface:
         data = mx.MixtureData(rng.normal(0, 4, size=40))
         for k in (2, 3):
             u = rng.normal(size=mx.n_unconstrained(k))
-            v, g = mx.mix_marginal_logpost_grad_u(data, u, k)
+            v, _ = mx.mix_marginal_logpost_grad_u(data, u, k)
             assert v == pytest.approx(mx.mix_marginal_log_post_u(data, u, k))
-            assert np.allclose(g, mx.mix_marginal_grad(data, u, k), atol=1e-12)
 
     def test_extreme_point_is_finite_or_rejected(self):
         data = mx.MixtureData(np.array([0.0, 1.0]))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from margmcmc.nuts import (NutsConfig, _adaptation_windows, leapfrog,
+from margmcmc.nuts import (NutsConfig, _adaptation_windows, _NutsKernel,
                            nuts_run)
 from margmcmc.stats import make_rng
 
@@ -43,27 +43,35 @@ def run_gaussian(cov, seed, iterations=4000, warmup=1000):
     return nuts_run(model, None, cfg, make_rng(seed, 0))
 
 
+def leapfrog(model, q, p, step_size, inv_mass, n_steps=1):
+    """`n_steps` leapfrog steps of the NUTS kernel's tree leaf."""
+    kernel = _NutsKernel(lambda u: model.log_post_grad_u(None, u), inv_mass,
+                         1, None)
+    g = model.grad_u(None, q)
+    for _ in range(n_steps):
+        leaf = kernel._leaf(q, p, g, 1, step_size, 0.0)
+        q, p, g = leaf.q_plus, leaf.p_plus, leaf.g_plus
+    return q, p
+
+
 class TestLeapfrog:
     def test_reversibility(self):
         model = GaussianTarget(np.eye(3))
-        grad = lambda q: model.grad_u(None, q)
         rng = make_rng(60)
         q0, p0 = rng.normal(size=3), rng.normal(size=3)
         inv_mass = np.array([1.0, 2.0, 0.5])
-        q1, p1 = leapfrog(q0, p0, 0.3, inv_mass, grad)
-        q2, p2 = leapfrog(q1, -p1, 0.3, inv_mass, grad)
+        q1, p1 = leapfrog(model, q0, p0, 0.3, inv_mass)
+        q2, p2 = leapfrog(model, q1, -p1, 0.3, inv_mass)
         assert np.allclose(q2, q0, atol=1e-12)
         assert np.allclose(-p2, p0, atol=1e-12)
 
     def test_energy_error_scales_with_step(self):
         model = GaussianTarget(np.eye(1))
-        grad = lambda q: model.grad_u(None, q)
 
         def energy_err(eps):
             q, p = np.array([1.0]), np.array([0.5])
             h0 = -model.log_post_u(None, q) + 0.5 * p @ p
-            for _ in range(int(1.0 / eps)):
-                q, p = leapfrog(q, p, eps, np.ones(1), grad)
+            q, p = leapfrog(model, q, p, eps, np.ones(1), int(1.0 / eps))
             return abs(-model.log_post_u(None, q) + 0.5 * p @ p - h0)
 
         # second-order integrator: error drops ~4x when eps halves
@@ -148,9 +156,6 @@ class TestContract:
                     (self.log_post_u(data, u + h * e)
                      - self.log_post_u(data, u - h * e)) / (2 * h)
                     for e in np.eye(self.n_dim)])
-
-            def log_post_grad_u(self, data, u):
-                return self.log_post_u(data, u), self.grad_u(data, u)
 
         cfg = NutsConfig(iterations=3000, warmup=1000)
         exact = nuts_run(GaussianTarget(np.eye(1)), None, cfg, make_rng(68, 0))
