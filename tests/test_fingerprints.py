@@ -25,6 +25,12 @@ PINS = [
      "968d87702bf07ca94c8b9a9d78b854fe020f404b87ffe1e193ab66b9f5fcbead"),
     ("two-comp-1", "gibbs-marginal", 60, 30,
      "90e144628921be89c8c656e369ff246d49ec315531ce6dd9e81189f780e58e9d"),
+    # three components: pi has two sticks, so stick 0's moves rescale a
+    # later stick's remainder
+    ("three-comp-4", "gibbs-full-restricted", 60, 30,
+     "c66181562cdb53015f3cd9e973e8c79f798a9069b6cc21b87b96aa2884750232"),
+    ("three-comp-4", "gibbs-marginal", 60, 30,
+     "ea02c0aff7c14745f05811aaa2ab9a97410594f310c11851f06f262d6a8fcd8e"),
     ("ds", "nuts-marginal", 200, 160,
      "2488efc1ca92f5778cbf95c349a71c5120a102926956abfae7b335ec8c4acb76"),
     ("ds", "gibbs-full", 60, 30,
