@@ -11,7 +11,12 @@ Three modes mirror the benchmark arms:
 
 full-restricted and marginal-slice use the identical sampler set on the
 continuous coordinates by construction, so differences between them
-isolate the effect of marginalisation itself.
+isolate the effect of marginalisation itself.  full-restricted is a
+mixture mode only; the rating model has no restricted arm.
+
+A simplex is sliced one stick coordinate at a time, and each density
+evaluation recomputes only what that stick changes, bit for bit as
+transforms.constrain_simplex would (`_slice_simplex_coords`).
 
 Update order is fixed: labels z, then pi, then theta or (mu, sigma).
 """
@@ -151,17 +156,44 @@ def update_z_block(model, data, params, rng):
 
 
 def _slice_simplex_coords(u_row, target_of_row, cfg, rng):
-    """Slice each stick coordinate of one simplex; returns updated sticks."""
-    u_row = u_row.copy()
-    for c in range(len(u_row)):
+    """Slice each stick coordinate of one simplex in turn; returns the
+    updated sticks and their simplex.
+
+    Moving stick c changes only z_c and the remaining stick after it, so
+    an evaluation recomputes z_c, the rem suffix (a cumprod from the kept
+    rem_c), p and logJ.  The arithmetic is tr.constrain_simplex's step
+    for step -- numpy ufuncs for exp and the logs (math.exp/log differ in
+    the last bit), cumprod's left-to-right product, numpy's sum of the
+    logJ terms -- so p and logJ are bit-identical to constrain_simplex
+    of the moved sticks.
+    """
+    u_row = np.array(u_row, dtype=float)
+    km1 = len(u_row)
+    off = np.log(np.arange(km1, 0, -1))
+    zs = np.append(tr.expit(u_row - off), 1.0)   # z, then 1 for p[K-1]
+    fac = np.append(1.0, 1.0 - zs[:km1])         # rem_c, then 1 - z from c on
+    rem = np.multiply.accumulate(fac)            # rem[K-1] = p[K-1]
+    zterm = np.log(zs[:km1]) + np.log1p(-zs[:km1])
+    off = off.tolist()
+
+    def place(c, v):
+        """Set stick c to v; returns logJ."""
+        zs[c] = z = 1.0 / (1.0 + np.exp(-(v - off[c])))    # tr.expit
+        fac[c + 1] = 1.0 - z
+        np.multiply.accumulate(fac[c:], out=rem[c:])     # np.cumprod
+        zterm[c] = np.log(z) + np.log1p(-z)
+        return float(np.add.reduce(zterm + np.log(rem[:km1])))  # np.sum
+
+    for c in range(km1):
+        fac[c] = rem[c]
+
         def logf(v, c=c):
-            u2 = u_row.copy()
-            u2[c] = v
-            p, lj = tr.constrain_simplex(u2)
-            return target_of_row(p) + lj
+            lj = place(c, v)
+            return target_of_row(rem * zs) + lj
         u_row[c] = slice_sample_1d(logf, u_row[c], cfg.slice_width,
                                    cfg.slice_max_doublings, rng)
-    return u_row
+        place(c, u_row[c])
+    return u_row, rem * zs
 
 
 # ------------------------------------------------------------- mixture
@@ -176,7 +208,8 @@ class _MixtureGibbs:
         self.marginal = cfg.mode == "marginal-slice"
         if not self.marginal:
             self.z = update_z_block(model, data, self.params, rng)
-        self.u_pi = tr.unconstrain_simplex(self.params.pi)
+        if cfg.mode != "full-conjugate":   # only slice moves read the sticks
+            self.u_pi = tr.unconstrain_simplex(self.params.pi)
         self.assignment = self._assignment()
 
     def _assignment(self):
@@ -202,12 +235,10 @@ class _MixtureGibbs:
         # (2) pi
         if cfg.mode == "full-conjugate":
             pi = update_pi_conjugate(counts, np.ones(k), rng)
-            self.u_pi = tr.unconstrain_simplex(pi)
         else:
             def pi_target(p):
                 return float(np.dot(counts, np.log(p)))  # Dirichlet(1) prior flat
-            self.u_pi = _slice_simplex_coords(self.u_pi, pi_target, cfg, rng)
-            pi, _ = tr.constrain_simplex(self.u_pi)
+            self.u_pi, pi = _slice_simplex_coords(self.u_pi, pi_target, cfg, rng)
         # (3) mu then sigma, by slice
         mu = mu.copy()
         two_var = 2.0 * sigma**2
@@ -263,8 +294,7 @@ class _MixtureGibbs:
         # pi via stick coordinates against the marginal joint
         def pi_target(p):
             return float(lse_rows(ll + np.log(p)[None, :]).sum())
-        self.u_pi = _slice_simplex_coords(self.u_pi, pi_target, cfg, rng)
-        pi, _ = tr.constrain_simplex(self.u_pi)
+        self.u_pi, pi = _slice_simplex_coords(self.u_pi, pi_target, cfg, rng)
 
         log_pi = np.log(pi)
         m_mat = ll + log_pi[None, :]
@@ -303,6 +333,8 @@ class _MixtureGibbs:
 
 class _DawidSkeneGibbs:
     def __init__(self, model, data, cfg, rng, init):
+        if cfg.mode == "full-restricted":
+            raise ValueError("the rating model has no full-restricted mode")
         self.model, self.data, self.cfg, self.rng = model, data, cfg, rng
         self.j, self.k = model.j, model.k
         self.hyper = model.hyper
@@ -310,18 +342,17 @@ class _DawidSkeneGibbs:
         self.alpha = self.hyper.resolved_alpha(self.k)
         self.params = init
         self.marginal = cfg.mode == "marginal-slice"
-        if not self.marginal:
-            self.z = update_z_block(model, data, self.params, rng)
-        self.u_pi = tr.unconstrain_simplex(self.params.pi)
-        self.u_theta = np.stack([
-            np.stack([tr.unconstrain_simplex(self.params.theta[jj, kk])
-                      for kk in range(self.k)])
-            for jj in range(self.j)])
         if self.marginal:
+            self.u_pi = tr.unconstrain_simplex(self.params.pi)
+            self.u_theta = np.stack([
+                np.stack([tr.unconstrain_simplex(self.params.theta[jj, kk])
+                          for kk in range(self.k)])
+                for jj in range(self.j)])
             self._rebuild_cache()
-        conj = cfg.mode == "full-conjugate"
-        self.assignment = {"pi": "conjugate" if conj else "slice",
-                           "theta": "conjugate" if conj else "slice"}
+        else:
+            self.z = update_z_block(model, data, self.params, rng)
+        kind = "slice" if self.marginal else "conjugate"
+        self.assignment = {"pi": kind, "theta": kind}
 
     def _rebuild_cache(self):
         # C[i, k] = sum_j log theta[j, k, y_ij]; G[j, k] the per-rater gather
@@ -338,41 +369,12 @@ class _DawidSkeneGibbs:
             self._sweep_full()
 
     def _sweep_full(self):
-        cfg, rng = self.cfg, self.rng
-        data, j, k = self.data, self.j, self.k
-        # (1) labels
-        self.z = update_z_block(self.model, data, self.params, rng)
-        z = self.z
-        z_counts = np.bincount(z, minlength=k).astype(float)
-        rating_counts = np.zeros((j, k, k))
-        for jj in range(j):
-            np.add.at(rating_counts[jj], (z, data.ratings[:, jj]), 1.0)
-        # (2) pi
-        if cfg.mode == "full-conjugate":
-            pi = update_pi_conjugate(z_counts, self.alpha, rng)
-            self.u_pi = tr.unconstrain_simplex(pi)
-        else:
-            def pi_target(p):
-                return float(np.dot(z_counts + self.alpha - 1.0, np.log(p)))
-            self.u_pi = _slice_simplex_coords(self.u_pi, pi_target, cfg, rng)
-            pi, _ = tr.constrain_simplex(self.u_pi)
-        # (3) theta
-        if cfg.mode == "full-conjugate":
-            theta = update_theta_conjugate(data, z, self.hyper, rng)
-            for jj in range(j):
-                for kk in range(k):
-                    self.u_theta[jj, kk] = tr.unconstrain_simplex(theta[jj, kk])
-        else:
-            theta = self.params.theta.copy()
-            for jj in range(j):
-                for kk in range(k):
-                    weights = rating_counts[jj, kk] + self.beta[kk] - 1.0
-
-                    def row_target(p, w=weights):
-                        return float(np.dot(w, np.log(p)))
-                    self.u_theta[jj, kk] = _slice_simplex_coords(
-                        self.u_theta[jj, kk], row_target, cfg, rng)
-                    theta[jj, kk], _ = tr.constrain_simplex(self.u_theta[jj, kk])
+        # (1) labels, then (2) pi and (3) theta from their Dirichlet
+        # full conditionals
+        self.z = update_z_block(self.model, self.data, self.params, self.rng)
+        z_counts = np.bincount(self.z, minlength=self.k).astype(float)
+        pi = update_pi_conjugate(z_counts, self.alpha, self.rng)
+        theta = update_theta_conjugate(self.data, self.z, self.hyper, self.rng)
         self.params = dsm.DSParams(pi=pi, theta=theta)
 
     def _sweep_marginal(self):
@@ -384,8 +386,7 @@ class _DawidSkeneGibbs:
         def pi_target(p):
             return (float(lse_rows(np.log(p)[None, :] + self.c).sum())
                     + float(np.dot(alpha_m1, np.log(p))))
-        self.u_pi = _slice_simplex_coords(self.u_pi, pi_target, cfg, rng)
-        pi, _ = tr.constrain_simplex(self.u_pi)
+        self.u_pi, pi = _slice_simplex_coords(self.u_pi, pi_target, cfg, rng)
         log_pi = np.log(pi)
 
         # theta rows, one stick coordinate at a time; per-item log-sum-exp
@@ -400,22 +401,16 @@ class _DawidSkeneGibbs:
                 base[:, kk] = -np.inf
                 others = lse_rows(base)          # (I,) reduction over k' != kk
                 base[:, kk] = saved
+                col_rest = log_pi[kk] + col_wo_row
                 beta_m1 = self.beta[kk] - 1.0
-                u_row = self.u_theta[jj, kk].copy()
-                for cc in range(k - 1):
-                    def logf(v, cc=cc):
-                        u2 = u_row.copy()
-                        u2[cc] = v
-                        row, lj = tr.constrain_simplex(u2)
-                        log_row = np.log(row)
-                        col = log_pi[kk] + col_wo_row + log_row[y_j]
-                        return (float(np.logaddexp(others, col).sum())
-                                + float(np.dot(beta_m1, log_row)) + lj)
-                    u_row[cc] = slice_sample_1d(logf, u_row[cc],
-                                                cfg.slice_width,
-                                                cfg.slice_max_doublings, rng)
-                self.u_theta[jj, kk] = u_row
-                theta[jj, kk], _ = tr.constrain_simplex(u_row)
+
+                def row_target(p):
+                    log_row = np.log(p)
+                    col = col_rest + log_row[y_j]
+                    return (float(np.logaddexp(others, col).sum())
+                            + float(np.dot(beta_m1, log_row)))
+                self.u_theta[jj, kk], theta[jj, kk] = _slice_simplex_coords(
+                    self.u_theta[jj, kk], row_target, cfg, rng)
                 new_col = col_wo_row + np.log(theta[jj, kk])[y_j]
                 self.c[:, kk] = new_col
                 base[:, kk] = log_pi[kk] + new_col

@@ -22,16 +22,14 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from margmcmc import dawid_skene as dsm
 from margmcmc import harness as hz
 from margmcmc import mixture as mx
-from margmcmc.diagnostics import ess, split_rhat, efficiency_report
+from margmcmc.diagnostics import ess, split_rhat
 from margmcmc.draws import stack_param_chains
-from margmcmc.gibbs import GibbsConfig, gibbs_run, update_z_block
-from margmcmc.nuts import NutsConfig, nuts_run
-from margmcmc.simulate import gen_ds, gen_mixture, get_scenario
+from margmcmc.gibbs import update_z_block
+from margmcmc.simulate import gen_mixture, get_scenario
 from margmcmc.stats import log_sum_exp, make_rng
 
 RESULTS_PATH = Path(os.environ.get(

@@ -1,6 +1,5 @@
 """CLI contract tests: subcommands, flags, file outputs and exit codes."""
 
-import numpy as np
 import pytest
 
 from margmcmc import harness as hz

@@ -1,12 +1,18 @@
 """Slice sampler and Gibbs sweep tests: exact-distribution oracles on
 small cases, mode agreement, and the determinism contract."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from margmcmc import dawid_skene as ds
+from margmcmc import gibbs as gb
 from margmcmc import mixture as mx
+from margmcmc import transforms as tr
 from margmcmc.gibbs import (GibbsConfig, gibbs_run, slice_sample_1d,
                             update_pi_conjugate, update_theta_conjugate,
                             update_z_block)
@@ -60,6 +66,58 @@ class TestSliceSampler:
 
         assert chain(7) == chain(7)
         assert chain(7) != chain(8)
+
+
+stick = st.floats(-50, 50, allow_nan=False)
+
+
+@st.composite
+def stick_moves(draw):
+    """Sticks of a K-simplex, K = 2..6, and per stick the points a slice
+    move evaluates; the first point is the one it accepts."""
+    km1 = draw(st.integers(1, 5))
+    u = draw(st.lists(stick, min_size=km1, max_size=km1))
+    trials = draw(st.lists(st.lists(stick, min_size=1, max_size=4),
+                           min_size=km1, max_size=km1))
+    return np.array(u), trials
+
+
+class TestSimplexSticks:
+    @settings(max_examples=300)
+    @given(stick_moves())
+    def test_incremental_sticks_match_constrain_simplex(self, case):
+        # at +-50 the sticks saturate: z rounds to 1, the remaining stick
+        # to 0, and logJ is -inf
+        u, trials = case
+        moved = u.copy()
+        seen = []
+        done = []               # sticks whose move has run
+
+        def target(p):
+            seen.append(p.copy())
+            return 0.0          # so the slice density is logJ alone
+
+        def fake_slice(logf, current, *args):
+            c = len(done)
+            assert current == moved[c]
+            for v in trials[c]:
+                lj = logf(v)
+                u2 = moved.copy()
+                u2[c] = v
+                want_p, want_lj = tr.constrain_simplex(u2)
+                assert np.array_equal(seen[-1], want_p)
+                assert np.array_equal(lj, want_lj)
+            done.append(c)
+            moved[c] = trials[c][0]
+            return trials[c][0]
+
+        cfg = GibbsConfig(mode="marginal-slice")
+        with np.errstate(divide="ignore", over="ignore"), \
+                mock.patch.object(gb, "slice_sample_1d", fake_slice):
+            u_out, p_out = gb._slice_simplex_coords(u, target, cfg, None)
+            assert len(done) == len(trials)
+            assert np.array_equal(u_out, moved)
+            assert np.array_equal(p_out, tr.constrain_simplex(moved)[0])
 
 
 class TestConjugateUpdates:
@@ -217,6 +275,12 @@ class TestDawidSkeneGibbs:
         a = run_mode("full-conjugate", data, model, 59, 100, 50)
         b = run_mode("full-conjugate", data, model, 59, 100, 50)
         assert np.array_equal(a.draws, b.draws)
+
+    def test_rejects_full_restricted(self):
+        data, _ = gen_ds(get_scenario("ds"), 1, 0)
+        with pytest.raises(ValueError, match="full-restricted"):
+            run_mode("full-restricted", data, ds.DawidSkeneModel(5, 5), 60,
+                     10, 5)
 
 
 class TestConfig:

@@ -138,7 +138,7 @@ class TestSimplexCheck:
 
 
 class TestPrimitiveSamplers:
-    def test_categorical_rows_matches_scalar_law(self):
+    def test_categorical_rows_chi_square(self):
         rng = make_rng(12)
         probs = np.tile(np.array([0.6, 0.3, 0.1]), (30000, 1))
         draws = sample_categorical_rows(rng, probs)
