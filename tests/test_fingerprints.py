@@ -56,3 +56,39 @@ def chain_digest(scenario_id, method, iterations, warmup):
                          ids=[f"{p[0]}-{p[1]}" for p in PINS])
 def test_draws_bit_identical(scenario_id, method, iterations, warmup, digest):
     assert chain_digest(scenario_id, method, iterations, warmup) == digest
+
+
+# sha256 of (value, gradient) of the rating model's fused log posterior
+# at GRAD_POINTS seeded points: half at |u| <= 3, half at scales up to
+# |u| = 50, where sticks saturate (z rounds to 1, logs reach -inf) and
+# the early return for a non-finite value runs.  The chain pins above
+# never reach those points.
+GRAD_POINTS = 200
+DS_GRAD_DIGEST = \
+    "3903d3a8db4b10031010d9f20f90e96d78e004830fdc55b1bec66c27b90e8fb7"
+
+
+def ds_gradient_digest():
+    scenario = get_scenario("ds")
+    data, _ = gen_dataset(scenario, 1, SEED)
+    model = hz._build_model(scenario)
+    rng = make_rng(SEED, 99)
+    half = GRAD_POINTS // 2
+    scales = np.concatenate([np.full(half, 3.0), np.linspace(3.0, 50.0, half)])
+    h = hashlib.sha256()
+    finite = 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for s in scales:
+            u = rng.uniform(-s, s, size=model.n_dim)
+            value, grad = model.log_post_grad_u(data, u)
+            finite += bool(np.isfinite(value))
+            h.update(np.float64(value).tobytes())
+            h.update(np.ascontiguousarray(grad, dtype=np.float64).tobytes())
+    return h.hexdigest(), finite
+
+
+def test_ds_gradient_bit_identical():
+    digest, finite = ds_gradient_digest()
+    # both branches of the gradient are covered
+    assert GRAD_POINTS // 2 < finite < GRAD_POINTS
+    assert digest == DS_GRAD_DIGEST
