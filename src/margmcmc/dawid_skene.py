@@ -4,9 +4,15 @@ Ratings are stored as a dense I x J matrix (complete design: every rater
 rates every item once), with category labels 0..K-1 internally.  No
 ordering constraint on the parameters; label switching is handled by the
 diagonal-heavy Dirichlet priors on the confusion rows.
+
+The model handle builds its constants once: alpha, beta, alpha - 1,
+beta - 1, the two Dirichlet normalisers (pi's, and J times the sum of
+the confusion rows') and the stick offsets log(K-1), ..., log(1).  Its
+`log_prior` serves both the fused gradient and `ds_log_prior`.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,12 +46,17 @@ class DSData:
     def rating_onehot(self):
         """(J, K, I) indicator cache: onehot[j, c, i] = [y_ij == c]."""
         if not hasattr(self, "_onehot"):
-            i_n, j_n = self.ratings.shape
-            oh = np.zeros((j_n, self.n_categories, i_n))
-            for j in range(j_n):
-                oh[j, self.ratings[:, j], np.arange(i_n)] = 1.0
+            jj, yt = self.rater_index
+            oh = np.zeros((self.n_raters, self.n_categories, self.n_items))
+            oh[jj, yt, np.arange(self.n_items)] = 1.0
             self._onehot = oh
         return self._onehot
+
+    @cached_property
+    def rater_index(self):
+        """(arange(J)[:, None], ratings.T): log_theta[jj, :, yt] gathers
+        log theta[j, k, y_ij] as a (J, I, K) array."""
+        return np.arange(self.n_raters)[:, None], self.ratings.T.copy()
 
 
 @dataclass
@@ -78,13 +89,11 @@ def ds_beta_matrix(hyper, k):
     return beta
 
 
-def _item_category_loglik(data, params):
-    """C[i, k] = sum_j log theta[j, k, y_ij]  (I x K)."""
-    log_theta = np.log(params.theta)
-    c = np.zeros((data.n_items, len(params.pi)))
-    for j in range(data.n_raters):
-        c += log_theta[j][:, data.ratings[:, j]].T
-    return c
+def _item_category_loglik(data, log_theta):
+    """C[i, k] = sum_j log theta[j, k, y_ij]  (I x K), summed in rater
+    order."""
+    jj, yt = data.rater_index
+    return log_theta[jj, :, yt].sum(axis=0)
 
 
 def _dirichlet_log_norm(alpha):
@@ -92,14 +101,8 @@ def _dirichlet_log_norm(alpha):
 
 
 def ds_log_prior(params, hyper):
-    k = len(params.pi)
-    alpha = hyper.resolved_alpha(k)
-    beta = ds_beta_matrix(hyper, k)
-    j = params.theta.shape[0]
-    lp = _dirichlet_log_norm(alpha) + float(np.dot(alpha - 1.0, np.log(params.pi)))
-    lp += j * sum(_dirichlet_log_norm(beta[kk]) for kk in range(k))
-    lp += float(((beta - 1.0)[None, :, :] * np.log(params.theta)).sum())
-    return lp
+    model = DawidSkeneModel(params.theta.shape[0], len(params.pi), hyper)
+    return model.log_prior(np.log(params.pi), np.log(params.theta))
 
 
 def ds_full_log_joint(data, latent, params, hyper):
@@ -107,14 +110,14 @@ def ds_full_log_joint(data, latent, params, hyper):
     z = np.asarray(latent, dtype=int)
     if z.shape != (data.n_items,):
         raise ValueError("latent labels must match item count")
-    c = _item_category_loglik(data, params)
+    c = _item_category_loglik(data, np.log(params.theta))
     ll = np.log(params.pi)[z].sum() + c[np.arange(len(z)), z].sum()
     return float(ll + ds_log_prior(params, hyper))
 
 
 def ds_marginal_log_lik(data, params):
     """sum_i log sum_k pi_k prod_j theta[j, k, y_ij], in log space."""
-    c = _item_category_loglik(data, params)
+    c = _item_category_loglik(data, np.log(params.theta))
     return float(lse_rows(np.log(params.pi)[None, :] + c).sum())
 
 
@@ -124,7 +127,8 @@ def ds_marginal_log_joint(data, params, hyper):
 
 def ds_z_full_conditional(data, params, i=None):
     """P(z_i = k | y, params); matrix of rows if i is None."""
-    ll = np.log(params.pi)[None, :] + _item_category_loglik(data, params)
+    ll = np.log(params.pi)[None, :] + _item_category_loglik(
+        data, np.log(params.theta))
     probs = np.exp(ll - lse_rows(ll)[:, None])
     probs /= probs.sum(axis=1, keepdims=True)
     return probs if i is None else probs[i]
@@ -136,18 +140,6 @@ def n_unconstrained(j, k):
     return (k - 1) * (1 + j * k)
 
 
-def constrain(u, j, k):
-    """Unconstrained vector -> (DSParams, log |Jacobian|).
-
-    Layout: pi sticks (K-1), then theta rows in (j, k) order, K-1 each.
-    """
-    u = np.asarray(u, dtype=float)
-    rows, log_j = tr.constrain_simplex_rows(u.reshape(1 + j * k, k - 1))
-    pi = rows[0]
-    theta = rows[1:].reshape(j, k, k)
-    return DSParams(pi=pi, theta=theta), float(log_j.sum())
-
-
 def unconstrain(params):
     j, k = params.theta.shape[:2]
     parts = [tr.unconstrain_simplex(params.pi)]
@@ -156,39 +148,9 @@ def unconstrain(params):
     return np.concatenate(parts)
 
 
-def ds_marginal_logpost_grad_u(data, u, j, k, hyper):
-    """Fused (value, gradient) of the unconstrained log posterior.
-
-    Shares the item-by-category log-likelihood matrix and the stick
-    transform between the two evaluations.
-    """
-    u = np.asarray(u, dtype=float)
-    raw = u.reshape(1 + j * k, k - 1)
-    rows, log_j = tr.constrain_simplex_rows(raw)
-    pi = rows[0]
-    theta = rows[1:].reshape(j, k, k)
-    params = DSParams(pi=pi, theta=theta)
-
-    c = _item_category_loglik(data, params)
-    ll = np.log(pi)[None, :] + c
-    row_lse = lse_rows(ll)
-    value = float(row_lse.sum()) + ds_log_prior(params, hyper) \
-        + float(log_j.sum())
-    if not np.isfinite(value):
-        return -np.inf, np.zeros_like(u)
-
-    r = np.exp(ll - row_lse[:, None])
-    alpha = hyper.resolved_alpha(k)
-    g_pi = (r.sum(axis=0) + alpha - 1.0) / pi
-    beta = ds_beta_matrix(hyper, k)
-    counts = np.einsum("jci,ik->jkc", data.rating_onehot(), r)
-    g_theta = (beta[None, :, :] - 1.0 + counts) / theta
-    g_rows = np.vstack([g_pi[None, :], g_theta.reshape(j * k, k)])
-    return value, tr.grad_simplex_rows(raw, g_rows).ravel()
-
-
 class DawidSkeneModel:
-    """Model handle used by the samplers and harness."""
+    """Model handle used by the samplers and harness; it owns the prior's
+    constants (see the module docstring)."""
 
     name = "dawid-skene"
 
@@ -196,6 +158,14 @@ class DawidSkeneModel:
         self.j = int(n_raters)
         self.k = int(n_categories)
         self.hyper = hyper if hyper is not None else DSHyper()
+        self.alpha = self.hyper.resolved_alpha(self.k)
+        self.beta = ds_beta_matrix(self.hyper, self.k)
+        self.alpha_m1 = self.alpha - 1.0
+        self.beta_m1 = self.beta - 1.0
+        self.log_norm_pi = _dirichlet_log_norm(self.alpha)
+        self.log_norm_theta = self.j * sum(_dirichlet_log_norm(row)
+                                           for row in self.beta)
+        self.stick_offsets = np.log(np.arange(self.k - 1, 0, -1))
 
     @property
     def n_dim(self):
@@ -213,7 +183,16 @@ class DawidSkeneModel:
         return np.concatenate([params.pi, params.theta.ravel()])
 
     def constrain(self, u):
-        return constrain(u, self.j, self.k)
+        """Unconstrained vector -> (DSParams, log |Jacobian|).
+
+        Layout: pi sticks (K-1), then theta rows in (j, k) order, K-1 each.
+        """
+        j, k = self.j, self.k
+        rows, log_j, _ = tr.constrain_simplex_rows(
+            np.asarray(u, dtype=float).reshape(1 + j * k, k - 1),
+            self.stick_offsets)
+        return DSParams(pi=rows[0], theta=rows[1:].reshape(j, k, k)), \
+            float(log_j.sum())
 
     def unconstrain(self, params):
         return unconstrain(params)
@@ -222,18 +201,46 @@ class DawidSkeneModel:
         params, lj = self.constrain(u)
         return ds_marginal_log_joint(data, params, self.hyper) + lj
 
+    def log_prior(self, log_pi, log_theta):
+        """Dirichlet log prior of pi and every confusion row, given their
+        logs."""
+        return (self.log_norm_pi + float(np.dot(self.alpha_m1, log_pi))
+                + self.log_norm_theta + float((self.beta_m1 * log_theta).sum()))
+
     def log_post_grad_u(self, data, u):
-        return ds_marginal_logpost_grad_u(data, u, self.j, self.k, self.hyper)
+        """Fused (value, gradient) of the unconstrained log posterior; one
+        stick pass serves p, logJ and the pull-back."""
+        j, k = self.j, self.k
+        u = np.asarray(u, dtype=float)
+        rows, log_j, sticks = tr.constrain_simplex_rows(
+            u.reshape(1 + j * k, k - 1), self.stick_offsets)
+        pi = rows[0]
+        theta = rows[1:].reshape(j, k, k)
+        log_pi = np.log(pi)
+        log_theta = np.log(theta)
+
+        ll = log_pi[None, :] + _item_category_loglik(data, log_theta)
+        row_lse = lse_rows(ll)
+        value = float(row_lse.sum()) + self.log_prior(log_pi, log_theta) \
+            + float(log_j.sum())
+        if not np.isfinite(value):
+            return -np.inf, np.zeros_like(u)
+
+        r = np.exp(ll - row_lse[:, None])
+        g_pi = (r.sum(axis=0) + self.alpha - 1.0) / pi
+        counts = np.einsum("jci,ik->jkc", data.rating_onehot(), r)
+        g_theta = (self.beta_m1 + counts) / theta
+        g_rows = np.vstack([g_pi[None, :], g_theta.reshape(j * k, k)])
+        return value, tr.grad_simplex_rows(sticks, g_rows).ravel()
 
     def init_params(self, rng):
         """Prior draw for pi and every confusion row."""
         k = self.k
-        pi = rng.dirichlet(self.hyper.resolved_alpha(k))
-        beta = ds_beta_matrix(self.hyper, k)
+        pi = rng.dirichlet(self.alpha)
         theta = np.empty((self.j, k, k))
         for jj in range(self.j):
             for kk in range(k):
-                theta[jj, kk] = rng.dirichlet(beta[kk])
+                theta[jj, kk] = rng.dirichlet(self.beta[kk])
         eps = 1e-12
         pi = np.clip(pi, eps, None); pi /= pi.sum()
         theta = np.clip(theta, eps, None)

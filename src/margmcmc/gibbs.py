@@ -132,13 +132,13 @@ def update_pi_conjugate(counts, alpha, rng):
     return sample_dirichlet(rng, np.asarray(alpha, dtype=float) + counts)
 
 
-def update_theta_conjugate(data, latent, hyper, rng):
-    """Confusion rows from their Dirichlet full conditionals."""
+def update_theta_conjugate(data, latent, beta, rng):
+    """Confusion rows from their Dirichlet(beta[k] + counts) full
+    conditionals."""
     j, k = data.n_raters, data.n_categories
-    beta = dsm.ds_beta_matrix(hyper, k)
+    rater, y_t = data.rater_index
     counts = np.zeros((j, k, k))
-    for jj in range(j):
-        np.add.at(counts[jj], (latent, data.ratings[:, jj]), 1.0)
+    np.add.at(counts, (rater, latent, y_t), 1.0)
     theta = np.empty((j, k, k))
     for jj in range(j):
         for kk in range(k):
@@ -337,9 +337,6 @@ class _DawidSkeneGibbs:
             raise ValueError("the rating model has no full-restricted mode")
         self.model, self.data, self.cfg, self.rng = model, data, cfg, rng
         self.j, self.k = model.j, model.k
-        self.hyper = model.hyper
-        self.beta = dsm.ds_beta_matrix(self.hyper, self.k)
-        self.alpha = self.hyper.resolved_alpha(self.k)
         self.params = init
         self.marginal = cfg.mode == "marginal-slice"
         if self.marginal:
@@ -355,12 +352,8 @@ class _DawidSkeneGibbs:
         self.assignment = {"pi": kind, "theta": kind}
 
     def _rebuild_cache(self):
-        # C[i, k] = sum_j log theta[j, k, y_ij]; G[j, k] the per-rater gather
-        log_theta = np.log(self.params.theta)
-        self.g = np.empty((self.j, self.k, self.data.n_items))
-        for jj in range(self.j):
-            self.g[jj] = log_theta[jj][:, self.data.ratings[:, jj]]
-        self.c = self.g.sum(axis=0).T  # (I, K)
+        self.c = dsm._item_category_loglik(self.data,
+                                           np.log(self.params.theta))
 
     def sweep(self):
         if self.marginal:
@@ -373,14 +366,15 @@ class _DawidSkeneGibbs:
         # full conditionals
         self.z = update_z_block(self.model, self.data, self.params, self.rng)
         z_counts = np.bincount(self.z, minlength=self.k).astype(float)
-        pi = update_pi_conjugate(z_counts, self.alpha, self.rng)
-        theta = update_theta_conjugate(self.data, self.z, self.hyper, self.rng)
+        pi = update_pi_conjugate(z_counts, self.model.alpha, self.rng)
+        theta = update_theta_conjugate(self.data, self.z, self.model.beta,
+                                       self.rng)
         self.params = dsm.DSParams(pi=pi, theta=theta)
 
     def _sweep_marginal(self):
         cfg, rng = self.cfg, self.rng
         data, j, k = self.data, self.j, self.k
-        alpha_m1 = self.alpha - 1.0
+        alpha_m1 = self.model.alpha_m1
 
         # pi stick coordinates (Dirichlet kernel; the normaliser is constant)
         def pi_target(p):
@@ -402,7 +396,7 @@ class _DawidSkeneGibbs:
                 others = lse_rows(base)          # (I,) reduction over k' != kk
                 base[:, kk] = saved
                 col_rest = log_pi[kk] + col_wo_row
-                beta_m1 = self.beta[kk] - 1.0
+                beta_m1 = self.model.beta_m1[kk]
 
                 def row_target(p):
                     log_row = np.log(p)

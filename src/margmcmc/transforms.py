@@ -94,11 +94,14 @@ def unconstrain_simplex(p):
     return raw
 
 
-def constrain_simplex_rows(rows):
-    """Stick-breaking applied row-wise: (R, K-1) -> ((R, K), (R,) logJ)."""
+def constrain_simplex_rows(rows, offsets):
+    """Stick-breaking applied row-wise: (R, K-1) -> ((R, K), (R,) logJ,
+    sticks).  `offsets` are the centring offsets log(K-1), ..., log(1);
+    `sticks` = (z, 1 - z, rem) is the forward pass, which
+    grad_simplex_rows pulls a gradient back through."""
     rows = np.asarray(rows, dtype=float)
     r, w = rows.shape
-    z = expit(rows - np.log(np.arange(w, 0, -1))[None, :])
+    z = expit(rows - offsets[None, :])
     one_mz = 1.0 - z
     rem = np.empty((r, w))
     rem[:, 0] = 1.0
@@ -108,28 +111,24 @@ def constrain_simplex_rows(rows):
     p[:, :w] = rem * z
     p[:, w] = rem[:, -1] * one_mz[:, -1]
     log_j = (np.log(z) + np.log1p(-z) + np.log(rem)).sum(axis=1)
-    return p, log_j
+    return p, log_j, (z, one_mz, rem)
 
 
-def grad_simplex_rows(rows, g_p):
-    """Row-wise version of grad_simplex: (R, K-1), (R, K) -> (R, K-1)."""
-    rows = np.asarray(rows, dtype=float)
-    g_p = np.asarray(g_p, dtype=float)
-    r, w = rows.shape
-    z = expit(rows - np.log(np.arange(w, 0, -1))[None, :])
-    one_mz = 1.0 - z
-    rem = np.empty((r, w))
-    rem[:, 0] = 1.0
-    if w > 1:
-        rem[:, 1:] = np.cumprod(one_mz[:, :-1], axis=1)
-    g_z = np.empty((r, w))
-    g_rem = g_p[:, w].copy()
+def grad_simplex_rows(sticks, g_p):
+    """Row-wise version of grad_simplex: (R, K) -> (R, K-1), through the
+    forward pass `sticks` that constrain_simplex_rows returned."""
+    z, one_mz, rem = sticks
+    w = z.shape[1]
+    inv_z, inv_one_mz, inv_rem = 1.0 / z, 1.0 / one_mz, 1.0 / rem
+    g_p_z = g_p[:, :w] * z
+    g_z = np.empty_like(z)
+    g_rem = g_p[:, w]
     for i in range(w - 1, -1, -1):
         g_z[:, i] = (g_p[:, i] - g_rem) * rem[:, i] \
-            + 1.0 / z[:, i] - 1.0 / one_mz[:, i]
-        g_rem = g_p[:, i] * z[:, i] + g_rem * one_mz[:, i]
+            + inv_z[:, i] - inv_one_mz[:, i]
+        g_rem = g_p_z[:, i] + g_rem * one_mz[:, i]
         if i > 0:
-            g_rem += 1.0 / rem[:, i]
+            g_rem += inv_rem[:, i]
     return g_z * z * one_mz
 
 

@@ -47,6 +47,16 @@ class TestData:
                 assert oh[j, data.ratings[i, j], i] == 1.0
                 assert oh[j, :, i].sum() == 1.0
 
+    def test_item_category_gather_matches_rater_loop(self):
+        rng = make_rng(39)
+        data = random_data(rng, 40, 6, 4)
+        log_theta = np.log(random_params(rng, 6, 4).theta)
+        want = np.zeros((40, 4))
+        for j in range(6):
+            want += log_theta[j][:, data.ratings[:, j]].T
+        got = ds._item_category_loglik(data, log_theta)
+        assert np.array_equal(got, want)
+
 
 class TestBetaMatrix:
     def test_default_values(self):
@@ -139,7 +149,7 @@ class TestUnconstrainedInterface:
         j, k = 3, 4
         params = random_params(rng, j, k)
         u = ds.unconstrain(params)
-        back, _ = ds.constrain(u, j, k)
+        back, _ = ds.DawidSkeneModel(j, k).constrain(u)
         assert np.allclose(back.pi, params.pi, atol=1e-9)
         assert np.allclose(back.theta, params.theta, atol=1e-9)
 
@@ -147,15 +157,16 @@ class TestUnconstrainedInterface:
         rng = make_rng(35)
         j, k = 3, 3
         data = random_data(rng, 25, j, k)
+        model = ds.DawidSkeneModel(j, k, HYPER)
         h = 1e-6
         for _ in range(5):
             u = rng.normal(size=ds.n_unconstrained(j, k)) * 0.5
-            got = ds.ds_marginal_logpost_grad_u(data, u, j, k, HYPER)[1]
+            got = model.log_post_grad_u(data, u)[1]
             for i in range(len(u)):
                 e = np.zeros(len(u))
                 e[i] = h
-                pp, ljp = ds.constrain(u + e, j, k)
-                pm, ljm = ds.constrain(u - e, j, k)
+                pp, ljp = model.constrain(u + e)
+                pm, ljm = model.constrain(u - e)
                 num = (ds.ds_marginal_log_joint(data, pp, HYPER) + ljp
                        - ds.ds_marginal_log_joint(data, pm, HYPER) - ljm) / (2 * h)
                 assert got[i] == pytest.approx(num, rel=1e-4, abs=1e-5)
@@ -164,9 +175,10 @@ class TestUnconstrainedInterface:
         rng = make_rng(36)
         model = ds.DawidSkeneModel(4, 3)
         data = random_data(rng, 30, 4, 3)
-        u = rng.normal(size=model.n_dim) * 0.4
-        v, _ = model.log_post_grad_u(data, u)
-        assert v == pytest.approx(model.log_post_u(data, u))
+        for scale in np.linspace(0.4, 6.0, 20):
+            u = rng.normal(size=model.n_dim) * scale
+            v, _ = model.log_post_grad_u(data, u)
+            assert v == model.log_post_u(data, u)
 
 
 class TestModelHandle:

@@ -154,9 +154,8 @@ class TestConjugateUpdates:
         # all items truly category 0: rows for other categories see no data
         data = ds.DSData(np.zeros((30, 2), dtype=int), 3)
         latent = np.zeros(30, dtype=int)
-        hyper = ds.DSHyper()
-        beta = ds.ds_beta_matrix(hyper, 3)
-        draws = np.array([update_theta_conjugate(data, latent, hyper, rng)
+        beta = ds.ds_beta_matrix(ds.DSHyper(), 3)
+        draws = np.array([update_theta_conjugate(data, latent, beta, rng)
                           for _ in range(4000)])
         # rows k=1,2 had zero counts, so their mean is the prior mean
         want = beta[1] / beta[1].sum()

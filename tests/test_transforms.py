@@ -7,7 +7,7 @@ reverse-mode code is pinned to an independent oracle.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from margmcmc import transforms as tr
@@ -144,11 +144,54 @@ class TestSimplex:
             assert np.allclose(got, numeric_pullback(scalar, raw), atol=1e-5)
 
 
+def stick_offsets(w):
+    return np.log(np.arange(w, 0, -1))
+
+
+@st.composite
+def simplex_rows_case(draw):
+    """(R, K-1) stick rows in +-50 and an (R, K) gradient, K = 2..6."""
+    k = draw(st.integers(2, 6))
+    r = draw(st.integers(1, 4))
+    vals = st.floats(-50, 50, allow_nan=False)
+    rows = np.array(draw(st.lists(vals, min_size=r * (k - 1),
+                                  max_size=r * (k - 1)))).reshape(r, k - 1)
+    g_p = np.array(draw(st.lists(vals, min_size=r * k,
+                                 max_size=r * k))).reshape(r, k)
+    return rows, g_p
+
+
+def recomputed_simplex_rows(rows, g_p):
+    """Row-wise stick-breaking and its pull-back with every reciprocal and
+    product taken inside the loop: the reference arithmetic that the
+    reused-sticks version must match bit for bit."""
+    r, w = rows.shape
+    z = tr.expit(rows - stick_offsets(w)[None, :])
+    one_mz = 1.0 - z
+    rem = np.empty((r, w))
+    rem[:, 0] = 1.0
+    if w > 1:
+        rem[:, 1:] = np.cumprod(one_mz[:, :-1], axis=1)
+    p = np.empty((r, w + 1))
+    p[:, :w] = rem * z
+    p[:, w] = rem[:, -1] * one_mz[:, -1]
+    log_j = (np.log(z) + np.log1p(-z) + np.log(rem)).sum(axis=1)
+    g_z = np.empty((r, w))
+    g_rem = g_p[:, w].copy()
+    for i in range(w - 1, -1, -1):
+        g_z[:, i] = (g_p[:, i] - g_rem) * rem[:, i] \
+            + 1.0 / z[:, i] - 1.0 / one_mz[:, i]
+        g_rem = g_p[:, i] * z[:, i] + g_rem * one_mz[:, i]
+        if i > 0:
+            g_rem += 1.0 / rem[:, i]
+    return p, log_j, g_z * z * one_mz
+
+
 class TestSimplexRows:
     def test_matches_scalar_version(self):
         rng = make_rng(4)
         rows = rng.normal(size=(7, 4))
-        p_rows, lj_rows = tr.constrain_simplex_rows(rows)
+        p_rows, lj_rows, _ = tr.constrain_simplex_rows(rows, stick_offsets(4))
         for i in range(7):
             p, lj = tr.constrain_simplex(rows[i])
             assert np.allclose(p_rows[i], p, atol=1e-14)
@@ -158,7 +201,24 @@ class TestSimplexRows:
         rng = make_rng(5)
         rows = rng.normal(size=(6, 3))
         g_p = rng.normal(size=(6, 4))
-        got = tr.grad_simplex_rows(rows, g_p)
+        _, _, sticks = tr.constrain_simplex_rows(rows, stick_offsets(3))
+        got = tr.grad_simplex_rows(sticks, g_p)
         for i in range(6):
             assert np.allclose(got[i], tr.grad_simplex(rows[i], g_p[i]),
                                atol=1e-12)
+
+    @settings(max_examples=300)
+    @given(simplex_rows_case())
+    def test_reused_sticks_bit_identical_to_recomputed(self, case):
+        # at +-50 the sticks saturate: z rounds to 1, the remaining stick
+        # to 0, logJ is -inf and the pull-back meets inf and nan
+        rows, g_p = case
+        w = rows.shape[1]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            p, lj, sticks = tr.constrain_simplex_rows(rows, stick_offsets(w))
+            got = tr.grad_simplex_rows(sticks, g_p)
+            want_p, want_lj, want_g = recomputed_simplex_rows(rows, g_p)
+        assert np.array_equal(p, want_p, equal_nan=True)
+        assert np.array_equal(lj, want_lj, equal_nan=True)
+        assert np.array_equal(got, want_g, equal_nan=True)
+
