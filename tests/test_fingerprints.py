@@ -31,6 +31,8 @@ PINS = [
      "c66181562cdb53015f3cd9e973e8c79f798a9069b6cc21b87b96aa2884750232"),
     ("three-comp-4", "gibbs-marginal", 60, 30,
      "ea02c0aff7c14745f05811aaa2ab9a97410594f310c11851f06f262d6a8fcd8e"),
+    ("three-comp-4", "nuts-marginal", 200, 160,
+     "4cb249dd734f92708429aa27bcda98d9d39f13267c01d5b3a3f66fcc47f9c9a9"),
     ("ds", "nuts-marginal", 200, 160,
      "2488efc1ca92f5778cbf95c349a71c5120a102926956abfae7b335ec8c4acb76"),
     ("ds", "gibbs-full", 60, 30,
@@ -58,18 +60,20 @@ def test_draws_bit_identical(scenario_id, method, iterations, warmup, digest):
     assert chain_digest(scenario_id, method, iterations, warmup) == digest
 
 
-# sha256 of (value, gradient) of the rating model's fused log posterior
-# at GRAD_POINTS seeded points: half at |u| <= 3, half at scales up to
+# sha256 of (value, gradient) of each model's fused log posterior at
+# GRAD_POINTS seeded points: half at |u| <= 3, half at scales up to
 # |u| = 50, where sticks saturate (z rounds to 1, logs reach -inf) and
 # the early return for a non-finite value runs.  The chain pins above
 # never reach those points.
 GRAD_POINTS = 200
 DS_GRAD_DIGEST = \
     "3903d3a8db4b10031010d9f20f90e96d78e004830fdc55b1bec66c27b90e8fb7"
+MIX_GRAD_DIGEST = \
+    "ac57b965cc15c6fc75cc4226fd2a90fc847b80423b9c87c5e601c95c6e5df341"
 
 
-def ds_gradient_digest():
-    scenario = get_scenario("ds")
+def gradient_digest(scenario_id):
+    scenario = get_scenario(scenario_id)
     data, _ = gen_dataset(scenario, 1, SEED)
     model = hz._build_model(scenario)
     rng = make_rng(SEED, 99)
@@ -87,8 +91,16 @@ def ds_gradient_digest():
     return h.hexdigest(), finite
 
 
-def test_ds_gradient_bit_identical():
-    digest, finite = ds_gradient_digest()
+def check_gradient_pin(scenario_id, digest):
+    got, finite = gradient_digest(scenario_id)
     # both branches of the gradient are covered
     assert GRAD_POINTS // 2 < finite < GRAD_POINTS
-    assert digest == DS_GRAD_DIGEST
+    assert got == digest
+
+
+def test_ds_gradient_bit_identical():
+    check_gradient_pin("ds", DS_GRAD_DIGEST)
+
+
+def test_mixture_gradient_bit_identical():
+    check_gradient_pin("three-comp-4", MIX_GRAD_DIGEST)
