@@ -4,7 +4,6 @@ Subcommands:
   simulate   write benchmark datasets (plus .truth companions) to a directory
   run        execute the benchmark matrix and append result rows
   summarise  aggregate a results file into per-cell five-number summaries
-  check      fast self-checks of the core numerics
 
 Exit codes: 0 success, 1 record failure(s), 2 usage error.
 """
@@ -14,8 +13,6 @@ import csv
 import json
 import os
 import sys
-
-import numpy as np
 
 from . import harness as hz
 from . import simulate as sim
@@ -58,8 +55,6 @@ def build_parser():
     p_sum.add_argument("--out", default=None,
                        help="summary output file (default: stdout)")
     p_sum.add_argument("--format", choices=["csv", "json"], default="csv")
-
-    sub.add_parser("check", help="run fast numeric self-checks")
     return parser
 
 
@@ -149,69 +144,10 @@ def cmd_summarise(args):
     return 0
 
 
-def cmd_check(_args):
-    """Fast invariant checks over the core numerics; prints one line each."""
-    from . import dawid_skene as dsm
-    from . import mixture as mx
-    from .diagnostics import ess, split_rhat
-    from .stats import log_sum_exp, make_rng
-
-    failures = 0
-
-    def report(name, ok):
-        nonlocal failures
-        print(f"{'ok' if ok else 'FAIL'}  {name}")
-        failures += 0 if ok else 1
-
-    rng = make_rng(0, 0)
-    x = rng.normal(size=50)
-    report("log_sum_exp shift invariance",
-           abs(log_sum_exp(x + 100.0) - (log_sum_exp(x) + 100.0)) < 1e-10)
-
-    data = sim.gen_mixture(sim.get_scenario("two-comp-1"), 1, 0)[0]
-    model = mx.MixtureModel(2)
-    u = rng.normal(size=model.n_dim)
-    _, g = model.log_post_grad_u(data, u)
-    h = 1e-6
-    fd = np.array([(model.log_post_u(data, u + h * e) -
-                    model.log_post_u(data, u - h * e)) / (2 * h)
-                   for e in np.eye(model.n_dim)])
-    report("mixture gradient vs finite differences",
-           np.abs(g - fd).max() < 1e-4)
-
-    params, _ = model.constrain(u)
-    small = mx.MixtureData(data.x[:8])
-    brute = log_sum_exp(np.array([
-        mx.mix_full_log_joint(small, np.array(z), params)
-        for z in np.ndindex(*(2,) * 8)]))
-    report("mixture marginal vs latent enumeration",
-           abs(brute - mx.mix_marginal_log_joint(small, params)) < 1e-8)
-
-    ds_data = sim.gen_ds(sim.get_scenario("ds"), 1, 0)[0]
-    ds_model = dsm.DawidSkeneModel(5, 5)
-    ud = rng.normal(size=ds_model.n_dim) * 0.3
-    _, gd = ds_model.log_post_grad_u(ds_data, ud)
-    idx = rng.choice(ds_model.n_dim, size=10, replace=False)
-    fd = np.array([(ds_model.log_post_u(ds_data, ud + h * np.eye(ds_model.n_dim)[i])
-                    - ds_model.log_post_u(ds_data, ud - h * np.eye(ds_model.n_dim)[i]))
-                   / (2 * h) for i in idx])
-    report("rating-model gradient vs finite differences",
-           np.abs(gd[idx] - fd).max() < 1e-4)
-
-    iid = make_rng(1, 0).standard_normal((3, 1000))
-    report("iid effective sample size near nominal",
-           abs(ess(iid) / 3000.0 - 1.0) < 0.15)
-    apart = np.vstack([iid[0], iid[1] + 10.0])
-    report("split-rhat flags separated chains", split_rhat(apart) > 3.0)
-
-    print("all checks passed" if failures == 0 else f"{failures} check(s) failed")
-    return 0 if failures == 0 else 1
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     handler = {"simulate": cmd_simulate, "run": cmd_run,
-               "summarise": cmd_summarise, "check": cmd_check}[args.command]
+               "summarise": cmd_summarise}[args.command]
     return handler(args)
 
 

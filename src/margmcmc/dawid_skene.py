@@ -125,13 +125,13 @@ def ds_marginal_log_joint(data, params, hyper):
     return ds_marginal_log_lik(data, params) + ds_log_prior(params, hyper)
 
 
-def ds_z_full_conditional(data, params, i=None):
-    """P(z_i = k | y, params); matrix of rows if i is None."""
+def ds_z_full_conditional(data, params):
+    """P(z_i = k | y, params): the I x K matrix, one simplex per row."""
     ll = np.log(params.pi)[None, :] + _item_category_loglik(
         data, np.log(params.theta))
     probs = np.exp(ll - lse_rows(ll)[:, None])
     probs /= probs.sum(axis=1, keepdims=True)
-    return probs if i is None else probs[i]
+    return probs
 
 
 # ------------------------------------------------- unconstrained interface
@@ -140,19 +140,11 @@ def n_unconstrained(j, k):
     return (k - 1) * (1 + j * k)
 
 
-def unconstrain(params):
-    j, k = params.theta.shape[:2]
-    parts = [tr.unconstrain_simplex(params.pi)]
-    parts += [tr.unconstrain_simplex(row)
-              for row in params.theta.reshape(j * k, k)]
-    return np.concatenate(parts)
-
-
 class DawidSkeneModel:
     """Model handle used by the samplers and harness; it owns the prior's
     constants (see the module docstring)."""
 
-    name = "dawid-skene"
+    z_full_conditional = staticmethod(ds_z_full_conditional)
 
     def __init__(self, n_raters, n_categories, hyper=None):
         self.j = int(n_raters)
@@ -193,13 +185,6 @@ class DawidSkeneModel:
             self.stick_offsets)
         return DSParams(pi=rows[0], theta=rows[1:].reshape(j, k, k)), \
             float(log_j.sum())
-
-    def unconstrain(self, params):
-        return unconstrain(params)
-
-    def log_post_u(self, data, u):
-        params, lj = self.constrain(u)
-        return ds_marginal_log_joint(data, params, self.hyper) + lj
 
     def log_prior(self, log_pi, log_theta):
         """Dirichlet log prior of pi and every confusion row, given their

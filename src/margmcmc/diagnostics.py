@@ -78,7 +78,7 @@ def split_rhat(chains):
     return float(np.sqrt(var_plus / w))
 
 
-def efficiency_report(chain_list, param_names=None):
+def efficiency_report(chain_list):
     """Summarise a list of ChainDraws into min-ESS, max-Rhat, and timing.
 
     Only continuous parameters are considered.  `time_per_min_ess` is
@@ -88,8 +88,6 @@ def efficiency_report(chain_list, param_names=None):
     from .draws import stack_param_chains
 
     stacked = stack_param_chains(chain_list)
-    if param_names is not None:
-        stacked = {k: v for k, v in stacked.items() if k in set(param_names)}
     ess_by_param = {k: ess(v) for k, v in stacked.items()}
     rhat_by_param = {k: split_rhat(v) for k, v in stacked.items()}
     min_ess = min(ess_by_param.values())

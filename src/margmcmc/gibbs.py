@@ -19,6 +19,10 @@ evaluation recomputes only what that stick changes, bit for bit as
 transforms.constrain_simplex would (`_slice_simplex_coords`).
 
 Update order is fixed: labels z, then pi, then theta or (mu, sigma).
+
+The model handle supplies the labels' full conditional
+(`model.z_full_conditional`); `_STATE_CLASS` maps the handle's type to
+its sweep state.  No sampler branches on a model's name.
 """
 
 import time
@@ -147,12 +151,9 @@ def update_theta_conjugate(data, latent, beta, rng):
 
 
 def update_z_block(model, data, params, rng):
-    """Draw every label from its full conditional given the continuous state."""
-    if model.name == "mixture":
-        probs = mx.mix_z_full_conditional(data, params)
-    else:
-        probs = dsm.ds_z_full_conditional(data, params)
-    return sample_categorical_rows(rng, probs)
+    """Draw every label from the model's full conditional given the
+    continuous state."""
+    return sample_categorical_rows(rng, model.z_full_conditional(data, params))
 
 
 def _slice_simplex_coords(u_row, target_of_row, cfg, rng):
@@ -197,6 +198,16 @@ def _slice_simplex_coords(u_row, target_of_row, cfg, rng):
 
 
 # ------------------------------------------------------------- mixture
+
+def _mu_log_prior(m, truncates):
+    """N(0, 10^2) log kernel of a component mean, less the truncation
+    renormaliser of the next component's prior if there is one."""
+    a = m / mx.PRIOR_MU_SD
+    lp = -0.5 * a * a
+    if truncates:
+        lp -= float(special.log_ndtr(-a))
+    return lp
+
 
 class _MixtureGibbs:
     def __init__(self, model, data, cfg, rng, init):
@@ -249,12 +260,7 @@ class _MixtureGibbs:
             def mu_target(m, kk=kk):
                 quad = -(sum_x2[kk] - 2.0 * m * sum_x[kk]
                          + counts[kk] * m * m) / two_var
-                a = m / mx.PRIOR_MU_SD
-                lp = -0.5 * a * a      # N(0, 10^2) prior kernel
-                if kk < k - 1:
-                    # truncation renormaliser of the next component's prior
-                    lp -= special.log_ndtr(-a)
-                return quad + lp
+                return quad + _mu_log_prior(m, kk < k - 1)
             mu[kk] = slice_sample_1d(mu_target, mu[kk], cfg.slice_width,
                                      cfg.slice_max_doublings, rng,
                                      lower=lo, upper=hi)
@@ -284,13 +290,6 @@ class _MixtureGibbs:
 
         ll = norm_cols(mu, sigma)  # cached log f(x_i | mu_k, sigma^2) columns
 
-        def mu_prior(m, kk):
-            a = m / mx.PRIOR_MU_SD
-            lp = -0.5 * a * a
-            if kk < k - 1:
-                lp -= float(special.log_ndtr(-a))
-            return lp
-
         # pi via stick coordinates against the marginal joint
         def pi_target(p):
             return float(lse_rows(ll + np.log(p)[None, :]).sum())
@@ -306,7 +305,8 @@ class _MixtureGibbs:
                 z = (x - m) / sigma
                 m_mat[:, kk] = (log_pi[kk] - np.log(sigma) - 0.5 * LOG_2PI
                                 - 0.5 * z * z)
-                return float(lse_rows(m_mat).sum()) + mu_prior(m, kk)
+                return (float(lse_rows(m_mat).sum())
+                        + _mu_log_prior(m, kk < k - 1))
             mu[kk] = slice_sample_1d(mu_target, mu[kk], cfg.slice_width,
                                      cfg.slice_max_doublings, rng,
                                      lower=lo, upper=hi)
@@ -418,12 +418,17 @@ class _DawidSkeneGibbs:
         return None if self.marginal else self.z.copy()
 
 
+# The sampler state class of each model handle.  It is looked up here,
+# not kept on the handle, because the models do not import the samplers.
+_STATE_CLASS = {mx.MixtureModel: _MixtureGibbs,
+                dsm.DawidSkeneModel: _DawidSkeneGibbs}
+
+
 def gibbs_run(model, data, config, rng, init=None):
     """Run one Gibbs chain; deterministic given (rng state, init, config)."""
     if init is None:
         init = model.init_params(rng)
-    cls = _MixtureGibbs if model.name == "mixture" else _DawidSkeneGibbs
-    state = cls(model, data, config, rng, init)
+    state = _STATE_CLASS[type(model)](model, data, config, rng, init)
 
     errstate = np.errstate(over="ignore", divide="ignore", invalid="ignore")
     n_keep = config.iterations - config.warmup

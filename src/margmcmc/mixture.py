@@ -25,10 +25,6 @@ class MixtureParams:
     sigma: float
     pi: np.ndarray      # (K,) simplex
 
-    @property
-    def n_components(self):
-        return len(self.mu)
-
 
 @dataclass
 class MixtureData:
@@ -88,15 +84,12 @@ def mix_marginal_log_joint(data, params):
     return lp + mix_marginal_log_lik(data, params)
 
 
-def mix_z_full_conditional(data, params, i=None):
-    """P(z_i = k | x, params), one simplex per row.
-
-    With i=None returns the n x K matrix of conditionals.
-    """
+def mix_z_full_conditional(data, params):
+    """P(z_i = k | x, params): the n x K matrix, one simplex per row."""
     ll = _component_loglik(data.x, params)
     probs = np.exp(ll - lse_rows(ll)[:, None])
     probs /= probs.sum(axis=1, keepdims=True)
-    return probs if i is None else probs[i]
+    return probs
 
 
 # ------------------------------------------------- unconstrained interface
@@ -115,24 +108,14 @@ def n_unconstrained(k):
 
 
 def constrain(u, k):
-    """Unconstrained vector -> (MixtureParams, log |Jacobian|)."""
+    """Unconstrained vector -> (MixtureParams, log |Jacobian|, pi's
+    sticks), the sticks being the forward pass tr.grad_simplex reuses."""
     mu_raw, log_sigma, pi_raw = split(u, k)
     mu, lj_mu = tr.constrain_ordered(mu_raw)
     sigma, lj_sigma = tr.constrain_positive(log_sigma)
-    pi, lj_pi = tr.constrain_simplex(pi_raw)
-    return MixtureParams(mu=mu, sigma=sigma, pi=pi), lj_mu + lj_sigma + lj_pi
-
-
-def unconstrain(params):
-    return pack(tr.unconstrain_ordered(params.mu),
-                tr.unconstrain_positive(params.sigma),
-                tr.unconstrain_simplex(params.pi))
-
-
-def mix_marginal_log_post_u(data, u, k):
-    """Marginal log joint plus logJ at an unconstrained point."""
-    params, lj = constrain(u, k)
-    return mix_marginal_log_joint(data, params) + lj
+    pi, lj_pi, sticks = tr.constrain_simplex(pi_raw)
+    return (MixtureParams(mu=mu, sigma=sigma, pi=pi),
+            lj_mu + lj_sigma + lj_pi, sticks)
 
 
 def mix_marginal_logpost_grad_u(data, u, k):
@@ -141,8 +124,8 @@ def mix_marginal_logpost_grad_u(data, u, k):
     Shares the component log-likelihood matrix between the two, which the
     gradient-based sampler exploits on every leapfrog step.
     """
-    mu_raw, log_sigma, pi_raw = split(u, k)
-    params, lj = constrain(u, k)
+    mu_raw, log_sigma, _ = split(u, k)
+    params, lj, sticks = constrain(u, k)
     lp = log_prior(params)
     if not np.isfinite(lp):
         return -np.inf, np.zeros_like(u)
@@ -167,14 +150,14 @@ def mix_marginal_logpost_grad_u(data, u, k):
     g_pi = r.sum(axis=0) / pi
     grad = pack(tr.grad_ordered(mu_raw, g_mu),
                 tr.grad_positive(log_sigma, g_sigma),
-                tr.grad_simplex(pi_raw, g_pi))
+                tr.grad_simplex(sticks, g_pi))
     return value, grad
 
 
 class MixtureModel:
     """Model handle used by the samplers and harness."""
 
-    name = "mixture"
+    z_full_conditional = staticmethod(mix_z_full_conditional)
 
     def __init__(self, k):
         self.k = int(k)
@@ -192,13 +175,7 @@ class MixtureModel:
         return np.concatenate([params.mu, [params.sigma], params.pi])
 
     def constrain(self, u):
-        return constrain(u, self.k)
-
-    def unconstrain(self, params):
-        return unconstrain(params)
-
-    def log_post_u(self, data, u):
-        return mix_marginal_log_post_u(data, u, self.k)
+        return constrain(u, self.k)[:2]
 
     def log_post_grad_u(self, data, u):
         return mix_marginal_logpost_grad_u(data, u, self.k)

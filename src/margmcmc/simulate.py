@@ -43,15 +43,6 @@ class MixtureScenario:
     def n_components(self):
         return len(self.mu)
 
-    @property
-    def separation(self):
-        return abs(self.mu[-1] - self.mu[0])
-
-    @property
-    def equidistant(self):
-        gaps = np.diff(self.mu)
-        return bool(np.allclose(gaps, gaps[0]))
-
 
 @dataclass(frozen=True)
 class DSScenario:

@@ -22,34 +22,6 @@ def make_rng(seed, stream=0):
     )
 
 
-def log_normal_pdf(x, mu, sigma):
-    """Log density of N(mu, sigma^2), evaluated directly in log space."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)) or not np.isfinite(mu):
-        raise ValueError("non-finite input to log_normal_pdf")
-    if not (sigma > 0):
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    z = (x - mu) / sigma
-    return -0.5 * LOG_2PI - np.log(sigma) - 0.5 * z * z
-
-
-def log_truncated_normal_pdf(x, mu, sigma, lower):
-    """Log density of N(mu, sigma^2) left-truncated at `lower`.
-
-    Returns -inf for x <= lower.  With lower = -inf this reduces to the
-    plain normal log density.
-    """
-    if not (sigma > 0):
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if np.isneginf(lower):
-        return log_normal_pdf(x, mu, sigma)
-    if x <= lower:
-        return -np.inf
-    # normalising constant is the upper-tail mass above `lower`
-    log_tail = special.log_ndtr(-(lower - mu) / sigma)
-    return log_normal_pdf(x, mu, sigma) - log_tail
-
-
 def log_lognormal_pdf(x, mu, sigma):
     """Log density of Lognormal(mu, sigma); zero density off (0, inf)."""
     if not (sigma > 0):
@@ -59,20 +31,6 @@ def log_lognormal_pdf(x, mu, sigma):
     lx = np.log(x)
     z = (lx - mu) / sigma
     return -lx - np.log(sigma) - 0.5 * LOG_2PI - 0.5 * z * z
-
-
-def log_dirichlet_pdf(p, alpha):
-    """Log Dirichlet density including the log multivariate beta constant."""
-    p = np.asarray(p, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    if p.shape != alpha.shape:
-        raise ValueError(f"dimension mismatch: {p.shape} vs {alpha.shape}")
-    if np.any(alpha <= 0):
-        raise ValueError("alpha must be positive")
-    if np.any(p <= 0):
-        return -np.inf
-    log_norm = special.gammaln(alpha.sum()) - special.gammaln(alpha).sum()
-    return log_norm + np.sum((alpha - 1.0) * np.log(p))
 
 
 def log_sum_exp(v, axis=None):

@@ -5,9 +5,12 @@ Three transforms cover every model block:
   * positive scalar  (exp)
   * simplex          (stick-breaking with the centring offset log(K-k))
 
-Each transform ships a constrain / unconstrain pair, the log |Jacobian|
-of constrain, and a reverse-mode helper that pulls a gradient in
-constrained space (plus the Jacobian term) back to unconstrained space.
+Each transform ships a constrain that also returns its log |Jacobian|,
+and a reverse-mode helper that pulls a gradient in constrained space (plus
+the Jacobian term) back to unconstrained space.  The simplex constrain
+also returns its forward pass (the sticks), and its pull-back works from
+those.  Only the simplex has an inverse here: the Gibbs samplers start
+their stick coordinates from it.
 """
 
 import numpy as np
@@ -24,13 +27,6 @@ def constrain_ordered(raw):
     raw = np.asarray(raw, dtype=float)
     incr = np.concatenate([[raw[0]], np.exp(raw[1:])])
     return np.cumsum(incr), float(np.sum(raw[1:]))
-
-
-def unconstrain_ordered(mu):
-    mu = np.asarray(mu, dtype=float)
-    if np.any(np.diff(mu) <= 0):
-        raise ValueError(f"vector not strictly increasing: {mu}")
-    return np.concatenate([[mu[0]], np.log(np.diff(mu))])
 
 
 def grad_ordered(raw, g_mu):
@@ -51,12 +47,6 @@ def constrain_positive(raw):
     return float(np.exp(raw)), float(raw)
 
 
-def unconstrain_positive(x):
-    if x <= 0:
-        raise ValueError(f"value not positive: {x}")
-    return float(np.log(x))
-
-
 def grad_positive(raw, g_x):
     return g_x * np.exp(raw) + 1.0  # +1 from logJ
 
@@ -64,11 +54,13 @@ def grad_positive(raw, g_x):
 # ---------------------------------------------------------------- simplex
 
 def constrain_simplex(raw):
-    """Stick-breaking: raw in R^(K-1) -> simplex of length K, with logJ."""
+    """Stick-breaking: raw in R^(K-1) -> (simplex of length K, logJ,
+    sticks).  `sticks` = (z, 1 - z, rem) is the forward pass, which
+    grad_simplex pulls a gradient back through."""
     raw = np.asarray(raw, dtype=float)
     km1 = raw.shape[0]
     if km1 == 0:
-        return np.ones(1), 0.0
+        return np.ones(1), 0.0, (raw, raw, raw)   # no sticks to break
     z = expit(raw - np.log(np.arange(km1, 0, -1)))
     one_mz = 1.0 - z
     rem = np.empty(km1)  # remaining stick before each break
@@ -79,7 +71,7 @@ def constrain_simplex(raw):
     p[:km1] = rem * z
     p[km1] = rem[-1] * one_mz[-1]
     log_j = float(np.sum(np.log(z) + np.log1p(-z) + np.log(rem)))
-    return p, log_j
+    return p, log_j, (z, one_mz, rem)
 
 
 def unconstrain_simplex(p):
@@ -132,23 +124,19 @@ def grad_simplex_rows(sticks, g_p):
     return g_z * z * one_mz
 
 
-def grad_simplex(raw, g_p):
-    """Pull d/dp back to d/draw, including the stick-breaking logJ gradient."""
-    raw = np.asarray(raw, dtype=float)
+def grad_simplex(sticks, g_p):
+    """Pull d/dp back to d/draw, including the stick-breaking logJ
+    gradient, through the forward pass `sticks` that constrain_simplex
+    returned."""
+    z, one_mz, rem = sticks
     g_p = np.asarray(g_p, dtype=float)
-    km1 = raw.shape[0]
-    k = km1 + 1
-    z = expit(raw - np.log(np.arange(k - 1, 0, -1)))
-    rem = np.empty(k)  # rem[i] = remaining stick before break i
-    rem[0] = 1.0
-    for i in range(km1):
-        rem[i + 1] = rem[i] * (1.0 - z[i])
+    km1 = z.shape[0]
     g_z = np.zeros(km1)
-    g_rem = g_p[km1]  # adjoint of rem[km1] = p[K-1]
+    g_rem = g_p[km1]  # adjoint of the last stick's remainder = p[K-1]
     for i in range(km1 - 1, -1, -1):
         g_z[i] = g_p[i] * rem[i] - g_rem * rem[i]
-        g_z[i] += 1.0 / z[i] - 1.0 / (1.0 - z[i])  # logJ wrt z_i
-        g_rem = g_p[i] * z[i] + g_rem * (1.0 - z[i])
+        g_z[i] += 1.0 / z[i] - 1.0 / one_mz[i]  # logJ wrt z_i
+        g_rem = g_p[i] * z[i] + g_rem * one_mz[i]
         if i > 0:
             g_rem += 1.0 / rem[i]  # logJ wrt rem[i]
-    return g_z * z * (1.0 - z)
+    return g_z * z * one_mz

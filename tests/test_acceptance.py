@@ -31,6 +31,7 @@ from margmcmc.draws import stack_param_chains
 from margmcmc.gibbs import update_z_block
 from margmcmc.simulate import gen_mixture, get_scenario
 from margmcmc.stats import log_sum_exp, make_rng
+from oracles import ds_marginal_log_post_u, mix_marginal_log_post_u
 
 RESULTS_PATH = Path(os.environ.get(
     "MARGMCMC_RESULTS",
@@ -123,14 +124,14 @@ def test_criterion_3_gradient_correctness():
 
     data = mx.MixtureData(rng.normal(0, 4, size=30))
     for k in (2, 3):
-        check(lambda u, k=k: mx.mix_marginal_log_post_u(data, u, k),
+        check(lambda u, k=k: mix_marginal_log_post_u(data, u, k),
               lambda u, k=k: mx.mix_marginal_logpost_grad_u(data, u, k)[1],
               mx.n_unconstrained(k), 10)
 
     j_n, k = 3, 3
     ds_data = dsm.DSData(rng.integers(0, k, size=(20, j_n)), k)
     ds_model = dsm.DawidSkeneModel(j_n, k)
-    check(lambda u: ds_model.log_post_u(ds_data, u),
+    check(lambda u: ds_marginal_log_post_u(ds_model, ds_data, u),
           lambda u: ds_model.log_post_grad_u(ds_data, u)[1],
           ds_model.n_dim, 20, scale=0.5)
     elapsed = time.time() - t0

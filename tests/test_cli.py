@@ -96,10 +96,3 @@ class TestExitCodes:
         assert main(args) == 1
         assert main(args + ["--keep-going"]) == 0
 
-
-class TestCheck:
-    def test_check_passes(self, capsys):
-        assert main(["check"]) == 0
-        out = capsys.readouterr().out
-        assert "all checks passed" in out
-        assert "FAIL" not in out

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from margmcmc import dawid_skene as ds
-from margmcmc.stats import log_dirichlet_pdf, log_sum_exp, make_rng
+from margmcmc.stats import log_sum_exp, make_rng
+from oracles import ds_marginal_log_post_u, ds_unconstrain, log_dirichlet_pdf
 
 
 def random_params(rng, j, k):
@@ -148,7 +149,7 @@ class TestUnconstrainedInterface:
         rng = make_rng(34)
         j, k = 3, 4
         params = random_params(rng, j, k)
-        u = ds.unconstrain(params)
+        u = ds_unconstrain(params)
         back, _ = ds.DawidSkeneModel(j, k).constrain(u)
         assert np.allclose(back.pi, params.pi, atol=1e-9)
         assert np.allclose(back.theta, params.theta, atol=1e-9)
@@ -178,7 +179,7 @@ class TestUnconstrainedInterface:
         for scale in np.linspace(0.4, 6.0, 20):
             u = rng.normal(size=model.n_dim) * scale
             v, _ = model.log_post_grad_u(data, u)
-            assert v == model.log_post_u(data, u)
+            assert v == ds_marginal_log_post_u(model, data, u)
 
 
 class TestModelHandle:

@@ -121,9 +121,3 @@ class TestEfficiencyReport:
         chains = [make_chain(rng.standard_normal((500, 2)), divergences=d)
                   for d in (1, 0, 4)]
         assert efficiency_report(chains)["divergences"] == 5
-
-    def test_param_subset(self):
-        rng = make_rng(80)
-        chains = [make_chain(rng.standard_normal((500, 2))) for _ in range(2)]
-        rep = efficiency_report(chains, param_names=["a"])
-        assert set(rep["ess"]) == {"a"}

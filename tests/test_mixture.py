@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from margmcmc import mixture as mx
-from margmcmc.stats import (log_dirichlet_pdf, log_lognormal_pdf,
-                            log_normal_pdf, log_sum_exp,
-                            log_truncated_normal_pdf, make_rng)
+from margmcmc.stats import log_lognormal_pdf, log_sum_exp, make_rng
+from oracles import (log_dirichlet_pdf, log_normal_pdf,
+                     log_truncated_normal_pdf, mix_marginal_log_post_u,
+                     mix_unconstrain)
 
 
 def random_params(rng, k):
@@ -23,7 +24,7 @@ def random_params(rng, k):
 def enumerate_marginal(data, params):
     """Brute-force sum of the full likelihood over all K^n assignments."""
     n = len(data.x)
-    k = params.n_components
+    k = len(params.mu)
     lp_prior = mx.log_prior(params)
     terms = [mx.mix_full_log_joint(data, np.array(z), params) - lp_prior
              for z in itertools.product(range(k), repeat=n)]
@@ -113,13 +114,13 @@ class TestUnconstrainedInterface:
     def test_round_trip(self, k):
         rng = make_rng(12 + k)
         params = random_params(rng, k)
-        u = mx.unconstrain(params)
-        back, _ = mx.constrain(u, k)
+        u = mix_unconstrain(params)
+        back = mx.constrain(u, k)[0]
         assert np.allclose(back.mu, params.mu, atol=1e-9)
         assert back.sigma == pytest.approx(params.sigma, rel=1e-12)
         assert np.allclose(back.pi, params.pi, atol=1e-9)
 
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_gradient_matches_finite_differences(self, k):
         rng = make_rng(14 + k)
         data = mx.MixtureData(rng.normal(0, 4, size=40))
@@ -130,8 +131,8 @@ class TestUnconstrainedInterface:
             for i in range(len(u)):
                 e = np.zeros(len(u))
                 e[i] = h
-                num = (mx.mix_marginal_log_post_u(data, u + e, k)
-                       - mx.mix_marginal_log_post_u(data, u - e, k)) / (2 * h)
+                num = (mix_marginal_log_post_u(data, u + e, k)
+                       - mix_marginal_log_post_u(data, u - e, k)) / (2 * h)
                 assert got[i] == pytest.approx(num, rel=1e-4, abs=1e-5)
 
     def test_fused_matches_separate(self):
@@ -140,7 +141,7 @@ class TestUnconstrainedInterface:
         for k in (2, 3):
             u = rng.normal(size=mx.n_unconstrained(k))
             v, _ = mx.mix_marginal_logpost_grad_u(data, u, k)
-            assert v == pytest.approx(mx.mix_marginal_log_post_u(data, u, k))
+            assert v == pytest.approx(mix_marginal_log_post_u(data, u, k))
 
     def test_extreme_point_is_finite_or_rejected(self):
         data = mx.MixtureData(np.array([0.0, 1.0]))

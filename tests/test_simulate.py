@@ -48,10 +48,14 @@ class TestCatalog:
         assert np.allclose(theta.sum(axis=2), 1.0)
 
     def test_derived_quantities(self):
-        assert sim.get_scenario("two-comp-2").separation == 10.0
-        s5 = sim.get_scenario("three-comp-5")
-        assert s5.separation == 21.0 and not s5.equidistant
-        assert sim.get_scenario("three-comp-3").equidistant
+        mu2 = sim.get_scenario("two-comp-2").mu
+        assert abs(mu2[-1] - mu2[0]) == 10.0
+        mu5 = sim.get_scenario("three-comp-5").mu
+        gaps5 = np.diff(mu5)
+        assert abs(mu5[-1] - mu5[0]) == 21.0
+        assert not np.allclose(gaps5, gaps5[0])
+        gaps3 = np.diff(sim.get_scenario("three-comp-3").mu)
+        assert np.allclose(gaps3, gaps3[0])
 
     def test_unknown_id(self):
         with pytest.raises(KeyError):
