@@ -30,13 +30,13 @@ def public_defs(tree):
                 yield item
 
 
-def unused_defs(src=SRC, exempt=frozenset(margmcmc.__all__)):
+def unused_defs():
     trees = {path.stem: ast.parse(path.read_text())
-             for path in sorted(src.glob("*.py"))}
+             for path in sorted(SRC.glob("*.py"))}
     used = sum((loaded_names(tree) for tree in trees.values()), Counter())
     return [f"{module}.{fn.name}"
             for module, tree in trees.items() for fn in public_defs(tree)
-            if fn.name not in exempt and (module, fn.name) not in ENTRY_POINTS
+            if fn.name not in margmcmc.__all__ and (module, fn.name) not in ENTRY_POINTS
             and used[fn.name] == loaded_names(fn)[fn.name]]
 
 
