@@ -1,6 +1,8 @@
 """Code only tests use: log densities for the priors, inverse transforms
-for round trips, and value-only posteriors built from the public non-fused
-joints plus `constrain`, the reference for each model's fused gradient."""
+for round trips, value-only posteriors built from the public non-fused
+joints plus `constrain`, and the row-major fused gradients the
+component-major kernels replaced, the reference for each model's fused
+gradient."""
 
 import numpy as np
 from scipy import special
@@ -90,3 +92,133 @@ def ds_unconstrain(params):
     parts += [tr.unconstrain_simplex(row)
               for row in params.theta.reshape(j * k, k)]
     return np.concatenate(parts)
+
+
+# ------------------------------------------------ row-major fused gradients
+# Both models' fused (value, gradient) as they stood with item-by-component
+# matrices kept (n, K) / (I, K) and the mixture's length-K parameter
+# arithmetic done on numpy arrays.  Every helper that the component-major
+# kernels rewrote is copied here, so this reference does not move with
+# `src/`.
+
+def _lse_rows_row_major(m):
+    mm = m.max(axis=1)
+    if not np.all(np.isfinite(mm)):
+        return special.logsumexp(m, axis=1)
+    return mm + np.log(np.exp(m - mm[:, None]).sum(axis=1))
+
+
+def _constrain_ordered_np(raw):
+    raw = np.asarray(raw, dtype=float)
+    incr = np.concatenate([[raw[0]], np.exp(raw[1:])])
+    return np.cumsum(incr), float(np.sum(raw[1:]))
+
+
+def _grad_ordered_np(raw, g_mu):
+    raw = np.asarray(raw, dtype=float)
+    g_mu = np.asarray(g_mu, dtype=float)
+    tail = np.cumsum(g_mu[::-1])[::-1]
+    g_raw = np.empty_like(raw)
+    g_raw[0] = tail[0]
+    g_raw[1:] = tail[1:] * np.exp(raw[1:]) + 1.0
+    return g_raw
+
+
+def _constrain_simplex_np(raw):
+    raw = np.asarray(raw, dtype=float)
+    km1 = raw.shape[0]
+    if km1 == 0:
+        return np.ones(1), 0.0, (raw, raw, raw)
+    z = 1.0 / (1.0 + np.exp(-(raw - np.log(np.arange(km1, 0, -1)))))
+    one_mz = 1.0 - z
+    rem = np.empty(km1)
+    rem[0] = 1.0
+    if km1 > 1:
+        rem[1:] = np.cumprod(one_mz[:-1])
+    p = np.empty(km1 + 1)
+    p[:km1] = rem * z
+    p[km1] = rem[-1] * one_mz[-1]
+    log_j = float(np.sum(np.log(z) + np.log1p(-z) + np.log(rem)))
+    return p, log_j, (z, one_mz, rem)
+
+
+def _grad_simplex_np(sticks, g_p):
+    z, one_mz, rem = sticks
+    g_p = np.asarray(g_p, dtype=float)
+    km1 = z.shape[0]
+    g_z = np.zeros(km1)
+    g_rem = g_p[km1]
+    for i in range(km1 - 1, -1, -1):
+        g_z[i] = g_p[i] * rem[i] - g_rem * rem[i]
+        g_z[i] += 1.0 / z[i] - 1.0 / one_mz[i]
+        g_rem = g_p[i] * z[i] + g_rem * one_mz[i]
+        if i > 0:
+            g_rem += 1.0 / rem[i]
+    return g_z * z * one_mz
+
+
+def mix_grad_row_major(data, u, k):
+    """The mixture's fused (value, gradient) with (n, K) matrices."""
+    mu_raw, log_sigma, pi_raw = mx.split(u, k)
+    mu, lj_mu = _constrain_ordered_np(mu_raw)
+    sigma = float(np.exp(log_sigma))
+    pi, lj_pi, sticks = _constrain_simplex_np(pi_raw)
+    params = mx.MixtureParams(mu=mu, sigma=sigma, pi=pi)
+    lj = lj_mu + float(log_sigma) + lj_pi
+    lp = mx.log_prior(params)
+    if not np.isfinite(lp):
+        return -np.inf, np.zeros_like(u)
+    x = data.x
+    sigma = np.float64(sigma)
+    zz = (x[:, None] - mu[None, :]) / params.sigma
+    ll = (np.log(pi)[None, :] - np.log(params.sigma) - 0.5 * LOG_2PI
+          - 0.5 * zz * zz)
+    row_lse = _lse_rows_row_major(ll)
+    value = lp + float(row_lse.sum()) + lj
+    if not np.isfinite(value):
+        return -np.inf, np.zeros_like(u)
+
+    r = np.exp(ll - row_lse[:, None])
+    diff = x[:, None] - mu[None, :]
+    g_mu = (r * diff).sum(axis=0) / sigma**2 - mu / mx.PRIOR_MU_SD**2
+    if k > 1:
+        a = mu[:-1] / mx.PRIOR_MU_SD
+        g_mu[:-1] += np.exp(-0.5 * LOG_2PI - 0.5 * a * a
+                            - special.log_ndtr(-a)) / mx.PRIOR_MU_SD
+    g_sigma = float((r * (diff**2 / sigma**3 - 1.0 / sigma)).sum())
+    g_sigma += -1.0 / sigma - np.log(sigma) / sigma
+    g_pi = r.sum(axis=0) / pi
+    grad = mx.pack(_grad_ordered_np(mu_raw, g_mu),
+                   g_sigma * np.exp(log_sigma) + 1.0,
+                   _grad_simplex_np(sticks, g_pi))
+    return value, grad
+
+
+def ds_grad_row_major(model, data, u):
+    """The rating model's fused (value, gradient) with (I, K) matrices and
+    the dense (J, K, I) one-hot count."""
+    j, k = model.j, model.k
+    u = np.asarray(u, dtype=float)
+    rows, log_j, sticks = tr.constrain_simplex_rows(
+        u.reshape(1 + j * k, k - 1), model.stick_offsets)
+    pi = rows[0]
+    theta = rows[1:].reshape(j, k, k)
+    log_pi = np.log(pi)
+    log_theta = np.log(theta)
+
+    jj, yt = np.arange(data.n_raters)[:, None], data.ratings.T
+    ll = log_pi[None, :] + log_theta[jj, :, yt].sum(axis=0)
+    row_lse = _lse_rows_row_major(ll)
+    value = float(row_lse.sum()) + model.log_prior(log_pi, log_theta) \
+        + float(log_j.sum())
+    if not np.isfinite(value):
+        return -np.inf, np.zeros_like(u)
+
+    r = np.exp(ll - row_lse[:, None])
+    g_pi = (r.sum(axis=0) + model.alpha - 1.0) / pi
+    onehot = np.zeros((data.n_raters, k, data.n_items))
+    onehot[jj, yt, np.arange(data.n_items)] = 1.0
+    counts = np.einsum("jci,ik->jkc", onehot, r)
+    g_theta = (model.beta_m1 + counts) / theta
+    g_rows = np.vstack([g_pi[None, :], g_theta.reshape(j * k, k)])
+    return value, tr.grad_simplex_rows(sticks, g_rows).ravel()
