@@ -3,7 +3,8 @@
 Ratings are stored as a dense I x J matrix (complete design: every rater
 rates every item once), with category labels 0..K-1 internally.  No
 ordering constraint on the parameters; label switching is handled by the
-diagonal-heavy Dirichlet priors on the confusion rows.
+diagonal-heavy Dirichlet priors on the confusion rows.  Item-by-category
+matrices are category-major, (K, I), like the mixture's (K, n).
 
 The model handle builds its constants once: alpha, beta, alpha - 1,
 beta - 1, the two Dirichlet normalisers (pi's, and J times the sum of
@@ -43,20 +44,21 @@ class DSData:
     def n_raters(self):
         return self.ratings.shape[1]
 
+    @cached_property
     def rating_onehot(self):
-        """(J, K, I) indicator cache: onehot[j, c, i] = [y_ij == c]."""
-        if not hasattr(self, "_onehot"):
-            jj, yt = self.rater_index
-            oh = np.zeros((self.n_raters, self.n_categories, self.n_items))
-            oh[jj, yt, np.arange(self.n_items)] = 1.0
-            self._onehot = oh
-        return self._onehot
+        """(J*K, I) indicators: rating_onehot[j*K + c, i] = [y_ij == c]."""
+        j, k, n = self.n_raters, self.n_categories, self.n_items
+        oh = np.zeros((j * k, n))
+        oh[np.arange(j)[:, None] * k + self.ratings.T, np.arange(n)] = 1.0
+        return oh
 
     @cached_property
-    def rater_index(self):
-        """(arange(J)[:, None], ratings.T): log_theta[jj, :, yt] gathers
-        log theta[j, k, y_ij] as a (J, I, K) array."""
-        return np.arange(self.n_raters)[:, None], self.ratings.T.copy()
+    def category_index(self):
+        """(J, K, I) flat indices into a (J, K, K) array:
+        log_theta.take(category_index)[j, k, i] = log theta[j, k, y_ij]."""
+        j, k = self.n_raters, self.n_categories
+        rows = np.arange(j * k).reshape(j, k, 1) * k
+        return rows + self.ratings.T[:, None, :]
 
 
 @dataclass
@@ -90,10 +92,9 @@ def ds_beta_matrix(hyper, k):
 
 
 def _item_category_loglik(data, log_theta):
-    """C[i, k] = sum_j log theta[j, k, y_ij]  (I x K), summed in rater
+    """C[k, i] = sum_j log theta[j, k, y_ij]  (K x I), summed in rater
     order."""
-    jj, yt = data.rater_index
-    return log_theta[jj, :, yt].sum(axis=0)
+    return log_theta.take(data.category_index).sum(axis=0)
 
 
 def _dirichlet_log_norm(alpha):
@@ -111,14 +112,14 @@ def ds_full_log_joint(data, latent, params, hyper):
     if z.shape != (data.n_items,):
         raise ValueError("latent labels must match item count")
     c = _item_category_loglik(data, np.log(params.theta))
-    ll = np.log(params.pi)[z].sum() + c[np.arange(len(z)), z].sum()
+    ll = np.log(params.pi)[z].sum() + c[z, np.arange(len(z))].sum()
     return float(ll + ds_log_prior(params, hyper))
 
 
 def ds_marginal_log_lik(data, params):
     """sum_i log sum_k pi_k prod_j theta[j, k, y_ij], in log space."""
     c = _item_category_loglik(data, np.log(params.theta))
-    return float(lse_rows(np.log(params.pi)[None, :] + c).sum())
+    return float(lse_rows(np.log(params.pi)[:, None] + c).sum())
 
 
 def ds_marginal_log_joint(data, params, hyper):
@@ -126,11 +127,12 @@ def ds_marginal_log_joint(data, params, hyper):
 
 
 def ds_z_full_conditional(data, params):
-    """P(z_i = k | y, params): the I x K matrix, one simplex per row."""
-    ll = np.log(params.pi)[None, :] + _item_category_loglik(
+    """P(z_i = k | y, params): the K x I matrix, one simplex per
+    column."""
+    ll = np.log(params.pi)[:, None] + _item_category_loglik(
         data, np.log(params.theta))
-    probs = np.exp(ll - lse_rows(ll)[:, None])
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs = np.exp(ll - lse_rows(ll))
+    probs /= probs.sum(axis=0)
     return probs
 
 
@@ -204,18 +206,20 @@ class DawidSkeneModel:
         log_pi = np.log(pi)
         log_theta = np.log(theta)
 
-        ll = log_pi[None, :] + _item_category_loglik(data, log_theta)
+        ll = log_pi[:, None] + _item_category_loglik(data, log_theta)
         row_lse = lse_rows(ll)
         value = float(row_lse.sum()) + self.log_prior(log_pi, log_theta) \
             + float(log_j.sum())
         if not np.isfinite(value):
             return -np.inf, np.zeros_like(u)
 
-        r = np.exp(ll - row_lse[:, None])
-        g_pi = (r.sum(axis=0) + self.alpha - 1.0) / pi
-        counts = np.einsum("jci,ik->jkc", data.rating_onehot(), r)
-        g_theta = (self.beta_m1 + counts) / theta
-        g_rows = np.vstack([g_pi[None, :], g_theta.reshape(j * k, k)])
+        r = np.exp(ll - row_lse)
+        g_rows = np.empty((1 + j * k, k))
+        g_rows[0] = (r.sum(axis=1) + self.alpha_m1) / pi
+        # counts[j, k, c] = sum_i r[k, i] [y_ij == c]
+        counts = (r @ data.rating_onehot.T).reshape(k, j, k).transpose(1, 0, 2)
+        np.divide(self.beta_m1 + counts, theta,
+                  out=g_rows[1:].reshape(j, k, k))
         return value, tr.grad_simplex_rows(sticks, g_rows).ravel()
 
     def init_params(self, rng):

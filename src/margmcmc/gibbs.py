@@ -20,6 +20,10 @@ transforms.constrain_simplex would (`_slice_simplex_coords`).
 
 Update order is fixed: labels z, then pi, then theta or (mu, sigma).
 
+The label conditionals and the marginal slice targets' cached matrices
+are component-major, (K, n) or (K, I), as in the model modules; a slice
+move on one component rewrites one contiguous row.
+
 The model handle supplies the labels' full conditional
 (`model.z_full_conditional`); `_STATE_CLASS` maps the handle's type to
 its sweep state.  No sampler branches on a model's name.
@@ -140,9 +144,9 @@ def update_theta_conjugate(data, latent, beta, rng):
     """Confusion rows from their Dirichlet(beta[k] + counts) full
     conditionals."""
     j, k = data.n_raters, data.n_categories
-    rater, y_t = data.rater_index
-    counts = np.zeros((j, k, k))
-    np.add.at(counts, (rater, latent, y_t), 1.0)
+    # counts[j, k, c] = #{i : z_i = k, y_ij = c}
+    idx = data.category_index[:, latent, np.arange(data.n_items)]
+    counts = np.bincount(idx.ravel(), minlength=j * k * k).reshape(j, k, k)
     theta = np.empty((j, k, k))
     for jj in range(j):
         for kk in range(k):
@@ -284,39 +288,39 @@ class _MixtureGibbs:
         sigma = self.params.sigma
         pi = self.params.pi
 
-        def norm_cols(mu_vec, s):
-            z = (x[:, None] - mu_vec[None, :]) / s
+        def norm_rows(mu_vec, s):
+            z = (x - mu_vec[:, None]) / s
             return -np.log(s) - 0.5 * LOG_2PI - 0.5 * z * z
 
-        ll = norm_cols(mu, sigma)  # cached log f(x_i | mu_k, sigma^2) columns
+        ll = norm_rows(mu, sigma)  # cached (K, n) log f(x_i | mu_k, sigma^2)
 
         # pi via stick coordinates against the marginal joint
         def pi_target(p):
-            return float(lse_rows(ll + np.log(p)[None, :]).sum())
+            return float(lse_rows(ll + np.log(p)[:, None]).sum())
         self.u_pi, pi = _slice_simplex_coords(self.u_pi, pi_target, cfg, rng)
 
         log_pi = np.log(pi)
-        m_mat = ll + log_pi[None, :]
+        m_mat = ll + log_pi[:, None]
         for kk in range(k):
             lo = mu[kk - 1] if kk > 0 else -np.inf
             hi = mu[kk + 1] if kk < k - 1 else np.inf
 
             def mu_target(m, kk=kk):
                 z = (x - m) / sigma
-                m_mat[:, kk] = (log_pi[kk] - np.log(sigma) - 0.5 * LOG_2PI
-                                - 0.5 * z * z)
+                m_mat[kk] = (log_pi[kk] - np.log(sigma) - 0.5 * LOG_2PI
+                             - 0.5 * z * z)
                 return (float(lse_rows(m_mat).sum())
                         + _mu_log_prior(m, kk < k - 1))
             mu[kk] = slice_sample_1d(mu_target, mu[kk], cfg.slice_width,
                                      cfg.slice_max_doublings, rng,
                                      lower=lo, upper=hi)
-            mu_target(mu[kk], kk)  # leave the cached column at the accepted value
+            mu_target(mu[kk], kk)  # leave the cached row at the accepted value
 
         def log_sigma_target(ls):
             s = np.exp(ls)
             if not np.isfinite(s) or s <= 0:
                 return -np.inf
-            lik = float(lse_rows(norm_cols(mu, s) + log_pi[None, :]).sum())
+            lik = float(lse_rows(norm_rows(mu, s) + log_pi[:, None]).sum())
             return lik - 0.5 * ls * ls  # Lognormal(0,1) kernel + exp Jacobian
         ls = slice_sample_1d(log_sigma_target, np.log(sigma), cfg.slice_width,
                              cfg.slice_max_doublings, rng)
@@ -378,23 +382,23 @@ class _DawidSkeneGibbs:
 
         # pi stick coordinates (Dirichlet kernel; the normaliser is constant)
         def pi_target(p):
-            return (float(lse_rows(np.log(p)[None, :] + self.c).sum())
+            return (float(lse_rows(np.log(p)[:, None] + self.c).sum())
                     + float(np.dot(alpha_m1, np.log(p))))
         self.u_pi, pi = _slice_simplex_coords(self.u_pi, pi_target, cfg, rng)
         log_pi = np.log(pi)
 
         # theta rows, one stick coordinate at a time; per-item log-sum-exp
-        # over the K-1 untouched columns is cached per row
+        # over the K-1 untouched categories is cached per row
         theta = self.params.theta.copy()
-        base = log_pi[None, :] + self.c
+        base = log_pi[:, None] + self.c       # (K, I)
         for jj in range(j):
             y_j = data.ratings[:, jj]
             for kk in range(k):
-                col_wo_row = self.c[:, kk] - np.log(theta[jj, kk])[y_j]
-                saved = base[:, kk].copy()
-                base[:, kk] = -np.inf
+                col_wo_row = self.c[kk] - np.log(theta[jj, kk])[y_j]
+                saved = base[kk].copy()
+                base[kk] = -np.inf
                 others = lse_rows(base)          # (I,) reduction over k' != kk
-                base[:, kk] = saved
+                base[kk] = saved
                 col_rest = log_pi[kk] + col_wo_row
                 beta_m1 = self.model.beta_m1[kk]
 
@@ -406,8 +410,8 @@ class _DawidSkeneGibbs:
                 self.u_theta[jj, kk], theta[jj, kk] = _slice_simplex_coords(
                     self.u_theta[jj, kk], row_target, cfg, rng)
                 new_col = col_wo_row + np.log(theta[jj, kk])[y_j]
-                self.c[:, kk] = new_col
-                base[:, kk] = log_pi[kk] + new_col
+                self.c[kk] = new_col
+                base[kk] = log_pi[kk] + new_col
         self.params = dsm.DSParams(pi=pi, theta=theta)
         self._rebuild_cache()
 

@@ -153,7 +153,9 @@ def run_record(spec, replicate):
         record.max_rhat = report["max_rhat"]
         record.divergences = report["divergences"]
     except Exception as exc:  # per-record tolerance: matrix must continue
-        record.status = f"error:{type(exc).__name__}"
+        lines = str(exc).splitlines()   # status keeps the first line
+        record.status = (f"error:{type(exc).__name__}"
+                         + (f": {lines[0]}" if lines else ""))
     return record
 
 

@@ -5,6 +5,11 @@ Parameterisation: ordered means mu (label-switching guard), one shared
 standard deviation sigma, mixture weights pi.  Priors: mu_1 ~ N(0, 10^2),
 mu_k ~ N(0, 10^2) truncated to mu_k > mu_{k-1}, sigma ~ Lognormal(0, 1),
 pi ~ Dirichlet(1,...,1).
+
+Observation-by-component matrices are component-major, (K, n): each
+component's row is contiguous, and sums over the data run along it.
+Reductions over the K components (`lse_rows`) add the K entries in
+order.
 """
 
 import math
@@ -37,27 +42,36 @@ class MixtureData:
 
 
 def _component_loglik(x, params):
-    """n x K matrix of log pi_k + log N(x_i | mu_k, sigma^2)."""
-    z = (x[:, None] - params.mu[None, :]) / params.sigma
-    return (np.log(params.pi)[None, :]
-            - np.log(params.sigma) - 0.5 * LOG_2PI - 0.5 * z * z)
+    """(K, n) matrix of log pi_k + log N(x_i | mu_k, sigma^2)."""
+    z = (x - params.mu[:, None]) / params.sigma
+    return ((np.log(params.pi) - np.log(params.sigma) - 0.5 * LOG_2PI)[:, None]
+            - 0.5 * z * z)
 
 
-def log_prior(params):
-    """Log prior density; -inf off the ordered support."""
-    mu, sigma = params.mu, params.sigma
-    k = len(mu)
-    if sigma <= 0 or (k > 1 and np.any(np.diff(mu) <= 0)):
-        return -np.inf
+def _log_prior(mu, sigma):
+    """Log prior at the ordered means `mu` (an array) and sigma; -inf off
+    the ordered support.  Also returns z = mu / PRIOR_MU_SD and the
+    truncation renormalisers log Phi(-z_k), k < K, as floats, which the
+    gradient reuses."""
+    m = mu.tolist()
+    k = len(m)
+    if sigma <= 0 or any(b - a <= 0 for a, b in zip(m, m[1:])):
+        return -np.inf, None, None
     lp = math.lgamma(k)                       # Dirichlet(1,...,1) normaliser
     ls = math.log(sigma)
     lp += -ls - 0.5 * LOG_2PI - 0.5 * ls * ls  # Lognormal(0, 1) on sigma
     z = mu / PRIOR_MU_SD
     lp += k * (-0.5 * LOG_2PI - math.log(PRIOR_MU_SD)) - 0.5 * float(z @ z)
     # truncation renormalisers: upper-tail mass above the previous mean
-    if k > 1:
-        lp -= float(special.log_ndtr(-z[:-1]).sum())
-    return lp
+    z = z.tolist()
+    log_tail = [special.log_ndtr(-a) for a in z[:-1]]
+    lp -= sum(log_tail)
+    return lp, z, log_tail
+
+
+def log_prior(params):
+    """Log prior density; -inf off the ordered support."""
+    return _log_prior(params.mu, params.sigma)[0]
 
 
 def mix_full_log_joint(data, latent, params):
@@ -69,7 +83,7 @@ def mix_full_log_joint(data, latent, params):
     if z.shape != data.x.shape:
         raise ValueError("latent labels must match data length")
     ll = _component_loglik(data.x, params)
-    return lp + float(ll[np.arange(len(z)), z].sum())
+    return lp + float(ll[z, np.arange(len(z))].sum())
 
 
 def mix_marginal_log_lik(data, params):
@@ -85,18 +99,15 @@ def mix_marginal_log_joint(data, params):
 
 
 def mix_z_full_conditional(data, params):
-    """P(z_i = k | x, params): the n x K matrix, one simplex per row."""
+    """P(z_i = k | x, params): the (K, n) matrix, one simplex per
+    column."""
     ll = _component_loglik(data.x, params)
-    probs = np.exp(ll - lse_rows(ll)[:, None])
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs = np.exp(ll - lse_rows(ll))
+    probs /= probs.sum(axis=0)
     return probs
 
 
 # ------------------------------------------------- unconstrained interface
-
-def pack(mu_raw, log_sigma, pi_raw):
-    return np.concatenate([mu_raw, [log_sigma], pi_raw])
-
 
 def split(u, k):
     u = np.asarray(u, dtype=float)
@@ -121,37 +132,45 @@ def constrain(u, k):
 def mix_marginal_logpost_grad_u(data, u, k):
     """Fused (value, gradient) of the unconstrained log posterior.
 
-    Shares the component log-likelihood matrix between the two, which the
-    gradient-based sampler exploits on every leapfrog step.
+    Shares the (K, n) component log-likelihood matrix between the two,
+    which the gradient-based sampler exploits on every leapfrog step.
+    The K-sized parameter arithmetic runs on scalars (np.float64 where a
+    Python float could raise OverflowError or ZeroDivisionError).
     """
-    mu_raw, log_sigma, _ = split(u, k)
-    params, lj, sticks = constrain(u, k)
-    lp = log_prior(params)
+    # constrain(u, k) would hand the transforms np.float64 elements, whose
+    # arithmetic costs about a tenth of this gradient more than floats'
+    raw = np.asarray(u, dtype=float).tolist()
+    mu_raw, log_sigma = raw[:k], raw[k]
+    mu, lj_mu = tr.constrain_ordered(mu_raw)
+    sigma = np.exp(np.float64(log_sigma))
+    pi, lj_pi, sticks = tr.constrain_simplex(raw[k + 1:])
+    lp, z_mu, log_tail = _log_prior(mu, sigma)
     if not np.isfinite(lp):
-        return -np.inf, np.zeros_like(u)
-    x = data.x
-    mu, pi = params.mu, params.pi
-    sigma = np.float64(params.sigma)   # inf instead of OverflowError
-    ll = _component_loglik(x, params)
+        return -np.inf, np.zeros(len(raw))
+    ll = _component_loglik(data.x, MixtureParams(mu=mu, sigma=sigma, pi=pi))
     row_lse = lse_rows(ll)
-    value = lp + float(row_lse.sum()) + lj
+    value = lp + float(row_lse.sum()) + (lj_mu + log_sigma + lj_pi)
     if not np.isfinite(value):
-        return -np.inf, np.zeros_like(u)
+        return -np.inf, np.zeros(len(raw))
 
-    r = np.exp(ll - row_lse[:, None])
-    diff = x[:, None] - mu[None, :]
-    g_mu = (r * diff).sum(axis=0) / sigma**2 - mu / PRIOR_MU_SD**2
-    if k > 1:
-        a = mu[:-1] / PRIOR_MU_SD
-        g_mu[:-1] += np.exp(-0.5 * LOG_2PI - 0.5 * a * a
-                            - special.log_ndtr(-a)) / PRIOR_MU_SD
-    g_sigma = float((r * (diff**2 / sigma**3 - 1.0 / sigma)).sum())
+    r = np.exp(ll - row_lse)
+    diff = data.x - mu[:, None]
+    rd = r * diff
+    r_sum = r.sum(axis=1)
+    var = sigma * sigma
+    g_mu = (rd.sum(axis=1) / var).tolist()
+    for i, a in enumerate(z_mu):
+        g_mu[i] -= a / PRIOR_MU_SD           # mu_i / PRIOR_MU_SD**2
+        if i < k - 1:
+            g_mu[i] += np.exp(-0.5 * LOG_2PI - 0.5 * a * a
+                              - log_tail[i]) / PRIOR_MU_SD
+    g_sigma = float((rd * diff).sum()) / (var * sigma) \
+        - float(r_sum.sum()) / sigma
     g_sigma += -1.0 / sigma - np.log(sigma) / sigma
-    g_pi = r.sum(axis=0) / pi
-    grad = pack(tr.grad_ordered(mu_raw, g_mu),
-                tr.grad_positive(log_sigma, g_sigma),
-                tr.grad_simplex(sticks, g_pi))
-    return value, grad
+    return value, np.concatenate([
+        tr.grad_ordered(mu_raw, g_mu),
+        [tr.grad_positive(log_sigma, g_sigma)],
+        tr.grad_simplex(sticks, (r_sum / pi).tolist())])
 
 
 class MixtureModel:

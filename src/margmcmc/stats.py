@@ -42,11 +42,14 @@ def log_sum_exp(v, axis=None):
 
 
 def lse_rows(m):
-    """Row-wise log-sum-exp of a 2-d array (fast path for the hot loops)."""
-    mm = m.max(axis=1)
-    if not np.all(np.isfinite(mm)):
-        return log_sum_exp(m, axis=1)
-    return mm + np.log(np.exp(m - mm[:, None]).sum(axis=1))
+    """Log-sum-exp over axis 0 of a (K, n) component-major array: one
+    value per data row (column of `m`), the fast path of the hot loops.
+    For K <= 7 numpy adds the K entries in order, as a row-wise sum of
+    the (n, K) transpose would."""
+    mm = m.max(axis=0)
+    if not np.isfinite(mm).all():
+        return log_sum_exp(m, axis=0)
+    return mm + np.log(np.exp(m - mm).sum(axis=0))
 
 
 def check_simplex(p, atol=1e-12):
@@ -59,12 +62,12 @@ def check_simplex(p, atol=1e-12):
 
 
 def sample_categorical_rows(rng, probs):
-    """Vectorised categorical draw: one index per row of `probs` (n x K)."""
-    probs = np.asarray(probs, dtype=float)
-    cum = np.cumsum(probs, axis=1)
-    cum /= cum[:, -1:]
-    u = rng.random(probs.shape[0])
-    return (u[:, None] > cum).sum(axis=1)
+    """Vectorised categorical draw from a (K, n) component-major `probs`:
+    one index per column, n draws in all."""
+    cum = np.cumsum(probs, axis=0)
+    cum /= cum[-1]
+    u = rng.random(cum.shape[1])
+    return (u > cum).sum(axis=0)
 
 
 def sample_dirichlet(rng, alpha):

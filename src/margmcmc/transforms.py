@@ -11,7 +11,14 @@ the Jacobian term) back to unconstrained space.  The simplex constrain
 also returns its forward pass (the sticks), and its pull-back works from
 those.  Only the simplex has an inverse here: the Gibbs samplers start
 their stick coordinates from it.
+
+The single-vector transforms loop over their K-sized blocks on scalars,
+with numpy's exp and logs (the `math` versions differ in the last bit,
+and Python-float arithmetic would raise on overflow where np.float64
+returns inf).  The `_rows` twins apply the simplex to a stack of rows.
 """
+
+import functools
 
 import numpy as np
 
@@ -24,21 +31,23 @@ def expit(x):
 
 def constrain_ordered(raw):
     """raw -> strictly increasing vector; logJ = sum(raw[1:])."""
-    raw = np.asarray(raw, dtype=float)
-    incr = np.concatenate([[raw[0]], np.exp(raw[1:])])
-    return np.cumsum(incr), float(np.sum(raw[1:]))
+    mu = [raw[0]]
+    for v in raw[1:]:
+        mu.append(mu[-1] + np.exp(v))
+    return np.array(mu), float(sum(raw[1:]))
 
 
 def grad_ordered(raw, g_mu):
     """Pull d/dmu back to d/draw, including the logJ gradient."""
-    raw = np.asarray(raw, dtype=float)
-    g_mu = np.asarray(g_mu, dtype=float)
     # mu_j depends on raw_k for all j >= k
-    tail = np.cumsum(g_mu[::-1])[::-1]
-    g_raw = np.empty_like(raw)
-    g_raw[0] = tail[0]
-    g_raw[1:] = tail[1:] * np.exp(raw[1:]) + 1.0  # +1 from logJ
-    return g_raw
+    k = len(raw)
+    g_raw = [0.0] * k
+    tail = 0.0
+    for i in range(k - 1, 0, -1):
+        tail = tail + g_mu[i]
+        g_raw[i] = tail * np.exp(raw[i]) + 1.0  # +1 from logJ
+    g_raw[0] = tail + g_mu[0]
+    return np.array(g_raw)
 
 
 # --------------------------------------------------------------- positive
@@ -53,25 +62,29 @@ def grad_positive(raw, g_x):
 
 # ---------------------------------------------------------------- simplex
 
+@functools.lru_cache(maxsize=None)
+def _stick_offsets(km1):
+    """The centring offsets log(K-1), ..., log(1) as floats."""
+    return tuple(np.log(np.arange(km1, 0, -1)).tolist())
+
+
 def constrain_simplex(raw):
     """Stick-breaking: raw in R^(K-1) -> (simplex of length K, logJ,
     sticks).  `sticks` = (z, 1 - z, rem) is the forward pass, which
     grad_simplex pulls a gradient back through."""
-    raw = np.asarray(raw, dtype=float)
-    km1 = raw.shape[0]
-    if km1 == 0:
-        return np.ones(1), 0.0, (raw, raw, raw)   # no sticks to break
-    z = expit(raw - np.log(np.arange(km1, 0, -1)))
-    one_mz = 1.0 - z
-    rem = np.empty(km1)  # remaining stick before each break
-    rem[0] = 1.0
-    if km1 > 1:
-        rem[1:] = np.cumprod(one_mz[:-1])
-    p = np.empty(km1 + 1)
-    p[:km1] = rem * z
-    p[km1] = rem[-1] * one_mz[-1]
-    log_j = float(np.sum(np.log(z) + np.log1p(-z) + np.log(rem)))
-    return p, log_j, (z, one_mz, rem)
+    z, one_mz, rem, p = [], [], [], []
+    log_j = 0.0
+    r = 1.0                    # remaining stick before each break
+    for v, off in zip(raw, _stick_offsets(len(raw))):
+        zi = 1.0 / (1.0 + np.exp(-(v - off)))      # expit
+        z.append(zi)
+        one_mz.append(1.0 - zi)
+        rem.append(r)
+        p.append(r * zi)
+        log_j += np.log(zi) + np.log1p(-zi) + np.log(r)
+        r = r * one_mz[-1]
+    p.append(r)
+    return np.array(p), float(log_j), (z, one_mz, rem)
 
 
 def unconstrain_simplex(p):
@@ -129,14 +142,14 @@ def grad_simplex(sticks, g_p):
     gradient, through the forward pass `sticks` that constrain_simplex
     returned."""
     z, one_mz, rem = sticks
-    g_p = np.asarray(g_p, dtype=float)
-    km1 = z.shape[0]
-    g_z = np.zeros(km1)
+    km1 = len(z)
+    g_raw = [0.0] * km1
     g_rem = g_p[km1]  # adjoint of the last stick's remainder = p[K-1]
     for i in range(km1 - 1, -1, -1):
-        g_z[i] = g_p[i] * rem[i] - g_rem * rem[i]
-        g_z[i] += 1.0 / z[i] - 1.0 / one_mz[i]  # logJ wrt z_i
+        g_z = g_p[i] * rem[i] - g_rem * rem[i]
+        g_z += 1.0 / z[i] - 1.0 / one_mz[i]  # logJ wrt z_i
         g_rem = g_p[i] * z[i] + g_rem * one_mz[i]
         if i > 0:
             g_rem += 1.0 / rem[i]  # logJ wrt rem[i]
-    return g_z * z * one_mz
+        g_raw[i] = g_z * z[i] * one_mz[i]
+    return np.array(g_raw)

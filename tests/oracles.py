@@ -80,8 +80,12 @@ def unconstrain_positive(x):
     return float(np.log(x))
 
 
+def pack(mu_raw, log_sigma, pi_raw):
+    return np.concatenate([mu_raw, [log_sigma], pi_raw])
+
+
 def mix_unconstrain(params):
-    return mx.pack(unconstrain_ordered(params.mu),
+    return pack(unconstrain_ordered(params.mu),
                    unconstrain_positive(params.sigma),
                    tr.unconstrain_simplex(params.pi))
 
@@ -188,7 +192,7 @@ def mix_grad_row_major(data, u, k):
     g_sigma = float((r * (diff**2 / sigma**3 - 1.0 / sigma)).sum())
     g_sigma += -1.0 / sigma - np.log(sigma) / sigma
     g_pi = r.sum(axis=0) / pi
-    grad = mx.pack(_grad_ordered_np(mu_raw, g_mu),
+    grad = pack(_grad_ordered_np(mu_raw, g_mu),
                    g_sigma * np.exp(log_sigma) + 1.0,
                    _grad_simplex_np(sticks, g_pi))
     return value, grad

@@ -147,7 +147,7 @@ def test_criterion_4_gibbs_exactness():
     data = mx.MixtureData(np.array([-1.5, -0.2, 0.3, 1.1, 2.4]))
     params = mx.MixtureParams(mu=np.array([-1.0, 1.0]), sigma=1.2,
                               pi=np.array([0.55, 0.45]))
-    exact = mx.mix_z_full_conditional(data, params)[:, 1]
+    exact = mx.mix_z_full_conditional(data, params)[1]
     n = 200_000
     hits = np.zeros(5)
     for _ in range(n):

@@ -42,7 +42,7 @@ class TestData:
     def test_onehot_consistent(self):
         rng = make_rng(0)
         data = random_data(rng, 20, 4, 3)
-        oh = data.rating_onehot()
+        oh = data.rating_onehot.reshape(4, 3, 20)
         for j in range(4):
             for i in range(20):
                 assert oh[j, data.ratings[i, j], i] == 1.0
@@ -52,9 +52,9 @@ class TestData:
         rng = make_rng(39)
         data = random_data(rng, 40, 6, 4)
         log_theta = np.log(random_params(rng, 6, 4).theta)
-        want = np.zeros((40, 4))
+        want = np.zeros((4, 40))
         for j in range(6):
-            want += log_theta[j][:, data.ratings[:, j]].T
+            want += log_theta[j][:, data.ratings[:, j]]
         got = ds._item_category_loglik(data, log_theta)
         assert np.array_equal(got, want)
 
@@ -131,7 +131,7 @@ class TestLatentConditional:
                 zi[i] = k
                 num[k] = ds.ds_full_log_joint(data, zi, params, HYPER)
             want = np.exp(num - log_sum_exp(num))
-            assert np.allclose(probs[i], want, atol=1e-12)
+            assert np.allclose(probs[:, i], want, atol=1e-12)
 
     def test_identity_raters_pin_labels(self):
         k = 3
@@ -141,7 +141,7 @@ class TestLatentConditional:
                              theta=np.clip(eye, 1e-12, None))
         ratings = np.array([[0, 0], [2, 2], [1, 1]])
         probs = ds.ds_z_full_conditional(ds.DSData(ratings, k), params)
-        assert np.allclose(probs[np.arange(3), [0, 2, 1]], 1.0, atol=1e-9)
+        assert np.allclose(probs[[0, 2, 1], np.arange(3)], 1.0, atol=1e-9)
 
 
 class TestUnconstrainedInterface:

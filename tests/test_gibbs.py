@@ -177,7 +177,7 @@ class TestLatentBlock:
         data = mx.MixtureData(np.array([-1.2, 0.1, 0.8, 2.0, -0.4]))
         params = mx.MixtureParams(mu=np.array([-1.0, 1.0]), sigma=1.5,
                                   pi=np.array([0.6, 0.4]))
-        want = mx.mix_z_full_conditional(data, params)[:, 1]
+        want = mx.mix_z_full_conditional(data, params)[1]
         n = 30000
         hits = np.zeros(5)
         for _ in range(n):

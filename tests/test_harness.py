@@ -57,8 +57,32 @@ class TestRunRecord:
         monkeypatch.setattr(hz, "run_chain", boom)
         spec = hz.RunSpec("two-comp-1", "gibbs-full", **SMALL)
         rec = hz.run_record(spec, 1)
-        assert rec.status == "error:RuntimeError"
+        assert rec.status == "error:RuntimeError: chain exploded"
         assert np.isnan(rec.min_ess)
+
+    def test_failure_keeps_first_line_of_message(self, monkeypatch, tmp_path):
+        def boom(*a, **k):
+            raise ValueError("sigma overflowed, at 1e308: stop\nsecond line")
+
+        monkeypatch.setattr(hz, "run_chain", boom)
+        spec = hz.RunSpec("two-comp-1", "gibbs-full", **SMALL)
+        bad = hz.run_record(spec, 1)
+        assert bad.status == "error:ValueError: sigma overflowed, at 1e308: stop"
+
+        def bare(*a, **k):
+            raise KeyError()
+
+        monkeypatch.setattr(hz, "run_chain", bare)
+        assert hz.run_record(spec, 1).status == "error:KeyError"
+        # the message survives the CSV round trip; summarise still counts
+        # only `ok` rows
+        monkeypatch.undo()
+        path = tmp_path / "r.csv"
+        hz.write_records_csv(path, [bad, hz.run_record(spec, 2)])
+        rows = hz.read_records_csv(path)
+        assert [r["status"] for r in rows] == [bad.status, "ok"]
+        (cell,) = hz.summarise(rows)
+        assert cell["n_records"] == 2 and cell["n_ok"] == 1
 
     def test_matrix_continues_after_failure(self, monkeypatch):
         calls = []
@@ -74,7 +98,7 @@ class TestRunRecord:
         specs = [hz.RunSpec("two-comp-1", m, replicates=1, **SMALL)
                  for m in ("nuts-marginal", "gibbs-full")]
         records = hz.run_matrix(specs)
-        assert [r.status for r in records] == ["error:RuntimeError", "ok"]
+        assert [r.status for r in records] == ["error:RuntimeError: boom", "ok"]
 
     def test_incremental_sink_called_per_record(self):
         seen = []

@@ -100,13 +100,14 @@ class TestLatentConditional:
                 zi[i] = k
                 num[k] = mx.mix_full_log_joint(data, zi, params)
             want = np.exp(num - log_sum_exp(num))
-            assert np.allclose(probs[i], want, atol=1e-12)
+            assert np.allclose(probs[:, i], want, atol=1e-12)
 
     def test_rows_normalised(self):
         rng = make_rng(11)
         data = mx.MixtureData(rng.normal(size=50))
         probs = mx.mix_z_full_conditional(data, random_params(rng, 3))
-        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        assert probs.shape == (3, 50)
+        assert np.allclose(probs.sum(axis=0), 1.0, atol=1e-12)
 
 
 class TestUnconstrainedInterface:
