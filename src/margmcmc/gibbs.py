@@ -166,11 +166,14 @@ def _slice_simplex_coords(u_row, target_of_row, cfg, rng):
 
     Moving stick c changes only z_c and the remaining stick after it, so
     an evaluation recomputes z_c, the rem suffix (a cumprod from the kept
-    rem_c), p and logJ.  The arithmetic is tr.constrain_simplex's step
-    for step -- numpy ufuncs for exp and the logs (math.exp/log differ in
-    the last bit), cumprod's left-to-right product, numpy's sum of the
-    logJ terms -- so p and logJ are bit-identical to constrain_simplex
-    of the moved sticks.
+    rem_c), p and logJ.  The arithmetic is tr.constrain_simplex's scalar
+    loop step for step -- numpy ufuncs for exp and the logs (math.exp/log
+    differ in the last bit), the remaining stick as a left-to-right
+    product, logJ as a left-to-right sum of the per-stick terms.  Here the
+    product is np.multiply.accumulate, always left to right, and the sum
+    is np.add.reduce, left to right only while K - 1 < 8 (pairwise
+    beyond); so p is bit-identical to constrain_simplex of the moved
+    sticks for every K, and logJ for K <= 8.
     """
     u_row = np.array(u_row, dtype=float)
     km1 = len(u_row)
@@ -187,7 +190,7 @@ def _slice_simplex_coords(u_row, target_of_row, cfg, rng):
         fac[c + 1] = 1.0 - z
         np.multiply.accumulate(fac[c:], out=rem[c:])     # np.cumprod
         zterm[c] = np.log(z) + np.log1p(-z)
-        return float(np.add.reduce(zterm + np.log(rem[:km1])))  # np.sum
+        return float(np.add.reduce(zterm + np.log(rem[:km1])))
 
     for c in range(km1):
         fac[c] = rem[c]

@@ -32,9 +32,11 @@ def expit(x):
 def constrain_ordered(raw):
     """raw -> strictly increasing vector; logJ = sum(raw[1:])."""
     mu = [raw[0]]
+    log_j = 0.0
     for v in raw[1:]:
         mu.append(mu[-1] + np.exp(v))
-    return np.array(mu), float(sum(raw[1:]))
+        log_j += v             # left to right, as np.sum for K - 1 < 8
+    return np.array(mu), float(log_j)
 
 
 def grad_ordered(raw, g_mu):
@@ -53,7 +55,9 @@ def grad_ordered(raw, g_mu):
 # --------------------------------------------------------------- positive
 
 def constrain_positive(raw):
-    return float(np.exp(raw)), float(raw)
+    """raw -> exp(raw) as np.float64, whose arithmetic gives inf where a
+    Python float's would raise; logJ = raw."""
+    return np.exp(np.float64(raw)), float(raw)
 
 
 def grad_positive(raw, g_x):

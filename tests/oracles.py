@@ -4,6 +4,8 @@ joints plus `constrain`, and the row-major fused gradients the
 component-major kernels replaced, the reference for each model's fused
 gradient."""
 
+import math
+
 import numpy as np
 from scipy import special
 
@@ -161,15 +163,35 @@ def _grad_simplex_np(sticks, g_p):
     return g_z * z * one_mz
 
 
+def _split_np(u, k):
+    u = np.asarray(u, dtype=float)
+    return u[:k], float(u[k]), u[k + 1:]
+
+
+def _log_prior_np(params):
+    mu, sigma = params.mu, params.sigma
+    k = len(mu)
+    if sigma <= 0 or (k > 1 and np.any(np.diff(mu) <= 0)):
+        return -np.inf
+    lp = math.lgamma(k)
+    ls = math.log(sigma)
+    lp += -ls - 0.5 * LOG_2PI - 0.5 * ls * ls
+    z = mu / mx.PRIOR_MU_SD
+    lp += k * (-0.5 * LOG_2PI - math.log(mx.PRIOR_MU_SD)) - 0.5 * float(z @ z)
+    if k > 1:
+        lp -= float(special.log_ndtr(-z[:-1]).sum())
+    return lp
+
+
 def mix_grad_row_major(data, u, k):
     """The mixture's fused (value, gradient) with (n, K) matrices."""
-    mu_raw, log_sigma, pi_raw = mx.split(u, k)
+    mu_raw, log_sigma, pi_raw = _split_np(u, k)
     mu, lj_mu = _constrain_ordered_np(mu_raw)
     sigma = float(np.exp(log_sigma))
     pi, lj_pi, sticks = _constrain_simplex_np(pi_raw)
     params = mx.MixtureParams(mu=mu, sigma=sigma, pi=pi)
     lj = lj_mu + float(log_sigma) + lj_pi
-    lp = mx.log_prior(params)
+    lp = _log_prior_np(params)
     if not np.isfinite(lp):
         return -np.inf, np.zeros_like(u)
     x = data.x
