@@ -4,10 +4,9 @@ Gaussian mixtures and the Dawid-Skene rating model, sampled with Gibbs
 variants and NUTS, with ESS / R-hat diagnostics and a benchmark harness.
 """
 
-from .dawid_skene import (DawidSkeneModel, DSData, DSHyper, DSParams,
-                          ds_beta_matrix, ds_full_log_joint,
-                          ds_marginal_log_joint, ds_marginal_log_lik,
-                          ds_z_full_conditional)
+from .dawid_skene import (DawidSkeneModel, DSData, DSParams, ds_beta_matrix,
+                          ds_full_log_joint, ds_marginal_log_joint,
+                          ds_marginal_log_lik, ds_z_full_conditional)
 from .diagnostics import efficiency_report, ess, split_rhat
 from .draws import ChainDraws, stack_param_chains
 from .gibbs import GibbsConfig, SliceError, gibbs_run, slice_sample_1d
@@ -25,7 +24,7 @@ from .stats import make_rng
 __version__ = "1.0.0"
 
 __all__ = [
-    "BenchRecord", "ChainDraws", "DSData", "DSHyper", "DSParams",
+    "BenchRecord", "ChainDraws", "DSData", "DSParams",
     "DSScenario", "DawidSkeneModel", "GibbsConfig", "METHODS",
     "MixtureData", "MixtureModel", "MixtureParams", "MixtureScenario",
     "NutsConfig", "RunSpec", "SliceError", "default_spec_list",

@@ -6,6 +6,11 @@ ordering constraint on the parameters; label switching is handled by the
 diagonal-heavy Dirichlet priors on the confusion rows.  Item-by-category
 matrices are category-major, (K, I), like the mixture's (K, n).
 
+The priors are fixed: pi ~ Dirichlet(3, ..., 3), and each confusion row
+theta[j, k] ~ Dirichlet(beta[k]) with N = 8 prior counts, a share p = 0.6
+of them on the diagonal and the rest spread evenly (PRIOR_ALPHA,
+PRIOR_CONCENTRATION, PRIOR_DIAG_MASS).
+
 The model handle builds its constants once: alpha, beta, alpha - 1,
 beta - 1, the two Dirichlet normalisers (pi's, and J times the sum of
 the confusion rows') and the stick offsets log(K-1), ..., log(1).  Its
@@ -21,6 +26,10 @@ from . import transforms as tr
 from scipy.special import gammaln
 
 from .stats import lse_rows
+
+PRIOR_ALPHA = 3.0           # Dirichlet parameter of every prevalence
+PRIOR_CONCENTRATION = 8.0   # N, the prior counts of a confusion row
+PRIOR_DIAG_MASS = 0.6       # p, the diagonal's share of them
 
 
 @dataclass
@@ -67,25 +76,11 @@ class DSParams:
     theta: np.ndarray       # (J, K, K); theta[j, k] = rater j's row for true k
 
 
-@dataclass
-class DSHyper:
-    alpha: np.ndarray = None    # (K,), defaults to 3's
-    concentration: float = 8.0  # N
-    diag_mass: float = 0.6      # p
-
-    def resolved_alpha(self, k):
-        if self.alpha is None:
-            return np.full(k, 3.0)
-        return np.asarray(self.alpha, dtype=float)
-
-
-def ds_beta_matrix(hyper, k):
+def ds_beta_matrix(k):
     """K x K Dirichlet hyper-matrix: N*p on the diagonal, rows summing to N."""
     if k < 2:
         raise ValueError(f"need at least 2 categories, got {k}")
-    n, p = hyper.concentration, hyper.diag_mass
-    if not (n > 0 and 0 < p < 1):
-        raise ValueError("need concentration > 0 and diag mass in (0,1)")
+    n, p = PRIOR_CONCENTRATION, PRIOR_DIAG_MASS
     beta = np.full((k, k), n * (1.0 - p) / (k - 1))
     np.fill_diagonal(beta, n * p)
     return beta
@@ -101,19 +96,19 @@ def _dirichlet_log_norm(alpha):
     return gammaln(alpha.sum()) - gammaln(alpha).sum()
 
 
-def ds_log_prior(params, hyper):
-    model = DawidSkeneModel(params.theta.shape[0], len(params.pi), hyper)
+def ds_log_prior(params):
+    model = DawidSkeneModel(params.theta.shape[0], len(params.pi))
     return model.log_prior(np.log(params.pi), np.log(params.theta))
 
 
-def ds_full_log_joint(data, latent, params, hyper):
+def ds_full_log_joint(data, latent, params):
     """Log joint of (y, z, params) for the unmarginalised model."""
     z = np.asarray(latent, dtype=int)
     if z.shape != (data.n_items,):
         raise ValueError("latent labels must match item count")
     c = _item_category_loglik(data, np.log(params.theta))
     ll = np.log(params.pi)[z].sum() + c[z, np.arange(len(z))].sum()
-    return float(ll + ds_log_prior(params, hyper))
+    return float(ll + ds_log_prior(params))
 
 
 def ds_marginal_log_lik(data, params):
@@ -122,8 +117,8 @@ def ds_marginal_log_lik(data, params):
     return float(lse_rows(np.log(params.pi)[:, None] + c).sum())
 
 
-def ds_marginal_log_joint(data, params, hyper):
-    return ds_marginal_log_lik(data, params) + ds_log_prior(params, hyper)
+def ds_marginal_log_joint(data, params):
+    return ds_marginal_log_lik(data, params) + ds_log_prior(params)
 
 
 def ds_z_full_conditional(data, params):
@@ -148,12 +143,11 @@ class DawidSkeneModel:
 
     z_full_conditional = staticmethod(ds_z_full_conditional)
 
-    def __init__(self, n_raters, n_categories, hyper=None):
+    def __init__(self, n_raters, n_categories):
         self.j = int(n_raters)
         self.k = int(n_categories)
-        self.hyper = hyper if hyper is not None else DSHyper()
-        self.alpha = self.hyper.resolved_alpha(self.k)
-        self.beta = ds_beta_matrix(self.hyper, self.k)
+        self.alpha = np.full(self.k, PRIOR_ALPHA)
+        self.beta = ds_beta_matrix(self.k)
         self.alpha_m1 = self.alpha - 1.0
         self.beta_m1 = self.beta - 1.0
         self.log_norm_pi = _dirichlet_log_norm(self.alpha)

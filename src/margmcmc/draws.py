@@ -11,10 +11,8 @@ class ChainDraws:
     param_names: list
     warmup_time: float              # seconds spent in warmup iterations
     sampling_time: float            # seconds spent in kept iterations
-    latent_draws: np.ndarray = None  # (n_kept, n) discrete labels, full modes only
-    sampler_assignment: dict = None  # coordinate name -> sampler kind
     divergences: int = 0
-    tree_depths: np.ndarray = None
+    tree_depths: np.ndarray = None  # (n_kept,) NUTS only
 
     @property
     def wall_time(self):

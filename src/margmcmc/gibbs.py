@@ -20,6 +20,9 @@ transforms.constrain_simplex would (`_slice_simplex_coords`).
 
 Update order is fixed: labels z, then pi, then theta or (mu, sigma).
 
+Every slice move starts from an interval of width 1 and doubles it at
+most 10 times (SLICE_WIDTH, SLICE_MAX_DOUBLINGS).
+
 The label conditionals and the marginal slice targets' cached matrices
 are component-major, (K, n) or (K, I), as in the model modules; a slice
 move on one component rewrites one contiguous row.
@@ -43,6 +46,8 @@ from .stats import (LOG_2PI, log_lognormal_pdf, lse_rows,
 from scipy import special
 
 MODES = ("full-conjugate", "full-restricted", "marginal-slice")
+SLICE_WIDTH = 1.0
+SLICE_MAX_DOUBLINGS = 10
 
 
 @dataclass
@@ -50,24 +55,19 @@ class GibbsConfig:
     mode: str
     iterations: int = 3000
     warmup: int = 1500
-    slice_width: float = 1.0
-    slice_max_doublings: int = 10
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not (0 <= self.warmup < self.iterations):
             raise ValueError("need 0 <= warmup < iterations")
-        if self.slice_width <= 0:
-            raise ValueError("slice width must be positive")
 
 
 class SliceError(RuntimeError):
     pass
 
 
-def slice_sample_1d(logdensity, current, width, max_doublings, rng,
-                    lower=-np.inf, upper=np.inf):
+def slice_sample_1d(logdensity, current, rng, lower=-np.inf, upper=np.inf):
     """One slice-sampling move (Neal's doubling procedure with shrinkage).
 
     `lower`/`upper` restrict the support; the density is treated as zero
@@ -83,8 +83,8 @@ def slice_sample_1d(logdensity, current, width, max_doublings, rng,
         raise SliceError(f"log density not finite at current point {current}")
     logy = logf0 + np.log(rng.random())
 
-    left = current - width * rng.random()
-    right = left + width
+    left = current - SLICE_WIDTH * rng.random()
+    right = left + SLICE_WIDTH
     if np.isfinite(lower) and left < lower:
         right += lower - left
         left = lower
@@ -92,7 +92,7 @@ def slice_sample_1d(logdensity, current, width, max_doublings, rng,
         left -= right - upper
         right = upper
     fl, fr = lf(left), lf(right)
-    k = max_doublings
+    k = SLICE_MAX_DOUBLINGS
     while k > 0 and (fl > logy or fr > logy):
         if rng.random() < 0.5:
             left -= right - left
@@ -107,7 +107,7 @@ def slice_sample_1d(logdensity, current, width, max_doublings, rng,
     for _ in range(1000):
         x1 = lb + rng.random() * (rb - lb)
         if lf(x1) > logy and _doubling_accept(lf, current, x1, logy,
-                                              left, right, width):
+                                              left, right):
             return x1
         if x1 < current:
             lb = x1
@@ -116,10 +116,10 @@ def slice_sample_1d(logdensity, current, width, max_doublings, rng,
     raise SliceError("slice shrinkage failed to find an acceptable point")
 
 
-def _doubling_accept(lf, x0, x1, logy, left, right, width):
+def _doubling_accept(lf, x0, x1, logy, left, right):
     """Neal's acceptance test for intervals produced by doubling."""
     d = False
-    while right - left > 1.1 * width:
+    while right - left > 1.1 * SLICE_WIDTH:
         mid = 0.5 * (left + right)
         if (x0 < mid <= x1) or (x1 < mid <= x0):
             d = True
@@ -135,8 +135,6 @@ def _doubling_accept(lf, x0, x1, logy, left, right, width):
 def update_pi_conjugate(counts, alpha, rng):
     """Dirichlet-categorical conjugate draw: Dirichlet(alpha + counts)."""
     counts = np.asarray(counts, dtype=float)
-    if np.any(counts < 0):
-        raise ValueError("counts must be non-negative")
     return sample_dirichlet(rng, np.asarray(alpha, dtype=float) + counts)
 
 
@@ -160,7 +158,7 @@ def update_z_block(model, data, params, rng):
     return sample_categorical_rows(rng, model.z_full_conditional(data, params))
 
 
-def _slice_simplex_coords(u_row, target_of_row, cfg, rng):
+def _slice_simplex_coords(u_row, target_of_row, rng):
     """Slice each stick coordinate of one simplex in turn; returns the
     updated sticks and their simplex.
 
@@ -198,8 +196,7 @@ def _slice_simplex_coords(u_row, target_of_row, cfg, rng):
         def logf(v, c=c):
             lj = place(c, v)
             return target_of_row(rem * zs) + lj
-        u_row[c] = slice_sample_1d(logf, u_row[c], cfg.slice_width,
-                                   cfg.slice_max_doublings, rng)
+        u_row[c] = slice_sample_1d(logf, u_row[c], rng)
         place(c, u_row[c])
     return u_row, rem * zs
 
@@ -228,14 +225,6 @@ class _MixtureGibbs:
             self.z = update_z_block(model, data, self.params, rng)
         if cfg.mode != "full-conjugate":   # only slice moves read the sticks
             self.u_pi = tr.unconstrain_simplex(self.params.pi)
-        self.assignment = self._assignment()
-
-    def _assignment(self):
-        conj = self.cfg.mode == "full-conjugate"
-        a = {f"mu[{i+1}]": "slice" for i in range(self.k)}
-        a["sigma"] = "slice"
-        a["pi"] = "conjugate" if conj else "slice"
-        return a
 
     def sweep(self):
         cfg, rng, k = self.cfg, self.rng, self.k
@@ -256,7 +245,7 @@ class _MixtureGibbs:
         else:
             def pi_target(p):
                 return float(np.dot(counts, np.log(p)))  # Dirichlet(1) prior flat
-            self.u_pi, pi = _slice_simplex_coords(self.u_pi, pi_target, cfg, rng)
+            self.u_pi, pi = _slice_simplex_coords(self.u_pi, pi_target, rng)
         # (3) mu then sigma, by slice
         mu = mu.copy()
         two_var = 2.0 * sigma**2
@@ -268,8 +257,7 @@ class _MixtureGibbs:
                 quad = -(sum_x2[kk] - 2.0 * m * sum_x[kk]
                          + counts[kk] * m * m) / two_var
                 return quad + _mu_log_prior(m, kk < k - 1)
-            mu[kk] = slice_sample_1d(mu_target, mu[kk], cfg.slice_width,
-                                     cfg.slice_max_doublings, rng,
+            mu[kk] = slice_sample_1d(mu_target, mu[kk], rng,
                                      lower=lo, upper=hi)
         sse = float(np.sum((self.data.x - mu[z])**2))
         n = len(self.data.x)
@@ -280,12 +268,11 @@ class _MixtureGibbs:
                 return -np.inf
             return (-n * ls - sse / (2.0 * s * s)
                     + log_lognormal_pdf(s, 0.0, 1.0) + ls)
-        ls = slice_sample_1d(log_sigma_target, np.log(sigma), cfg.slice_width,
-                             cfg.slice_max_doublings, rng)
+        ls = slice_sample_1d(log_sigma_target, np.log(sigma), rng)
         self.params = mx.MixtureParams(mu=mu, sigma=float(np.exp(ls)), pi=pi)
 
     def _sweep_marginal(self):
-        cfg, rng, k = self.cfg, self.rng, self.k
+        rng, k = self.rng, self.k
         x = self.data.x
         mu = self.params.mu.copy()
         sigma = self.params.sigma
@@ -300,7 +287,7 @@ class _MixtureGibbs:
         # pi via stick coordinates against the marginal joint
         def pi_target(p):
             return float(lse_rows(ll + np.log(p)[:, None]).sum())
-        self.u_pi, pi = _slice_simplex_coords(self.u_pi, pi_target, cfg, rng)
+        self.u_pi, pi = _slice_simplex_coords(self.u_pi, pi_target, rng)
 
         log_pi = np.log(pi)
         m_mat = ll + log_pi[:, None]
@@ -314,8 +301,7 @@ class _MixtureGibbs:
                              - 0.5 * z * z)
                 return (float(lse_rows(m_mat).sum())
                         + _mu_log_prior(m, kk < k - 1))
-            mu[kk] = slice_sample_1d(mu_target, mu[kk], cfg.slice_width,
-                                     cfg.slice_max_doublings, rng,
+            mu[kk] = slice_sample_1d(mu_target, mu[kk], rng,
                                      lower=lo, upper=hi)
             mu_target(mu[kk], kk)  # leave the cached row at the accepted value
 
@@ -325,15 +311,11 @@ class _MixtureGibbs:
                 return -np.inf
             lik = float(lse_rows(norm_rows(mu, s) + log_pi[:, None]).sum())
             return lik - 0.5 * ls * ls  # Lognormal(0,1) kernel + exp Jacobian
-        ls = slice_sample_1d(log_sigma_target, np.log(sigma), cfg.slice_width,
-                             cfg.slice_max_doublings, rng)
+        ls = slice_sample_1d(log_sigma_target, np.log(sigma), rng)
         self.params = mx.MixtureParams(mu=mu, sigma=float(np.exp(ls)), pi=pi)
 
     def state(self):
         return self.model.flatten(self.params)
-
-    def latent(self):
-        return None if self.marginal else self.z.copy()
 
 
 # --------------------------------------------------------- Dawid-Skene
@@ -342,7 +324,7 @@ class _DawidSkeneGibbs:
     def __init__(self, model, data, cfg, rng, init):
         if cfg.mode == "full-restricted":
             raise ValueError("the rating model has no full-restricted mode")
-        self.model, self.data, self.cfg, self.rng = model, data, cfg, rng
+        self.model, self.data, self.rng = model, data, rng
         self.j, self.k = model.j, model.k
         self.params = init
         self.marginal = cfg.mode == "marginal-slice"
@@ -355,8 +337,6 @@ class _DawidSkeneGibbs:
             self._rebuild_cache()
         else:
             self.z = update_z_block(model, data, self.params, rng)
-        kind = "slice" if self.marginal else "conjugate"
-        self.assignment = {"pi": kind, "theta": kind}
 
     def _rebuild_cache(self):
         self.c = dsm._item_category_loglik(self.data,
@@ -379,7 +359,7 @@ class _DawidSkeneGibbs:
         self.params = dsm.DSParams(pi=pi, theta=theta)
 
     def _sweep_marginal(self):
-        cfg, rng = self.cfg, self.rng
+        rng = self.rng
         data, j, k = self.data, self.j, self.k
         alpha_m1 = self.model.alpha_m1
 
@@ -387,7 +367,7 @@ class _DawidSkeneGibbs:
         def pi_target(p):
             return (float(lse_rows(np.log(p)[:, None] + self.c).sum())
                     + float(np.dot(alpha_m1, np.log(p))))
-        self.u_pi, pi = _slice_simplex_coords(self.u_pi, pi_target, cfg, rng)
+        self.u_pi, pi = _slice_simplex_coords(self.u_pi, pi_target, rng)
         log_pi = np.log(pi)
 
         # theta rows, one stick coordinate at a time; per-item log-sum-exp
@@ -411,7 +391,7 @@ class _DawidSkeneGibbs:
                     return (float(np.logaddexp(others, col).sum())
                             + float(np.dot(beta_m1, log_row)))
                 self.u_theta[jj, kk], theta[jj, kk] = _slice_simplex_coords(
-                    self.u_theta[jj, kk], row_target, cfg, rng)
+                    self.u_theta[jj, kk], row_target, rng)
                 new_col = col_wo_row + np.log(theta[jj, kk])[y_j]
                 self.c[kk] = new_col
                 base[kk] = log_pi[kk] + new_col
@@ -420,9 +400,6 @@ class _DawidSkeneGibbs:
 
     def state(self):
         return self.model.flatten(self.params)
-
-    def latent(self):
-        return None if self.marginal else self.z.copy()
 
 
 # The sampler state class of each model handle.  It is looked up here,
@@ -440,8 +417,6 @@ def gibbs_run(model, data, config, rng, init=None):
     errstate = np.errstate(over="ignore", divide="ignore", invalid="ignore")
     n_keep = config.iterations - config.warmup
     draws = np.empty((n_keep, len(model.param_names())))
-    keep_latent = not state.marginal
-    latent = None
     with errstate:
         t0 = time.perf_counter()
         for _ in range(config.warmup):
@@ -450,12 +425,6 @@ def gibbs_run(model, data, config, rng, init=None):
         for it in range(n_keep):
             state.sweep()
             draws[it] = state.state()
-            if keep_latent:
-                if latent is None:
-                    latent = np.empty((n_keep, len(state.latent())), dtype=np.int8)
-                latent[it] = state.latent()
         t2 = time.perf_counter()
     return ChainDraws(draws=draws, param_names=model.param_names(),
-                      warmup_time=t1 - t0, sampling_time=t2 - t1,
-                      latent_draws=latent,
-                      sampler_assignment=state.assignment)
+                      warmup_time=t1 - t0, sampling_time=t2 - t1)

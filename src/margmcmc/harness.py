@@ -80,7 +80,6 @@ class BenchRecord:
     max_rhat: float = np.nan
     divergences: int = 0
     status: str = "ok"
-    chain_seeds: tuple = ()
 
     def row(self):
         return {
@@ -137,15 +136,11 @@ def run_record(spec, replicate):
         data, _ = gen_dataset(scenario, replicate, spec.master_seed)
         model = _build_model(scenario)
         chain_list = []
-        streams = []
         for chain in range(spec.chains):
-            stream = _chain_stream(spec.scenario_id, spec.method,
-                                   replicate, chain)
-            streams.append(stream)
-            rng = make_rng(spec.master_seed, stream)
+            rng = make_rng(spec.master_seed, _chain_stream(
+                spec.scenario_id, spec.method, replicate, chain))
             chain_list.append(run_chain(model, data, spec.method,
                                         spec.iterations, spec.warmup, rng))
-        record.chain_seeds = tuple(streams)
         report = efficiency_report(chain_list)
         record.comp_time_s = report["comp_time_s"]
         record.min_ess = report["min_ess"]

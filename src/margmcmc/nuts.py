@@ -7,6 +7,12 @@ on reaching the maximum tree depth, or on a divergence (energy error
 above 1000).  Operates on the marginalised models only, through the
 model handle's fused `log_post_grad_u`, which returns the unconstrained
 log posterior and its gradient from one evaluation.
+
+The tuning values are fixed and are Stan's defaults: target acceptance
+0.8, maximum tree depth 10, initial points uniform on [-2, 2], adaptation
+windows 75 / 25 / 50 (initial buffer, first slow window, terminal
+buffer), and the dual-averaging constants of Hoffman & Gelman (2014).
+Adaptation always runs.
 """
 
 import time
@@ -17,24 +23,23 @@ import numpy as np
 from .draws import ChainDraws
 
 DIVERGENCE_ENERGY = 1000.0
+TARGET_ACCEPT = 0.8
+MAX_TREE_DEPTH = 10
+INIT_RADIUS = 2.0
+# dual-averaging constants (Hoffman & Gelman 2014)
+DA_GAMMA = 0.05
+DA_T0 = 10.0
+DA_KAPPA = 0.75
 
 
 @dataclass
 class NutsConfig:
     iterations: int = 3000
     warmup: int = 1500
-    target_accept: float = 0.8
-    max_tree_depth: int = 10
-    init_jitter: float = 2.0
-    adapt: bool = True
 
     def __post_init__(self):
         if not (0 <= self.warmup < self.iterations):
             raise ValueError("need 0 <= warmup < iterations")
-        if not (0.0 < self.target_accept < 1.0):
-            raise ValueError("target_accept must be in (0, 1)")
-        if self.max_tree_depth < 1:
-            raise ValueError("max_tree_depth must be >= 1")
 
 
 @dataclass
@@ -45,11 +50,6 @@ class AdaptState:
     h_bar: float = 0.0
     count: int = 0
 
-    # dual-averaging constants (Hoffman & Gelman defaults)
-    gamma: float = 0.05
-    t0: float = 10.0
-    kappa: float = 0.75
-
     def restart(self, step_size):
         self.step_size = step_size
         self.mu = np.log(10.0 * step_size)
@@ -57,14 +57,14 @@ class AdaptState:
         self.h_bar = 0.0
         self.count = 0
 
-    def update(self, accept_prob, target):
+    def update(self, accept_prob):
         """One dual-averaging step toward the target acceptance rate."""
         self.count += 1
         m = self.count
-        eta = 1.0 / (m + self.t0)
-        self.h_bar = (1.0 - eta) * self.h_bar + eta * (target - accept_prob)
-        log_step = self.mu - np.sqrt(m) / self.gamma * self.h_bar
-        w = m ** (-self.kappa)
+        eta = 1.0 / (m + DA_T0)
+        self.h_bar = (1.0 - eta) * self.h_bar + eta * (TARGET_ACCEPT - accept_prob)
+        log_step = self.mu - np.sqrt(m) / DA_GAMMA * self.h_bar
+        w = m ** (-DA_KAPPA)
         self.log_step_avg = w * log_step + (1.0 - w) * self.log_step_avg
         self.step_size = float(np.exp(log_step))
 
@@ -84,10 +84,9 @@ class _NutsKernel:
     """Shares one fused (logp, grad) evaluation per leapfrog step by
     caching the gradient at both trajectory edges and at the proposal."""
 
-    def __init__(self, logp_grad_fn, inv_mass, max_tree_depth, rng):
+    def __init__(self, logp_grad_fn, inv_mass, rng):
         self.logp_grad = logp_grad_fn
         self.inv_mass = inv_mass
-        self.max_depth = max_tree_depth
         self.rng = rng
 
     def _uturn(self, q_minus, p_minus, q_plus, p_plus):
@@ -181,7 +180,7 @@ class _NutsKernel:
         n_leapfrog = 0
         diverged = False
         depth = 0
-        while depth < self.max_depth:
+        while depth < MAX_TREE_DEPTH:
             direction = 1 if rng.random() < 0.5 else -1
             if direction > 0:
                 sub = self.build_tree(depth, q_plus, p_plus, g_plus,
@@ -231,8 +230,9 @@ def find_reasonable_step_size(kernel, q, rng):
     return eps
 
 
-def _adaptation_windows(warmup, init_buffer=75, term_buffer=50, base_window=25):
+def _adaptation_windows(warmup):
     """Iteration indices (exclusive ends) where the mass matrix is refreshed."""
+    init_buffer, term_buffer, base_window = 75, 50, 25
     if warmup < init_buffer + term_buffer + base_window:
         return []
     ends = []
@@ -254,64 +254,64 @@ def nuts_run(model, data, config, rng, init=None):
     """Run one NUTS chain on the marginalised posterior of `model`."""
     d = model.n_dim
     if init is None:
-        init = rng.uniform(-config.init_jitter, config.init_jitter, size=d)
+        init = rng.uniform(-INIT_RADIUS, INIT_RADIUS, size=d)
     q = np.asarray(init, dtype=float)
 
     def logp_grad_fn(u):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            v, g = model.log_post_grad_u(data, u)
+        v, g = model.log_post_grad_u(data, u)
         return (v, g) if np.isfinite(v) else (-np.inf, g)
 
-    lp0, g0 = logp_grad_fn(q)
-    if not np.all(np.isfinite(g0)) or not np.isfinite(lp0):
-        raise ValueError("non-finite log density or gradient at the initial point")
-
-    kernel = _NutsKernel(logp_grad_fn, np.ones(d), config.max_tree_depth, rng)
-    eps = find_reasonable_step_size(kernel, q, rng)
-    adapt = AdaptState(step_size=eps)
-    adapt.restart(eps)
-
-    window_ends = _adaptation_windows(config.warmup) if config.adapt else []
-    window_draws = []
     n_keep = config.iterations - config.warmup
     draws = np.empty((n_keep, len(model.param_names())))
     tree_depths = np.empty(config.iterations, dtype=np.int8)
     divergences = 0
+    # one errstate for the whole chain, the step-size searches included
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lp0, g0 = logp_grad_fn(q)
+        if not np.all(np.isfinite(g0)) or not np.isfinite(lp0):
+            raise ValueError(
+                "non-finite log density or gradient at the initial point")
 
-    state = (q, lp0, g0)
-    t0 = time.perf_counter()
-    for it in range(config.warmup):
-        state, accept_stat, depth, diverged = kernel.transition(state, adapt.step_size)
-        tree_depths[it] = depth
-        if config.adapt:
-            adapt.update(accept_stat, config.target_accept)
-        if window_ends:
-            window_draws.append(state[0])
-            if it + 1 == window_ends[0]:
-                window_ends.pop(0)
-                sample = np.asarray(window_draws)
-                n = sample.shape[0]
-                var = sample.var(axis=0, ddof=1)
-                # regularise toward unit scale, as the window may be short
-                kernel.inv_mass = ((n / (n + 5.0)) * var
-                                   + 1e-3 * (5.0 / (n + 5.0)))
-                window_draws = []
-                eps = find_reasonable_step_size(kernel, state[0], rng)
-                adapt.restart(eps)
-    if config.adapt:
+        kernel = _NutsKernel(logp_grad_fn, np.ones(d), rng)
+        eps = find_reasonable_step_size(kernel, q, rng)
+        adapt = AdaptState(step_size=eps)
+        adapt.restart(eps)
+
+        window_ends = _adaptation_windows(config.warmup)
+        window_draws = []
+        state = (q, lp0, g0)
+        t0 = time.perf_counter()
+        for it in range(config.warmup):
+            state, accept_stat, depth, diverged = kernel.transition(
+                state, adapt.step_size)
+            tree_depths[it] = depth
+            adapt.update(accept_stat)
+            if window_ends:
+                window_draws.append(state[0])
+                if it + 1 == window_ends[0]:
+                    window_ends.pop(0)
+                    sample = np.asarray(window_draws)
+                    n = sample.shape[0]
+                    var = sample.var(axis=0, ddof=1)
+                    # regularise toward unit scale, as the window may be short
+                    kernel.inv_mass = ((n / (n + 5.0)) * var
+                                       + 1e-3 * (5.0 / (n + 5.0)))
+                    window_draws = []
+                    eps = find_reasonable_step_size(kernel, state[0], rng)
+                    adapt.restart(eps)
         adapt.freeze()
-    t1 = time.perf_counter()
-    for it in range(n_keep):
-        state, accept_stat, depth, diverged = kernel.transition(state, adapt.step_size)
-        tree_depths[config.warmup + it] = depth
-        if diverged:
-            divergences += 1
-        params, _ = model.constrain(state[0])
-        draws[it] = model.flatten(params)
-    t2 = time.perf_counter()
+        t1 = time.perf_counter()
+        for it in range(n_keep):
+            state, accept_stat, depth, diverged = kernel.transition(
+                state, adapt.step_size)
+            tree_depths[config.warmup + it] = depth
+            if diverged:
+                divergences += 1
+            params, _ = model.constrain(state[0])
+            draws[it] = model.flatten(params)
+        t2 = time.perf_counter()
 
     return ChainDraws(draws=draws, param_names=model.param_names(),
                       warmup_time=t1 - t0, sampling_time=t2 - t1,
                       divergences=divergences,
-                      tree_depths=tree_depths[config.warmup:],
-                      sampler_assignment={"all": "nuts"})
+                      tree_depths=tree_depths[config.warmup:])

@@ -33,14 +33,6 @@ def log_lognormal_pdf(x, mu, sigma):
     return -lx - np.log(sigma) - 0.5 * LOG_2PI - 0.5 * z * z
 
 
-def log_sum_exp(v, axis=None):
-    """Stable log(sum(exp(v))); -inf for all-(-inf) input."""
-    v = np.asarray(v, dtype=float)
-    if v.size == 0:
-        raise ValueError("log_sum_exp of empty vector")
-    return special.logsumexp(v, axis=axis)
-
-
 def lse_rows(m):
     """Log-sum-exp over axis 0 of a (K, n) component-major array: one
     value per data row (column of `m`), the fast path of the hot loops.
@@ -48,7 +40,7 @@ def lse_rows(m):
     the (n, K) transpose would."""
     mm = m.max(axis=0)
     if not np.isfinite(mm).all():
-        return log_sum_exp(m, axis=0)
+        return special.logsumexp(m, axis=0)
     return mm + np.log(np.exp(m - mm).sum(axis=0))
 
 
@@ -72,10 +64,7 @@ def sample_categorical_rows(rng, probs):
 
 def sample_dirichlet(rng, alpha):
     """Draw a simplex from Dirichlet(alpha)."""
-    alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha <= 0):
-        raise ValueError("alpha must be positive")
-    p = rng.dirichlet(alpha)
+    p = rng.dirichlet(np.asarray(alpha, dtype=float))
     # guard against exact zeros from tiny gamma draws
     eps = 1e-300
     p = np.clip(p, eps, None)

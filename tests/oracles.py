@@ -66,7 +66,7 @@ def mix_marginal_log_post_u(data, u, k):
 def ds_marginal_log_post_u(model, data, u):
     """Rating-model marginal log joint plus logJ at an unconstrained point."""
     params, lj = model.constrain(u)
-    return dsm.ds_marginal_log_joint(data, params, model.hyper) + lj
+    return dsm.ds_marginal_log_joint(data, params) + lj
 
 
 def unconstrain_ordered(mu):

@@ -22,6 +22,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from scipy.special import logsumexp
 
 from margmcmc import dawid_skene as dsm
 from margmcmc import harness as hz
@@ -30,7 +31,7 @@ from margmcmc.diagnostics import ess, split_rhat
 from margmcmc.draws import stack_param_chains
 from margmcmc.gibbs import update_z_block
 from margmcmc.simulate import gen_mixture, get_scenario
-from margmcmc.stats import log_sum_exp, make_rng
+from margmcmc.stats import make_rng
 from oracles import ds_marginal_log_post_u, mix_marginal_log_post_u
 
 RESULTS_PATH = Path(os.environ.get(
@@ -68,9 +69,9 @@ def test_criterion_1_mixture_marginalisation():
             n = int(rng.integers(1, 7))
             data = mx.MixtureData(rng.normal(0, 4, size=n))
             params = model.init_params(rng)
-            brute = log_sum_exp(np.array([
+            brute = logsumexp([
                 mx.mix_full_log_joint(data, np.array(z), params)
-                for z in itertools.product(range(k), repeat=n)]))
+                for z in itertools.product(range(k), repeat=n)])
             brute -= mx.log_prior(params)
             got = mx.mix_marginal_log_lik(data, params)
             worst = max(worst, abs(got - brute) / max(abs(brute), 1e-300))
@@ -83,7 +84,6 @@ def test_criterion_1_mixture_marginalisation():
 def test_criterion_2_ds_marginalisation():
     t0 = time.time()
     rng = make_rng(2000)
-    hyper = dsm.DSHyper()
     worst = 0.0
     for _ in range(50):
         i_n = int(rng.integers(1, 5))
@@ -92,10 +92,10 @@ def test_criterion_2_ds_marginalisation():
         data = dsm.DSData(rng.integers(0, k, size=(i_n, j_n)), k)
         model = dsm.DawidSkeneModel(j_n, k)
         params = model.init_params(rng)
-        lp = dsm.ds_log_prior(params, hyper)
-        brute = log_sum_exp(np.array([
-            dsm.ds_full_log_joint(data, np.array(z), params, hyper) - lp
-            for z in itertools.product(range(k), repeat=i_n)]))
+        lp = dsm.ds_log_prior(params)
+        brute = logsumexp([
+            dsm.ds_full_log_joint(data, np.array(z), params) - lp
+            for z in itertools.product(range(k), repeat=i_n)])
         got = dsm.ds_marginal_log_lik(data, params)
         worst = max(worst, abs(got - brute) / max(abs(brute), 1e-300))
     elapsed = time.time() - t0

@@ -5,9 +5,10 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from margmcmc import dawid_skene as ds
-from margmcmc.stats import log_sum_exp, make_rng
+from margmcmc.stats import make_rng
 from oracles import ds_marginal_log_post_u, ds_unconstrain, log_dirichlet_pdf
 
 
@@ -20,16 +21,13 @@ def random_data(rng, i, j, k):
     return ds.DSData(rng.integers(0, k, size=(i, j)), k)
 
 
-HYPER = ds.DSHyper()
-
-
 def enumerate_marginal(data, params):
     i_n = data.n_items
     k = len(params.pi)
-    lp_prior = ds.ds_log_prior(params, HYPER)
-    terms = [ds.ds_full_log_joint(data, np.array(z), params, HYPER) - lp_prior
+    lp_prior = ds.ds_log_prior(params)
+    terms = [ds.ds_full_log_joint(data, np.array(z), params) - lp_prior
              for z in itertools.product(range(k), repeat=i_n)]
-    return log_sum_exp(np.array(terms))
+    return logsumexp(terms)
 
 
 class TestData:
@@ -61,7 +59,7 @@ class TestData:
 
 class TestBetaMatrix:
     def test_default_values(self):
-        beta = ds.ds_beta_matrix(ds.DSHyper(), 5)
+        beta = ds.ds_beta_matrix(5)
         assert np.allclose(np.diag(beta), 8.0 * 0.6)
         off = beta[~np.eye(5, dtype=bool)]
         assert np.allclose(off, 8.0 * 0.4 / 4)
@@ -69,9 +67,7 @@ class TestBetaMatrix:
 
     def test_validates(self):
         with pytest.raises(ValueError):
-            ds.ds_beta_matrix(ds.DSHyper(), 1)
-        with pytest.raises(ValueError):
-            ds.ds_beta_matrix(ds.DSHyper(diag_mass=1.5), 3)
+            ds.ds_beta_matrix(1)
 
 
 class TestMarginalisation:
@@ -109,12 +105,12 @@ class TestPrior:
         rng = make_rng(32)
         j, k = 4, 3
         params = random_params(rng, j, k)
-        beta = ds.ds_beta_matrix(HYPER, k)
-        want = log_dirichlet_pdf(params.pi, HYPER.resolved_alpha(k))
+        beta = ds.ds_beta_matrix(k)
+        want = log_dirichlet_pdf(params.pi, np.full(k, 3.0))
         for jj in range(j):
             for kk in range(k):
                 want += log_dirichlet_pdf(params.theta[jj, kk], beta[kk])
-        assert ds.ds_log_prior(params, HYPER) == pytest.approx(want, rel=1e-10)
+        assert ds.ds_log_prior(params) == pytest.approx(want, rel=1e-10)
 
 
 class TestLatentConditional:
@@ -129,8 +125,8 @@ class TestLatentConditional:
             for k in range(3):
                 zi = z.copy()
                 zi[i] = k
-                num[k] = ds.ds_full_log_joint(data, zi, params, HYPER)
-            want = np.exp(num - log_sum_exp(num))
+                num[k] = ds.ds_full_log_joint(data, zi, params)
+            want = np.exp(num - logsumexp(num))
             assert np.allclose(probs[:, i], want, atol=1e-12)
 
     def test_identity_raters_pin_labels(self):
@@ -158,7 +154,7 @@ class TestUnconstrainedInterface:
         rng = make_rng(35)
         j, k = 3, 3
         data = random_data(rng, 25, j, k)
-        model = ds.DawidSkeneModel(j, k, HYPER)
+        model = ds.DawidSkeneModel(j, k)
         h = 1e-6
         for _ in range(5):
             u = rng.normal(size=ds.n_unconstrained(j, k)) * 0.5
@@ -168,8 +164,8 @@ class TestUnconstrainedInterface:
                 e[i] = h
                 pp, ljp = model.constrain(u + e)
                 pm, ljm = model.constrain(u - e)
-                num = (ds.ds_marginal_log_joint(data, pp, HYPER) + ljp
-                       - ds.ds_marginal_log_joint(data, pm, HYPER) - ljm) / (2 * h)
+                num = (ds.ds_marginal_log_joint(data, pp) + ljp
+                       - ds.ds_marginal_log_joint(data, pm) - ljm) / (2 * h)
                 assert got[i] == pytest.approx(num, rel=1e-4, abs=1e-5)
 
     def test_fused_matches_separate(self):

@@ -48,7 +48,6 @@ class TestRunRecord:
         b = hz.run_record(spec, 2)
         assert a.min_ess == b.min_ess
         assert a.max_rhat == b.max_rhat
-        assert a.chain_seeds == b.chain_seeds
 
     def test_failure_recorded_not_raised(self, monkeypatch):
         def boom(*a, **k):

@@ -2,8 +2,10 @@
 has a use in `src/margmcmc` outside its own definition (code only tests
 call belongs in `tests/oracles.py`); names match by spelling alone, and
 the package's `__all__` and the entry point `cli.main` are exempt.  Every
-name the benchmark patches exists, and the fused gradients reach the
-traced layers through those names."""
+field of a dataclass in `src/margmcmc` is read there as an attribute,
+unless only the benchmark reads it (`BENCHMARK_FIELDS`).  Every name the
+benchmark patches exists, and the fused gradients reach the traced layers
+through those names."""
 
 import ast
 import contextlib
@@ -39,9 +41,13 @@ def public_defs(tree):
                 yield item
 
 
+def src_trees():
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(SRC.glob("*.py"))}
+
+
 def unused_defs():
-    trees = {path.stem: ast.parse(path.read_text())
-             for path in sorted(SRC.glob("*.py"))}
+    trees = src_trees()
     used = sum((loaded_names(tree) for tree in trees.values()), Counter())
     return [f"{module}.{fn.name}"
             for module, tree in trees.items() for fn in public_defs(tree)
@@ -51,6 +57,44 @@ def unused_defs():
 
 def test_every_public_def_is_used_in_src():
     assert unused_defs() == []
+
+
+# Dataclass fields that nothing in `src/` reads but the benchmark does,
+# as (class, field) -> reader.
+BENCHMARK_FIELDS = {
+    ("ChainDraws", "tree_depths"):
+        "perfbench/gate.py hashes the NUTS tree depths with the draws",
+}
+
+
+def dataclass_fields(tree):
+    """(class, field) for every annotated field of a module-level
+    `@dataclass` or `@dataclass(...)` class."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        names = {getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+                 for d in node.decorator_list}
+        if "dataclass" not in names:
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign):
+                yield node.name, item.target.id
+
+
+def unread_fields(trees):
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [f"{cls}.{field}" for tree in trees.values()
+            for cls, field in dataclass_fields(tree)
+            if field not in read and (cls, field) not in BENCHMARK_FIELDS]
+
+
+def test_every_dataclass_field_is_read_in_src():
+    trees = src_trees()
+    assert unread_fields(trees) == []
+    fields = {f for tree in trees.values() for f in dataclass_fields(tree)}
+    assert set(BENCHMARK_FIELDS) <= fields
 
 
 # Names the benchmark (`perfbench/meter.py`, `perfbench/tracing.py`)
