@@ -12,9 +12,9 @@ of them on the diagonal and the rest spread evenly (PRIOR_ALPHA,
 PRIOR_CONCENTRATION, PRIOR_DIAG_MASS).
 
 The model handle builds its constants once: alpha, beta, alpha - 1,
-beta - 1, the two Dirichlet normalisers (pi's, and J times the sum of
-the confusion rows') and the stick offsets log(K-1), ..., log(1).  Its
-`log_prior` serves both the fused gradient and `ds_log_prior`.
+beta - 1 and the two Dirichlet normalisers (pi's, and J times the sum
+of the confusion rows').  Its `log_prior` serves both the fused gradient
+and `ds_log_prior`.
 """
 
 from dataclasses import dataclass
@@ -25,7 +25,7 @@ import numpy as np
 from . import transforms as tr
 from scipy.special import gammaln
 
-from .stats import lse_rows
+from .stats import lse_rows, sample_dirichlet
 
 PRIOR_ALPHA = 3.0           # Dirichlet parameter of every prevalence
 PRIOR_CONCENTRATION = 8.0   # N, the prior counts of a confusion row
@@ -153,7 +153,6 @@ class DawidSkeneModel:
         self.log_norm_pi = _dirichlet_log_norm(self.alpha)
         self.log_norm_theta = self.j * sum(_dirichlet_log_norm(row)
                                            for row in self.beta)
-        self.stick_offsets = np.log(np.arange(self.k - 1, 0, -1))
 
     @property
     def n_dim(self):
@@ -177,8 +176,7 @@ class DawidSkeneModel:
         """
         j, k = self.j, self.k
         rows, log_j, _ = tr.constrain_simplex_rows(
-            np.asarray(u, dtype=float).reshape(1 + j * k, k - 1),
-            self.stick_offsets)
+            np.asarray(u, dtype=float).reshape(1 + j * k, k - 1))
         return DSParams(pi=rows[0], theta=rows[1:].reshape(j, k, k)), \
             float(log_j.sum())
 
@@ -194,7 +192,7 @@ class DawidSkeneModel:
         j, k = self.j, self.k
         u = np.asarray(u, dtype=float)
         rows, log_j, sticks = tr.constrain_simplex_rows(
-            u.reshape(1 + j * k, k - 1), self.stick_offsets)
+            u.reshape(1 + j * k, k - 1))
         pi = rows[0]
         theta = rows[1:].reshape(j, k, k)
         log_pi = np.log(pi)
@@ -218,14 +216,7 @@ class DawidSkeneModel:
 
     def init_params(self, rng):
         """Prior draw for pi and every confusion row."""
-        k = self.k
-        pi = rng.dirichlet(self.alpha)
-        theta = np.empty((self.j, k, k))
-        for jj in range(self.j):
-            for kk in range(k):
-                theta[jj, kk] = rng.dirichlet(self.beta[kk])
-        eps = 1e-12
-        pi = np.clip(pi, eps, None); pi /= pi.sum()
-        theta = np.clip(theta, eps, None)
-        theta /= theta.sum(axis=2, keepdims=True)
+        pi = sample_dirichlet(rng, self.alpha)
+        theta = sample_dirichlet(
+            rng, np.broadcast_to(self.beta, (self.j, self.k, self.k)))
         return DSParams(pi=pi, theta=theta)

@@ -145,11 +145,7 @@ def update_theta_conjugate(data, latent, beta, rng):
     # counts[j, k, c] = #{i : z_i = k, y_ij = c}
     idx = data.category_index[:, latent, np.arange(data.n_items)]
     counts = np.bincount(idx.ravel(), minlength=j * k * k).reshape(j, k, k)
-    theta = np.empty((j, k, k))
-    for jj in range(j):
-        for kk in range(k):
-            theta[jj, kk] = sample_dirichlet(rng, beta[kk] + counts[jj, kk])
-    return theta
+    return sample_dirichlet(rng, beta + counts)
 
 
 def update_z_block(model, data, params, rng):
@@ -175,12 +171,11 @@ def _slice_simplex_coords(u_row, target_of_row, rng):
     """
     u_row = np.array(u_row, dtype=float)
     km1 = len(u_row)
-    off = np.log(np.arange(km1, 0, -1))
+    off = tr._stick_offsets(km1)
     zs = np.append(tr.expit(u_row - off), 1.0)   # z, then 1 for p[K-1]
     fac = np.append(1.0, 1.0 - zs[:km1])         # rem_c, then 1 - z from c on
     rem = np.multiply.accumulate(fac)            # rem[K-1] = p[K-1]
     zterm = np.log(zs[:km1]) + np.log1p(-zs[:km1])
-    off = off.tolist()
 
     def place(c, v):
         """Set stick c to v; returns logJ."""
@@ -330,10 +325,7 @@ class _DawidSkeneGibbs:
         self.marginal = cfg.mode == "marginal-slice"
         if self.marginal:
             self.u_pi = tr.unconstrain_simplex(self.params.pi)
-            self.u_theta = np.stack([
-                np.stack([tr.unconstrain_simplex(self.params.theta[jj, kk])
-                          for kk in range(self.k)])
-                for jj in range(self.j)])
+            self.u_theta = tr.unconstrain_simplex(self.params.theta)
             self._rebuild_cache()
         else:
             self.z = update_z_block(model, data, self.params, rng)

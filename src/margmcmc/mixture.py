@@ -19,7 +19,7 @@ import numpy as np
 from scipy import special
 
 from . import transforms as tr
-from .stats import LOG_2PI, lse_rows
+from .stats import LOG_2PI, lse_rows, sample_dirichlet
 
 PRIOR_MU_SD = 10.0
 
@@ -201,5 +201,5 @@ class MixtureModel:
         """Prior draw: sorted normals for mu, lognormal sigma, uniform pi."""
         mu = np.sort(rng.normal(0.0, PRIOR_MU_SD, size=self.k))
         sigma = float(np.exp(rng.normal()))
-        pi = rng.dirichlet(np.ones(self.k))
-        return MixtureParams(mu=mu, sigma=sigma, pi=np.clip(pi, 1e-12, None) / pi.sum())
+        return MixtureParams(mu=mu, sigma=sigma,
+                             pi=sample_dirichlet(rng, np.ones(self.k)))

@@ -9,8 +9,10 @@ Each transform ships a constrain that also returns its log |Jacobian|,
 and a reverse-mode helper that pulls a gradient in constrained space (plus
 the Jacobian term) back to unconstrained space.  The simplex constrain
 also returns its forward pass (the sticks), and its pull-back works from
-those.  Only the simplex has an inverse here: the Gibbs samplers start
-their stick coordinates from it.
+those.  Only the simplex has an inverse here, taking a stack of simplexes
+(..., K): the Gibbs samplers start their stick coordinates from it.
+Every simplex transform, and the Gibbs stick moves, take the centring
+offsets from the one cached `_stick_offsets`.
 
 The single-vector transforms loop over their K-sized blocks on scalars,
 with numpy's exp and logs (the `math` versions differ in the last bit,
@@ -92,25 +94,25 @@ def constrain_simplex(raw):
 
 
 def unconstrain_simplex(p):
+    """Inverse stick-breaking on a stack of simplexes: (..., K) ->
+    (..., K-1), one stick column at a time."""
     p = np.asarray(p, dtype=float)
-    k = p.shape[0]
-    raw = np.empty(k - 1)
-    rem = 1.0
-    for i in range(k - 1):
-        z = p[i] / rem
-        raw[i] = np.log(z) - np.log1p(-z) + np.log(k - 1 - i)
-        rem -= p[i]
+    raw = np.empty(p.shape[:-1] + (p.shape[-1] - 1,))
+    rem = 1.0                  # remaining stick before each break
+    for i, off in enumerate(_stick_offsets(raw.shape[-1])):
+        z = p[..., i] / rem
+        raw[..., i] = np.log(z) - np.log1p(-z) + off
+        rem = rem - p[..., i]
     return raw
 
 
-def constrain_simplex_rows(rows, offsets):
+def constrain_simplex_rows(rows):
     """Stick-breaking applied row-wise: (R, K-1) -> ((R, K), (R,) logJ,
-    sticks).  `offsets` are the centring offsets log(K-1), ..., log(1);
-    `sticks` = (z, 1 - z, rem) is the forward pass, which
+    sticks).  `sticks` = (z, 1 - z, rem) is the forward pass, which
     grad_simplex_rows pulls a gradient back through."""
     rows = np.asarray(rows, dtype=float)
     r, w = rows.shape
-    z = expit(rows - offsets[None, :])
+    z = expit(rows - np.array(_stick_offsets(w)))
     one_mz = 1.0 - z
     rem = np.empty((r, w))
     rem[:, 0] = 1.0

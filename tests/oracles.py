@@ -1,8 +1,9 @@
 """Code only tests use: log densities for the priors, inverse transforms
 for round trips, value-only posteriors built from the public non-fused
-joints plus `constrain`, and the row-major fused gradients the
+joints plus `constrain`, the row-major fused gradients the
 component-major kernels replaced, the reference for each model's fused
-gradient."""
+gradient, and the one-row-at-a-time Dirichlet draw and stick inverse the
+stacked simplex primitives replaced."""
 
 import math
 
@@ -93,11 +94,8 @@ def mix_unconstrain(params):
 
 
 def ds_unconstrain(params):
-    j, k = params.theta.shape[:2]
-    parts = [tr.unconstrain_simplex(params.pi)]
-    parts += [tr.unconstrain_simplex(row)
-              for row in params.theta.reshape(j * k, k)]
-    return np.concatenate(parts)
+    return np.concatenate([tr.unconstrain_simplex(params.pi),
+                           tr.unconstrain_simplex(params.theta).ravel()])
 
 
 # ------------------------------------------------ row-major fused gradients
@@ -226,7 +224,7 @@ def ds_grad_row_major(model, data, u):
     j, k = model.j, model.k
     u = np.asarray(u, dtype=float)
     rows, log_j, sticks = tr.constrain_simplex_rows(
-        u.reshape(1 + j * k, k - 1), model.stick_offsets)
+        u.reshape(1 + j * k, k - 1))
     pi = rows[0]
     theta = rows[1:].reshape(j, k, k)
     log_pi = np.log(pi)
@@ -248,3 +246,33 @@ def ds_grad_row_major(model, data, u):
     g_theta = (model.beta_m1 + counts) / theta
     g_rows = np.vstack([g_pi[None, :], g_theta.reshape(j * k, k)])
     return value, tr.grad_simplex_rows(sticks, g_rows).ravel()
+
+
+# --------------------------------------------- per-row simplex primitives
+# The Dirichlet draw and the stick inverse as they stood before they took
+# a stack of rows: one rng.dirichlet, or one scalar stick loop, per row.
+
+def sample_dirichlet_per_row(rng, alpha):
+    """rng.dirichlet on each row of `alpha` (..., K) in C order, each
+    draw clipped at 1e-300 and renormalised."""
+    alpha = np.asarray(alpha, dtype=float)
+    out = np.empty(alpha.shape)
+    for idx in np.ndindex(alpha.shape[:-1]):
+        p = np.clip(rng.dirichlet(alpha[idx]), 1e-300, None)
+        out[idx] = p / p.sum()
+    return out
+
+
+def unconstrain_simplex_per_row(p):
+    """Inverse stick-breaking of each row of `p` (..., K) on scalars."""
+    p = np.asarray(p, dtype=float)
+    k = p.shape[-1]
+    raw = np.empty(p.shape[:-1] + (k - 1,))
+    for idx in np.ndindex(p.shape[:-1]):
+        row = p[idx]
+        rem = 1.0
+        for i in range(k - 1):
+            z = row[i] / rem
+            raw[idx + (i,)] = np.log(z) - np.log1p(-z) + np.log(k - 1 - i)
+            rem -= row[i]
+    return raw

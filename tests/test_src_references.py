@@ -5,7 +5,8 @@ the package's `__all__` and the entry point `cli.main` are exempt.  Every
 field of a dataclass in `src/margmcmc` is read there as an attribute,
 unless only the benchmark reads it (`BENCHMARK_FIELDS`).  Every name the
 benchmark patches exists, and the fused gradients reach the traced layers
-through those names."""
+through those names.  Dirichlet and gamma variates are drawn in one
+place, `stats.sample_dirichlet`."""
 
 import ast
 import contextlib
@@ -95,6 +96,25 @@ def test_every_dataclass_field_is_read_in_src():
     assert unread_fields(trees) == []
     fields = {f for tree in trees.values() for f in dataclass_fields(tree)}
     assert set(BENCHMARK_FIELDS) <= fields
+
+
+def call_sites(tree, names):
+    """The module-level def (a method as Class.method) around each call
+    of an attribute or function spelt as one of `names`."""
+    for node in tree.body:
+        items = node.body if isinstance(node, ast.ClassDef) else [node]
+        prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        for item in items:
+            for call in ast.walk(item):
+                if isinstance(call, ast.Call) and getattr(
+                        call.func, "attr", getattr(call.func, "id", None)) in names:
+                    yield prefix + getattr(item, "name", "<module>")
+
+
+def test_one_dirichlet_draw():
+    sites = [f"{module}.{site}" for module, tree in src_trees().items()
+             for site in call_sites(tree, {"dirichlet", "standard_gamma"})]
+    assert sites == ["stats.sample_dirichlet"]
 
 
 # Names the benchmark (`perfbench/meter.py`, `perfbench/tracing.py`)

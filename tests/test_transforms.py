@@ -192,7 +192,7 @@ class TestSimplexRows:
     def test_matches_scalar_version(self):
         rng = make_rng(4)
         rows = rng.normal(size=(7, 4))
-        p_rows, lj_rows, _ = tr.constrain_simplex_rows(rows, stick_offsets(4))
+        p_rows, lj_rows, _ = tr.constrain_simplex_rows(rows)
         for i in range(7):
             p, lj, _ = tr.constrain_simplex(rows[i])
             assert np.allclose(p_rows[i], p, atol=1e-14)
@@ -202,7 +202,7 @@ class TestSimplexRows:
         rng = make_rng(5)
         rows = rng.normal(size=(6, 3))
         g_p = rng.normal(size=(6, 4))
-        _, _, sticks = tr.constrain_simplex_rows(rows, stick_offsets(3))
+        _, _, sticks = tr.constrain_simplex_rows(rows)
         got = tr.grad_simplex_rows(sticks, g_p)
         for i in range(6):
             sticks = tr.constrain_simplex(rows[i])[2]
@@ -217,7 +217,7 @@ class TestSimplexRows:
         rows, g_p = case
         w = rows.shape[1]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            p, lj, sticks = tr.constrain_simplex_rows(rows, stick_offsets(w))
+            p, lj, sticks = tr.constrain_simplex_rows(rows)
             got = tr.grad_simplex_rows(sticks, g_p)
             want_p, want_lj, want_g = recomputed_simplex_rows(rows, g_p)
         assert np.array_equal(p, want_p, equal_nan=True)
