@@ -5,7 +5,7 @@ Subcommands:
   run        execute the benchmark matrix and append result rows
   summarise  aggregate a results file into per-cell five-number summaries
 
-Exit codes: 0 success, 1 record failure(s), 2 usage error.
+Exit codes: 0 success, 1 record failure(s), 2 usage error (one line).
 """
 
 import argparse
@@ -16,6 +16,10 @@ import sys
 
 from . import harness as hz
 from . import simulate as sim
+
+
+class UsageError(Exception):
+    """A request the subcommand cannot run; main() exits 2 with it."""
 
 
 def _add_common_run_args(p):
@@ -51,7 +55,7 @@ def build_parser():
                        help="exit 0 even if some records errored")
 
     p_sum = sub.add_parser("summarise", help="aggregate a results file")
-    p_sum.add_argument("results", help="results CSV produced by `run`")
+    p_sum.add_argument("results", help="results file (CSV or JSON) of `run`")
     p_sum.add_argument("--out", default=None,
                        help="summary output file (default: stdout)")
     p_sum.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -66,16 +70,16 @@ def _selected_scenarios(args):
     out = []
     for sid in args.scenario:
         if sid not in by_id:
-            raise SystemExit(
-                f"error: unknown scenario {sid!r}; known: "
-                + ", ".join(by_id))
+            raise UsageError(f"unknown scenario {sid!r}; known: "
+                             + ", ".join(by_id))
         out.append(by_id[sid])
     return out
 
 
 def cmd_simulate(args):
+    scenarios = _selected_scenarios(args)
     os.makedirs(args.out, exist_ok=True)
-    for scenario in _selected_scenarios(args):
+    for scenario in scenarios:
         for rep in range(1, args.replicates + 1):
             path = os.path.join(args.out, f"{scenario.id}-r{rep}.dat")
             sim.write_dataset(path, scenario, rep, args.seed)
@@ -92,18 +96,22 @@ def cmd_run(args):
                 print(f"skip: {method} not applicable to {scenario.id}",
                       file=sys.stderr)
                 continue
-            specs.append(hz.RunSpec(
-                scenario_id=scenario.id, method=method, chains=args.chains,
-                iterations=args.iterations, warmup=args.warmup,
-                replicates=args.replicates, master_seed=args.seed))
+            try:
+                specs.append(hz.RunSpec(
+                    scenario_id=scenario.id, method=method,
+                    chains=args.chains, iterations=args.iterations,
+                    warmup=args.warmup, replicates=args.replicates,
+                    master_seed=args.seed))
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
     if not specs:
-        raise SystemExit("error: no runnable (scenario, method) cells")
+        raise UsageError("no runnable (scenario, method) cells")
 
-    if args.format == "csv":
-        sink = hz.csv_appender(args.out)
-    else:
-        def sink(rec):
-            hz.write_records_jsonl(args.out, [rec], append=True)
+    write = (hz.write_records_csv if args.format == "csv"
+             else hz.write_records_jsonl)
+
+    def sink(rec):
+        write(args.out, [rec], append=True)
 
     def progress(rec):
         print(f"{rec.scenario_id} {rec.method} r{rec.replicate}: "
@@ -122,7 +130,9 @@ def cmd_run(args):
 
 
 def cmd_summarise(args):
-    rows = hz.read_records_csv(args.results)
+    rows = hz.read_records(args.results)
+    if not rows:
+        raise UsageError(f"no records in {args.results}")
     summary = hz.summarise(rows)
     flat = hz.summary_csv_rows(summary)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
@@ -145,10 +155,14 @@ def cmd_summarise(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     handler = {"simulate": cmd_simulate, "run": cmd_run,
                "summarise": cmd_summarise}[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except UsageError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -63,6 +63,8 @@ class RunSpec:
         get_scenario(self.scenario_id)
         if self.chains < 1 or self.replicates < 1:
             raise ValueError("need chains >= 1 and replicates >= 1")
+        if not (0 <= self.warmup < self.iterations):
+            raise ValueError("need 0 <= warmup < iterations")
 
 
 @dataclass
@@ -212,33 +214,28 @@ def write_records_csv(path, records, append=False):
             writer.writerow(rec.row())
 
 
-def csv_appender(path):
-    """Sink for run_matrix: appends one row per record as it finishes."""
-    def sink(rec):
-        write_records_csv(path, [rec], append=True)
-    return sink
-
-
 def write_records_jsonl(path, records, append=False):
     with open(path, "a" if append else "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec.row()) + "\n")
 
 
-def read_records_csv(path):
-    """Rows as dicts with numeric fields parsed; comments skipped."""
-    rows = []
+def read_records(path):
+    """Rows of a CSV or JSON-lines results file as dicts with numeric
+    fields parsed; comments skipped.  Both hold `row()`'s values."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(ln for ln in fh if not ln.startswith("#"))
-        for raw in reader:
-            row = dict(raw)
-            for key in ("replicate", "chains", "iterations", "warmup",
-                        "seed", "divergences", "schema_version"):
-                row[key] = int(row[key]) if row[key] else 0
-            for key in ("comp_time_s", "min_ess", "time_per_min_ess",
-                        "max_rhat"):
-                row[key] = float(row[key]) if row[key] else np.nan
-            rows.append(row)
+        lines = [ln for ln in fh if not ln.startswith("#")]
+    if lines and lines[0].startswith("{"):
+        rows = [json.loads(ln) for ln in lines]
+    else:
+        rows = [dict(raw) for raw in csv.DictReader(lines)]
+    for row in rows:
+        for key in ("replicate", "chains", "iterations", "warmup",
+                    "seed", "divergences", "schema_version"):
+            row[key] = int(row[key]) if row[key] else 0
+        for key in ("comp_time_s", "min_ess", "time_per_min_ess",
+                    "max_rhat"):
+            row[key] = float(row[key]) if row[key] else np.nan
     return rows
 
 

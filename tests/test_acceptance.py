@@ -243,7 +243,7 @@ def test_criterion_7_diagnostics_oracles():
 
 def _load_or_run_matrix():
     if RESULTS_PATH.exists():
-        return hz.read_records_csv(RESULTS_PATH), True
+        return hz.read_records(RESULTS_PATH), True
     records = hz.run_matrix(hz.default_spec_list(master_seed=42))
     return [r.row() | {
         "min_ess": r.min_ess, "max_rhat": r.max_rhat,
@@ -297,7 +297,7 @@ def test_criterion_9_record_determinism():
     ok = fresh.status == "ok"
     detail = f"re-run min_ess {fresh.min_ess:.1f}"
     if RESULTS_PATH.exists():
-        rows = [r for r in hz.read_records_csv(RESULTS_PATH)
+        rows = [r for r in hz.read_records(RESULTS_PATH)
                 if r["scenario_id"] == "two-comp-1"
                 and r["method"] == "gibbs-full" and r["replicate"] == 1]
         if rows:

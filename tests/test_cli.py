@@ -35,7 +35,7 @@ class TestRun:
                      "--warmup", "100", "--replicates", "2",
                      "--out", str(res)])
         assert code == 0
-        rows = hz.read_records_csv(res)
+        rows = hz.read_records(res)
         assert len(rows) == 2 and all(r["status"] == "ok" for r in rows)
 
         summary = tmp_path / "summary.csv"
@@ -51,7 +51,7 @@ class TestRun:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
-        (ra,), (rb,) = hz.read_records_csv(a), hz.read_records_csv(b)
+        (ra,), (rb,) = hz.read_records(a), hz.read_records(b)
         for key in ("min_ess", "max_rhat", "divergences", "seed"):
             assert ra[key] == rb[key]
 
@@ -65,6 +65,16 @@ class TestRun:
         assert code == 0
         row = json.loads(res.read_text().splitlines()[0])
         assert row["method"] == "gibbs-full"
+        # summarise reads JSON lines through the CSV reader's conversion
+        (rec,) = hz.read_records(res)
+        assert rec["iterations"] == 150 and rec["min_ess"] == float(row["min_ess"])
+        summary = tmp_path / "summary.json"
+        code = main(["summarise", str(res), "--format", "json",
+                     "--out", str(summary)])
+        assert code == 0
+        (cell,) = json.loads(summary.read_text())
+        assert cell["n_ok"] == 1
+        assert cell["min_ess"]["median"] == rec["min_ess"]
 
     def test_inapplicable_pair_is_usage_error(self, tmp_path):
         # restricted-full is not an arm of the rating-model benchmark
@@ -84,6 +94,32 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--method", "bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--chains", "0"],
+        ["run", "--iterations", "100", "--warmup", "100"],
+        ["run", "--warmup", "-1"],
+        ["run", "--scenario", "nope"],
+        ["simulate", "--scenario", "nope"],
+        ["run", "--scenario", "ds", "--method", "gibbs-full-restricted"],
+        ["summarise", "EMPTY"],
+    ], ids=["chains-0", "warmup-not-below-iterations", "negative-warmup",
+            "unknown-scenario", "simulate-unknown-scenario",
+            "no-runnable-cell", "summarise-no-records"])
+    def test_usage_errors_exit_2_with_one_line(self, argv, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        argv = [str(empty) if a == "EMPTY" else a for a in argv]
+        if argv[0] != "summarise":
+            argv += ["--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if not line.startswith("skip:")] \
+            == [err[-1]]
+        assert err[-1].startswith("margmcmc: error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_record_failure_is_1(self, tmp_path, monkeypatch):
         def boom(*a, **k):

@@ -78,7 +78,7 @@ class TestRunRecord:
         monkeypatch.undo()
         path = tmp_path / "r.csv"
         hz.write_records_csv(path, [bad, hz.run_record(spec, 2)])
-        rows = hz.read_records_csv(path)
+        rows = hz.read_records(path)
         assert [r["status"] for r in rows] == [bad.status, "ok"]
         (cell,) = hz.summarise(rows)
         assert cell["n_records"] == 2 and cell["n_ok"] == 1
@@ -115,7 +115,7 @@ class TestPersistence:
         path = tmp_path / "r.csv"
         recs = self._records()
         hz.write_records_csv(path, recs)
-        rows = hz.read_records_csv(path)
+        rows = hz.read_records(path)
         assert len(rows) == 2
         assert rows[0]["min_ess"] == recs[0].min_ess
         assert rows[0]["scenario_id"] == "two-comp-1"
@@ -133,7 +133,7 @@ class TestPersistence:
         recs = self._records()
         hz.write_records_csv(path, recs[:1])
         hz.write_records_csv(path, recs[1:], append=True)
-        assert len(hz.read_records_csv(path)) == 2
+        assert len(hz.read_records(path)) == 2
 
     def test_jsonl(self, tmp_path):
         import json
