@@ -112,7 +112,7 @@ def constrain_simplex_rows(rows):
     grad_simplex_rows pulls a gradient back through."""
     rows = np.asarray(rows, dtype=float)
     r, w = rows.shape
-    z = expit(rows - np.array(_stick_offsets(w)))
+    z = expit(rows - _stick_offsets(w))
     one_mz = 1.0 - z
     rem = np.empty((r, w))
     rem[:, 0] = 1.0
