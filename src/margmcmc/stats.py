@@ -68,9 +68,11 @@ def sample_dirichlet(rng, alpha):
     While every row has an entry above 0.1 and K <= 7 this is, bit for
     bit and generator state included, rng.dirichlet on each row in turn
     (numpy's beta construction for max(alpha) < 0.1 and its pairwise sum
-    for K >= 8 differ).  Every alpha here is a prior plus counts, >= 0.8
-    at the benchmark's K <= 5 (beta's off-diagonal is 3.2 / (K - 1))."""
-    g = rng.standard_gamma(alpha)
-    p = g * (1.0 / g.sum(axis=-1, keepdims=True))
-    p = np.clip(p, 1e-300, None)   # no exact zeros from tiny gamma draws
-    return p / p.sum(axis=-1, keepdims=True)
+    for K >= 8 differ).  Every alpha here is a prior (plus counts in a
+    conjugate update), >= 0.8 at the benchmark's K <= 5: 1, 3, or beta,
+    whose off-diagonal is 3.2 / (K - 1)."""
+    p = rng.standard_gamma(alpha)
+    p *= 1.0 / p.sum(axis=-1, keepdims=True)
+    np.maximum(p, 1e-300, out=p)   # no exact zeros from tiny gamma draws
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
