@@ -216,8 +216,6 @@ class _MixtureGibbs:
         if not np.isfinite(mx.log_prior(init)):
             raise ValueError("initial parameters outside the prior support")
         self.marginal = cfg.mode == "marginal-slice"
-        if not self.marginal:
-            self.z = update_z_block(model, data, self.params, rng)
         if cfg.mode != "full-conjugate":   # only slice moves read the sticks
             self.u_pi = tr.unconstrain_simplex(self.params.pi)
 
@@ -327,8 +325,6 @@ class _DawidSkeneGibbs:
             self.u_pi = tr.unconstrain_simplex(self.params.pi)
             self.u_theta = tr.unconstrain_simplex(self.params.theta)
             self._rebuild_cache()
-        else:
-            self.z = update_z_block(model, data, self.params, rng)
 
     def _rebuild_cache(self):
         self.c = dsm._item_category_loglik(self.data,

@@ -19,20 +19,25 @@ SEED = 2024
 # three NUTS digests were recomputed when the fused gradients went
 # component-major: their sums over the data became pairwise, which moves
 # the gradient in the last bits (tests/test_oracle_gradients.py bounds
-# that against the row-major reference).  The Gibbs digests did not move.
+# that against the row-major reference).  The Gibbs digests did not move
+# then.  The four full-mode Gibbs digests (gibbs-full and
+# gibbs-full-restricted) were recomputed when the Gibbs states stopped
+# drawing a label vector at construction: the first sweep redrew it before
+# anything read it, so it only advanced the generator.  The marginal and
+# NUTS digests did not move.
 PINS = [
     ("two-comp-1", "nuts-marginal", 200, 160,
      "a142ae56ca3de110080afa6c1c2adb7abdbee6c9b7d6f383b3c7fb2742e5985b"),
     ("two-comp-1", "gibbs-full", 60, 30,
-     "f7a878c985bc5a5ecc38e3e467fdf5caba341563cf8df6bfd0d63a3e29aecf4b"),
+     "037ba12b7e8feee3cddd4c8fcc29e74c970601c547b520cd29f7052c6ecba094"),
     ("two-comp-1", "gibbs-full-restricted", 60, 30,
-     "968d87702bf07ca94c8b9a9d78b854fe020f404b87ffe1e193ab66b9f5fcbead"),
+     "b9d3d5947da40210acff9b20e9fcd03546ac327b666611f96552566a4b6e9da8"),
     ("two-comp-1", "gibbs-marginal", 60, 30,
      "90e144628921be89c8c656e369ff246d49ec315531ce6dd9e81189f780e58e9d"),
     # three components: pi has two sticks, so stick 0's moves rescale a
     # later stick's remainder
     ("three-comp-4", "gibbs-full-restricted", 60, 30,
-     "c66181562cdb53015f3cd9e973e8c79f798a9069b6cc21b87b96aa2884750232"),
+     "ec0f3e9e3ba9fe3cb770824649aaafde04d0c440f9eab0a3b4eb0de06d911211"),
     ("three-comp-4", "gibbs-marginal", 60, 30,
      "ea02c0aff7c14745f05811aaa2ab9a97410594f310c11851f06f262d6a8fcd8e"),
     ("three-comp-4", "nuts-marginal", 200, 160,
@@ -40,7 +45,7 @@ PINS = [
     ("ds", "nuts-marginal", 200, 160,
      "d68722f698e98769454fcae442ef7f8cab52f8083c8594d5e657ebaca9780843"),
     ("ds", "gibbs-full", 60, 30,
-     "756d4d03ce6f537acffc0b569b2843a3675d5608363310935f3f5229df92c08d"),
+     "b7e80b50892a70e9ecf272224fc28861f800a8be0c188435b9d83c0ba5e35546"),
     ("ds", "gibbs-marginal", 30, 15,
      "20d0adcd1740d12417b037f561ce79692bcfa71f38c9a9be9610f7be249e38c7"),
 ]
