@@ -78,6 +78,8 @@ def _selected_scenarios(args):
 
 def cmd_simulate(args):
     scenarios = _selected_scenarios(args)
+    if args.replicates < 1:
+        raise UsageError("need replicates >= 1")
     os.makedirs(args.out, exist_ok=True)
     for scenario in scenarios:
         for rep in range(1, args.replicates + 1):
@@ -90,9 +92,9 @@ def cmd_simulate(args):
 def cmd_run(args):
     specs = []
     for scenario in _selected_scenarios(args):
-        methods = args.method or hz.methods_for_scenario(scenario)
-        for method in methods:
-            if method not in hz.methods_for_scenario(scenario):
+        applicable = hz.methods_for_scenario(scenario)
+        for method in args.method or applicable:
+            if method not in applicable:
                 print(f"skip: {method} not applicable to {scenario.id}",
                       file=sys.stderr)
                 continue
@@ -106,21 +108,22 @@ def cmd_run(args):
                 raise UsageError(str(exc)) from None
     if not specs:
         raise UsageError("no runnable (scenario, method) cells")
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):
+        raise UsageError(f"output directory {out_dir} does not exist")
 
     write = (hz.write_records_csv if args.format == "csv"
              else hz.write_records_jsonl)
 
-    def sink(rec):
+    def on_record(rec):
         write(args.out, [rec], append=True)
-
-    def progress(rec):
         print(f"{rec.scenario_id} {rec.method} r{rec.replicate}: "
               f"{rec.status} time={rec.comp_time_s:.1f}s "
               f"min_ess={rec.min_ess:.1f} max_rhat={rec.max_rhat:.3f}",
               flush=True)
 
-    records = hz.run_matrix(specs, parallelism=args.parallel, sink=sink,
-                            progress=progress)
+    records = hz.run_matrix(specs, parallelism=args.parallel,
+                            on_record=on_record)
     failures = [r for r in records if r.status != "ok"]
     if failures:
         print(f"{len(failures)} of {len(records)} records failed",
@@ -130,7 +133,10 @@ def cmd_run(args):
 
 
 def cmd_summarise(args):
-    rows = hz.read_records(args.results)
+    try:
+        rows = hz.read_records(args.results)
+    except OSError as exc:
+        raise UsageError(f"cannot read {args.results}: {exc.strerror}")
     if not rows:
         raise UsageError(f"no records in {args.results}")
     summary = hz.summarise(rows)

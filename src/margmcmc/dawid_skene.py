@@ -141,6 +141,8 @@ class DawidSkeneModel:
     """Model handle used by the samplers and harness; it owns the prior's
     constants (see the module docstring)."""
 
+    # no restricted arm: its sampler set would coincide with gibbs-full's
+    methods = ("nuts-marginal", "gibbs-full", "gibbs-marginal")
     z_full_conditional = staticmethod(ds_z_full_conditional)
 
     def __init__(self, n_raters, n_categories):

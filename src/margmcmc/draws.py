@@ -1,8 +1,15 @@
-"""Per-chain output container shared by both samplers."""
+"""Per-chain output container shared by both samplers, and the one
+check of a chain's lengths."""
 
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def check_lengths(iterations, warmup):
+    """Raise ValueError unless 0 <= warmup < iterations."""
+    if not (0 <= warmup < iterations):
+        raise ValueError("need 0 <= warmup < iterations")
 
 
 @dataclass

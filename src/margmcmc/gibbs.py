@@ -1,18 +1,18 @@
 """Within-Gibbs MCMC for the full and marginalised models.
 
-Three modes mirror the benchmark arms:
+One chain runs one Gibbs arm of the model handle's `methods`, read as two
+flags fixed at construction, `marginal` and `conjugate`:
 
-  full-conjugate  -- discrete labels + conjugate Dirichlet blocks, slice
-                     moves for the remaining continuous coordinates
-  full-restricted -- discrete labels, every continuous coordinate updated
-                     by 1-d slice moves (simplexes via stick coordinates)
-  marginal-slice  -- no labels; every continuous coordinate of the
-                     marginalised posterior updated by 1-d slice moves
+  gibbs-full            -- labels + conjugate Dirichlet blocks, slice
+                           moves for the other continuous coordinates
+  gibbs-full-restricted -- labels, every continuous coordinate by 1-d
+                           slice moves (simplexes via stick coordinates)
+  gibbs-marginal        -- no labels; every continuous coordinate of the
+                           marginalised posterior by 1-d slice moves
 
-full-restricted and marginal-slice use the identical sampler set on the
+The restricted and marginal arms use the identical sampler set on the
 continuous coordinates by construction, so differences between them
-isolate the effect of marginalisation itself.  full-restricted is a
-mixture mode only; the rating model has no restricted arm.
+isolate the effect of marginalisation itself.
 
 A simplex is sliced one stick coordinate at a time, and each density
 evaluation recomputes only what that stick changes, bit for bit as
@@ -33,34 +33,19 @@ its sweep state.  No sampler branches on a model's name.
 """
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import dawid_skene as dsm
 from . import mixture as mx
 from . import transforms as tr
-from .draws import ChainDraws
+from .draws import ChainDraws, check_lengths
 from .stats import (LOG_2PI, log_lognormal_pdf, lse_rows,
                     sample_categorical_rows, sample_dirichlet)
 from scipy import special
 
-MODES = ("full-conjugate", "full-restricted", "marginal-slice")
 SLICE_WIDTH = 1.0
 SLICE_MAX_DOUBLINGS = 10
-
-
-@dataclass
-class GibbsConfig:
-    mode: str
-    iterations: int = 3000
-    warmup: int = 1500
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if not (0 <= self.warmup < self.iterations):
-            raise ValueError("need 0 <= warmup < iterations")
 
 
 class SliceError(RuntimeError):
@@ -209,18 +194,18 @@ def _mu_log_prior(m, truncates):
 
 
 class _MixtureGibbs:
-    def __init__(self, model, data, cfg, rng, init):
-        self.model, self.data, self.cfg, self.rng = model, data, cfg, rng
+    def __init__(self, model, data, rng, init, marginal, conjugate):
+        self.model, self.data, self.rng = model, data, rng
+        self.marginal, self.conjugate = marginal, conjugate
         self.k = model.k
         self.params = init
         if not np.isfinite(mx.log_prior(init)):
             raise ValueError("initial parameters outside the prior support")
-        self.marginal = cfg.mode == "marginal-slice"
-        if cfg.mode != "full-conjugate":   # only slice moves read the sticks
+        if not conjugate:   # only slice moves read the sticks
             self.u_pi = tr.unconstrain_simplex(self.params.pi)
 
     def sweep(self):
-        cfg, rng, k = self.cfg, self.rng, self.k
+        rng, k = self.rng, self.k
         mu, pi = self.params.mu, self.params.pi
         sigma = np.float64(self.params.sigma)   # inf instead of OverflowError
         if self.marginal:
@@ -233,7 +218,7 @@ class _MixtureGibbs:
         sum_x = np.bincount(z, weights=self.data.x, minlength=k)
         sum_x2 = np.bincount(z, weights=self.data.x**2, minlength=k)
         # (2) pi
-        if cfg.mode == "full-conjugate":
+        if self.conjugate:
             pi = update_pi_conjugate(counts, np.ones(k), rng)
         else:
             def pi_target(p):
@@ -314,14 +299,13 @@ class _MixtureGibbs:
 # --------------------------------------------------------- Dawid-Skene
 
 class _DawidSkeneGibbs:
-    def __init__(self, model, data, cfg, rng, init):
-        if cfg.mode == "full-restricted":
-            raise ValueError("the rating model has no full-restricted mode")
+    def __init__(self, model, data, rng, init, marginal, conjugate):
+        # `conjugate` is `not marginal`: the handle has no restricted arm
         self.model, self.data, self.rng = model, data, rng
         self.j, self.k = model.j, model.k
         self.params = init
-        self.marginal = cfg.mode == "marginal-slice"
-        if self.marginal:
+        self.marginal = marginal
+        if marginal:
             self.u_pi = tr.unconstrain_simplex(self.params.pi)
             self.u_theta = tr.unconstrain_simplex(self.params.theta)
             self._rebuild_cache()
@@ -396,18 +380,25 @@ _STATE_CLASS = {mx.MixtureModel: _MixtureGibbs,
                 dsm.DawidSkeneModel: _DawidSkeneGibbs}
 
 
-def gibbs_run(model, data, config, rng, init=None):
-    """Run one Gibbs chain; deterministic given (rng state, init, config)."""
+def gibbs_run(model, data, method, iterations, warmup, rng, init=None):
+    """Run one chain of the Gibbs arm `method` for `iterations` sweeps,
+    the first `warmup` discarded; deterministic given (rng state, init)."""
+    if method not in model.methods or method == "nuts-marginal":
+        raise ValueError(f"{method!r} is not a Gibbs arm of this model; "
+                         f"its arms: {', '.join(model.methods)}")
+    check_lengths(iterations, warmup)
     if init is None:
         init = model.init_params(rng)
-    state = _STATE_CLASS[type(model)](model, data, config, rng, init)
+    state = _STATE_CLASS[type(model)](model, data, rng, init,
+                                      marginal=method == "gibbs-marginal",
+                                      conjugate=method == "gibbs-full")
 
     errstate = np.errstate(over="ignore", divide="ignore", invalid="ignore")
-    n_keep = config.iterations - config.warmup
+    n_keep = iterations - warmup
     draws = np.empty((n_keep, len(model.param_names())))
     with errstate:
         t0 = time.perf_counter()
-        for _ in range(config.warmup):
+        for _ in range(warmup):
             state.sweep()
         t1 = time.perf_counter()
         for it in range(n_keep):

@@ -15,22 +15,17 @@ import numpy as np
 
 from .dawid_skene import DawidSkeneModel
 from .diagnostics import efficiency_report
-from .gibbs import GibbsConfig, gibbs_run
+from .draws import check_lengths
+from .gibbs import gibbs_run
 from .mixture import MixtureModel
-from .nuts import NutsConfig, nuts_run
+from .nuts import nuts_run
 from .simulate import gen_dataset, get_scenario, scenario_catalog
 from .stats import make_rng
 
 SCHEMA_VERSION = 1
 
-METHODS = ("nuts-marginal", "gibbs-full", "gibbs-full-restricted",
-           "gibbs-marginal")
-
-_GIBBS_MODE = {
-    "gibbs-full": "full-conjugate",
-    "gibbs-full-restricted": "full-restricted",
-    "gibbs-marginal": "marginal-slice",
-}
+# every arm of either model family, in the order the handles list them
+METHODS = tuple(dict.fromkeys(MixtureModel.methods + DawidSkeneModel.methods))
 
 CSV_COLUMNS = ("schema_version", "scenario_id", "method", "replicate",
                "chains", "iterations", "warmup", "seed", "comp_time_s",
@@ -39,11 +34,8 @@ CSV_COLUMNS = ("schema_version", "scenario_id", "method", "replicate",
 
 
 def methods_for_scenario(scenario):
-    """Applicable method arms; the rating model skips the restricted-full
-    arm, whose sampler set coincides with the default full-model one."""
-    if scenario.kind == "dawid-skene":
-        return ("nuts-marginal", "gibbs-full", "gibbs-marginal")
-    return METHODS
+    """The method arms of the scenario's model family."""
+    return scenario.model().methods
 
 
 @dataclass(frozen=True)
@@ -63,8 +55,7 @@ class RunSpec:
         get_scenario(self.scenario_id)
         if self.chains < 1 or self.replicates < 1:
             raise ValueError("need chains >= 1 and replicates >= 1")
-        if not (0 <= self.warmup < self.iterations):
-            raise ValueError("need 0 <= warmup < iterations")
+        check_lengths(self.iterations, self.warmup)
 
 
 @dataclass
@@ -111,20 +102,11 @@ def _chain_stream(scenario_id, method, replicate, chain):
     return int.from_bytes(key, "big") % (1 << 63)
 
 
-def _build_model(scenario):
-    if scenario.kind == "mixture":
-        return MixtureModel(scenario.n_components)
-    return DawidSkeneModel(scenario.n_raters, scenario.n_categories)
-
-
 def run_chain(model, data, method, iterations, warmup, rng):
     """One chain of the given method; returns ChainDraws."""
     if method == "nuts-marginal":
-        cfg = NutsConfig(iterations=iterations, warmup=warmup)
-        return nuts_run(model, data, cfg, rng)
-    cfg = GibbsConfig(mode=_GIBBS_MODE[method], iterations=iterations,
-                      warmup=warmup)
-    return gibbs_run(model, data, cfg, rng)
+        return nuts_run(model, data, iterations, warmup, rng)
+    return gibbs_run(model, data, method, iterations, warmup, rng)
 
 
 def run_record(spec, replicate):
@@ -136,7 +118,7 @@ def run_record(spec, replicate):
                          seed=spec.master_seed)
     try:
         data, _ = gen_dataset(scenario, replicate, spec.master_seed)
-        model = _build_model(scenario)
+        model = scenario.model()
         chain_list = []
         for chain in range(spec.chains):
             rng = make_rng(spec.master_seed, _chain_stream(
@@ -169,12 +151,13 @@ def default_spec_list(master_seed=0, replicates=5, chains=3,
     return specs
 
 
-def run_matrix(spec_list, parallelism=1, sink=None, progress=None):
+def run_matrix(spec_list, parallelism=1, on_record=None):
     """Run every replicate of every spec; crash-safe incremental output.
 
-    `sink` is called with each finished BenchRecord (e.g. a CSV appender).
-    With parallelism > 1, records are distributed across processes; the
-    chains inside each record still run serially for timing isolation.
+    `on_record` is called with each finished BenchRecord (e.g. to append
+    it to a results file).  With parallelism > 1, records are distributed
+    across processes; the chains inside each record still run serially
+    for timing isolation.
     """
     cells = [(spec, rep) for spec in spec_list
              for rep in range(1, spec.replicates + 1)]
@@ -182,10 +165,8 @@ def run_matrix(spec_list, parallelism=1, sink=None, progress=None):
 
     def _finish(rec):
         records.append(rec)
-        if sink is not None:
-            sink(rec)
-        if progress is not None:
-            progress(rec)
+        if on_record is not None:
+            on_record(rec)
 
     if parallelism <= 1:
         for spec, rep in cells:

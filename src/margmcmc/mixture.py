@@ -174,6 +174,9 @@ def mix_marginal_logpost_grad_u(data, u, k):
 class MixtureModel:
     """Model handle used by the samplers and harness."""
 
+    # the sampling arms of this family, in the benchmark matrix's order
+    methods = ("nuts-marginal", "gibbs-full", "gibbs-full-restricted",
+               "gibbs-marginal")
     z_full_conditional = staticmethod(mix_z_full_conditional)
 
     def __init__(self, k):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .draws import ChainDraws
+from .draws import ChainDraws, check_lengths
 
 DIVERGENCE_ENERGY = 1000.0
 TARGET_ACCEPT = 0.8
@@ -30,16 +30,6 @@ INIT_RADIUS = 2.0
 DA_GAMMA = 0.05
 DA_T0 = 10.0
 DA_KAPPA = 0.75
-
-
-@dataclass
-class NutsConfig:
-    iterations: int = 3000
-    warmup: int = 1500
-
-    def __post_init__(self):
-        if not (0 <= self.warmup < self.iterations):
-            raise ValueError("need 0 <= warmup < iterations")
 
 
 @dataclass
@@ -250,8 +240,11 @@ def _adaptation_windows(warmup):
     return ends
 
 
-def nuts_run(model, data, config, rng, init=None):
-    """Run one NUTS chain on the marginalised posterior of `model`."""
+def nuts_run(model, data, iterations, warmup, rng, init=None):
+    """Run one NUTS chain of `iterations` transitions, the first `warmup`
+    of them adapting and discarded, on the marginalised posterior of
+    `model`."""
+    check_lengths(iterations, warmup)
     d = model.n_dim
     if init is None:
         init = rng.uniform(-INIT_RADIUS, INIT_RADIUS, size=d)
@@ -261,9 +254,9 @@ def nuts_run(model, data, config, rng, init=None):
         v, g = model.log_post_grad_u(data, u)
         return (v, g) if np.isfinite(v) else (-np.inf, g)
 
-    n_keep = config.iterations - config.warmup
+    n_keep = iterations - warmup
     draws = np.empty((n_keep, len(model.param_names())))
-    tree_depths = np.empty(config.iterations, dtype=np.int8)
+    tree_depths = np.empty(iterations, dtype=np.int8)
     divergences = 0
     # one errstate for the whole chain, the step-size searches included
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -277,11 +270,11 @@ def nuts_run(model, data, config, rng, init=None):
         adapt = AdaptState(step_size=eps)
         adapt.restart(eps)
 
-        window_ends = _adaptation_windows(config.warmup)
+        window_ends = _adaptation_windows(warmup)
         window_draws = []
         state = (q, lp0, g0)
         t0 = time.perf_counter()
-        for it in range(config.warmup):
+        for it in range(warmup):
             state, accept_stat, depth, diverged = kernel.transition(
                 state, adapt.step_size)
             tree_depths[it] = depth
@@ -304,7 +297,7 @@ def nuts_run(model, data, config, rng, init=None):
         for it in range(n_keep):
             state, accept_stat, depth, diverged = kernel.transition(
                 state, adapt.step_size)
-            tree_depths[config.warmup + it] = depth
+            tree_depths[warmup + it] = depth
             if diverged:
                 divergences += 1
             params, _ = model.constrain(state[0])
@@ -314,4 +307,4 @@ def nuts_run(model, data, config, rng, init=None):
     return ChainDraws(draws=draws, param_names=model.param_names(),
                       warmup_time=t1 - t0, sampling_time=t2 - t1,
                       divergences=divergences,
-                      tree_depths=tree_depths[config.warmup:])
+                      tree_depths=tree_depths[warmup:])

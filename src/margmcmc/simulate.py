@@ -9,21 +9,29 @@ Datasets serialise to a flat text file: a header line of key=value pairs
 followed by one observation per line (a single real for mixtures, J
 space-separated integers for ratings).  Category labels are written
 1-based in files and kept 0-based in memory.
+
+Each scenario type owns its model family: its handle (`model`), its
+generator (`generate`) and its parts of the file format.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dawid_skene import DSData
-from .mixture import MixtureData
+from .dawid_skene import DawidSkeneModel, DSData
+from .mixture import MixtureData, MixtureModel
 from .stats import check_simplex
 
 FORMAT_VERSION = 1
 
 
+def _floats(values):
+    return " ".join(repr(float(v)) for v in values)
+
+
 @dataclass(frozen=True)
 class MixtureScenario:
+    kind = "mixture"    # not a field: the family's name in file headers
     id: str
     mu: tuple
     pi: tuple
@@ -36,16 +44,42 @@ class MixtureScenario:
             raise ValueError("need sigma > 0 and n >= 1")
 
     @property
-    def kind(self):
-        return "mixture"
-
-    @property
     def n_components(self):
         return len(self.mu)
+
+    def model(self):
+        return MixtureModel(self.n_components)
+
+    def generate(self, rng):
+        """One dataset from `rng`: (MixtureData, ground-truth dict)."""
+        pi = np.asarray(self.pi)
+        mu = np.asarray(self.mu)
+        z = rng.choice(len(pi), size=self.n, p=pi)
+        x = rng.normal(mu[z], self.sigma)
+        truth = {"mu": mu, "pi": pi, "sigma": self.sigma, "z": z}
+        return MixtureData(x), truth
+
+    def size_fields(self):
+        return [("k", self.n_components), ("n", self.n),
+                ("sigma", self.sigma)]
+
+    @staticmethod
+    def data_lines(data):
+        return [repr(float(v)) for v in data.x]
+
+    @staticmethod
+    def truth_lines(truth):
+        return ["mu " + _floats(truth["mu"]), "pi " + _floats(truth["pi"]),
+                "sigma " + repr(float(truth["sigma"]))]
+
+    @staticmethod
+    def read_data(header, lines):
+        return MixtureData(np.array([float(v) for v in lines]))
 
 
 @dataclass(frozen=True)
 class DSScenario:
+    kind = "dawid-skene"    # not a field: the family's name in file headers
     id: str
     n_items: int = 100
     n_raters: int = 5
@@ -55,10 +89,6 @@ class DSScenario:
     def __post_init__(self):
         if not (0.0 < self.diag_accuracy <= 1.0):
             raise ValueError("diag accuracy must be in (0, 1]")
-
-    @property
-    def kind(self):
-        return "dawid-skene"
 
     @property
     def pi(self):
@@ -75,7 +105,46 @@ class DSScenario:
         np.fill_diagonal(row, self.diag_accuracy)
         return np.broadcast_to(row, (self.n_raters, k, k)).copy()
 
+    def model(self):
+        return DawidSkeneModel(self.n_raters, self.n_categories)
 
+    def generate(self, rng):
+        """One rating matrix from `rng`: (DSData, ground-truth dict)."""
+        k, i_n, j_n = self.n_categories, self.n_items, self.n_raters
+        pi = np.asarray(self.pi)
+        theta = self.theta()
+        z = rng.choice(k, size=i_n, p=pi)
+        ratings = np.empty((i_n, j_n), dtype=int)
+        for j in range(j_n):
+            # inverse-CDF draw per item against rater j's confusion row
+            u = rng.random(i_n)
+            cum = np.cumsum(theta[j], axis=1)
+            ratings[:, j] = (u[:, None] > cum[z]).sum(axis=1)
+        truth = {"pi": pi, "theta": theta, "z": z}
+        return DSData(ratings, k), truth
+
+    def size_fields(self):
+        return [("items", self.n_items), ("raters", self.n_raters),
+                ("categories", self.n_categories)]
+
+    @staticmethod
+    def data_lines(data):
+        return [" ".join(str(v + 1) for v in row) for row in data.ratings]
+
+    @staticmethod
+    def truth_lines(truth):
+        return ["pi " + _floats(truth["pi"])] + [
+            f"theta {j} {kk} " + _floats(row)
+            for j, rows in enumerate(truth["theta"], 1)
+            for kk, row in enumerate(rows, 1)]
+
+    @staticmethod
+    def read_data(header, lines):
+        ratings = np.array([[int(v) - 1 for v in ln.split()] for ln in lines])
+        return DSData(ratings, int(header["categories"]))
+
+
+_SCENARIO_TYPES = {cls.kind: cls for cls in (MixtureScenario, DSScenario)}
 _THIRDS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 
@@ -117,38 +186,10 @@ def _replicate_rng(scenario_id, replicate, master_seed):
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def gen_mixture(scenario, replicate, master_seed):
-    """One replicate dataset: (MixtureData, ground-truth dict)."""
-    rng = _replicate_rng(scenario.id, replicate, master_seed)
-    pi = np.asarray(scenario.pi)
-    mu = np.asarray(scenario.mu)
-    z = rng.choice(len(pi), size=scenario.n, p=pi)
-    x = rng.normal(mu[z], scenario.sigma)
-    truth = {"mu": mu, "pi": pi, "sigma": scenario.sigma, "z": z}
-    return MixtureData(x), truth
-
-
-def gen_ds(scenario, replicate, master_seed):
-    """One replicate rating matrix: (DSData, ground-truth dict)."""
-    rng = _replicate_rng(scenario.id, replicate, master_seed)
-    k, i_n, j_n = scenario.n_categories, scenario.n_items, scenario.n_raters
-    pi = np.asarray(scenario.pi)
-    theta = scenario.theta()
-    z = rng.choice(k, size=i_n, p=pi)
-    ratings = np.empty((i_n, j_n), dtype=int)
-    for j in range(j_n):
-        # inverse-CDF draw per item against rater j's confusion row
-        u = rng.random(i_n)
-        cum = np.cumsum(theta[j], axis=1)
-        ratings[:, j] = (u[:, None] > cum[z]).sum(axis=1)
-    truth = {"pi": pi, "theta": theta, "z": z}
-    return DSData(ratings, k), truth
-
-
 def gen_dataset(scenario, replicate, master_seed):
-    if scenario.kind == "mixture":
-        return gen_mixture(scenario, replicate, master_seed)
-    return gen_ds(scenario, replicate, master_seed)
+    """One replicate dataset of `scenario`: (data, ground-truth dict)."""
+    return scenario.generate(_replicate_rng(scenario.id, replicate,
+                                            master_seed))
 
 
 # ------------------------------------------------------------ serialisation
@@ -156,41 +197,21 @@ def gen_dataset(scenario, replicate, master_seed):
 def _header(scenario, replicate, master_seed):
     pairs = [("format", FORMAT_VERSION), ("scenario", scenario.id),
              ("kind", scenario.kind), ("replicate", replicate),
-             ("seed", master_seed)]
-    if scenario.kind == "mixture":
-        pairs += [("k", scenario.n_components), ("n", scenario.n),
-                  ("sigma", scenario.sigma)]
-    else:
-        pairs += [("items", scenario.n_items), ("raters", scenario.n_raters),
-                  ("categories", scenario.n_categories)]
+             ("seed", master_seed)] + scenario.size_fields()
     return " ".join(f"{k}={v}" for k, v in pairs)
 
 
 def write_dataset(path, scenario, replicate, master_seed):
     """Generate a replicate and write it plus a .truth companion file."""
     data, truth = gen_dataset(scenario, replicate, master_seed)
-    lines = [_header(scenario, replicate, master_seed)]
-    if scenario.kind == "mixture":
-        lines += [repr(float(v)) for v in data.x]
-    else:
-        lines += [" ".join(str(v + 1) for v in row) for row in data.ratings]
+    header = _header(scenario, replicate, master_seed)
+    lines = [header] + scenario.data_lines(data)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
     tpath = str(path) + ".truth"
-    tlines = [_header(scenario, replicate, master_seed)]
-    if scenario.kind == "mixture":
-        tlines.append("mu " + " ".join(repr(float(v)) for v in truth["mu"]))
-        tlines.append("pi " + " ".join(repr(float(v)) for v in truth["pi"]))
-        tlines.append("sigma " + repr(float(truth["sigma"])))
-    else:
-        tlines.append("pi " + " ".join(repr(float(v)) for v in truth["pi"]))
-        for j in range(scenario.n_raters):
-            for kk in range(scenario.n_categories):
-                tlines.append(f"theta {j+1} {kk+1} "
-                              + " ".join(repr(float(v))
-                                         for v in truth["theta"][j, kk]))
-    tlines.append("z " + " ".join(str(v + 1) for v in truth["z"]))
+    tlines = ([header] + scenario.truth_lines(truth)
+              + ["z " + " ".join(str(v + 1) for v in truth["z"])])
     with open(tpath, "w") as fh:
         fh.write("\n".join(tlines) + "\n")
     return path
@@ -209,9 +230,5 @@ def read_dataset(path):
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     header = parse_header(lines[0])
-    if header.get("kind") == "mixture":
-        x = np.array([float(v) for v in lines[1:]])
-        return header, MixtureData(x)
-    k = int(header["categories"])
-    ratings = np.array([[int(v) - 1 for v in ln.split()] for ln in lines[1:]])
-    return header, DSData(ratings, k)
+    reader = _SCENARIO_TYPES[header["kind"]].read_data
+    return header, reader(header, lines[1:])

@@ -30,7 +30,7 @@ from margmcmc import mixture as mx
 from margmcmc.diagnostics import ess, split_rhat
 from margmcmc.draws import stack_param_chains
 from margmcmc.gibbs import update_z_block
-from margmcmc.simulate import gen_mixture, get_scenario
+from margmcmc.simulate import gen_dataset, get_scenario
 from margmcmc.stats import make_rng
 from oracles import ds_marginal_log_post_u, mix_marginal_log_post_u
 
@@ -164,7 +164,7 @@ def test_criterion_4_gibbs_exactness():
 def test_criterion_5_cross_sampler_agreement():
     t0 = time.time()
     scenario = get_scenario("two-comp-1")
-    data, _ = gen_mixture(scenario, 1, 42)
+    data, _ = gen_dataset(scenario, 1, 42)
     model = mx.MixtureModel(2)
     params = ("mu[1]", "mu[2]", "sigma", "pi[1]")
     methods = ("nuts-marginal", "gibbs-full", "gibbs-marginal")
@@ -202,7 +202,7 @@ def test_criterion_6_parameter_recovery():
     details = []
     for sid in ("two-comp-1", "two-comp-2", "two-comp-3", "two-comp-4"):
         scenario = get_scenario(sid)
-        data, _ = gen_mixture(scenario, 1, 42)
+        data, _ = gen_dataset(scenario, 1, 42)
         model = mx.MixtureModel(2)
         chains = protocol_chains(model, data, "nuts-marginal", 6000)
         stacked = stack_param_chains(chains)

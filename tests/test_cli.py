@@ -103,13 +103,19 @@ class TestExitCodes:
         ["simulate", "--scenario", "nope"],
         ["run", "--scenario", "ds", "--method", "gibbs-full-restricted"],
         ["summarise", "EMPTY"],
+        ["summarise", "MISSING"],
+        ["simulate", "--replicates", "0"],
+        ["simulate", "--replicates", "-2"],
     ], ids=["chains-0", "warmup-not-below-iterations", "negative-warmup",
             "unknown-scenario", "simulate-unknown-scenario",
-            "no-runnable-cell", "summarise-no-records"])
+            "no-runnable-cell", "summarise-no-records",
+            "summarise-missing-file", "simulate-replicates-0",
+            "simulate-negative-replicates"])
     def test_usage_errors_exit_2_with_one_line(self, argv, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
-        argv = [str(empty) if a == "EMPTY" else a for a in argv]
+        paths = {"EMPTY": str(empty), "MISSING": str(tmp_path / "nope.csv")}
+        argv = [paths.get(a, a) for a in argv]
         if argv[0] != "summarise":
             argv += ["--out", str(tmp_path / "out")]
         with pytest.raises(SystemExit) as exc:
@@ -120,6 +126,21 @@ class TestExitCodes:
             == [err[-1]]
         assert err[-1].startswith("margmcmc: error: ")
         assert not (tmp_path / "out").exists()
+
+    def test_run_out_in_missing_directory_is_2(self, tmp_path, capsys,
+                                               monkeypatch):
+        def must_not_run(*a, **k):
+            raise AssertionError("a record ran before the usage check")
+
+        monkeypatch.setattr(hz, "run_record", must_not_run)
+        out = tmp_path / "missing" / "r.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--scenario", "two-comp-1", "--method", "gibbs-full",
+                  "--replicates", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("margmcmc: error: ")
+        assert not out.parent.exists()
 
     def test_record_failure_is_1(self, tmp_path, monkeypatch):
         def boom(*a, **k):

@@ -54,7 +54,7 @@ PINS = [
 def chain_digest(scenario_id, method, iterations, warmup):
     scenario = get_scenario(scenario_id)
     data, _ = gen_dataset(scenario, 1, SEED)
-    model = hz._build_model(scenario)
+    model = scenario.model()
     rng = make_rng(SEED, hz._chain_stream(scenario_id, method, 1, 0))
     chain = hz.run_chain(model, data, method, iterations, warmup, rng)
     h = hashlib.sha256(np.ascontiguousarray(chain.draws, dtype=np.float64))
@@ -86,7 +86,7 @@ MIX_GRAD_DIGEST = \
 def gradient_digest(scenario_id):
     scenario = get_scenario(scenario_id)
     data, _ = gen_dataset(scenario, 1, SEED)
-    model = hz._build_model(scenario)
+    model = scenario.model()
     rng = make_rng(SEED, 99)
     half = GRAD_POINTS // 2
     scales = np.concatenate([np.full(half, 3.0), np.linspace(3.0, 50.0, half)])

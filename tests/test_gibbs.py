@@ -13,10 +13,10 @@ from margmcmc import dawid_skene as ds
 from margmcmc import gibbs as gb
 from margmcmc import mixture as mx
 from margmcmc import transforms as tr
-from margmcmc.gibbs import (GibbsConfig, gibbs_run, slice_sample_1d,
+from margmcmc.gibbs import (gibbs_run, slice_sample_1d,
                             update_pi_conjugate, update_theta_conjugate,
                             update_z_block)
-from margmcmc.simulate import gen_ds, gen_mixture, get_scenario
+from margmcmc.simulate import gen_dataset, get_scenario
 from margmcmc.stats import make_rng
 
 
@@ -194,32 +194,32 @@ class TestLatentBlock:
         assert np.array_equal(z, [2, 0, 1, 2])
 
 
-def run_mode(mode, data, model, seed, iterations=1200, warmup=600):
-    cfg = GibbsConfig(mode=mode, iterations=iterations, warmup=warmup)
-    return gibbs_run(model, data, cfg, make_rng(seed, 1))
+def run_mode(method, data, model, seed, iterations=1200, warmup=600):
+    return gibbs_run(model, data, method, iterations, warmup,
+                     make_rng(seed, 1))
 
 
 @pytest.fixture(scope="module")
 def mixdata():
-    return gen_mixture(get_scenario("two-comp-1"), 1, 0)[0]
+    return gen_dataset(get_scenario("two-comp-1"), 1, 0)[0]
 
 
 class TestMixtureGibbs:
     def test_recovery_full_conjugate(self, mixdata):
-        chain = run_mode("full-conjugate", mixdata, mx.MixtureModel(2), 50)
+        chain = run_mode("gibbs-full", mixdata, mx.MixtureModel(2), 50)
         assert chain.by_name("mu[1]").mean() == pytest.approx(-5.0, abs=0.5)
         assert chain.by_name("mu[2]").mean() == pytest.approx(5.0, abs=0.5)
 
     def test_ordering_preserved_every_draw(self, mixdata):
-        chain = run_mode("full-restricted", mixdata, mx.MixtureModel(2), 51,
-                         iterations=600, warmup=300)
+        chain = run_mode("gibbs-full-restricted", mixdata,
+                         mx.MixtureModel(2), 51, iterations=600, warmup=300)
         mu = np.column_stack([chain.by_name("mu[1]"), chain.by_name("mu[2]")])
         assert np.all(np.diff(mu, axis=1) > 0)
 
     def test_modes_agree(self, mixdata):
         model = mx.MixtureModel(2)
         means = {}
-        for mode in ("full-conjugate", "full-restricted", "marginal-slice"):
+        for mode in ("gibbs-full", "gibbs-full-restricted", "gibbs-marginal"):
             chain = run_mode(mode, mixdata, model, 52)
             means[mode] = chain.by_name("mu[1]").mean()
         vals = list(means.values())
@@ -227,48 +227,48 @@ class TestMixtureGibbs:
 
     def test_deterministic(self, mixdata):
         model = mx.MixtureModel(2)
-        a = run_mode("full-conjugate", mixdata, model, 53, 200, 100)
-        b = run_mode("full-conjugate", mixdata, model, 53, 200, 100)
+        a = run_mode("gibbs-full", mixdata, model, 53, 200, 100)
+        b = run_mode("gibbs-full", mixdata, model, 53, 200, 100)
         assert np.array_equal(a.draws, b.draws)
 
     def test_huge_sigma_start_stays_finite(self):
         # sigma**2 overflows a Python float here; the sweep must carry on
-        data = gen_mixture(get_scenario("three-comp-4"), 1, 0)[0]
+        data = gen_dataset(get_scenario("three-comp-4"), 1, 0)[0]
         init = mx.MixtureParams(mu=np.array([-5.0, 0.0, 5.0]), sigma=1.3e164,
                                 pi=np.full(3, 1.0 / 3.0))
-        cfg = GibbsConfig(mode="full-conjugate", iterations=50, warmup=0)
-        chain = gibbs_run(mx.MixtureModel(3), data, cfg, make_rng(59, 1), init)
+        chain = gibbs_run(mx.MixtureModel(3), data, "gibbs-full", 50, 0,
+                          make_rng(59, 1), init)
         assert np.all(np.isfinite(chain.draws))
 
 
 class TestDawidSkeneGibbs:
     def test_full_conjugate_recovers_accuracy(self):
-        data, _ = gen_ds(get_scenario("ds"), 1, 0)
+        data, _ = gen_dataset(get_scenario("ds"), 1, 0)
         model = ds.DawidSkeneModel(5, 5)
-        chain = run_mode("full-conjugate", data, model, 58)
+        chain = run_mode("gibbs-full", data, model, 58)
         diags = [chain.by_name(f"theta[{j},{k},{k}]").mean()
                  for j in range(1, 6) for k in range(1, 6)]
         assert np.mean(diags) == pytest.approx(0.7, abs=0.1)
 
     def test_deterministic(self):
-        data, _ = gen_ds(get_scenario("ds"), 1, 0)
+        data, _ = gen_dataset(get_scenario("ds"), 1, 0)
         model = ds.DawidSkeneModel(5, 5)
-        a = run_mode("full-conjugate", data, model, 59, 100, 50)
-        b = run_mode("full-conjugate", data, model, 59, 100, 50)
+        a = run_mode("gibbs-full", data, model, 59, 100, 50)
+        b = run_mode("gibbs-full", data, model, 59, 100, 50)
         assert np.array_equal(a.draws, b.draws)
 
     def test_rejects_full_restricted(self):
-        data, _ = gen_ds(get_scenario("ds"), 1, 0)
+        data, _ = gen_dataset(get_scenario("ds"), 1, 0)
         with pytest.raises(ValueError, match="full-restricted"):
-            run_mode("full-restricted", data, ds.DawidSkeneModel(5, 5), 60,
-                     10, 5)
+            run_mode("gibbs-full-restricted", data, ds.DawidSkeneModel(5, 5),
+                     60, 10, 5)
 
 
 class TestConfig:
     def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            GibbsConfig(mode="nope")
+        with pytest.raises(ValueError, match="not a Gibbs arm"):
+            run_mode("nope", None, mx.MixtureModel(2), 61, 10, 5)
 
     def test_rejects_bad_warmup(self):
-        with pytest.raises(ValueError):
-            GibbsConfig(mode="full-conjugate", iterations=10, warmup=10)
+        with pytest.raises(ValueError, match="warmup < iterations"):
+            run_mode("gibbs-full", None, mx.MixtureModel(2), 61, 10, 10)

@@ -102,7 +102,7 @@ class TestRunRecord:
     def test_incremental_sink_called_per_record(self):
         seen = []
         specs = [hz.RunSpec("two-comp-1", "gibbs-full", replicates=2, **SMALL)]
-        hz.run_matrix(specs, sink=seen.append)
+        hz.run_matrix(specs, on_record=seen.append)
         assert [r.replicate for r in seen] == [1, 2]
 
 

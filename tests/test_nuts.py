@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from margmcmc.nuts import (NutsConfig, _adaptation_windows, _NutsKernel,
-                           nuts_run)
+from margmcmc.nuts import _adaptation_windows, _NutsKernel, nuts_run
 from margmcmc.stats import make_rng
 
 
@@ -39,8 +38,7 @@ class GaussianTarget:
 
 def run_gaussian(cov, seed, iterations=4000, warmup=1000):
     model = GaussianTarget(cov)
-    cfg = NutsConfig(iterations=iterations, warmup=warmup)
-    return nuts_run(model, None, cfg, make_rng(seed, 0))
+    return nuts_run(model, None, iterations, warmup, make_rng(seed, 0))
 
 
 def leapfrog(model, q, p, step_size, inv_mass, n_steps=1):
@@ -130,14 +128,13 @@ class TestContract:
 
     def test_rejects_bad_init(self):
         model = GaussianTarget(np.eye(2))
-        cfg = NutsConfig(iterations=100, warmup=50)
         with pytest.raises(ValueError):
-            nuts_run(model, None, cfg, make_rng(67),
+            nuts_run(model, None, 100, 50, make_rng(67),
                      init=np.array([np.nan, 0.0]))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            NutsConfig(iterations=100, warmup=100)
+        with pytest.raises(ValueError, match="warmup < iterations"):
+            nuts_run(GaussianTarget(np.eye(2)), None, 100, 100, make_rng(67))
 
     def test_finite_difference_gradients_agree(self):
         # consuming numeric gradients must not change the target
@@ -149,9 +146,9 @@ class TestContract:
                      - self.log_post_u(data, u - h * e)) / (2 * h)
                     for e in np.eye(self.n_dim)])
 
-        cfg = NutsConfig(iterations=3000, warmup=1000)
-        exact = nuts_run(GaussianTarget(np.eye(1)), None, cfg, make_rng(68, 0))
-        fd = nuts_run(FDTarget(np.eye(1)), None, cfg, make_rng(69, 0))
+        exact = nuts_run(GaussianTarget(np.eye(1)), None, 3000, 1000,
+                         make_rng(68, 0))
+        fd = nuts_run(FDTarget(np.eye(1)), None, 3000, 1000, make_rng(69, 0))
         m1, m2 = exact.by_name("x[1]").mean(), fd.by_name("x[1]").mean()
         se = np.sqrt(exact.by_name("x[1]").var() / 500
                      + fd.by_name("x[1]").var() / 500)

@@ -35,7 +35,7 @@ ERRSTATE = dict(divide="ignore", over="ignore", invalid="ignore")
 def problem(scenario_id):
     scenario = get_scenario(scenario_id)
     data, _ = gen_dataset(scenario, 1, 2024)
-    return hz._build_model(scenario), data
+    return scenario.model(), data
 
 
 def both(scenario_id, u):

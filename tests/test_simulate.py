@@ -65,19 +65,19 @@ class TestCatalog:
 class TestGenerators:
     def test_mixture_deterministic(self):
         s = sim.get_scenario("two-comp-1")
-        a, _ = sim.gen_mixture(s, 1, 42)
-        b, _ = sim.gen_mixture(s, 1, 42)
+        a, _ = sim.gen_dataset(s, 1, 42)
+        b, _ = sim.gen_dataset(s, 1, 42)
         assert np.array_equal(a.x, b.x)
 
     def test_replicates_distinct(self):
         s = sim.get_scenario("two-comp-1")
-        xs = [sim.gen_mixture(s, r, 42)[0].x for r in (1, 2, 3)]
+        xs = [sim.gen_dataset(s, r, 42)[0].x for r in (1, 2, 3)]
         assert not np.array_equal(xs[0], xs[1])
         assert not np.array_equal(xs[1], xs[2])
 
     def test_scenarios_stream_isolated(self):
-        a, _ = sim.gen_mixture(sim.get_scenario("two-comp-1"), 1, 42)
-        b, _ = sim.gen_mixture(sim.get_scenario("two-comp-2"), 1, 42)
+        a, _ = sim.gen_dataset(sim.get_scenario("two-comp-1"), 1, 42)
+        b, _ = sim.gen_dataset(sim.get_scenario("two-comp-2"), 1, 42)
         assert not np.array_equal(a.x, b.x)
 
     def test_population_moments(self):
@@ -85,40 +85,40 @@ class TestGenerators:
         pop_mean = float(np.dot(s.pi, s.mu))
         pop_var = (np.dot(s.pi, np.array(s.mu) ** 2) + s.sigma ** 2
                    - pop_mean ** 2)
-        means = [sim.gen_mixture(s, r, seed)[0].x.mean()
+        means = [sim.gen_dataset(s, r, seed)[0].x.mean()
                  for seed in range(5) for r in (1, 2)]
         se = np.sqrt(pop_var / s.n)
         assert np.all(np.abs(np.array(means) - pop_mean) < 4 * se)
 
     def test_degenerate_pi_single_component(self):
         s = sim.MixtureScenario("tmp", (-3.0, 9.0), (1.0, 0.0))
-        data, truth = sim.gen_mixture(s, 1, 0)
+        data, truth = sim.gen_dataset(s, 1, 0)
         assert np.all(truth["z"] == 0)
         assert data.x.mean() == pytest.approx(-3.0, abs=3 * 2.0 / np.sqrt(200))
 
     def test_ds_agreement_rate(self):
         s = sim.DSScenario("tmp-ds", n_items=10_000)
-        data, truth = sim.gen_ds(s, 1, 0)
+        data, truth = sim.gen_dataset(s, 1, 0)
         agree = (data.ratings == truth["z"][:, None]).mean()
         se = np.sqrt(0.7 * 0.3 / data.ratings.size)
         assert agree == pytest.approx(0.7, abs=4 * se)
 
     def test_ds_uniform_categories(self):
         s = sim.DSScenario("tmp-ds2", n_items=10_000)
-        _, truth = sim.gen_ds(s, 1, 0)
+        _, truth = sim.gen_dataset(s, 1, 0)
         freq = np.bincount(truth["z"], minlength=5) / len(truth["z"])
         se = np.sqrt(0.2 * 0.8 / len(truth["z"]))
         assert np.all(np.abs(freq - 0.2) < 4 * se)
 
     def test_ds_perfect_raters(self):
         s = sim.DSScenario("tmp-ds3", diag_accuracy=1.0)
-        data, truth = sim.gen_ds(s, 1, 0)
+        data, truth = sim.gen_dataset(s, 1, 0)
         assert np.array_equal(data.ratings, np.tile(truth["z"][:, None], 5))
 
     def test_ds_deterministic(self):
         s = sim.get_scenario("ds")
-        a, _ = sim.gen_ds(s, 2, 7)
-        b, _ = sim.gen_ds(s, 2, 7)
+        a, _ = sim.gen_dataset(s, 2, 7)
+        b, _ = sim.gen_dataset(s, 2, 7)
         assert np.array_equal(a.ratings, b.ratings)
 
 
@@ -128,7 +128,7 @@ class TestSerialisation:
         path = tmp_path / "m.dat"
         sim.write_dataset(path, s, 2, 11)
         header, data = sim.read_dataset(path)
-        want, _ = sim.gen_mixture(s, 2, 11)
+        want, _ = sim.gen_dataset(s, 2, 11)
         assert np.array_equal(data.x, want.x)
         assert header["scenario"] == "three-comp-4"
         assert int(header["replicate"]) == 2
@@ -142,7 +142,7 @@ class TestSerialisation:
         body = np.array([[int(v) for v in ln.split()] for ln in lines[1:]])
         assert body.min() >= 1 and body.max() <= 5   # file labels are 1-based
         _, data = sim.read_dataset(path)
-        want, _ = sim.gen_ds(s, 1, 11)
+        want, _ = sim.gen_dataset(s, 1, 11)
         assert np.array_equal(data.ratings, want.ratings)
 
     def test_same_inputs_identical_bytes(self, tmp_path):

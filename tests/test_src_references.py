@@ -6,7 +6,9 @@ field of a dataclass in `src/margmcmc` is read there as an attribute,
 unless only the benchmark reads it (`BENCHMARK_FIELDS`).  Every name the
 benchmark patches exists, and the fused gradients reach the traced layers
 through those names.  Dirichlet and gamma variates are drawn in one
-place, `stats.sample_dirichlet`."""
+place, `stats.sample_dirichlet`.  Nothing compares a model family's
+`kind`: the scenario types and model handles own what differs between
+families."""
 
 import ast
 import contextlib
@@ -115,6 +117,37 @@ def test_one_dirichlet_draw():
     sites = [f"{module}.{site}" for module, tree in src_trees().items()
              for site in call_sites(tree, {"dirichlet", "standard_gamma"})]
     assert sites == ["stats.sample_dirichlet"]
+
+
+def is_kind(node):
+    """`x.kind`, `x["kind"]` or `x.get("kind")`."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "kind"
+    if isinstance(node, ast.Subscript):
+        return getattr(node.slice, "value", None) == "kind"
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "get" and node.args
+            and getattr(node.args[0], "value", None) == "kind")
+
+
+def kind_comparisons(tree):
+    """Line numbers of comparisons with a `kind` operand."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            and any(map(is_kind, [node.left] + node.comparators))]
+
+
+def test_guard_finds_kind_comparisons():
+    tree = ast.parse('a = s.kind == "mixture"\nb = "x" != h["kind"]\n'
+                     'c = h.get("kind") in KINDS\nd = s.kind\n'
+                     'e = TYPES[h["kind"]]\n')
+    assert kind_comparisons(tree) == [1, 2, 3]
+
+
+def test_no_kind_comparison_in_src():
+    found = {module: lines for module, tree in src_trees().items()
+             if (lines := kind_comparisons(tree))}
+    assert found == {}
 
 
 # Names the benchmark (`perfbench/meter.py`, `perfbench/tracing.py`)
