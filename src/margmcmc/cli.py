@@ -89,6 +89,12 @@ def cmd_simulate(args):
     return 0
 
 
+def _check_out_dir(path):
+    out_dir = os.path.dirname(path) or "."
+    if not os.path.isdir(out_dir):
+        raise UsageError(f"output directory {out_dir} does not exist")
+
+
 def cmd_run(args):
     specs = []
     for scenario in _selected_scenarios(args):
@@ -108,9 +114,7 @@ def cmd_run(args):
                 raise UsageError(str(exc)) from None
     if not specs:
         raise UsageError("no runnable (scenario, method) cells")
-    out_dir = os.path.dirname(args.out) or "."
-    if not os.path.isdir(out_dir):
-        raise UsageError(f"output directory {out_dir} does not exist")
+    _check_out_dir(args.out)
 
     write = (hz.write_records_csv if args.format == "csv"
              else hz.write_records_jsonl)
@@ -133,6 +137,8 @@ def cmd_run(args):
 
 
 def cmd_summarise(args):
+    if args.out:
+        _check_out_dir(args.out)
     try:
         rows = hz.read_records(args.results)
     except OSError as exc:

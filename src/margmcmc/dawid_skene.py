@@ -17,6 +17,7 @@ of the confusion rows').  Its `log_prior` serves both the fused gradient
 and `ds_log_prior`.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -204,17 +205,18 @@ class DawidSkeneModel:
         row_lse = lse_rows(ll)
         value = float(row_lse.sum()) + self.log_prior(log_pi, log_theta) \
             + float(log_j.sum())
-        if not np.isfinite(value):
-            return -np.inf, np.zeros_like(u)
+        if not math.isfinite(value):
+            return -math.inf, np.zeros_like(u)
 
         r = np.exp(ll - row_lse)
-        g_rows = np.empty((1 + j * k, k))
-        g_rows[0] = (r.sum(axis=1) + self.alpha_m1) / pi
+        # d/dp of every simplex row, laid out (K, rows) for the pull-back
+        g_p = np.empty((k, 1 + j * k))
+        g_p[:, 0] = (r.sum(axis=1) + self.alpha_m1) / pi
         # counts[j, k, c] = sum_i r[k, i] [y_ij == c]
         counts = (r @ data.rating_onehot.T).reshape(k, j, k).transpose(1, 0, 2)
         np.divide(self.beta_m1 + counts, theta,
-                  out=g_rows[1:].reshape(j, k, k))
-        return value, tr.grad_simplex_rows(sticks, g_rows).ravel()
+                  out=g_p[:, 1:].reshape(k, j, k).transpose(1, 2, 0))
+        return value, tr.grad_simplex_rows(sticks, g_p.T).ravel()
 
     def init_params(self, rng):
         """Prior draw for pi and every confusion row."""

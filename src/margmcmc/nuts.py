@@ -1,12 +1,19 @@
 """No-U-Turn sampler with dual-averaging step size adaptation and a
 diagonal mass matrix estimated during warmup.
 
-Multinomial sampling across the trajectory with the generalised
-(metric-aware) U-turn criterion; trajectory doubling stops on a U-turn,
-on reaching the maximum tree depth, or on a divergence (energy error
-above 1000).  Operates on the marginalised models only, through the
-model handle's fused `log_post_grad_u`, which returns the unconstrained
-log posterior and its gradient from one evaluation.
+Multinomial sampling across the trajectory.  The U-turn test is Hoffman
+& Gelman's with the mass matrix: it stops when dq . M^-1 p < 0 at either
+end of the trajectory, dq being the span from its backward to its
+forward end (not Stan's test on the momentum sum, Betancourt 2017).
+Trajectory doubling stops on a U-turn, on reaching the maximum tree
+depth, or on a divergence (energy error above 1000).  Operates on the
+marginalised models only, through the model handle's fused
+`log_post_grad_u`, which returns the unconstrained log posterior and its
+gradient from one evaluation.
+
+The tree's bookkeeping is on Python floats; its exps and logs stay
+numpy's, whose last bits differ from `math`'s, and log-add-exp is
+numpy's scalar formula (see `_log_add_exp`).
 
 The tuning values are fixed and are Stan's defaults: target acceptance
 0.8, maximum tree depth 10, initial points uniform on [-2, 2], adaptation
@@ -15,6 +22,7 @@ buffer), and the dual-averaging constants of Hoffman & Gelman (2014).
 Adaptation always runs.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -30,6 +38,7 @@ INIT_RADIUS = 2.0
 DA_GAMMA = 0.05
 DA_T0 = 10.0
 DA_KAPPA = 0.75
+LOG_2 = math.log(2.0)           # numpy's NPY_LOGE2
 
 
 @dataclass
@@ -62,93 +71,108 @@ class AdaptState:
         self.step_size = float(np.exp(self.log_step_avg))
 
 
+def _log_add_exp(x, y):
+    """np.logaddexp of two floats, bit for bit: numpy's scalar loop, whose
+    exp and log1p are libm's, as `math`'s are."""
+    if x == y:
+        return x + LOG_2            # also inf and -inf, without a nan
+    d = x - y
+    if d > 0:
+        return x + math.log1p(math.exp(-d))
+    if d <= 0:
+        return y + math.log1p(math.exp(d))
+    return d                        # nan
+
+
 class _Tree:
-    """Subtree summary for the doubling procedure."""
-    __slots__ = ("q_minus", "p_minus", "g_minus", "q_plus", "p_plus",
-                 "g_plus", "q_prop", "g_prop", "lp_prop",
+    """Subtree summary for the doubling procedure; `v` is the velocity
+    M^-1 p at an edge."""
+    __slots__ = ("q_minus", "p_minus", "v_minus", "g_minus",
+                 "q_plus", "p_plus", "v_plus", "g_plus",
+                 "q_prop", "g_prop", "lp_prop",
                  "log_sum_weight", "sum_accept", "n_leapfrog",
                  "diverged", "turning")
 
 
+def _uturn(q_minus, v_minus, q_plus, v_plus):
+    """Hoffman & Gelman's criterion: dq . M^-1 p < 0 at either end."""
+    dq = q_plus - q_minus
+    return dq @ v_minus < 0 or dq @ v_plus < 0
+
+
 class _NutsKernel:
     """Shares one fused (logp, grad) evaluation per leapfrog step by
-    caching the gradient at both trajectory edges and at the proposal."""
+    caching the gradient and the velocity at both trajectory edges, and
+    the gradient at the proposal."""
 
     def __init__(self, logp_grad_fn, inv_mass, rng):
         self.logp_grad = logp_grad_fn
         self.inv_mass = inv_mass
         self.rng = rng
 
-    def _uturn(self, q_minus, p_minus, q_plus, p_plus):
-        dq = q_plus - q_minus
-        return (float(dq @ (self.inv_mass * p_minus)) < 0
-                or float(dq @ (self.inv_mass * p_plus)) < 0)
-
     def _leaf(self, q, p, g, direction, step_size, h0):
         """One leapfrog step from (q, p) with cached gradient g."""
         eps = direction * step_size
-        p_half = p + 0.5 * eps * g
+        half = 0.5 * eps
+        p_half = p + half * g
         q1 = q + eps * (self.inv_mass * p_half)
         lp1, g1 = self.logp_grad(q1)
-        p1 = p_half + 0.5 * eps * g1
+        p1 = p_half + half * g1
+        v1 = self.inv_mass * p1
         tree = _Tree()
         tree.q_minus = tree.q_plus = tree.q_prop = q1
         tree.p_minus = tree.p_plus = p1
+        tree.v_minus = tree.v_plus = v1
         tree.g_minus = tree.g_plus = tree.g_prop = g1
         tree.lp_prop = lp1
         tree.n_leapfrog = 1
-        h1 = -lp1 + 0.5 * float(p1 @ (self.inv_mass * p1))
-        if not np.isfinite(h1):
-            h1 = np.inf
+        h1 = -lp1 + 0.5 * float(p1 @ v1)
+        if not math.isfinite(h1):
+            h1 = math.inf
         delta = h0 - h1                     # log weight of the leaf
         tree.diverged = (h1 - h0) > DIVERGENCE_ENERGY
         tree.turning = False
-        tree.log_sum_weight = delta if np.isfinite(delta) else -np.inf
-        if np.isfinite(delta):
-            tree.sum_accept = float(np.exp(min(delta, 0.0)))
+        if math.isfinite(delta):
+            tree.log_sum_weight = delta
+            tree.sum_accept = 1.0 if delta >= 0.0 else float(np.exp(delta))
         else:
+            tree.log_sum_weight = -math.inf
             tree.sum_accept = 0.0
         return tree
 
-    def build_tree(self, depth, q, p, g, direction, step_size, h0):
-        """Recursive doubling; depth 0 is a single leapfrog step."""
+    def build_tree(self, depth, q, p, v, g, direction, step_size, h0):
+        """Recursive doubling; depth 0 is a single leapfrog step.  The
+        first subtree becomes the merged one."""
         if depth == 0:
             return self._leaf(q, p, g, direction, step_size, h0)
-        first = self.build_tree(depth - 1, q, p, g, direction, step_size, h0)
-        if first.diverged or first.turning:
-            return first
+        tree = self.build_tree(depth - 1, q, p, v, g, direction, step_size,
+                               h0)
+        if tree.diverged or tree.turning:
+            return tree
         if direction > 0:
-            q_edge, p_edge, g_edge = first.q_plus, first.p_plus, first.g_plus
+            second = self.build_tree(depth - 1, tree.q_plus, tree.p_plus,
+                                     tree.v_plus, tree.g_plus, direction,
+                                     step_size, h0)
+            tree.q_plus, tree.p_plus, tree.v_plus, tree.g_plus = \
+                second.q_plus, second.p_plus, second.v_plus, second.g_plus
         else:
-            q_edge, p_edge, g_edge = first.q_minus, first.p_minus, first.g_minus
-        second = self.build_tree(depth - 1, q_edge, p_edge, g_edge, direction,
-                                 step_size, h0)
-        tree = _Tree()
-        if direction > 0:
-            tree.q_minus, tree.p_minus, tree.g_minus = \
-                first.q_minus, first.p_minus, first.g_minus
-            tree.q_plus, tree.p_plus, tree.g_plus = \
-                second.q_plus, second.p_plus, second.g_plus
-        else:
-            tree.q_minus, tree.p_minus, tree.g_minus = \
-                second.q_minus, second.p_minus, second.g_minus
-            tree.q_plus, tree.p_plus, tree.g_plus = \
-                first.q_plus, first.p_plus, first.g_plus
-        tree.n_leapfrog = first.n_leapfrog + second.n_leapfrog
-        tree.sum_accept = first.sum_accept + second.sum_accept
+            second = self.build_tree(depth - 1, tree.q_minus, tree.p_minus,
+                                     tree.v_minus, tree.g_minus, direction,
+                                     step_size, h0)
+            tree.q_minus, tree.p_minus, tree.v_minus, tree.g_minus = \
+                second.q_minus, second.p_minus, second.v_minus, second.g_minus
+        tree.n_leapfrog += second.n_leapfrog
+        tree.sum_accept += second.sum_accept
         tree.diverged = second.diverged
-        total = np.logaddexp(first.log_sum_weight, second.log_sum_weight)
+        total = _log_add_exp(tree.log_sum_weight, second.log_sum_weight)
         tree.log_sum_weight = total
         # multinomial choice between the subtrees' proposals
         if np.log(self.rng.random()) < second.log_sum_weight - total:
             tree.q_prop, tree.g_prop, tree.lp_prop = \
                 second.q_prop, second.g_prop, second.lp_prop
-        else:
-            tree.q_prop, tree.g_prop, tree.lp_prop = \
-                first.q_prop, first.g_prop, first.lp_prop
         tree.turning = (second.turning
-                        or self._uturn(tree.q_minus, tree.p_minus,
-                                       tree.q_plus, tree.p_plus))
+                        or _uturn(tree.q_minus, tree.v_minus,
+                                  tree.q_plus, tree.v_plus))
         return tree
 
     def transition(self, state, step_size):
@@ -160,9 +184,11 @@ class _NutsKernel:
         q, lp, g = state
         rng = self.rng
         p = rng.standard_normal(len(q)) / np.sqrt(self.inv_mass)
-        h0 = -lp + 0.5 * float(p @ (self.inv_mass * p))
+        v = self.inv_mass * p
+        h0 = -lp + 0.5 * float(p @ v)
         q_minus = q_plus = q_prop = q
         p_minus = p_plus = p
+        v_minus = v_plus = v
         g_minus = g_plus = g_prop = g
         lp_prop = lp
         log_sum_weight = 0.0     # weight of the initial point: exp(h0 - h0)
@@ -173,28 +199,30 @@ class _NutsKernel:
         while depth < MAX_TREE_DEPTH:
             direction = 1 if rng.random() < 0.5 else -1
             if direction > 0:
-                sub = self.build_tree(depth, q_plus, p_plus, g_plus,
+                sub = self.build_tree(depth, q_plus, p_plus, v_plus, g_plus,
                                       1, step_size, h0)
             else:
-                sub = self.build_tree(depth, q_minus, p_minus, g_minus,
-                                      -1, step_size, h0)
+                sub = self.build_tree(depth, q_minus, p_minus, v_minus,
+                                      g_minus, -1, step_size, h0)
             n_leapfrog += sub.n_leapfrog
             sum_accept += sub.sum_accept
             if sub.diverged:
                 diverged = True
                 break
             if direction > 0:
-                q_plus, p_plus, g_plus = sub.q_plus, sub.p_plus, sub.g_plus
+                q_plus, p_plus, v_plus, g_plus = \
+                    sub.q_plus, sub.p_plus, sub.v_plus, sub.g_plus
             else:
-                q_minus, p_minus, g_minus = sub.q_minus, sub.p_minus, sub.g_minus
+                q_minus, p_minus, v_minus, g_minus = \
+                    sub.q_minus, sub.p_minus, sub.v_minus, sub.g_minus
             if sub.turning:
                 break
             # biased progressive sampling toward the new subtree
             if np.log(rng.random()) < sub.log_sum_weight - log_sum_weight:
                 q_prop, g_prop, lp_prop = sub.q_prop, sub.g_prop, sub.lp_prop
-            log_sum_weight = np.logaddexp(log_sum_weight, sub.log_sum_weight)
+            log_sum_weight = _log_add_exp(log_sum_weight, sub.log_sum_weight)
             depth += 1
-            if self._uturn(q_minus, p_minus, q_plus, p_plus):
+            if _uturn(q_minus, v_minus, q_plus, v_plus):
                 break
         accept_stat = sum_accept / max(n_leapfrog, 1)
         return (q_prop, lp_prop, g_prop), accept_stat, depth, diverged
@@ -252,7 +280,7 @@ def nuts_run(model, data, iterations, warmup, rng, init=None):
 
     def logp_grad_fn(u):
         v, g = model.log_post_grad_u(data, u)
-        return (v, g) if np.isfinite(v) else (-np.inf, g)
+        return (v, g) if math.isfinite(v) else (-math.inf, g)
 
     n_keep = iterations - warmup
     draws = np.empty((n_keep, len(model.param_names())))

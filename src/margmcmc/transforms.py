@@ -17,7 +17,13 @@ offsets from the one cached `_stick_offsets`.
 The single-vector transforms loop over their K-sized blocks on scalars,
 with numpy's exp and logs (the `math` versions differ in the last bit,
 and Python-float arithmetic would raise on overflow where np.float64
-returns inf).  The `_rows` twins apply the simplex to a stack of rows.
+returns inf).  The `_rows` twins apply the simplex to a stack of R rows,
+(R, K-1) in and (R, K) out.  Their sticks are stick-major, (K-1, R) and
+contiguous, so each step is one numpy call over all R rows.  While
+K-1 < 8 this is, bit for bit, the same elementwise arithmetic on
+row-major (R, K-1) arrays: each row's logJ sum over its sticks runs left
+to right, as numpy's row sum does below 8 terms (its pairwise sum from 8
+on would differ).  The rating model, the one caller, has K = 5.
 """
 
 import functools
@@ -108,39 +114,55 @@ def unconstrain_simplex(p):
 
 def constrain_simplex_rows(rows):
     """Stick-breaking applied row-wise: (R, K-1) -> ((R, K), (R,) logJ,
-    sticks).  `sticks` = (z, 1 - z, rem) is the forward pass, which
-    grad_simplex_rows pulls a gradient back through."""
+    sticks).  `sticks` = (z, 1 - z, rem) is the forward pass, stick-major
+    (K-1, R), which grad_simplex_rows pulls a gradient back through."""
     rows = np.asarray(rows, dtype=float)
     r, w = rows.shape
-    z = expit(rows - _stick_offsets(w))
+    z = np.empty((w, r))
+    # offsets - rows: exp sees -(rows - offsets), up to the sign of a 0
+    np.subtract(_stick_offsets(w), rows, out=z.T)
+    np.exp(z, out=z)
+    z += 1.0
+    np.divide(1.0, z, out=z)                           # expit
     one_mz = 1.0 - z
-    rem = np.empty((r, w))
-    rem[:, 0] = 1.0
-    if w > 1:
-        rem[:, 1:] = np.cumprod(one_mz[:, :-1], axis=1)
+    rem = np.empty((w, r))          # the remaining stick before each break
+    rem[0] = 1.0
+    for i in range(1, w):           # a running product, as np.cumprod's
+        np.multiply(rem[i - 1], one_mz[i - 1], out=rem[i])
     p = np.empty((r, w + 1))
-    p[:, :w] = rem * z
-    p[:, w] = rem[:, -1] * one_mz[:, -1]
-    log_j = (np.log(z) + np.log1p(-z) + np.log(rem)).sum(axis=1)
-    return p, log_j, (z, one_mz, rem)
+    np.multiply(rem, z, out=p[:, :w].T)
+    np.multiply(rem[-1], one_mz[-1], out=p[:, w])
+    log_j = np.log(z)
+    log_j += np.log1p(-z)
+    log_j += np.log(rem)
+    return p, log_j.sum(axis=0), (z, one_mz, rem)
 
 
 def grad_simplex_rows(sticks, g_p):
     """Row-wise version of grad_simplex: (R, K) -> (R, K-1), through the
-    forward pass `sticks` that constrain_simplex_rows returned."""
+    forward pass `sticks` that constrain_simplex_rows returned.  The
+    remainder's adjoint runs stick by stick first; the stick adjoints
+    then take whole-array steps.  A g_p that is the transpose of a (K, R)
+    array is read without striding."""
     z, one_mz, rem = sticks
-    w = z.shape[1]
-    inv_z, inv_one_mz, inv_rem = 1.0 / z, 1.0 / one_mz, 1.0 / rem
-    g_p_z = g_p[:, :w] * z
-    g_z = np.empty_like(z)
-    g_rem = g_p[:, w]
-    for i in range(w - 1, -1, -1):
-        g_z[:, i] = (g_p[:, i] - g_rem) * rem[:, i] \
-            + inv_z[:, i] - inv_one_mz[:, i]
-        g_rem = g_p_z[:, i] + g_rem * one_mz[:, i]
-        if i > 0:
-            g_rem += inv_rem[:, i]
-    return g_z * z * one_mz
+    w, r = z.shape
+    g = g_p.T
+    g_rem = np.empty((w, r))        # g_rem[i]: the adjoint entering stick i
+    g_rem[-1] = g[w]
+    g_p_z = g[1:w] * z[1:]
+    inv_rem = 1.0 / rem[1:]
+    for i in range(w - 1, 0, -1):
+        nxt = np.multiply(g_rem[i], one_mz[i], out=g_rem[i - 1])
+        nxt += g_p_z[i - 1]
+        nxt += inv_rem[i - 1]
+    g_z = g[:w] - g_rem
+    g_z *= rem
+    g_z += 1.0 / z
+    g_z -= 1.0 / one_mz
+    g_z *= z
+    g_raw = np.empty((r, w))
+    np.multiply(g_z, one_mz, out=g_raw.T)
+    return g_raw
 
 
 def grad_simplex(sticks, g_p):

@@ -104,17 +104,24 @@ class TestExitCodes:
         ["run", "--scenario", "ds", "--method", "gibbs-full-restricted"],
         ["summarise", "EMPTY"],
         ["summarise", "MISSING"],
+        ["summarise", "ONE_ROW", "--out", "MISSING_DIR"],
         ["simulate", "--replicates", "0"],
         ["simulate", "--replicates", "-2"],
     ], ids=["chains-0", "warmup-not-below-iterations", "negative-warmup",
             "unknown-scenario", "simulate-unknown-scenario",
             "no-runnable-cell", "summarise-no-records",
-            "summarise-missing-file", "simulate-replicates-0",
-            "simulate-negative-replicates"])
+            "summarise-missing-file", "summarise-out-in-missing-directory",
+            "simulate-replicates-0", "simulate-negative-replicates"])
     def test_usage_errors_exit_2_with_one_line(self, argv, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
-        paths = {"EMPTY": str(empty), "MISSING": str(tmp_path / "nope.csv")}
+        one_row = tmp_path / "one.csv"
+        hz.write_records_csv(one_row, [hz.BenchRecord(
+            scenario_id="ds", method="gibbs-full", replicate=1, chains=1,
+            iterations=20, warmup=10, seed=1)])
+        paths = {"EMPTY": str(empty), "MISSING": str(tmp_path / "nope.csv"),
+                 "ONE_ROW": str(one_row),
+                 "MISSING_DIR": str(tmp_path / "missing" / "s.csv")}
         argv = [paths.get(a, a) for a in argv]
         if argv[0] != "summarise":
             argv += ["--out", str(tmp_path / "out")]

@@ -1,11 +1,15 @@
 """NUTS correctness on analytic Gaussian targets, adaptation behaviour,
 and the determinism contract."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from margmcmc.nuts import _adaptation_windows, _NutsKernel, nuts_run
+from margmcmc.nuts import (_adaptation_windows, _log_add_exp, _NutsKernel,
+                           nuts_run)
 from margmcmc.stats import make_rng
 
 
@@ -50,6 +54,20 @@ def leapfrog(model, q, p, step_size, inv_mass, n_steps=1):
         leaf = kernel._leaf(q, p, g, 1, step_size, 0.0)
         q, p, g = leaf.q_plus, leaf.p_plus, leaf.g_plus
     return q, p
+
+
+def test_log_add_exp_matches_numpy_bit_for_bit():
+    # infinities, nan, signed zeros, equal arguments, and gaps from 5e-324
+    # to 1e3 between ordinary log weights
+    gaps = [0.0, 5e-324, 1e-300, 1e-16, 1e-8, 0.3, 1.0, 36.0, 37.5, 709.0,
+            745.2, 1e3]
+    bases = [0.0, -0.0, 1.0, -3.7, 250.0, -1e3]
+    vals = [math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324]
+    vals += [b + sign * g for b in bases for g in gaps for sign in (1, -1)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for x, y in itertools.product(vals, repeat=2):
+            want = np.float64(np.logaddexp(x, y)).tobytes()
+            assert np.float64(_log_add_exp(x, y)).tobytes() == want, (x, y)
 
 
 class TestLeapfrog:

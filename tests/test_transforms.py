@@ -151,9 +151,11 @@ def stick_offsets(w):
 
 @st.composite
 def simplex_rows_case(draw):
-    """(R, K-1) stick rows in +-50 and an (R, K) gradient, K = 2..6."""
+    """(R, K-1) stick rows in +-50 and an (R, K) gradient, K = 2..6 and
+    R = 1..32: stick-major rows of 8 or more run numpy's SIMD main loops,
+    not only their tails (the ds model has R = 26)."""
     k = draw(st.integers(2, 6))
-    r = draw(st.integers(1, 4))
+    r = draw(st.integers(1, 32))
     vals = st.floats(-50, 50, allow_nan=False)
     rows = np.array(draw(st.lists(vals, min_size=r * (k - 1),
                                   max_size=r * (k - 1)))).reshape(r, k - 1)
