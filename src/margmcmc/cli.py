@@ -95,10 +95,12 @@ def _check_out_dir(path):
         raise UsageError(f"output directory {out_dir} does not exist")
 
 
-def cmd_run(args):
+def run_specs(args):
+    """The specs `run` executes: each selected scenario with each
+    requested method that its model family has."""
     specs = []
     for scenario in _selected_scenarios(args):
-        applicable = hz.methods_for_scenario(scenario)
+        applicable = scenario.model().methods
         for method in args.method or applicable:
             if method not in applicable:
                 print(f"skip: {method} not applicable to {scenario.id}",
@@ -114,13 +116,20 @@ def cmd_run(args):
                 raise UsageError(str(exc)) from None
     if not specs:
         raise UsageError("no runnable (scenario, method) cells")
+    return specs
+
+
+def cmd_run(args):
+    if args.parallel < 1:
+        raise UsageError("need parallel >= 1")
+    specs = run_specs(args)
     _check_out_dir(args.out)
 
     write = (hz.write_records_csv if args.format == "csv"
              else hz.write_records_jsonl)
 
     def on_record(rec):
-        write(args.out, [rec], append=True)
+        write(args.out, [rec])
         print(f"{rec.scenario_id} {rec.method} r{rec.replicate}: "
               f"{rec.status} time={rec.comp_time_s:.1f}s "
               f"min_ess={rec.min_ess:.1f} max_rhat={rec.max_rhat:.3f}",
@@ -143,6 +152,8 @@ def cmd_summarise(args):
         rows = hz.read_records(args.results)
     except OSError as exc:
         raise UsageError(f"cannot read {args.results}: {exc.strerror}")
+    except ValueError as exc:   # JSON decode errors included
+        raise UsageError(f"{args.results} is not a results file: {exc}")
     if not rows:
         raise UsageError(f"no records in {args.results}")
     summary = hz.summarise(rows)

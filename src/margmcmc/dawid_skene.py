@@ -13,8 +13,7 @@ PRIOR_CONCENTRATION, PRIOR_DIAG_MASS).
 
 The model handle builds its constants once: alpha, beta, alpha - 1,
 beta - 1 and the two Dirichlet normalisers (pi's, and J times the sum
-of the confusion rows').  Its `log_prior` serves both the fused gradient
-and `ds_log_prior`.
+of the confusion rows').  Its `log_prior` serves the fused gradient.
 """
 
 import math
@@ -95,31 +94,6 @@ def _item_category_loglik(data, log_theta):
 
 def _dirichlet_log_norm(alpha):
     return gammaln(alpha.sum()) - gammaln(alpha).sum()
-
-
-def ds_log_prior(params):
-    model = DawidSkeneModel(params.theta.shape[0], len(params.pi))
-    return model.log_prior(np.log(params.pi), np.log(params.theta))
-
-
-def ds_full_log_joint(data, latent, params):
-    """Log joint of (y, z, params) for the unmarginalised model."""
-    z = np.asarray(latent, dtype=int)
-    if z.shape != (data.n_items,):
-        raise ValueError("latent labels must match item count")
-    c = _item_category_loglik(data, np.log(params.theta))
-    ll = np.log(params.pi)[z].sum() + c[z, np.arange(len(z))].sum()
-    return float(ll + ds_log_prior(params))
-
-
-def ds_marginal_log_lik(data, params):
-    """sum_i log sum_k pi_k prod_j theta[j, k, y_ij], in log space."""
-    c = _item_category_loglik(data, np.log(params.theta))
-    return float(lse_rows(np.log(params.pi)[:, None] + c).sum())
-
-
-def ds_marginal_log_joint(data, params):
-    return ds_marginal_log_lik(data, params) + ds_log_prior(params)
 
 
 def ds_z_full_conditional(data, params):

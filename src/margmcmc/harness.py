@@ -19,7 +19,7 @@ from .draws import check_lengths
 from .gibbs import gibbs_run
 from .mixture import MixtureModel
 from .nuts import nuts_run
-from .simulate import gen_dataset, get_scenario, scenario_catalog
+from .simulate import gen_dataset, get_scenario
 from .stats import make_rng
 
 SCHEMA_VERSION = 1
@@ -31,11 +31,6 @@ CSV_COLUMNS = ("schema_version", "scenario_id", "method", "replicate",
                "chains", "iterations", "warmup", "seed", "comp_time_s",
                "min_ess", "time_per_min_ess", "max_rhat", "divergences",
                "status")
-
-
-def methods_for_scenario(scenario):
-    """The method arms of the scenario's model family."""
-    return scenario.model().methods
 
 
 @dataclass(frozen=True)
@@ -138,19 +133,6 @@ def run_record(spec, replicate):
     return record
 
 
-def default_spec_list(master_seed=0, replicates=5, chains=3,
-                      iterations=3000, warmup=1500):
-    """The full benchmark matrix: every scenario x applicable method."""
-    specs = []
-    for scenario in scenario_catalog():
-        for method in methods_for_scenario(scenario):
-            specs.append(RunSpec(scenario_id=scenario.id, method=method,
-                                 chains=chains, iterations=iterations,
-                                 warmup=warmup, replicates=replicates,
-                                 master_seed=master_seed))
-    return specs
-
-
 def run_matrix(spec_list, parallelism=1, on_record=None):
     """Run every replicate of every spec; crash-safe incremental output.
 
@@ -183,27 +165,30 @@ def run_matrix(spec_list, parallelism=1, on_record=None):
 
 # ------------------------------------------------------------- persistence
 
-def write_records_csv(path, records, append=False):
-    exists = os.path.exists(path) and os.path.getsize(path) > 0
-    mode = "a" if append else "w"
-    with open(path, mode, newline="") as fh:
+def write_records_csv(path, records):
+    """Append `records` to a CSV results file, starting the file with the
+    schema comment and the header if it is missing or empty."""
+    new = not os.path.exists(path) or os.path.getsize(path) == 0
+    with open(path, "a", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        if not (append and exists):
+        if new:
             fh.write(f"# margmcmc results schema v{SCHEMA_VERSION}\n")
             writer.writeheader()
         for rec in records:
             writer.writerow(rec.row())
 
 
-def write_records_jsonl(path, records, append=False):
-    with open(path, "a" if append else "w") as fh:
+def write_records_jsonl(path, records):
+    """Append `records` to a JSON-lines results file."""
+    with open(path, "a") as fh:
         for rec in records:
             fh.write(json.dumps(rec.row()) + "\n")
 
 
 def read_records(path):
     """Rows of a CSV or JSON-lines results file as dicts with numeric
-    fields parsed; comments skipped.  Both hold `row()`'s values."""
+    fields parsed; comments skipped.  Both hold `row()`'s values, so a
+    row that lacks one of CSV_COLUMNS raises ValueError naming it."""
     with open(path, newline="") as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
     if lines and lines[0].startswith("{"):
@@ -211,6 +196,9 @@ def read_records(path):
     else:
         rows = [dict(raw) for raw in csv.DictReader(lines)]
     for row in rows:
+        missing = [key for key in CSV_COLUMNS if key not in row]
+        if missing:
+            raise ValueError(f"missing column {missing[0]!r}")
         for key in ("replicate", "chains", "iterations", "warmup",
                     "seed", "divergences", "schema_version"):
             row[key] = int(row[key]) if row[key] else 0

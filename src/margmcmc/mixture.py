@@ -1,5 +1,6 @@
-"""K-component Gaussian mixture: full and marginalised log joints,
-analytic gradients in unconstrained space, and the latent full conditional.
+"""K-component Gaussian mixture: the log prior, the fused marginalised
+log posterior and its analytic gradient in unconstrained space, and the
+latent full conditional.
 
 Parameterisation: ordered means mu (label-switching guard), one shared
 standard deviation sigma, mixture weights pi.  Priors: mu_1 ~ N(0, 10^2),
@@ -72,30 +73,6 @@ def _log_prior(mu, sigma):
 def log_prior(params):
     """Log prior density; -inf off the ordered support."""
     return _log_prior(params.mu, params.sigma)[0]
-
-
-def mix_full_log_joint(data, latent, params):
-    """Log joint of (x, z, params) for the unmarginalised model."""
-    lp = log_prior(params)
-    if not np.isfinite(lp):
-        return -np.inf
-    z = np.asarray(latent, dtype=int)
-    if z.shape != data.x.shape:
-        raise ValueError("latent labels must match data length")
-    ll = _component_loglik(data.x, params)
-    return lp + float(ll[z, np.arange(len(z))].sum())
-
-
-def mix_marginal_log_lik(data, params):
-    """Marginalised log likelihood: sum_i log sum_k pi_k N(x_i|mu_k, s^2)."""
-    return float(lse_rows(_component_loglik(data.x, params)).sum())
-
-
-def mix_marginal_log_joint(data, params):
-    lp = log_prior(params)
-    if not np.isfinite(lp):
-        return -np.inf
-    return lp + mix_marginal_log_lik(data, params)
 
 
 def mix_z_full_conditional(data, params):

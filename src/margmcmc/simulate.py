@@ -5,10 +5,11 @@ categorical rating scenario.  Every dataset is a pure function of
 (scenario id, replicate index, master seed), so adding scenarios or
 replicates never perturbs existing data.
 
-Datasets serialise to a flat text file: a header line of key=value pairs
-followed by one observation per line (a single real for mixtures, J
-space-separated integers for ratings).  Category labels are written
-1-based in files and kept 0-based in memory.
+Datasets serialise to a flat text file for outside tools (the package
+reads none back): a header line of key=value pairs followed by one
+observation per line (a single real for mixtures, J space-separated
+integers for ratings).  Category labels are written 1-based in files and
+kept 0-based in memory.
 
 Each scenario type owns its model family: its handle (`model`), its
 generator (`generate`) and its parts of the file format.
@@ -72,10 +73,6 @@ class MixtureScenario:
         return ["mu " + _floats(truth["mu"]), "pi " + _floats(truth["pi"]),
                 "sigma " + repr(float(truth["sigma"]))]
 
-    @staticmethod
-    def read_data(header, lines):
-        return MixtureData(np.array([float(v) for v in lines]))
-
 
 @dataclass(frozen=True)
 class DSScenario:
@@ -138,13 +135,7 @@ class DSScenario:
             for j, rows in enumerate(truth["theta"], 1)
             for kk, row in enumerate(rows, 1)]
 
-    @staticmethod
-    def read_data(header, lines):
-        ratings = np.array([[int(v) - 1 for v in ln.split()] for ln in lines])
-        return DSData(ratings, int(header["categories"]))
 
-
-_SCENARIO_TYPES = {cls.kind: cls for cls in (MixtureScenario, DSScenario)}
 _THIRDS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 
@@ -215,20 +206,3 @@ def write_dataset(path, scenario, replicate, master_seed):
     with open(tpath, "w") as fh:
         fh.write("\n".join(tlines) + "\n")
     return path
-
-
-def parse_header(line):
-    out = {}
-    for token in line.split():
-        key, _, val = token.partition("=")
-        out[key] = val
-    return out
-
-
-def read_dataset(path):
-    """Round-trip loader; returns (header dict, MixtureData or DSData)."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    header = parse_header(lines[0])
-    reader = _SCENARIO_TYPES[header["kind"]].read_data
-    return header, reader(header, lines[1:])

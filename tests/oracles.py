@@ -1,6 +1,8 @@
-"""Code only tests use: log densities for the priors, inverse transforms
-for round trips, value-only posteriors built from the public non-fused
-joints plus `constrain`, the row-major fused gradients the
+"""Code only tests use: log densities for the priors, both models' full
+and marginalised log joints (the references the enumeration, latent
+conditional and finite-difference tests hold the samplers' kernels to),
+inverse transforms for round trips, value-only posteriors built from
+those joints plus `constrain`, the row-major fused gradients the
 component-major kernels replaced, the reference for each model's fused
 gradient, and the one-row-at-a-time Dirichlet draw and stick inverse the
 stacked simplex primitives replaced."""
@@ -13,7 +15,7 @@ from scipy import special
 from margmcmc import dawid_skene as dsm
 from margmcmc import mixture as mx
 from margmcmc import transforms as tr
-from margmcmc.stats import LOG_2PI
+from margmcmc.stats import LOG_2PI, lse_rows
 
 
 def log_normal_pdf(x, mu, sigma):
@@ -58,16 +60,73 @@ def log_dirichlet_pdf(p, alpha):
     return log_norm + np.sum((alpha - 1.0) * np.log(p))
 
 
+# ------------------------------------------------------------- log joints
+# The non-fused log joints of both models, on constrained parameters.
+# They share the kernels' likelihood matrices (`mx._component_loglik`,
+# `dsm._item_category_loglik`) and priors (`mx.log_prior`,
+# `DawidSkeneModel.log_prior`), so a test against them checks the sum
+# over the latents, the fused gradient and the conditionals, not those
+# matrices.
+
+def mix_full_log_joint(data, latent, params):
+    """Log joint of (x, z, params) for the unmarginalised model."""
+    lp = mx.log_prior(params)
+    if not np.isfinite(lp):
+        return -np.inf
+    z = np.asarray(latent, dtype=int)
+    if z.shape != data.x.shape:
+        raise ValueError("latent labels must match data length")
+    ll = mx._component_loglik(data.x, params)
+    return lp + float(ll[z, np.arange(len(z))].sum())
+
+
+def mix_marginal_log_lik(data, params):
+    """Marginalised log likelihood: sum_i log sum_k pi_k N(x_i|mu_k, s^2)."""
+    return float(lse_rows(mx._component_loglik(data.x, params)).sum())
+
+
+def mix_marginal_log_joint(data, params):
+    lp = mx.log_prior(params)
+    if not np.isfinite(lp):
+        return -np.inf
+    return lp + mix_marginal_log_lik(data, params)
+
+
+def ds_log_prior(params):
+    model = dsm.DawidSkeneModel(params.theta.shape[0], len(params.pi))
+    return model.log_prior(np.log(params.pi), np.log(params.theta))
+
+
+def ds_full_log_joint(data, latent, params):
+    """Log joint of (y, z, params) for the unmarginalised model."""
+    z = np.asarray(latent, dtype=int)
+    if z.shape != (data.n_items,):
+        raise ValueError("latent labels must match item count")
+    c = dsm._item_category_loglik(data, np.log(params.theta))
+    ll = np.log(params.pi)[z].sum() + c[z, np.arange(len(z))].sum()
+    return float(ll + ds_log_prior(params))
+
+
+def ds_marginal_log_lik(data, params):
+    """sum_i log sum_k pi_k prod_j theta[j, k, y_ij], in log space."""
+    c = dsm._item_category_loglik(data, np.log(params.theta))
+    return float(lse_rows(np.log(params.pi)[:, None] + c).sum())
+
+
+def ds_marginal_log_joint(data, params):
+    return ds_marginal_log_lik(data, params) + ds_log_prior(params)
+
+
 def mix_marginal_log_post_u(data, u, k):
     """Mixture marginal log joint plus logJ at an unconstrained point."""
     params, lj, _ = mx.constrain(u, k)
-    return mx.mix_marginal_log_joint(data, params) + lj
+    return mix_marginal_log_joint(data, params) + lj
 
 
 def ds_marginal_log_post_u(model, data, u):
     """Rating-model marginal log joint plus logJ at an unconstrained point."""
     params, lj = model.constrain(u)
-    return dsm.ds_marginal_log_joint(data, params) + lj
+    return ds_marginal_log_joint(data, params) + lj
 
 
 def unconstrain_ordered(mu):

@@ -27,12 +27,15 @@ from scipy.special import logsumexp
 from margmcmc import dawid_skene as dsm
 from margmcmc import harness as hz
 from margmcmc import mixture as mx
+from margmcmc.cli import build_parser, run_specs
 from margmcmc.diagnostics import ess, split_rhat
 from margmcmc.draws import stack_param_chains
 from margmcmc.gibbs import update_z_block
 from margmcmc.simulate import gen_dataset, get_scenario
 from margmcmc.stats import make_rng
-from oracles import ds_marginal_log_post_u, mix_marginal_log_post_u
+from oracles import (ds_full_log_joint, ds_log_prior, ds_marginal_log_lik,
+                     ds_marginal_log_post_u, mix_full_log_joint,
+                     mix_marginal_log_lik, mix_marginal_log_post_u)
 
 RESULTS_PATH = Path(os.environ.get(
     "MARGMCMC_RESULTS",
@@ -70,10 +73,10 @@ def test_criterion_1_mixture_marginalisation():
             data = mx.MixtureData(rng.normal(0, 4, size=n))
             params = model.init_params(rng)
             brute = logsumexp([
-                mx.mix_full_log_joint(data, np.array(z), params)
+                mix_full_log_joint(data, np.array(z), params)
                 for z in itertools.product(range(k), repeat=n)])
             brute -= mx.log_prior(params)
-            got = mx.mix_marginal_log_lik(data, params)
+            got = mix_marginal_log_lik(data, params)
             worst = max(worst, abs(got - brute) / max(abs(brute), 1e-300))
     elapsed = time.time() - t0
     report("criterion 1 (mixture marginalisation vs enumeration)",
@@ -92,11 +95,11 @@ def test_criterion_2_ds_marginalisation():
         data = dsm.DSData(rng.integers(0, k, size=(i_n, j_n)), k)
         model = dsm.DawidSkeneModel(j_n, k)
         params = model.init_params(rng)
-        lp = dsm.ds_log_prior(params)
+        lp = ds_log_prior(params)
         brute = logsumexp([
-            dsm.ds_full_log_joint(data, np.array(z), params) - lp
+            ds_full_log_joint(data, np.array(z), params) - lp
             for z in itertools.product(range(k), repeat=i_n)])
-        got = dsm.ds_marginal_log_lik(data, params)
+        got = ds_marginal_log_lik(data, params)
         worst = max(worst, abs(got - brute) / max(abs(brute), 1e-300))
     elapsed = time.time() - t0
     report("criterion 2 (rating-model marginalisation vs enumeration)",
@@ -244,7 +247,8 @@ def test_criterion_7_diagnostics_oracles():
 def _load_or_run_matrix():
     if RESULTS_PATH.exists():
         return hz.read_records(RESULTS_PATH), True
-    records = hz.run_matrix(hz.default_spec_list(master_seed=42))
+    records = hz.run_matrix(run_specs(build_parser().parse_args(
+        ["run", "--seed", "42"])))
     return [r.row() | {
         "min_ess": r.min_ess, "max_rhat": r.max_rhat,
         "comp_time_s": r.comp_time_s,

@@ -61,8 +61,7 @@ def test_hooks_keep_the_benchmark_call_contract(perfbench):
             super().set(owner, name, counted)
 
     for scenario_id in SCENARIOS:
-        methods = harness.methods_for_scenario(
-            simulate.get_scenario(scenario_id))
+        methods = simulate.get_scenario(scenario_id).model().methods
         specs = [harness.RunSpec(scenario_id=scenario_id, method=m,
                                  chains=1, iterations=20, warmup=10,
                                  replicates=1, master_seed=3)

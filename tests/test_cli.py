@@ -3,6 +3,7 @@
 import pytest
 
 from margmcmc import harness as hz
+from margmcmc import simulate as sim
 from margmcmc.cli import main
 
 
@@ -107,11 +108,17 @@ class TestExitCodes:
         ["summarise", "ONE_ROW", "--out", "MISSING_DIR"],
         ["simulate", "--replicates", "0"],
         ["simulate", "--replicates", "-2"],
+        ["run", "--parallel", "0"],
+        ["run", "--parallel", "-1"],
+        ["summarise", "DATASET"],
+        ["summarise", "NO_COLUMNS"],
     ], ids=["chains-0", "warmup-not-below-iterations", "negative-warmup",
             "unknown-scenario", "simulate-unknown-scenario",
             "no-runnable-cell", "summarise-no-records",
             "summarise-missing-file", "summarise-out-in-missing-directory",
-            "simulate-replicates-0", "simulate-negative-replicates"])
+            "simulate-replicates-0", "simulate-negative-replicates",
+            "parallel-0", "negative-parallel", "summarise-dataset-file",
+            "summarise-csv-without-result-columns"])
     def test_usage_errors_exit_2_with_one_line(self, argv, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -119,9 +126,14 @@ class TestExitCodes:
         hz.write_records_csv(one_row, [hz.BenchRecord(
             scenario_id="ds", method="gibbs-full", replicate=1, chains=1,
             iterations=20, warmup=10, seed=1)])
+        dataset = sim.write_dataset(tmp_path / "ds-r1.dat",
+                                    sim.get_scenario("ds"), 1, 0)
+        no_columns = tmp_path / "other.csv"
+        no_columns.write_text("a,b\n1,2\n")
         paths = {"EMPTY": str(empty), "MISSING": str(tmp_path / "nope.csv"),
                  "ONE_ROW": str(one_row),
-                 "MISSING_DIR": str(tmp_path / "missing" / "s.csv")}
+                 "MISSING_DIR": str(tmp_path / "missing" / "s.csv"),
+                 "DATASET": str(dataset), "NO_COLUMNS": str(no_columns)}
         argv = [paths.get(a, a) for a in argv]
         if argv[0] != "summarise":
             argv += ["--out", str(tmp_path / "out")]

@@ -9,7 +9,9 @@ from scipy.special import logsumexp
 
 from margmcmc import dawid_skene as ds
 from margmcmc.stats import make_rng
-from oracles import ds_marginal_log_post_u, ds_unconstrain, log_dirichlet_pdf
+from oracles import (ds_full_log_joint, ds_log_prior,
+                     ds_marginal_log_joint, ds_marginal_log_lik,
+                     ds_marginal_log_post_u, ds_unconstrain, log_dirichlet_pdf)
 
 
 def random_params(rng, j, k):
@@ -24,8 +26,8 @@ def random_data(rng, i, j, k):
 def enumerate_marginal(data, params):
     i_n = data.n_items
     k = len(params.pi)
-    lp_prior = ds.ds_log_prior(params)
-    terms = [ds.ds_full_log_joint(data, np.array(z), params) - lp_prior
+    lp_prior = ds_log_prior(params)
+    terms = [ds_full_log_joint(data, np.array(z), params) - lp_prior
              for z in itertools.product(range(k), repeat=i_n)]
     return logsumexp(terms)
 
@@ -80,7 +82,7 @@ class TestMarginalisation:
             data = random_data(rng, i_n, j_n, k)
             params = random_params(rng, j_n, k)
             want = enumerate_marginal(data, params)
-            got = ds.ds_marginal_log_lik(data, params)
+            got = ds_marginal_log_lik(data, params)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-10)
 
     def test_category_permutation_invariance(self):
@@ -89,14 +91,14 @@ class TestMarginalisation:
         k = 3
         data = random_data(rng, 15, 4, k)
         params = random_params(rng, 4, k)
-        want = ds.ds_marginal_log_lik(data, params)
+        want = ds_marginal_log_lik(data, params)
         for perm in itertools.permutations(range(k)):
             perm = np.array(perm)
             inv = np.argsort(perm)
             data_p = ds.DSData(perm[data.ratings], k)
             theta_p = params.theta[:, inv][:, :, inv]
             params_p = ds.DSParams(pi=params.pi[inv], theta=theta_p)
-            assert ds.ds_marginal_log_lik(data_p, params_p) == \
+            assert ds_marginal_log_lik(data_p, params_p) == \
                 pytest.approx(want, rel=1e-12)
 
 
@@ -110,7 +112,7 @@ class TestPrior:
         for jj in range(j):
             for kk in range(k):
                 want += log_dirichlet_pdf(params.theta[jj, kk], beta[kk])
-        assert ds.ds_log_prior(params) == pytest.approx(want, rel=1e-10)
+        assert ds_log_prior(params) == pytest.approx(want, rel=1e-10)
 
 
 class TestLatentConditional:
@@ -125,7 +127,7 @@ class TestLatentConditional:
             for k in range(3):
                 zi = z.copy()
                 zi[i] = k
-                num[k] = ds.ds_full_log_joint(data, zi, params)
+                num[k] = ds_full_log_joint(data, zi, params)
             want = np.exp(num - logsumexp(num))
             assert np.allclose(probs[:, i], want, atol=1e-12)
 
@@ -164,8 +166,8 @@ class TestUnconstrainedInterface:
                 e[i] = h
                 pp, ljp = model.constrain(u + e)
                 pm, ljm = model.constrain(u - e)
-                num = (ds.ds_marginal_log_joint(data, pp) + ljp
-                       - ds.ds_marginal_log_joint(data, pm) - ljm) / (2 * h)
+                num = (ds_marginal_log_joint(data, pp) + ljp
+                       - ds_marginal_log_joint(data, pm) - ljm) / (2 * h)
                 assert got[i] == pytest.approx(num, rel=1e-4, abs=1e-5)
 
     def test_fused_matches_separate(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from margmcmc import harness as hz
+from margmcmc.cli import build_parser, run_specs
 
 
 SMALL = dict(chains=2, iterations=200, warmup=100)
@@ -12,15 +13,15 @@ SMALL = dict(chains=2, iterations=200, warmup=100)
 
 class TestSpecs:
     def test_matrix_arithmetic(self):
-        specs = hz.default_spec_list()
+        specs = run_specs(build_parser().parse_args(["run", "--seed", "42"]))
         records = sum(s.replicates for s in specs)
         # 4 and 8 mixture scenarios x 4 methods + 1 rating scenario x 3
         assert records == 4 * 4 * 5 + 8 * 4 * 5 + 1 * 3 * 5
 
     def test_method_applicability(self):
         from margmcmc.simulate import get_scenario
-        assert hz.methods_for_scenario(get_scenario("two-comp-1")) == hz.METHODS
-        ds_methods = hz.methods_for_scenario(get_scenario("ds"))
+        assert get_scenario("two-comp-1").model().methods == hz.METHODS
+        ds_methods = get_scenario("ds").model().methods
         assert "gibbs-full-restricted" not in ds_methods
         assert len(ds_methods) == 3
 
@@ -132,7 +133,7 @@ class TestPersistence:
         path = tmp_path / "r.csv"
         recs = self._records()
         hz.write_records_csv(path, recs[:1])
-        hz.write_records_csv(path, recs[1:], append=True)
+        hz.write_records_csv(path, recs[1:])
         assert len(hz.read_records(path)) == 2
 
     def test_jsonl(self, tmp_path):

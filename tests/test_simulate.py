@@ -122,14 +122,20 @@ class TestGenerators:
         assert np.array_equal(a.ratings, b.ratings)
 
 
+def read_back(path):
+    """A written dataset's header as a dict, and its data lines."""
+    lines = path.read_text().splitlines()
+    return dict(token.split("=", 1) for token in lines[0].split()), lines[1:]
+
+
 class TestSerialisation:
     def test_mixture_round_trip(self, tmp_path):
         s = sim.get_scenario("three-comp-4")
         path = tmp_path / "m.dat"
         sim.write_dataset(path, s, 2, 11)
-        header, data = sim.read_dataset(path)
+        header, body = read_back(path)
         want, _ = sim.gen_dataset(s, 2, 11)
-        assert np.array_equal(data.x, want.x)
+        assert np.array_equal([float(v) for v in body], want.x)
         assert header["scenario"] == "three-comp-4"
         assert int(header["replicate"]) == 2
 
@@ -137,13 +143,12 @@ class TestSerialisation:
         s = sim.get_scenario("ds")
         path = tmp_path / "d.dat"
         sim.write_dataset(path, s, 1, 11)
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-        body = np.array([[int(v) for v in ln.split()] for ln in lines[1:]])
-        assert body.min() >= 1 and body.max() <= 5   # file labels are 1-based
-        _, data = sim.read_dataset(path)
+        header, body = read_back(path)
+        ratings = np.array([[int(v) for v in ln.split()] for ln in body])
+        assert ratings.min() >= 1 and ratings.max() <= 5  # file labels are 1-based
         want, _ = sim.gen_dataset(s, 1, 11)
-        assert np.array_equal(data.ratings, want.ratings)
+        assert np.array_equal(ratings - 1, want.ratings)
+        assert int(header["categories"]) == 5
 
     def test_same_inputs_identical_bytes(self, tmp_path):
         s = sim.get_scenario("two-comp-1")

@@ -1,7 +1,8 @@
 """Tooling guards.  Every public function and method in `src/margmcmc`
 has a use in `src/margmcmc` outside its own definition (code only tests
 call belongs in `tests/oracles.py`); names match by spelling alone, and
-the package's `__all__` and the entry point `cli.main` are exempt.  Every
+only the entry point `cli.main` is exempt: a name the package exports
+but never calls is still unused.  Every
 field of a dataclass in `src/margmcmc` is read there as an attribute,
 unless only the benchmark reads it (`BENCHMARK_FIELDS`).  Every name the
 benchmark patches exists, and the fused gradients reach the traced layers
@@ -54,7 +55,7 @@ def unused_defs():
     used = sum((loaded_names(tree) for tree in trees.values()), Counter())
     return [f"{module}.{fn.name}"
             for module, tree in trees.items() for fn in public_defs(tree)
-            if fn.name not in margmcmc.__all__ and (module, fn.name) not in ENTRY_POINTS
+            if (module, fn.name) not in ENTRY_POINTS
             and used[fn.name] == loaded_names(fn)[fn.name]]
 
 
