@@ -2,15 +2,15 @@
 
 Subcommands:
   simulate   write benchmark datasets (plus .truth companions) to a directory
-  run        execute the benchmark matrix and append result rows
-  summarise  aggregate a results file into per-cell five-number summaries
+  run        execute the benchmark matrix and append rows to a CSV results file
+  summarise  write one CSV row of five-number summaries per (scenario, method)
 
 Exit codes: 0 success, 1 record failure(s), 2 usage error (one line).
 """
 
 import argparse
+import contextlib
 import csv
-import json
 import os
 import sys
 
@@ -50,15 +50,13 @@ def build_parser():
     p_run.add_argument("--out", default="results.csv", help="results file")
     p_run.add_argument("--parallel", type=int, default=1,
                        help="records run concurrently (chains stay serial)")
-    p_run.add_argument("--format", choices=["csv", "json"], default="csv")
     p_run.add_argument("--keep-going", action="store_true",
                        help="exit 0 even if some records errored")
 
     p_sum = sub.add_parser("summarise", help="aggregate a results file")
-    p_sum.add_argument("results", help="results file (CSV or JSON) of `run`")
+    p_sum.add_argument("results", help="results file of `run`")
     p_sum.add_argument("--out", default=None,
                        help="summary output file (default: stdout)")
-    p_sum.add_argument("--format", choices=["csv", "json"], default="csv")
     return parser
 
 
@@ -95,6 +93,15 @@ def _check_out_dir(path):
         raise UsageError(f"output directory {out_dir} does not exist")
 
 
+def _check_results_out(path):
+    """`run` appends to `path`: refuse a file that is not a results file."""
+    _check_out_dir(path)
+    if os.path.isfile(path) and os.path.getsize(path) > 0:
+        with open(path, "rb") as fh:
+            if fh.readline() != hz.SCHEMA_LINE.encode():
+                raise UsageError(f"{path} exists and is not a results file")
+
+
 def run_specs(args):
     """The specs `run` executes: each selected scenario with each
     requested method that its model family has."""
@@ -123,17 +130,15 @@ def cmd_run(args):
     if args.parallel < 1:
         raise UsageError("need parallel >= 1")
     specs = run_specs(args)
-    _check_out_dir(args.out)
-
-    write = (hz.write_records_csv if args.format == "csv"
-             else hz.write_records_jsonl)
+    _check_results_out(args.out)
 
     def on_record(rec):
-        write(args.out, [rec])
-        print(f"{rec.scenario_id} {rec.method} r{rec.replicate}: "
-              f"{rec.status} time={rec.comp_time_s:.1f}s "
-              f"min_ess={rec.min_ess:.1f} max_rhat={rec.max_rhat:.3f}",
-              flush=True)
+        hz.write_records_csv(args.out, [rec])
+        line = f"{rec.scenario_id} {rec.method} r{rec.replicate}: {rec.status}"
+        if rec.status == "ok":
+            line += (f" time={rec.comp_time_s:.1f}s min_ess={rec.min_ess:.1f}"
+                     f" max_rhat={rec.max_rhat:.3f}")
+        print(line, flush=True)
 
     records = hz.run_matrix(specs, parallelism=args.parallel,
                             on_record=on_record)
@@ -152,28 +157,20 @@ def cmd_summarise(args):
         rows = hz.read_records(args.results)
     except OSError as exc:
         raise UsageError(f"cannot read {args.results}: {exc.strerror}")
-    except ValueError as exc:   # JSON decode errors included
+    except ValueError as exc:
         raise UsageError(f"{args.results} is not a results file: {exc}")
     if not rows:
         raise UsageError(f"no records in {args.results}")
     summary = hz.summarise(rows)
-    flat = hz.summary_csv_rows(summary)
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        if args.format == "json":
-            json.dump(summary, out, indent=2, default=float)
-            out.write("\n")
-        else:
-            writer = csv.DictWriter(out, fieldnames=list(flat[0].keys()))
-            writer.writeheader()
-            writer.writerows(flat)
-    finally:
-        if args.out:
-            out.close()
-    flagged = [e for e in summary if e.get("rhat_flag")]
-    for e in flagged:
-        print(f"warning: {e['scenario_id']}/{e['method']} has max-rhat "
-              f"above {hz.RHAT_THRESHOLD}", file=sys.stderr)
+    with (open(args.out, "w", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out:
+        writer = csv.DictWriter(out, fieldnames=list(summary[0]))
+        writer.writeheader()
+        writer.writerows(summary)
+    for e in summary:
+        if e["rhat_flag"]:
+            print(f"warning: {e['scenario_id']}/{e['method']} has max-rhat "
+                  f"above {hz.RHAT_THRESHOLD}", file=sys.stderr)
     return 0
 
 

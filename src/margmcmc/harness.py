@@ -1,5 +1,5 @@
 """Benchmark harness: scenario x method x replicate matrix with timing,
-diagnostics, and append-only result persistence.
+diagnostics, an append-only CSV results file and its per-cell summary.
 
 Timing covers warmup plus sampling wall time only; chains within a record
 always run serially so one record's clock is never distorted by another.
@@ -7,9 +7,8 @@ Parallelism, when requested, is applied across records.
 """
 
 import csv
-import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,14 +22,10 @@ from .simulate import gen_dataset, get_scenario
 from .stats import make_rng
 
 SCHEMA_VERSION = 1
+SCHEMA_LINE = f"# margmcmc results schema v{SCHEMA_VERSION}\n"
 
 # every arm of either model family, in the order the handles list them
 METHODS = tuple(dict.fromkeys(MixtureModel.methods + DawidSkeneModel.methods))
-
-CSV_COLUMNS = ("schema_version", "scenario_id", "method", "replicate",
-               "chains", "iterations", "warmup", "seed", "comp_time_s",
-               "min_ess", "time_per_min_ess", "max_rhat", "divergences",
-               "status")
 
 
 @dataclass(frozen=True)
@@ -86,6 +81,13 @@ class BenchRecord:
             "divergences": self.divergences,
             "status": self.status,
         }
+
+
+# results columns, the type each is read as, and what an empty field reads as
+_COLUMN_TYPES = {"schema_version": int} | {
+    f.name: f.type for f in fields(BenchRecord)}
+CSV_COLUMNS = tuple(_COLUMN_TYPES)
+_EMPTY = {int: 0, float: np.nan, str: ""}
 
 
 def _fmt(v):
@@ -167,44 +169,31 @@ def run_matrix(spec_list, parallelism=1, on_record=None):
 
 def write_records_csv(path, records):
     """Append `records` to a CSV results file, starting the file with the
-    schema comment and the header if it is missing or empty."""
+    schema line and the header if it is missing or empty."""
     new = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         if new:
-            fh.write(f"# margmcmc results schema v{SCHEMA_VERSION}\n")
+            fh.write(SCHEMA_LINE)
             writer.writeheader()
         for rec in records:
             writer.writerow(rec.row())
 
 
-def write_records_jsonl(path, records):
-    """Append `records` to a JSON-lines results file."""
-    with open(path, "a") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.row()) + "\n")
-
-
 def read_records(path):
-    """Rows of a CSV or JSON-lines results file as dicts with numeric
-    fields parsed; comments skipped.  Both hold `row()`'s values, so a
-    row that lacks one of CSV_COLUMNS raises ValueError naming it."""
+    """Rows of a CSV results file as dicts, each column converted to the
+    type of its BenchRecord field (`schema_version` is an int; an empty
+    field is nan, 0 or ""); comment lines are skipped.  A row without one
+    of the columns, by the header or because it is cut short, raises
+    ValueError naming the first one missing."""
     with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    if lines and lines[0].startswith("{"):
-        rows = [json.loads(ln) for ln in lines]
-    else:
-        rows = [dict(raw) for raw in csv.DictReader(lines)]
+        rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
     for row in rows:
-        missing = [key for key in CSV_COLUMNS if key not in row]
+        missing = [key for key in CSV_COLUMNS if row.get(key) is None]
         if missing:
             raise ValueError(f"missing column {missing[0]!r}")
-        for key in ("replicate", "chains", "iterations", "warmup",
-                    "seed", "divergences", "schema_version"):
-            row[key] = int(row[key]) if row[key] else 0
-        for key in ("comp_time_s", "min_ess", "time_per_min_ess",
-                    "max_rhat"):
-            row[key] = float(row[key]) if row[key] else np.nan
+        for key, kind in _COLUMN_TYPES.items():
+            row[key] = kind(row[key]) if row[key] else _EMPTY[kind]
     return rows
 
 
@@ -213,22 +202,14 @@ def read_records(path):
 RHAT_THRESHOLD = 1.1
 
 _SUMMARY_METRICS = ("comp_time_s", "min_ess", "time_per_min_ess", "max_rhat")
-
-
-def _five_number(values):
-    v = np.asarray(values, dtype=float)
-    v = v[np.isfinite(v)]
-    if v.size == 0:
-        return None
-    q = np.percentile(v, [0, 25, 50, 75, 100])
-    return {"min": q[0], "q1": q[1], "median": q[2], "q3": q[3], "max": q[4]}
+_SUMMARY_STATS = ("min", "q1", "median", "q3", "max")
 
 
 def summarise(rows):
-    """Five-number summaries per (scenario, method) cell.
-
-    Cells where any replicate's max-rhat exceeds 1.1 are flagged; cells
-    with no successful replicate get an explicit gap marker.
+    """One flat row per (scenario, method) cell, in sorted order: `gap` is
+    1 if no record is `ok`, `rhat_flag` is 1 if an ok record's max-rhat
+    exceeds RHAT_THRESHOLD, and `<metric>_<stat>` is the min, q1, median,
+    q3 or max of the ok records' finite values, or None if there are none.
     """
     cells = {}
     for row in rows:
@@ -236,34 +217,16 @@ def summarise(rows):
     out = []
     for (sid, method), cell in sorted(cells.items()):
         ok = [r for r in cell if r["status"] == "ok"]
-        entry = {"scenario_id": sid, "method": method,
-                 "n_records": len(cell), "n_ok": len(ok)}
-        if not ok:
-            entry["gap"] = True
-            out.append(entry)
-            continue
-        entry["gap"] = False
-        for metric in _SUMMARY_METRICS:
-            entry[metric] = _five_number([r[metric] for r in ok])
         rhats = [r["max_rhat"] for r in ok if np.isfinite(r["max_rhat"])]
-        entry["rhat_flag"] = bool(rhats and max(rhats) > RHAT_THRESHOLD)
+        entry = {"scenario_id": sid, "method": method,
+                 "n_records": len(cell), "n_ok": len(ok), "gap": int(not ok),
+                 "rhat_flag": int(bool(rhats) and max(rhats) > RHAT_THRESHOLD)}
+        for metric in _SUMMARY_METRICS:
+            v = np.array([r[metric] for r in ok], dtype=float)
+            v = v[np.isfinite(v)]
+            q = (np.percentile(v, [0, 25, 50, 75, 100]).tolist() if v.size
+                 else [None] * len(_SUMMARY_STATS))
+            entry.update((f"{metric}_{stat}", value)
+                         for stat, value in zip(_SUMMARY_STATS, q))
         out.append(entry)
     return out
-
-
-def summary_csv_rows(summary):
-    """Flatten summarise() output into plot-ready CSV rows."""
-    rows = []
-    for entry in summary:
-        row = {"scenario_id": entry["scenario_id"],
-               "method": entry["method"],
-               "n_records": entry["n_records"], "n_ok": entry["n_ok"],
-               "gap": int(entry["gap"]),
-               "rhat_flag": int(entry.get("rhat_flag", False))}
-        for metric in _SUMMARY_METRICS:
-            stats = entry.get(metric)
-            for stat in ("min", "q1", "median", "q3", "max"):
-                row[f"{metric}_{stat}"] = (
-                    "" if stats is None else repr(float(stats[stat])))
-        rows.append(row)
-    return rows

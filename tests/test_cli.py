@@ -56,27 +56,6 @@ class TestRun:
         for key in ("min_ess", "max_rhat", "divergences", "seed"):
             assert ra[key] == rb[key]
 
-    def test_json_format(self, tmp_path):
-        import json
-        res = tmp_path / "res.jsonl"
-        code = main(["run", "--scenario", "two-comp-1", "--method",
-                     "gibbs-full", "--chains", "1", "--iterations", "150",
-                     "--warmup", "50", "--replicates", "1", "--format",
-                     "json", "--out", str(res)])
-        assert code == 0
-        row = json.loads(res.read_text().splitlines()[0])
-        assert row["method"] == "gibbs-full"
-        # summarise reads JSON lines through the CSV reader's conversion
-        (rec,) = hz.read_records(res)
-        assert rec["iterations"] == 150 and rec["min_ess"] == float(row["min_ess"])
-        summary = tmp_path / "summary.json"
-        code = main(["summarise", str(res), "--format", "json",
-                     "--out", str(summary)])
-        assert code == 0
-        (cell,) = json.loads(summary.read_text())
-        assert cell["n_ok"] == 1
-        assert cell["min_ess"]["median"] == rec["min_ess"]
-
     def test_inapplicable_pair_is_usage_error(self, tmp_path):
         # restricted-full is not an arm of the rating-model benchmark
         with pytest.raises(SystemExit):
@@ -112,13 +91,20 @@ class TestExitCodes:
         ["run", "--parallel", "-1"],
         ["summarise", "DATASET"],
         ["summarise", "NO_COLUMNS"],
+        ["summarise", "TRUNCATED"],
+        ["run", "--scenario", "two-comp-1", "--method", "gibbs-full",
+         "--replicates", "1", "--out", "DATASET"],
+        ["run", "--scenario", "two-comp-1", "--method", "gibbs-full",
+         "--replicates", "1", "--out", "NO_COLUMNS"],
     ], ids=["chains-0", "warmup-not-below-iterations", "negative-warmup",
             "unknown-scenario", "simulate-unknown-scenario",
             "no-runnable-cell", "summarise-no-records",
             "summarise-missing-file", "summarise-out-in-missing-directory",
             "simulate-replicates-0", "simulate-negative-replicates",
             "parallel-0", "negative-parallel", "summarise-dataset-file",
-            "summarise-csv-without-result-columns"])
+            "summarise-csv-without-result-columns",
+            "summarise-truncated-row", "run-out-onto-dataset",
+            "run-out-onto-csv-without-schema-line"])
     def test_usage_errors_exit_2_with_one_line(self, argv, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -130,12 +116,20 @@ class TestExitCodes:
                                     sim.get_scenario("ds"), 1, 0)
         no_columns = tmp_path / "other.csv"
         no_columns.write_text("a,b\n1,2\n")
+        # a row cut short after `iterations`, as a killed run leaves it
+        truncated = tmp_path / "truncated.csv"
+        *head, row = one_row.read_text().splitlines()
+        truncated.write_text("\n".join(
+            head + [",".join(row.split(",")[:6])]) + "\n")
         paths = {"EMPTY": str(empty), "MISSING": str(tmp_path / "nope.csv"),
                  "ONE_ROW": str(one_row),
                  "MISSING_DIR": str(tmp_path / "missing" / "s.csv"),
-                 "DATASET": str(dataset), "NO_COLUMNS": str(no_columns)}
+                 "DATASET": str(dataset), "NO_COLUMNS": str(no_columns),
+                 "TRUNCATED": str(truncated)}
+        inputs = {path: path.read_bytes() for path in
+                  (empty, one_row, dataset, no_columns, truncated)}
         argv = [paths.get(a, a) for a in argv]
-        if argv[0] != "summarise":
+        if argv[0] != "summarise" and "--out" not in argv:
             argv += ["--out", str(tmp_path / "out")]
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -145,6 +139,7 @@ class TestExitCodes:
             == [err[-1]]
         assert err[-1].startswith("margmcmc: error: ")
         assert not (tmp_path / "out").exists()
+        assert {path: path.read_bytes() for path in inputs} == inputs
 
     def test_run_out_in_missing_directory_is_2(self, tmp_path, capsys,
                                                monkeypatch):
@@ -161,7 +156,7 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("margmcmc: error: ")
         assert not out.parent.exists()
 
-    def test_record_failure_is_1(self, tmp_path, monkeypatch):
+    def test_record_failure_is_1(self, tmp_path, monkeypatch, capsys):
         def boom(*a, **k):
             raise RuntimeError("no")
 
@@ -170,5 +165,7 @@ class TestExitCodes:
                 "--chains", "1", "--iterations", "100", "--warmup", "50",
                 "--replicates", "1", "--out", str(tmp_path / "r.csv")]
         assert main(args) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "two-comp-1 gibbs-full r1: error:RuntimeError: no"]
         assert main(args + ["--keep-going"]) == 0
 
