@@ -15,7 +15,7 @@ from .mixture import (MixtureData, MixtureModel, MixtureParams,
                       mix_z_full_conditional)
 from .nuts import nuts_run
 from .simulate import (DSScenario, MixtureScenario, gen_dataset,
-                       get_scenario, scenario_catalog, write_dataset)
+                       get_scenario, scenario_catalog)
 from .stats import make_rng
 
 __version__ = "1.0.0"
@@ -28,5 +28,5 @@ __all__ = [
     "gen_dataset", "get_scenario", "gibbs_run", "make_rng",
     "mix_z_full_conditional", "nuts_run", "run_matrix", "run_record",
     "scenario_catalog", "slice_sample_1d", "split_rhat",
-    "stack_param_chains", "summarise", "write_dataset",
+    "stack_param_chains", "summarise",
 ]

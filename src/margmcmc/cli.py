@@ -1,7 +1,6 @@
 """Command line interface.
 
 Subcommands:
-  simulate   write benchmark datasets (plus .truth companions) to a directory
   run        execute the benchmark matrix and append rows to a CSV results file
   summarise  write one CSV row of five-number summaries per (scenario, method)
 
@@ -22,25 +21,17 @@ class UsageError(Exception):
     """A request the subcommand cannot run; main() exits 2 with it."""
 
 
-def _add_common_run_args(p):
-    p.add_argument("--scenario", action="append", default=None,
-                   help="scenario id (repeatable; default: all)")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--replicates", type=int, default=5)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="margmcmc",
         description="Benchmark marginalised vs full discrete-latent models.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="write benchmark datasets")
-    _add_common_run_args(p_sim)
-    p_sim.add_argument("--out", default=".", help="output directory")
-
     p_run = sub.add_parser("run", help="execute benchmark records")
-    _add_common_run_args(p_run)
+    p_run.add_argument("--scenario", action="append", default=None,
+                       help="scenario id (repeatable; default: all)")
+    p_run.add_argument("--seed", type=int, default=0, help="master seed")
+    p_run.add_argument("--replicates", type=int, default=5)
     p_run.add_argument("--method", action="append", default=None,
                        choices=list(hz.METHODS),
                        help="method arm (repeatable; default: all applicable)")
@@ -61,33 +52,19 @@ def build_parser():
 
 
 def _selected_scenarios(args):
-    catalog = sim.scenario_catalog()
     if not args.scenario:
-        return catalog
-    by_id = {s.id: s for s in catalog}
-    out = []
-    for sid in args.scenario:
-        if sid not in by_id:
-            raise UsageError(f"unknown scenario {sid!r}; known: "
-                             + ", ".join(by_id))
-        out.append(by_id[sid])
-    return out
-
-
-def cmd_simulate(args):
-    scenarios = _selected_scenarios(args)
-    if args.replicates < 1:
-        raise UsageError("need replicates >= 1")
-    os.makedirs(args.out, exist_ok=True)
-    for scenario in scenarios:
-        for rep in range(1, args.replicates + 1):
-            path = os.path.join(args.out, f"{scenario.id}-r{rep}.dat")
-            sim.write_dataset(path, scenario, rep, args.seed)
-            print(path)
-    return 0
+        return sim.scenario_catalog()
+    try:
+        return [sim.get_scenario(sid) for sid in args.scenario]
+    except KeyError as exc:
+        raise UsageError(exc.args[0]) from None
 
 
 def _check_out_dir(path):
+    """Refuse an output path that names a directory or lies in a missing
+    one."""
+    if os.path.isdir(path):
+        raise UsageError(f"output {path} is a directory")
     out_dir = os.path.dirname(path) or "."
     if not os.path.isdir(out_dir):
         raise UsageError(f"output directory {out_dir} does not exist")
@@ -177,8 +154,7 @@ def cmd_summarise(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = {"simulate": cmd_simulate, "run": cmd_run,
-               "summarise": cmd_summarise}[args.command]
+    handler = {"run": cmd_run, "summarise": cmd_summarise}[args.command]
     try:
         return handler(args)
     except UsageError as exc:

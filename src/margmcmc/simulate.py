@@ -5,14 +5,8 @@ categorical rating scenario.  Every dataset is a pure function of
 (scenario id, replicate index, master seed), so adding scenarios or
 replicates never perturbs existing data.
 
-Datasets serialise to a flat text file for outside tools (the package
-reads none back): a header line of key=value pairs followed by one
-observation per line (a single real for mixtures, J space-separated
-integers for ratings).  Category labels are written 1-based in files and
-kept 0-based in memory.
-
-Each scenario type owns its model family: its handle (`model`), its
-generator (`generate`) and its parts of the file format.
+Each scenario type owns its model family: its handle (`model`) and its
+generator (`generate`).
 """
 
 from dataclasses import dataclass
@@ -23,16 +17,10 @@ from .dawid_skene import DawidSkeneModel, DSData
 from .mixture import MixtureData, MixtureModel
 from .stats import check_simplex
 
-FORMAT_VERSION = 1
-
-
-def _floats(values):
-    return " ".join(repr(float(v)) for v in values)
-
 
 @dataclass(frozen=True)
 class MixtureScenario:
-    kind = "mixture"    # not a field: the family's name in file headers
+    kind = "mixture"    # not a field: read by perfbench's run.py, gate.py
     id: str
     mu: tuple
     pi: tuple
@@ -60,23 +48,10 @@ class MixtureScenario:
         truth = {"mu": mu, "pi": pi, "sigma": self.sigma, "z": z}
         return MixtureData(x), truth
 
-    def size_fields(self):
-        return [("k", self.n_components), ("n", self.n),
-                ("sigma", self.sigma)]
-
-    @staticmethod
-    def data_lines(data):
-        return [repr(float(v)) for v in data.x]
-
-    @staticmethod
-    def truth_lines(truth):
-        return ["mu " + _floats(truth["mu"]), "pi " + _floats(truth["pi"]),
-                "sigma " + repr(float(truth["sigma"]))]
-
 
 @dataclass(frozen=True)
 class DSScenario:
-    kind = "dawid-skene"    # not a field: the family's name in file headers
+    kind = "dawid-skene"    # not a field: read by perfbench's run.py, gate.py
     id: str
     n_items: int = 100
     n_raters: int = 5
@@ -119,21 +94,6 @@ class DSScenario:
             ratings[:, j] = (u[:, None] > cum[z]).sum(axis=1)
         truth = {"pi": pi, "theta": theta, "z": z}
         return DSData(ratings, k), truth
-
-    def size_fields(self):
-        return [("items", self.n_items), ("raters", self.n_raters),
-                ("categories", self.n_categories)]
-
-    @staticmethod
-    def data_lines(data):
-        return [" ".join(str(v + 1) for v in row) for row in data.ratings]
-
-    @staticmethod
-    def truth_lines(truth):
-        return ["pi " + _floats(truth["pi"])] + [
-            f"theta {j} {kk} " + _floats(row)
-            for j, rows in enumerate(truth["theta"], 1)
-            for kk, row in enumerate(rows, 1)]
 
 
 _THIRDS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
@@ -181,28 +141,3 @@ def gen_dataset(scenario, replicate, master_seed):
     """One replicate dataset of `scenario`: (data, ground-truth dict)."""
     return scenario.generate(_replicate_rng(scenario.id, replicate,
                                             master_seed))
-
-
-# ------------------------------------------------------------ serialisation
-
-def _header(scenario, replicate, master_seed):
-    pairs = [("format", FORMAT_VERSION), ("scenario", scenario.id),
-             ("kind", scenario.kind), ("replicate", replicate),
-             ("seed", master_seed)] + scenario.size_fields()
-    return " ".join(f"{k}={v}" for k, v in pairs)
-
-
-def write_dataset(path, scenario, replicate, master_seed):
-    """Generate a replicate and write it plus a .truth companion file."""
-    data, truth = gen_dataset(scenario, replicate, master_seed)
-    header = _header(scenario, replicate, master_seed)
-    lines = [header] + scenario.data_lines(data)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-    tpath = str(path) + ".truth"
-    tlines = ([header] + scenario.truth_lines(truth)
-              + ["z " + " ".join(str(v + 1) for v in truth["z"])])
-    with open(tpath, "w") as fh:
-        fh.write("\n".join(tlines) + "\n")
-    return path

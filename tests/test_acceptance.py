@@ -196,10 +196,12 @@ def test_criterion_5_cross_sampler_agreement():
 
 
 def test_criterion_6_parameter_recovery():
-    # Known discrepancy: the overlapping scenarios (means 2.5 apart with
-    # sd 2) do not identify the component means to +-0.5 at n=200; their
-    # posterior sd alone exceeds 1.  The check is reported per scenario
-    # and fails honestly on those cells; see the repo notes for analysis.
+    # Known discrepancy: the overlapping scenarios (means at +-2.5, so 5
+    # apart, with sd 2) do not identify the component means to +-0.5 at
+    # n=200.  On two-comp-3 the posterior sds of mu are 0.82 and 1.68,
+    # so the bound sits inside one posterior sd.  Whether two-comp-4's
+    # reading is a tail data draw or a sampler fault is still open (see
+    # ROADMAP.md).  The check is reported per scenario and fails honestly.
     t0 = time.time()
     worst = 0.0
     details = []

@@ -3,29 +3,7 @@
 import pytest
 
 from margmcmc import harness as hz
-from margmcmc import simulate as sim
 from margmcmc.cli import main
-
-
-class TestSimulate:
-    def test_writes_requested_files(self, tmp_path, capsys):
-        out = tmp_path / "data"
-        code = main(["simulate", "--scenario", "ds", "--replicates", "3",
-                     "--out", str(out)])
-        assert code == 0
-        files = sorted(p.name for p in out.iterdir())
-        assert files == ["ds-r1.dat", "ds-r1.dat.truth", "ds-r2.dat",
-                         "ds-r2.dat.truth", "ds-r3.dat", "ds-r3.dat.truth"]
-
-    def test_all_scenarios_default(self, tmp_path):
-        out = tmp_path / "data"
-        code = main(["simulate", "--replicates", "1", "--out", str(out)])
-        assert code == 0
-        assert len(list(out.glob("*.dat"))) == 13
-
-    def test_unknown_scenario_fails(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["simulate", "--scenario", "nope", "--out", str(tmp_path)])
 
 
 class TestRun:
@@ -80,13 +58,11 @@ class TestExitCodes:
         ["run", "--iterations", "100", "--warmup", "100"],
         ["run", "--warmup", "-1"],
         ["run", "--scenario", "nope"],
-        ["simulate", "--scenario", "nope"],
         ["run", "--scenario", "ds", "--method", "gibbs-full-restricted"],
         ["summarise", "EMPTY"],
         ["summarise", "MISSING"],
         ["summarise", "ONE_ROW", "--out", "MISSING_DIR"],
-        ["simulate", "--replicates", "0"],
-        ["simulate", "--replicates", "-2"],
+        ["run", "--replicates", "0"],
         ["run", "--parallel", "0"],
         ["run", "--parallel", "-1"],
         ["summarise", "DATASET"],
@@ -96,15 +72,17 @@ class TestExitCodes:
          "--replicates", "1", "--out", "DATASET"],
         ["run", "--scenario", "two-comp-1", "--method", "gibbs-full",
          "--replicates", "1", "--out", "NO_COLUMNS"],
+        ["run", "--scenario", "two-comp-1", "--method", "gibbs-full",
+         "--replicates", "1", "--out", "DIR"],
+        ["summarise", "ONE_ROW", "--out", "DIR"],
     ], ids=["chains-0", "warmup-not-below-iterations", "negative-warmup",
-            "unknown-scenario", "simulate-unknown-scenario",
-            "no-runnable-cell", "summarise-no-records",
+            "unknown-scenario", "no-runnable-cell", "summarise-no-records",
             "summarise-missing-file", "summarise-out-in-missing-directory",
-            "simulate-replicates-0", "simulate-negative-replicates",
-            "parallel-0", "negative-parallel", "summarise-dataset-file",
-            "summarise-csv-without-result-columns",
+            "run-replicates-0", "parallel-0", "negative-parallel",
+            "summarise-dataset-file", "summarise-csv-without-result-columns",
             "summarise-truncated-row", "run-out-onto-dataset",
-            "run-out-onto-csv-without-schema-line"])
+            "run-out-onto-csv-without-schema-line", "run-out-is-directory",
+            "summarise-out-is-directory"])
     def test_usage_errors_exit_2_with_one_line(self, argv, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -112,8 +90,11 @@ class TestExitCodes:
         hz.write_records_csv(one_row, [hz.BenchRecord(
             scenario_id="ds", method="gibbs-full", replicate=1, chains=1,
             iterations=20, warmup=10, seed=1)])
-        dataset = sim.write_dataset(tmp_path / "ds-r1.dat",
-                                    sim.get_scenario("ds"), 1, 0)
+        # a rating dataset as text: a key=value header, then rating rows
+        dataset = tmp_path / "ds-r1.dat"
+        dataset.write_text(
+            "format=1 scenario=ds kind=dawid-skene replicate=1 seed=0 "
+            "items=2 raters=5 categories=5\n3 3 1 3 3\n5 5 5 2 5\n")
         no_columns = tmp_path / "other.csv"
         no_columns.write_text("a,b\n1,2\n")
         # a row cut short after `iterations`, as a killed run leaves it
@@ -125,7 +106,7 @@ class TestExitCodes:
                  "ONE_ROW": str(one_row),
                  "MISSING_DIR": str(tmp_path / "missing" / "s.csv"),
                  "DATASET": str(dataset), "NO_COLUMNS": str(no_columns),
-                 "TRUNCATED": str(truncated)}
+                 "TRUNCATED": str(truncated), "DIR": str(tmp_path)}
         inputs = {path: path.read_bytes() for path in
                   (empty, one_row, dataset, no_columns, truncated)}
         argv = [paths.get(a, a) for a in argv]

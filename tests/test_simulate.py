@@ -1,7 +1,4 @@
-"""Scenario catalog regression lock, generator determinism and moments,
-and dataset file round-trips."""
-
-import os
+"""Scenario catalog regression lock, generator determinism and moments."""
 
 import numpy as np
 import pytest
@@ -121,48 +118,3 @@ class TestGenerators:
         b, _ = sim.gen_dataset(s, 2, 7)
         assert np.array_equal(a.ratings, b.ratings)
 
-
-def read_back(path):
-    """A written dataset's header as a dict, and its data lines."""
-    lines = path.read_text().splitlines()
-    return dict(token.split("=", 1) for token in lines[0].split()), lines[1:]
-
-
-class TestSerialisation:
-    def test_mixture_round_trip(self, tmp_path):
-        s = sim.get_scenario("three-comp-4")
-        path = tmp_path / "m.dat"
-        sim.write_dataset(path, s, 2, 11)
-        header, body = read_back(path)
-        want, _ = sim.gen_dataset(s, 2, 11)
-        assert np.array_equal([float(v) for v in body], want.x)
-        assert header["scenario"] == "three-comp-4"
-        assert int(header["replicate"]) == 2
-
-    def test_ds_round_trip_one_based_labels(self, tmp_path):
-        s = sim.get_scenario("ds")
-        path = tmp_path / "d.dat"
-        sim.write_dataset(path, s, 1, 11)
-        header, body = read_back(path)
-        ratings = np.array([[int(v) for v in ln.split()] for ln in body])
-        assert ratings.min() >= 1 and ratings.max() <= 5  # file labels are 1-based
-        want, _ = sim.gen_dataset(s, 1, 11)
-        assert np.array_equal(ratings - 1, want.ratings)
-        assert int(header["categories"]) == 5
-
-    def test_same_inputs_identical_bytes(self, tmp_path):
-        s = sim.get_scenario("two-comp-1")
-        p1, p2 = tmp_path / "a.dat", tmp_path / "b.dat"
-        sim.write_dataset(p1, s, 1, 42)
-        sim.write_dataset(p2, s, 1, 42)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_truth_file_written(self, tmp_path):
-        s = sim.get_scenario("ds")
-        path = tmp_path / "d.dat"
-        sim.write_dataset(path, s, 1, 0)
-        tpath = str(path) + ".truth"
-        assert os.path.exists(tpath)
-        with open(tpath) as fh:
-            content = fh.read()
-        assert "theta 1 1" in content and content.count("z ") >= 1
