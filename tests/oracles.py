@@ -4,8 +4,9 @@ conditional and finite-difference tests hold the samplers' kernels to),
 inverse transforms for round trips, value-only posteriors built from
 those joints plus `constrain`, the row-major fused gradients the
 component-major kernels replaced, the reference for each model's fused
-gradient, and the one-row-at-a-time Dirichlet draw and stick inverse the
-stacked simplex primitives replaced."""
+gradient, the one-row-at-a-time Dirichlet draw and stick inverse the
+stacked simplex primitives replaced, and the two-pass log-sum-exp the
+in-place `lse_rows` must match bit for bit."""
 
 import math
 
@@ -163,6 +164,15 @@ def ds_unconstrain(params):
 # arithmetic done on numpy arrays.  Every helper that the component-major
 # kernels rewrote is copied here, so this reference does not move with
 # `src/`.
+
+def lse_rows_two_pass(m):
+    """Log-sum-exp over axis 0 of a (K, n) array, written as the max pass
+    and the exp-sum pass with a fresh array for each step."""
+    mm = m.max(axis=0)
+    if not np.isfinite(mm).all():
+        return special.logsumexp(m, axis=0)
+    return mm + np.log(np.exp(m - mm).sum(axis=0))
+
 
 def _lse_rows_row_major(m):
     mm = m.max(axis=1)

@@ -24,7 +24,9 @@ SEED = 2024
 # gibbs-full-restricted) were recomputed when the Gibbs states stopped
 # drawing a label vector at construction: the first sweep redrew it before
 # anything read it, so it only advanced the generator.  The marginal and
-# NUTS digests did not move.
+# NUTS digests did not move.  three-comp-4 gibbs-full slices three ordered
+# means, the middle one between two neighbours, and draws a K=3 pi from
+# its Dirichlet conditional.
 PINS = [
     ("two-comp-1", "nuts-marginal", 200, 160,
      "a142ae56ca3de110080afa6c1c2adb7abdbee6c9b7d6f383b3c7fb2742e5985b"),
@@ -36,6 +38,8 @@ PINS = [
      "90e144628921be89c8c656e369ff246d49ec315531ce6dd9e81189f780e58e9d"),
     # three components: pi has two sticks, so stick 0's moves rescale a
     # later stick's remainder
+    ("three-comp-4", "gibbs-full", 60, 30,
+     "4956f1bcd633bf09685f74620111985cdd9e081165a3e84a371d8f3ed8ccfd21"),
     ("three-comp-4", "gibbs-full-restricted", 60, 30,
      "ec0f3e9e3ba9fe3cb770824649aaafde04d0c440f9eab0a3b4eb0de06d911211"),
     ("three-comp-4", "gibbs-marginal", 60, 30,

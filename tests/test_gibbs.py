@@ -1,6 +1,7 @@
 """Slice sampler and Gibbs sweep tests: exact-distribution oracles on
 small cases, mode agreement, and the determinism contract."""
 
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -54,6 +55,30 @@ class TestSliceSampler:
         for _ in range(500):
             x = slice_sample_1d(logf, x, rng, lower=0.0, upper=1.0)
             assert 0.0 < x < 1.0
+
+    @pytest.mark.parametrize("logf,lower,upper,x0,seed,evals,following", [
+        (lambda x: -0.5 * x * x, -np.inf, np.inf, 0.3, 61, 2283,
+         0.8424162554399204),
+        (lambda x: np.log(x) + 2.0 * np.log1p(-x), 0.0, 1.0, 0.5, 62, 544,
+         0.2969399916618466),
+    ], ids=["unbounded", "bounded"])
+    def test_evaluation_and_generator_contract(self, logf, lower, upper, x0,
+                                               seed, evals, following):
+        # perfbench divides gibbs-marginal time by these density
+        # evaluations, and the slice moves' share of the generator fixes
+        # every later draw: both are pinned
+        rng = make_rng(seed)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return logf(x)
+
+        x = x0
+        for _ in range(200):
+            x = slice_sample_1d(counted, x, rng, lower=lower, upper=upper)
+        assert len(calls) == evals
+        assert rng.random() == following
 
     def test_deterministic(self):
         logf = lambda x: -0.5 * x * x
@@ -232,13 +257,17 @@ class TestMixtureGibbs:
         assert np.array_equal(a.draws, b.draws)
 
     def test_huge_sigma_start_stays_finite(self):
-        # sigma**2 overflows a Python float here; the sweep must carry on
+        # sigma**2 overflows a Python float here; the sweep must carry on,
+        # and the draws are pinned because the overflow path is where a
+        # change of number type would show
         data = gen_dataset(get_scenario("three-comp-4"), 1, 0)[0]
         init = mx.MixtureParams(mu=np.array([-5.0, 0.0, 5.0]), sigma=1.3e164,
                                 pi=np.full(3, 1.0 / 3.0))
         chain = gibbs_run(mx.MixtureModel(3), data, "gibbs-full", 50, 0,
                           make_rng(59, 1), init)
         assert np.all(np.isfinite(chain.draws))
+        assert hashlib.sha256(chain.draws).hexdigest() == (
+            "637f8282651479e6804c7b2a9e4702107f8bdba07a2ee3fe3d35e9388ecd9f6a")
 
 
 class TestDawidSkeneGibbs:

@@ -10,7 +10,8 @@ from scipy.special import logsumexp
 from margmcmc.stats import (check_simplex, log_lognormal_pdf, lse_rows,
                             make_rng, sample_categorical_rows,
                             sample_dirichlet)
-from oracles import log_dirichlet_pdf, log_normal_pdf, log_truncated_normal_pdf
+from oracles import (log_dirichlet_pdf, log_normal_pdf,
+                     log_truncated_normal_pdf, lse_rows_two_pass)
 
 finite = st.floats(-50, 50, allow_nan=False)
 positive = st.floats(0.01, 50, allow_nan=False)
@@ -114,6 +115,23 @@ class TestLogSumExp:
         m = rng.normal(size=(40, 5)) * 100
         want = np.array([logsumexp(row) for row in m])
         assert np.allclose(lse_rows(m.T), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_bit_identical_to_two_pass_and_leaves_input(self, k):
+        rng = make_rng(70 + k)
+        m = rng.normal(size=(k, 50)) * 30
+        with_gap = m.copy()
+        with_gap[k // 2] = -np.inf      # a component left out, as ds's base
+        non_finite = m.copy()
+        non_finite[:, 3] = -np.inf      # an all -inf column: the fallback
+        non_finite[0, 7] = np.inf
+        for case in (m, with_gap, non_finite):
+            kept = case.copy()
+            with np.errstate(invalid="ignore"):
+                got = lse_rows(case)
+                want = lse_rows_two_pass(case)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert np.array_equal(case, kept)
 
     def test_rows_with_neg_inf_row(self):
         m = np.array([[0.0, 1.0], [-np.inf, -np.inf]])
