@@ -101,9 +101,10 @@ def ds_z_full_conditional(data, params):
     column."""
     ll = np.log(params.pi)[:, None] + _item_category_loglik(
         data, np.log(params.theta))
-    probs = np.exp(ll - lse_rows(ll))
-    probs /= probs.sum(axis=0)
-    return probs
+    ll -= lse_rows(ll)
+    np.exp(ll, out=ll)
+    ll /= np.add.reduce(ll, axis=0)
+    return ll
 
 
 # ------------------------------------------------- unconstrained interface

@@ -32,6 +32,7 @@ The model handle supplies the labels' full conditional
 its sweep state.  No sampler branches on a model's name.
 """
 
+import math
 import time
 
 import numpy as np
@@ -40,8 +41,8 @@ from . import dawid_skene as dsm
 from . import mixture as mx
 from . import transforms as tr
 from .draws import ChainDraws, check_lengths
-from .stats import (LOG_2PI, log_lognormal_pdf, lse_rows,
-                    sample_categorical_rows, sample_dirichlet)
+from .stats import (LOG_2PI, lse_rows, sample_categorical_rows,
+                    sample_dirichlet)
 from scipy import special
 
 SLICE_WIDTH = 1.0
@@ -56,30 +57,35 @@ def slice_sample_1d(logdensity, current, rng, lower=-np.inf, upper=np.inf):
     """One slice-sampling move (Neal's doubling procedure with shrinkage).
 
     `lower`/`upper` restrict the support; the density is treated as zero
-    outside, which keeps the doubling bookkeeping exact.
+    outside, which keeps the doubling bookkeeping exact.  The point, the
+    bounds and the slice level are Python floats, so the interval
+    arithmetic skips numpy's scalar overhead; the result is a float.
     """
     def lf(x):
         if x <= lower or x >= upper:
             return -np.inf
         return logdensity(x)
 
+    random = rng.random
+    current, lower, upper = float(current), float(lower), float(upper)
     logf0 = lf(current)
-    if not np.isfinite(logf0):
+    if not math.isfinite(logf0):
         raise SliceError(f"log density not finite at current point {current}")
-    logy = logf0 + np.log(rng.random())
+    logy = float(logf0 + np.log(random()))
 
-    left = current - SLICE_WIDTH * rng.random()
+    # a comparison with an infinite bound is False, so no finiteness guard
+    left = current - SLICE_WIDTH * random()
     right = left + SLICE_WIDTH
-    if np.isfinite(lower) and left < lower:
+    if left < lower:
         right += lower - left
         left = lower
-    if np.isfinite(upper) and right > upper:
+    if right > upper:
         left -= right - upper
         right = upper
     fl, fr = lf(left), lf(right)
     k = SLICE_MAX_DOUBLINGS
     while k > 0 and (fl > logy or fr > logy):
-        if rng.random() < 0.5:
+        if random() < 0.5:
             left -= right - left
             fl = lf(left)
         else:
@@ -90,7 +96,7 @@ def slice_sample_1d(logdensity, current, rng, lower=-np.inf, upper=np.inf):
     # limited-doubling variant proceeds and stays exact via the accept test
     lb, rb = left, right
     for _ in range(1000):
-        x1 = lb + rng.random() * (rb - lb)
+        x1 = lb + random() * (rb - lb)
         if lf(x1) > logy and _doubling_accept(lf, current, x1, logy,
                                               left, right):
             return x1
@@ -118,9 +124,9 @@ def _doubling_accept(lf, x0, x1, logy, left, right):
 
 
 def update_pi_conjugate(counts, alpha, rng):
-    """Dirichlet-categorical conjugate draw: Dirichlet(alpha + counts)."""
-    counts = np.asarray(counts, dtype=float)
-    return sample_dirichlet(rng, np.asarray(alpha, dtype=float) + counts)
+    """Dirichlet-categorical conjugate draw: Dirichlet(alpha + counts),
+    `alpha` a float array or scalar and `counts` a float array."""
+    return sample_dirichlet(rng, alpha + counts)
 
 
 def update_theta_conjugate(data, latent, beta, rng):
@@ -203,49 +209,53 @@ class _MixtureGibbs:
             raise ValueError("initial parameters outside the prior support")
         if not conjugate:   # only slice moves read the sticks
             self.u_pi = tr.unconstrain_simplex(self.params.pi)
+        self.x2 = data.x**2
 
     def sweep(self):
-        rng, k = self.rng, self.k
-        mu, pi = self.params.mu, self.params.pi
-        sigma = np.float64(self.params.sigma)   # inf instead of OverflowError
         if self.marginal:
             self._sweep_marginal()
             return
+        rng, k = self.rng, self.k
+        x = self.data.x
+        mu, pi = self.params.mu, self.params.pi
+        sigma = np.float64(self.params.sigma)   # inf instead of OverflowError
         # (1) labels
-        self.z = update_z_block(self.model, self.data, self.params, rng)
-        z = self.z
+        self.z = z = update_z_block(self.model, self.data, self.params, rng)
         counts = np.bincount(z, minlength=k).astype(float)
-        sum_x = np.bincount(z, weights=self.data.x, minlength=k)
-        sum_x2 = np.bincount(z, weights=self.data.x**2, minlength=k)
+        sum_x = np.bincount(z, weights=x, minlength=k)
+        sum_x2 = np.bincount(z, weights=self.x2, minlength=k)
         # (2) pi
         if self.conjugate:
-            pi = update_pi_conjugate(counts, np.ones(k), rng)
+            pi = update_pi_conjugate(counts, 1.0, rng)   # Dirichlet(1) prior
         else:
             def pi_target(p):
                 return float(np.dot(counts, np.log(p)))  # Dirichlet(1) prior flat
             self.u_pi, pi = _slice_simplex_coords(self.u_pi, pi_target, rng)
         # (3) mu then sigma, by slice
         mu = mu.copy()
-        two_var = 2.0 * sigma**2
-        for kk in range(k):
+        two_var = 2.0 * sigma**2   # np.float64: 0 or inf divides, not raises
+        per_comp = zip(counts.tolist(), sum_x.tolist(), sum_x2.tolist())
+        for kk, (n_k, s1, s2) in enumerate(per_comp):
             lo = mu[kk - 1] if kk > 0 else -np.inf
             hi = mu[kk + 1] if kk < k - 1 else np.inf
 
-            def mu_target(m, kk=kk):
-                quad = -(sum_x2[kk] - 2.0 * m * sum_x[kk]
-                         + counts[kk] * m * m) / two_var
-                return quad + _mu_log_prior(m, kk < k - 1)
+            def mu_target(m, n_k=n_k, s1=s1, s2=s2, truncates=kk < k - 1):
+                quad = -(s2 - 2.0 * m * s1 + n_k * m * m) / two_var
+                return quad + _mu_log_prior(m, truncates)
             mu[kk] = slice_sample_1d(mu_target, mu[kk], rng,
                                      lower=lo, upper=hi)
-        sse = float(np.sum((self.data.x - mu[z])**2))
-        n = len(self.data.x)
+        d = x - mu[z]
+        np.multiply(d, d, out=d)
+        sse = float(np.add.reduce(d))
+        n = len(x)
 
         def log_sigma_target(ls):
             s = np.exp(ls)
-            if not np.isfinite(s) or s <= 0:
+            if not (s > 0 and math.isfinite(s)):
                 return -np.inf
+            lx = np.log(s)   # Lognormal(0, 1) log density at s
             return (-n * ls - sse / (2.0 * s * s)
-                    + log_lognormal_pdf(s, 0.0, 1.0) + ls)
+                    + (-lx - 0.5 * LOG_2PI - 0.5 * lx * lx) + ls)
         ls = slice_sample_1d(log_sigma_target, np.log(sigma), rng)
         self.params = mx.MixtureParams(mu=mu, sigma=float(np.exp(ls)), pi=pi)
 

@@ -79,9 +79,10 @@ def mix_z_full_conditional(data, params):
     """P(z_i = k | x, params): the (K, n) matrix, one simplex per
     column."""
     ll = _component_loglik(data.x, params)
-    probs = np.exp(ll - lse_rows(ll))
-    probs /= probs.sum(axis=0)
-    return probs
+    ll -= lse_rows(ll)
+    np.exp(ll, out=ll)
+    ll /= np.add.reduce(ll, axis=0)
+    return ll
 
 
 # ------------------------------------------------- unconstrained interface

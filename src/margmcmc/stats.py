@@ -22,26 +22,20 @@ def make_rng(seed, stream=0):
     )
 
 
-def log_lognormal_pdf(x, mu, sigma):
-    """Log density of Lognormal(mu, sigma); zero density off (0, inf)."""
-    if not (sigma > 0):
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if x <= 0:
-        return -np.inf
-    lx = np.log(x)
-    z = (lx - mu) / sigma
-    return -lx - np.log(sigma) - 0.5 * LOG_2PI - 0.5 * z * z
-
-
 def lse_rows(m):
     """Log-sum-exp over axis 0 of a (K, n) component-major array: one
     value per data row (column of `m`), the fast path of the hot loops.
     For K <= 7 numpy adds the K entries in order, as a row-wise sum of
-    the (n, K) transpose would."""
-    mm = m.max(axis=0)
-    if not np.isfinite(mm).all():
+    the (n, K) transpose would.  `m` is left unchanged."""
+    mm = np.maximum.reduce(m, axis=0)
+    if not np.logical_and.reduce(np.isfinite(mm)):
         return special.logsumexp(m, axis=0)
-    return mm + np.log(np.exp(m - mm).sum(axis=0))
+    t = m - mm
+    np.exp(t, out=t)
+    out = np.add.reduce(t, axis=0)
+    np.log(out, out=out)
+    out += mm
+    return out
 
 
 def check_simplex(p, atol=1e-12):
@@ -56,10 +50,10 @@ def check_simplex(p, atol=1e-12):
 def sample_categorical_rows(rng, probs):
     """Vectorised categorical draw from a (K, n) component-major `probs`:
     one index per column, n draws in all."""
-    cum = np.cumsum(probs, axis=0)
+    cum = np.add.accumulate(probs, axis=0)
     cum /= cum[-1]
     u = rng.random(cum.shape[1])
-    return (u > cum).sum(axis=0)
+    return np.add.reduce(u > cum, axis=0)
 
 
 def sample_dirichlet(rng, alpha):
@@ -72,7 +66,7 @@ def sample_dirichlet(rng, alpha):
     conjugate update), >= 0.8 at the benchmark's K <= 5: 1, 3, or beta,
     whose off-diagonal is 3.2 / (K - 1)."""
     p = rng.standard_gamma(alpha)
-    p *= 1.0 / p.sum(axis=-1, keepdims=True)
+    p *= 1.0 / np.add.reduce(p, axis=-1, keepdims=True)
     np.maximum(p, 1e-300, out=p)   # no exact zeros from tiny gamma draws
-    p /= p.sum(axis=-1, keepdims=True)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
     return p

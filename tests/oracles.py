@@ -30,6 +30,17 @@ def log_normal_pdf(x, mu, sigma):
     return -0.5 * LOG_2PI - np.log(sigma) - 0.5 * z * z
 
 
+def log_lognormal_pdf(x, mu, sigma):
+    """Log density of Lognormal(mu, sigma); zero density off (0, inf)."""
+    if not (sigma > 0):
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    if x <= 0:
+        return -np.inf
+    lx = np.log(x)
+    z = (lx - mu) / sigma
+    return -lx - np.log(sigma) - 0.5 * LOG_2PI - 0.5 * z * z
+
+
 def log_truncated_normal_pdf(x, mu, sigma, lower):
     """Log density of N(mu, sigma^2) left-truncated at `lower`.
 

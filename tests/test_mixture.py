@@ -8,8 +8,8 @@ import pytest
 from scipy.special import logsumexp
 
 from margmcmc import mixture as mx
-from margmcmc.stats import log_lognormal_pdf, make_rng
-from oracles import (log_dirichlet_pdf, log_normal_pdf,
+from margmcmc.stats import make_rng
+from oracles import (log_dirichlet_pdf, log_lognormal_pdf, log_normal_pdf,
                      log_truncated_normal_pdf, mix_full_log_joint,
                      mix_marginal_log_lik, mix_marginal_log_post_u,
                      mix_unconstrain)

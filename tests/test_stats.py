@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 from scipy.special import logsumexp
 
-from margmcmc.stats import (check_simplex, log_lognormal_pdf, lse_rows,
-                            make_rng, sample_categorical_rows,
-                            sample_dirichlet)
-from oracles import (log_dirichlet_pdf, log_normal_pdf,
+from margmcmc.stats import (check_simplex, lse_rows, make_rng,
+                            sample_categorical_rows, sample_dirichlet)
+from oracles import (log_dirichlet_pdf, log_lognormal_pdf, log_normal_pdf,
                      log_truncated_normal_pdf, lse_rows_two_pass)
 
 finite = st.floats(-50, 50, allow_nan=False)
