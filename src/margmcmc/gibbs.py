@@ -205,8 +205,6 @@ class _MixtureGibbs:
         self.marginal, self.conjugate = marginal, conjugate
         self.k = model.k
         self.params = init
-        if not np.isfinite(mx.log_prior(init)):
-            raise ValueError("initial parameters outside the prior support")
         if not conjugate:   # only slice moves read the sticks
             self.u_pi = tr.unconstrain_simplex(self.params.pi)
         self.x2 = data.x**2
@@ -390,16 +388,16 @@ _STATE_CLASS = {mx.MixtureModel: _MixtureGibbs,
                 dsm.DawidSkeneModel: _DawidSkeneGibbs}
 
 
-def gibbs_run(model, data, method, iterations, warmup, rng, init=None):
+def gibbs_run(model, data, method, iterations, warmup, rng):
     """Run one chain of the Gibbs arm `method` for `iterations` sweeps,
-    the first `warmup` discarded; deterministic given (rng state, init)."""
+    the first `warmup` discarded, from a draw of the model's prior
+    (`model.init_params`); deterministic given the rng state."""
     if method not in model.methods or method == "nuts-marginal":
         raise ValueError(f"{method!r} is not a Gibbs arm of this model; "
                          f"its arms: {', '.join(model.methods)}")
     check_lengths(iterations, warmup)
-    if init is None:
-        init = model.init_params(rng)
-    state = _STATE_CLASS[type(model)](model, data, rng, init,
+    state = _STATE_CLASS[type(model)](model, data, rng,
+                                      model.init_params(rng),
                                       marginal=method == "gibbs-marginal",
                                       conjugate=method == "gibbs-full")
 

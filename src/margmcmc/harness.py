@@ -65,22 +65,13 @@ class BenchRecord:
     status: str = "ok"
 
     def row(self):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "scenario_id": self.scenario_id,
-            "method": self.method,
-            "replicate": self.replicate,
-            "chains": self.chains,
-            "iterations": self.iterations,
-            "warmup": self.warmup,
-            "seed": self.seed,
-            "comp_time_s": _fmt(self.comp_time_s),
-            "min_ess": _fmt(self.min_ess),
-            "time_per_min_ess": _fmt(self.time_per_min_ess),
-            "max_rhat": _fmt(self.max_rhat),
-            "divergences": self.divergences,
-            "status": self.status,
-        }
+        """The record as a results row: the schema version, then each
+        field, a float one formatted by `_fmt`."""
+        row = {"schema_version": SCHEMA_VERSION}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            row[f.name] = _fmt(value) if f.type is float else value
+        return row
 
 
 # results columns, the type each is read as, and what an empty field reads as

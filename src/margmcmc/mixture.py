@@ -1,6 +1,6 @@
-"""K-component Gaussian mixture: the log prior, the fused marginalised
-log posterior and its analytic gradient in unconstrained space, and the
-latent full conditional.
+"""K-component Gaussian mixture: the fused marginalised log posterior
+and its analytic gradient in unconstrained space, and the latent full
+conditional.
 
 Parameterisation: ordered means mu (label-switching guard), one shared
 standard deviation sigma, mixture weights pi.  Priors: mu_1 ~ N(0, 10^2),
@@ -42,9 +42,10 @@ class MixtureData:
             raise ValueError("observations must be a finite 1-d vector")
 
 
-def _component_loglik(x, params):
-    """(K, n) matrix of log pi_k + log N(x_i | mu_k, sigma^2)."""
-    z = (x - params.mu[:, None]) / params.sigma
+def _component_loglik(diff, params):
+    """(K, n) matrix of log pi_k + log N(x_i | mu_k, sigma^2), from the
+    (K, n) differences x_i - mu_k."""
+    z = diff / params.sigma
     return ((np.log(params.pi) - np.log(params.sigma) - 0.5 * LOG_2PI)[:, None]
             - 0.5 * z * z)
 
@@ -70,15 +71,10 @@ def _log_prior(mu, sigma):
     return lp, z, log_tail
 
 
-def log_prior(params):
-    """Log prior density; -inf off the ordered support."""
-    return _log_prior(params.mu, params.sigma)[0]
-
-
 def mix_z_full_conditional(data, params):
     """P(z_i = k | x, params): the (K, n) matrix, one simplex per
     column."""
-    ll = _component_loglik(data.x, params)
+    ll = _component_loglik(data.x - params.mu[:, None], params)
     ll -= lse_rows(ll)
     np.exp(ll, out=ll)
     ll /= np.add.reduce(ll, axis=0)
@@ -98,10 +94,10 @@ def n_unconstrained(k):
     return 2 * k
 
 
-def constrain(u, k):
-    """Unconstrained vector -> (MixtureParams, log |Jacobian|, pi's
-    sticks), the sticks being the forward pass tr.grad_simplex reuses."""
-    mu_raw, log_sigma, pi_raw = split(u, k)
+def constrain(mu_raw, log_sigma, pi_raw):
+    """`split`'s pieces of an unconstrained vector -> (MixtureParams,
+    log |Jacobian|, pi's sticks), the sticks being the forward pass
+    tr.grad_simplex reuses."""
     mu, lj_mu = tr.constrain_ordered(mu_raw)
     sigma, lj_sigma = tr.constrain_positive(log_sigma)
     pi, lj_pi, sticks = tr.constrain_simplex(pi_raw)
@@ -117,20 +113,20 @@ def mix_marginal_logpost_grad_u(data, u, k):
     The K-sized parameter arithmetic runs on scalars (np.float64 where a
     Python float could raise OverflowError or ZeroDivisionError).
     """
-    mu_raw, log_sigma, _ = split(u, k)
-    params, lj, sticks = constrain(u, k)
+    mu_raw, log_sigma, pi_raw = split(u, k)
+    params, lj, sticks = constrain(mu_raw, log_sigma, pi_raw)
     mu, sigma, pi = params.mu, params.sigma, params.pi
     lp, z_mu, log_tail = _log_prior(mu, sigma)
     if not np.isfinite(lp):
         return -np.inf, np.zeros(n_unconstrained(k))
-    ll = _component_loglik(data.x, params)
+    diff = data.x - mu[:, None]
+    ll = _component_loglik(diff, params)
     row_lse = lse_rows(ll)
     value = lp + float(row_lse.sum()) + lj
     if not np.isfinite(value):
         return -np.inf, np.zeros(n_unconstrained(k))
 
     r = np.exp(ll - row_lse)
-    diff = data.x - mu[:, None]
     rd = r * diff
     r_sum = r.sum(axis=1)
     var = sigma * sigma
@@ -173,7 +169,7 @@ class MixtureModel:
         return np.concatenate([params.mu, [params.sigma], params.pi])
 
     def constrain(self, u):
-        return constrain(u, self.k)[:2]
+        return constrain(*split(u, self.k))[:2]
 
     def log_post_grad_u(self, data, u):
         return mix_marginal_logpost_grad_u(data, u, self.k)

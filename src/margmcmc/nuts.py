@@ -19,12 +19,12 @@ The tuning values are fixed and are Stan's defaults: target acceptance
 0.8, maximum tree depth 10, initial points uniform on [-2, 2], adaptation
 windows 75 / 25 / 50 (initial buffer, first slow window, terminal
 buffer), and the dual-averaging constants of Hoffman & Gelman (2014).
-Adaptation always runs.
+Adaptation always runs.  Unlike Stan, the first mass-matrix window takes
+its draws from iteration 0, initial buffer included (see `nuts_run`).
 """
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,17 +41,13 @@ DA_KAPPA = 0.75
 LOG_2 = math.log(2.0)           # numpy's NPY_LOGE2
 
 
-@dataclass
 class AdaptState:
-    step_size: float
-    mu: float = 0.0             # dual-averaging shrinkage point
-    log_step_avg: float = 0.0
-    h_bar: float = 0.0
-    count: int = 0
+    """Dual averaging of the step size (Hoffman & Gelman 2014), started
+    afresh at `step_size`."""
 
-    def restart(self, step_size):
+    def __init__(self, step_size):
         self.step_size = step_size
-        self.mu = np.log(10.0 * step_size)
+        self.mu = np.log(10.0 * step_size)    # shrinkage point
         self.log_step_avg = np.log(step_size)
         self.h_bar = 0.0
         self.count = 0
@@ -85,24 +81,24 @@ def _log_add_exp(x, y):
 
 
 class _Tree:
-    """Subtree summary for the doubling procedure; `v` is the velocity
-    M^-1 p at an edge."""
-    __slots__ = ("q_minus", "p_minus", "v_minus", "g_minus",
-                 "q_plus", "p_plus", "v_plus", "g_plus",
-                 "q_prop", "g_prop", "lp_prop",
+    """Subtree summary for the doubling procedure.  `ends` is [backward,
+    forward], each end (q, p, v, g) with `v` the velocity M^-1 p and `g`
+    the gradient there, so `ends[direction > 0]` is the end that grows."""
+    __slots__ = ("ends", "q_prop", "g_prop", "lp_prop",
                  "log_sum_weight", "sum_accept", "n_leapfrog",
                  "diverged", "turning")
 
 
-def _uturn(q_minus, v_minus, q_plus, v_plus):
+def _uturn(ends):
     """Hoffman & Gelman's criterion: dq . M^-1 p < 0 at either end."""
-    dq = q_plus - q_minus
-    return dq @ v_minus < 0 or dq @ v_plus < 0
+    (q_back, _, v_back, _), (q_fwd, _, v_fwd, _) = ends
+    dq = q_fwd - q_back
+    return dq @ v_back < 0 or dq @ v_fwd < 0
 
 
 class _NutsKernel:
     """Shares one fused (logp, grad) evaluation per leapfrog step by
-    caching the gradient and the velocity at both trajectory edges, and
+    caching the gradient and the velocity at both trajectory ends, and
     the gradient at the proposal."""
 
     def __init__(self, logp_grad_fn, inv_mass, rng):
@@ -110,8 +106,9 @@ class _NutsKernel:
         self.inv_mass = inv_mass
         self.rng = rng
 
-    def _leaf(self, q, p, g, direction, step_size, h0):
-        """One leapfrog step from (q, p) with cached gradient g."""
+    def _leaf(self, edge, direction, step_size, h0):
+        """One leapfrog step from the end `edge`, its gradient cached."""
+        q, p, _, g = edge
         eps = direction * step_size
         half = 0.5 * eps
         p_half = p + half * g
@@ -120,11 +117,8 @@ class _NutsKernel:
         p1 = p_half + half * g1
         v1 = self.inv_mass * p1
         tree = _Tree()
-        tree.q_minus = tree.q_plus = tree.q_prop = q1
-        tree.p_minus = tree.p_plus = p1
-        tree.v_minus = tree.v_plus = v1
-        tree.g_minus = tree.g_plus = tree.g_prop = g1
-        tree.lp_prop = lp1
+        tree.ends = [(q1, p1, v1, g1)] * 2
+        tree.q_prop, tree.g_prop, tree.lp_prop = q1, g1, lp1
         tree.n_leapfrog = 1
         h1 = -lp1 + 0.5 * float(p1 @ v1)
         if not math.isfinite(h1):
@@ -140,27 +134,18 @@ class _NutsKernel:
             tree.sum_accept = 0.0
         return tree
 
-    def build_tree(self, depth, q, p, v, g, direction, step_size, h0):
-        """Recursive doubling; depth 0 is a single leapfrog step.  The
-        first subtree becomes the merged one."""
+    def build_tree(self, depth, edge, direction, step_size, h0):
+        """Recursive doubling from the end `edge`; depth 0 is a single
+        leapfrog step.  The first subtree becomes the merged one."""
         if depth == 0:
-            return self._leaf(q, p, g, direction, step_size, h0)
-        tree = self.build_tree(depth - 1, q, p, v, g, direction, step_size,
-                               h0)
+            return self._leaf(edge, direction, step_size, h0)
+        tree = self.build_tree(depth - 1, edge, direction, step_size, h0)
         if tree.diverged or tree.turning:
             return tree
-        if direction > 0:
-            second = self.build_tree(depth - 1, tree.q_plus, tree.p_plus,
-                                     tree.v_plus, tree.g_plus, direction,
-                                     step_size, h0)
-            tree.q_plus, tree.p_plus, tree.v_plus, tree.g_plus = \
-                second.q_plus, second.p_plus, second.v_plus, second.g_plus
-        else:
-            second = self.build_tree(depth - 1, tree.q_minus, tree.p_minus,
-                                     tree.v_minus, tree.g_minus, direction,
-                                     step_size, h0)
-            tree.q_minus, tree.p_minus, tree.v_minus, tree.g_minus = \
-                second.q_minus, second.p_minus, second.v_minus, second.g_minus
+        grow = direction > 0
+        second = self.build_tree(depth - 1, tree.ends[grow], direction,
+                                 step_size, h0)
+        tree.ends[grow] = second.ends[grow]
         tree.n_leapfrog += second.n_leapfrog
         tree.sum_accept += second.sum_accept
         tree.diverged = second.diverged
@@ -170,9 +155,7 @@ class _NutsKernel:
         if np.log(self.rng.random()) < second.log_sum_weight - total:
             tree.q_prop, tree.g_prop, tree.lp_prop = \
                 second.q_prop, second.g_prop, second.lp_prop
-        tree.turning = (second.turning
-                        or _uturn(tree.q_minus, tree.v_minus,
-                                  tree.q_plus, tree.v_plus))
+        tree.turning = second.turning or _uturn(tree.ends)
         return tree
 
     def transition(self, state, step_size):
@@ -186,11 +169,8 @@ class _NutsKernel:
         p = rng.standard_normal(len(q)) / np.sqrt(self.inv_mass)
         v = self.inv_mass * p
         h0 = -lp + 0.5 * float(p @ v)
-        q_minus = q_plus = q_prop = q
-        p_minus = p_plus = p
-        v_minus = v_plus = v
-        g_minus = g_plus = g_prop = g
-        lp_prop = lp
+        ends = [(q, p, v, g)] * 2
+        q_prop, g_prop, lp_prop = q, g, lp
         log_sum_weight = 0.0     # weight of the initial point: exp(h0 - h0)
         sum_accept = 0.0
         n_leapfrog = 0
@@ -198,23 +178,14 @@ class _NutsKernel:
         depth = 0
         while depth < MAX_TREE_DEPTH:
             direction = 1 if rng.random() < 0.5 else -1
-            if direction > 0:
-                sub = self.build_tree(depth, q_plus, p_plus, v_plus, g_plus,
-                                      1, step_size, h0)
-            else:
-                sub = self.build_tree(depth, q_minus, p_minus, v_minus,
-                                      g_minus, -1, step_size, h0)
+            grow = direction > 0
+            sub = self.build_tree(depth, ends[grow], direction, step_size, h0)
             n_leapfrog += sub.n_leapfrog
             sum_accept += sub.sum_accept
             if sub.diverged:
                 diverged = True
                 break
-            if direction > 0:
-                q_plus, p_plus, v_plus, g_plus = \
-                    sub.q_plus, sub.p_plus, sub.v_plus, sub.g_plus
-            else:
-                q_minus, p_minus, v_minus, g_minus = \
-                    sub.q_minus, sub.p_minus, sub.v_minus, sub.g_minus
+            ends[grow] = sub.ends[grow]
             if sub.turning:
                 break
             # biased progressive sampling toward the new subtree
@@ -222,23 +193,25 @@ class _NutsKernel:
                 q_prop, g_prop, lp_prop = sub.q_prop, sub.g_prop, sub.lp_prop
             log_sum_weight = _log_add_exp(log_sum_weight, sub.log_sum_weight)
             depth += 1
-            if _uturn(q_minus, v_minus, q_plus, v_plus):
+            if _uturn(ends):
                 break
         accept_stat = sum_accept / max(n_leapfrog, 1)
         return (q_prop, lp_prop, g_prop), accept_stat, depth, diverged
 
 
-def find_reasonable_step_size(kernel, q, rng):
+def find_reasonable_step_size(kernel, q):
     """Crude bracketing of a step size with acceptance ratio near 1/2
-    (Hoffman & Gelman 2014, Alg. 4), one kernel leapfrog step per trial."""
+    (Hoffman & Gelman 2014, Alg. 4), one kernel leapfrog step per trial,
+    the momentum drawn from the kernel's generator."""
     eps = 1.0
     inv_mass = kernel.inv_mass
-    p = rng.standard_normal(len(q)) / np.sqrt(inv_mass)
+    p = kernel.rng.standard_normal(len(q)) / np.sqrt(inv_mass)
     lp0, g0 = kernel.logp_grad(q)
     h0 = -lp0 + 0.5 * float(p @ (inv_mass * p))
+    edge = (q, p, None, g0)
 
     def log_ratio(eps_):
-        return kernel._leaf(q, p, g0, 1, eps_, h0).log_sum_weight
+        return kernel._leaf(edge, 1, eps_, h0).log_sum_weight
 
     direction = 1 if log_ratio(eps) > np.log(0.5) else -1
     for _ in range(100):
@@ -249,42 +222,43 @@ def find_reasonable_step_size(kernel, q, rng):
 
 
 def _adaptation_windows(warmup):
-    """Iteration indices (exclusive ends) where the mass matrix is refreshed."""
+    """Iteration indices (exclusive ends) where the mass matrix is
+    refreshed: each slow window doubles the last, and one that would
+    leave less than twice its size before the terminal buffer runs to
+    the buffer instead."""
     init_buffer, term_buffer, base_window = 75, 50, 25
     if warmup < init_buffer + term_buffer + base_window:
         return []
+    end = warmup - term_buffer
+    start, size = init_buffer, base_window
     ends = []
-    start = init_buffer
-    size = base_window
-    while start + size < warmup - term_buffer:
-        next_size = size * 2
-        if start + size + next_size >= warmup - term_buffer:
-            ends.append(warmup - term_buffer)
-            return ends
+    while start + 3 * size < end:
         ends.append(start + size)
         start += size
-        size = next_size
-    ends.append(warmup - term_buffer)
-    return ends
+        size *= 2
+    return ends + [end]
 
 
-def nuts_run(model, data, iterations, warmup, rng, init=None):
+def nuts_run(model, data, iterations, warmup, rng):
     """Run one NUTS chain of `iterations` transitions, the first `warmup`
     of them adapting and discarded, on the marginalised posterior of
-    `model`."""
+    `model`, from a point uniform on [-INIT_RADIUS, INIT_RADIUS] in each
+    unconstrained coordinate.
+
+    The window draws for the mass matrix are collected from iteration 0,
+    so the first window is [0, 100) with 100 draws, where Stan's is
+    [75, 100) after its initial buffer; the later windows match Stan's.
+    """
     check_lengths(iterations, warmup)
     d = model.n_dim
-    if init is None:
-        init = rng.uniform(-INIT_RADIUS, INIT_RADIUS, size=d)
-    q = np.asarray(init, dtype=float)
+    q = rng.uniform(-INIT_RADIUS, INIT_RADIUS, size=d)
 
     def logp_grad_fn(u):
-        v, g = model.log_post_grad_u(data, u)
-        return (v, g) if math.isfinite(v) else (-math.inf, g)
+        return model.log_post_grad_u(data, u)
 
     n_keep = iterations - warmup
     draws = np.empty((n_keep, len(model.param_names())))
-    tree_depths = np.empty(iterations, dtype=np.int8)
+    tree_depths = np.empty(n_keep, dtype=np.int8)
     divergences = 0
     # one errstate for the whole chain, the step-size searches included
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -294,18 +268,15 @@ def nuts_run(model, data, iterations, warmup, rng, init=None):
                 "non-finite log density or gradient at the initial point")
 
         kernel = _NutsKernel(logp_grad_fn, np.ones(d), rng)
-        eps = find_reasonable_step_size(kernel, q, rng)
-        adapt = AdaptState(step_size=eps)
-        adapt.restart(eps)
+        adapt = AdaptState(find_reasonable_step_size(kernel, q))
 
         window_ends = _adaptation_windows(warmup)
         window_draws = []
         state = (q, lp0, g0)
         t0 = time.perf_counter()
         for it in range(warmup):
-            state, accept_stat, depth, diverged = kernel.transition(
+            state, accept_stat, _, _ = kernel.transition(
                 state, adapt.step_size)
-            tree_depths[it] = depth
             adapt.update(accept_stat)
             if window_ends:
                 window_draws.append(state[0])
@@ -318,14 +289,14 @@ def nuts_run(model, data, iterations, warmup, rng, init=None):
                     kernel.inv_mass = ((n / (n + 5.0)) * var
                                        + 1e-3 * (5.0 / (n + 5.0)))
                     window_draws = []
-                    eps = find_reasonable_step_size(kernel, state[0], rng)
-                    adapt.restart(eps)
+                    adapt = AdaptState(
+                        find_reasonable_step_size(kernel, state[0]))
         adapt.freeze()
         t1 = time.perf_counter()
         for it in range(n_keep):
-            state, accept_stat, depth, diverged = kernel.transition(
+            state, _, depth, diverged = kernel.transition(
                 state, adapt.step_size)
-            tree_depths[warmup + it] = depth
+            tree_depths[it] = depth
             if diverged:
                 divergences += 1
             params, _ = model.constrain(state[0])
@@ -334,5 +305,4 @@ def nuts_run(model, data, iterations, warmup, rng, init=None):
 
     return ChainDraws(draws=draws, param_names=model.param_names(),
                       warmup_time=t1 - t0, sampling_time=t2 - t1,
-                      divergences=divergences,
-                      tree_depths=tree_depths[warmup:])
+                      divergences=divergences, tree_depths=tree_depths)

@@ -75,30 +75,36 @@ def log_dirichlet_pdf(p, alpha):
 # ------------------------------------------------------------- log joints
 # The non-fused log joints of both models, on constrained parameters.
 # They share the kernels' likelihood matrices (`mx._component_loglik`,
-# `dsm._item_category_loglik`) and priors (`mx.log_prior`,
+# `dsm._item_category_loglik`) and priors (`mx._log_prior`,
 # `DawidSkeneModel.log_prior`), so a test against them checks the sum
 # over the latents, the fused gradient and the conditionals, not those
 # matrices.
 
+def mix_log_prior(params):
+    """Mixture log prior density; -inf off the ordered support."""
+    return mx._log_prior(params.mu, params.sigma)[0]
+
+
 def mix_full_log_joint(data, latent, params):
     """Log joint of (x, z, params) for the unmarginalised model."""
-    lp = mx.log_prior(params)
+    lp = mix_log_prior(params)
     if not np.isfinite(lp):
         return -np.inf
     z = np.asarray(latent, dtype=int)
     if z.shape != data.x.shape:
         raise ValueError("latent labels must match data length")
-    ll = mx._component_loglik(data.x, params)
+    ll = mx._component_loglik(data.x - params.mu[:, None], params)
     return lp + float(ll[z, np.arange(len(z))].sum())
 
 
 def mix_marginal_log_lik(data, params):
     """Marginalised log likelihood: sum_i log sum_k pi_k N(x_i|mu_k, s^2)."""
-    return float(lse_rows(mx._component_loglik(data.x, params)).sum())
+    ll = mx._component_loglik(data.x - params.mu[:, None], params)
+    return float(lse_rows(ll).sum())
 
 
 def mix_marginal_log_joint(data, params):
-    lp = mx.log_prior(params)
+    lp = mix_log_prior(params)
     if not np.isfinite(lp):
         return -np.inf
     return lp + mix_marginal_log_lik(data, params)
@@ -131,7 +137,7 @@ def ds_marginal_log_joint(data, params):
 
 def mix_marginal_log_post_u(data, u, k):
     """Mixture marginal log joint plus logJ at an unconstrained point."""
-    params, lj, _ = mx.constrain(u, k)
+    params, lj = mx.MixtureModel(k).constrain(u)
     return mix_marginal_log_joint(data, params) + lj
 
 

@@ -51,8 +51,8 @@ def leapfrog(model, q, p, step_size, inv_mass, n_steps=1):
                          None)
     g = model.grad_u(None, q)
     for _ in range(n_steps):
-        leaf = kernel._leaf(q, p, g, 1, step_size, 0.0)
-        q, p, g = leaf.q_plus, leaf.p_plus, leaf.g_plus
+        leaf = kernel._leaf((q, p, None, g), 1, step_size, 0.0)
+        q, p, _, g = leaf.ends[1]
     return q, p
 
 
@@ -130,6 +130,10 @@ class TestMassAdaptation:
         assert ends[-1] == 1450
         assert all(a < b for a, b in zip(ends, ends[1:]))
         assert _adaptation_windows(50) == []
+        # the exact ends: a slow window that would leave less than twice
+        # its size before the terminal buffer runs to it
+        assert [_adaptation_windows(w) for w in (149, 150, 250, 300, 1500)] \
+            == [[], [100], [100, 200], [100, 250], [100, 150, 250, 450, 1450]]
 
 
 class TestContract:
@@ -145,10 +149,12 @@ class TestContract:
         assert np.all(chain.tree_depths <= 10)
 
     def test_rejects_bad_init(self):
-        model = GaussianTarget(np.eye(2))
-        with pytest.raises(ValueError):
-            nuts_run(model, None, 100, 50, make_rng(67),
-                     init=np.array([np.nan, 0.0]))
+        class NaNTarget(GaussianTarget):
+            def log_post_grad_u(self, data, u):
+                return math.nan, np.zeros(self.n_dim)
+
+        with pytest.raises(ValueError, match="initial point"):
+            nuts_run(NaNTarget(np.eye(2)), None, 100, 50, make_rng(67))
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="warmup < iterations"):

@@ -1,15 +1,18 @@
 """Tooling guards.  Every public function and method in `src/margmcmc`
 has a use in `src/margmcmc` outside its own definition (code only tests
-call belongs in `tests/oracles.py`); names match by spelling alone, and
-only the entry point `cli.main` is exempt: a name the package exports
-but never calls is still unused.  Every
-field of a dataclass in `src/margmcmc` is read there as an attribute,
-unless only the benchmark reads it (`BENCHMARK_FIELDS`).  Every name the
-benchmark patches exists, and the fused gradients reach the traced layers
-through those names.  Dirichlet and gamma variates are drawn in one
-place, `stats.sample_dirichlet`.  Nothing compares a model family's
-`kind`: the scenario types and model handles own what differs between
-families."""
+call belongs in `tests/oracles.py`).  A module-level function's uses
+are its loads resolved to its module: a bare name in that module, a
+name bound by `from .m import f`, or `x.f` with `x` bound by
+`from . import m as x`; a method's uses match by spelling alone.  Only
+the entry point `cli.main` is exempt: a name the package exports but
+never calls is still unused.  Every field of a dataclass in
+`src/margmcmc` is read there as an attribute, or by its class through
+`fields(self)`, unless only the benchmark reads it
+(`BENCHMARK_FIELDS`).  Every name the benchmark patches exists, and the
+fused gradients reach the traced layers through those names.  Dirichlet
+and gamma variates are drawn in one place, `stats.sample_dirichlet`.
+Nothing compares a model family's `kind`: the scenario types and model
+handles own what differs between families."""
 
 import ast
 import contextlib
@@ -36,13 +39,14 @@ def loaded_names(node):
 
 
 def public_defs(tree):
-    """Module-level functions and the methods of module-level classes."""
+    """Module-level functions and the methods of module-level classes,
+    each with whether it is a method."""
     for node in tree.body:
-        body = node.body if isinstance(node, ast.ClassDef) else [node]
-        for item in body:
+        method = isinstance(node, ast.ClassDef)
+        for item in node.body if method else [node]:
             if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and not item.name.startswith("_")):
-                yield item
+                yield item, method
 
 
 def src_trees():
@@ -50,17 +54,64 @@ def src_trees():
             for path in sorted(SRC.glob("*.py"))}
 
 
-def unused_defs():
-    trees = src_trees()
-    used = sum((loaded_names(tree) for tree in trees.values()), Counter())
-    return [f"{module}.{fn.name}"
-            for module, tree in trees.items() for fn in public_defs(tree)
-            if (module, fn.name) not in ENTRY_POINTS
-            and used[fn.name] == loaded_names(fn)[fn.name]]
+def function_loads(node, module, tree):
+    """Counter of (module, function) for the loads under `node`, a part
+    of `module`'s `tree`, that resolve to a module-level function."""
+    names = {item.name: (module, item.name) for item in tree.body
+             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    modules = {}
+    for imp in ast.walk(tree):
+        if isinstance(imp, ast.ImportFrom) and imp.level == 1:
+            for alias in imp.names:
+                bound = alias.asname or alias.name
+                if imp.module is None:
+                    modules[bound] = alias.name
+                else:
+                    names[bound] = (imp.module, alias.name)
+    loads = Counter()
+    for n in ast.walk(node):
+        if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                and n.id in names):
+            loads[names[n.id]] += 1
+        elif (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+              and isinstance(n.value, ast.Name) and n.value.id in modules):
+            loads[modules[n.value.id], n.attr] += 1
+    return loads
+
+
+def unused_defs(trees):
+    spelt = sum((loaded_names(tree) for tree in trees.values()), Counter())
+    resolved = sum((function_loads(tree, module, tree)
+                    for module, tree in trees.items()), Counter())
+    unused = []
+    for module, tree in trees.items():
+        for fn, method in public_defs(tree):
+            if method:
+                used, own = spelt[fn.name], loaded_names(fn)[fn.name]
+            else:
+                key = (module, fn.name)
+                used = resolved[key]
+                own = function_loads(fn, module, tree)[key]
+            if used == own and (module, fn.name) not in ENTRY_POINTS:
+                unused.append(f"{module}.{fn.name}")
+    return unused
+
+
+def test_guard_resolves_functions_through_imports():
+    # `a.log_prior` hides behind the method `M.log_prior` by spelling
+    a = "def log_prior(p):\n    return p\n\ndef used(p):\n    return p\n"
+    b = ("from . import a as x\nfrom .a import used as u\n\n"
+         "class M:\n    def log_prior(self):\n        return u(0)\n\n"
+         "    def run(self):\n        return self.log_prior()\n\n"
+         "def _main():\n    return M().run()\n")
+    trees = {"a": ast.parse(a), "b": ast.parse(b)}
+    assert unused_defs(trees) == ["a.log_prior"]
+    trees["b"] = ast.parse(b + "\ny = x.log_prior(1)\n")
+    assert unused_defs(trees) == []
 
 
 def test_every_public_def_is_used_in_src():
-    assert unused_defs() == []
+    assert unused_defs(src_trees()) == []
 
 
 # Dataclass fields that nothing in `src/` reads but the benchmark does,
@@ -86,12 +137,23 @@ def dataclass_fields(tree):
                 yield node.name, item.target.id
 
 
+def reads_own_fields(cls):
+    """Whether the class node `cls` calls `fields(self)`, which reads
+    every field of the instance (`BenchRecord.row`)."""
+    return any(isinstance(n, ast.Call) and getattr(n.func, "id", None)
+               == "fields" and [getattr(a, "id", None) for a in n.args]
+               == ["self"] for n in ast.walk(cls))
+
+
 def unread_fields(trees):
     read = {n.attr for tree in trees.values() for n in ast.walk(tree)
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    read_all = {node.name for tree in trees.values() for node in tree.body
+                if isinstance(node, ast.ClassDef) and reads_own_fields(node)}
     return [f"{cls}.{field}" for tree in trees.values()
             for cls, field in dataclass_fields(tree)
-            if field not in read and (cls, field) not in BENCHMARK_FIELDS]
+            if field not in read and cls not in read_all
+            and (cls, field) not in BENCHMARK_FIELDS]
 
 
 def test_every_dataclass_field_is_read_in_src():
