@@ -4,15 +4,13 @@ Gaussian mixtures and the Dawid-Skene rating model, sampled with Gibbs
 variants and NUTS, with ESS / R-hat diagnostics and a benchmark harness.
 """
 
-from .dawid_skene import (DawidSkeneModel, DSData, DSParams, ds_beta_matrix,
-                          ds_z_full_conditional)
+from .dawid_skene import DawidSkeneModel, DSData, DSParams, ds_beta_matrix
 from .diagnostics import efficiency_report, ess, split_rhat
-from .draws import ChainDraws, stack_param_chains
+from .draws import ChainDraws
 from .gibbs import SliceError, gibbs_run, slice_sample_1d
 from .harness import (METHODS, BenchRecord, RunSpec, run_matrix, run_record,
                       summarise)
-from .mixture import (MixtureData, MixtureModel, MixtureParams,
-                      mix_z_full_conditional)
+from .mixture import MixtureData, MixtureModel, MixtureParams
 from .nuts import nuts_run
 from .simulate import (DSScenario, MixtureScenario, gen_dataset,
                        get_scenario, scenario_catalog)
@@ -24,9 +22,8 @@ __all__ = [
     "BenchRecord", "ChainDraws", "DSData", "DSParams", "DSScenario",
     "DawidSkeneModel", "METHODS", "MixtureData", "MixtureModel",
     "MixtureParams", "MixtureScenario", "RunSpec", "SliceError",
-    "ds_beta_matrix", "ds_z_full_conditional", "efficiency_report", "ess",
-    "gen_dataset", "get_scenario", "gibbs_run", "make_rng",
-    "mix_z_full_conditional", "nuts_run", "run_matrix", "run_record",
-    "scenario_catalog", "slice_sample_1d", "split_rhat",
-    "stack_param_chains", "summarise",
+    "ds_beta_matrix", "efficiency_report", "ess", "gen_dataset",
+    "get_scenario", "gibbs_run", "make_rng", "nuts_run", "run_matrix",
+    "run_record", "scenario_catalog", "slice_sample_1d", "split_rhat",
+    "summarise",
 ]

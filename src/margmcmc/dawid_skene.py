@@ -96,30 +96,12 @@ def _dirichlet_log_norm(alpha):
     return gammaln(alpha.sum()) - gammaln(alpha).sum()
 
 
-def ds_z_full_conditional(data, params):
-    """P(z_i = k | y, params): the K x I matrix, one simplex per
-    column."""
-    ll = np.log(params.pi)[:, None] + _item_category_loglik(
-        data, np.log(params.theta))
-    ll -= lse_rows(ll)
-    np.exp(ll, out=ll)
-    ll /= np.add.reduce(ll, axis=0)
-    return ll
-
-
-# ------------------------------------------------- unconstrained interface
-
-def n_unconstrained(j, k):
-    return (k - 1) * (1 + j * k)
-
-
 class DawidSkeneModel:
     """Model handle used by the samplers and harness; it owns the prior's
     constants (see the module docstring)."""
 
     # no restricted arm: its sampler set would coincide with gibbs-full's
     methods = ("nuts-marginal", "gibbs-full", "gibbs-marginal")
-    z_full_conditional = staticmethod(ds_z_full_conditional)
 
     def __init__(self, n_raters, n_categories):
         self.j = int(n_raters)
@@ -134,7 +116,7 @@ class DawidSkeneModel:
 
     @property
     def n_dim(self):
-        return n_unconstrained(self.j, self.k)
+        return (self.k - 1) * (1 + self.j * self.k)
 
     def param_names(self):
         names = [f"pi[{i+1}]" for i in range(self.k)]
@@ -157,6 +139,16 @@ class DawidSkeneModel:
             np.asarray(u, dtype=float).reshape(1 + j * k, k - 1))
         return DSParams(pi=rows[0], theta=rows[1:].reshape(j, k, k)), \
             float(log_j.sum())
+
+    def z_full_conditional(self, data, params):
+        """P(z_i = k | y, params): the K x I matrix, one simplex per
+        column."""
+        ll = np.log(params.pi)[:, None] + _item_category_loglik(
+            data, np.log(params.theta))
+        ll -= lse_rows(ll)
+        np.exp(ll, out=ll)
+        ll /= np.add.reduce(ll, axis=0)
+        return ll
 
     def log_prior(self, log_pi, log_theta):
         """Dirichlet log prior of pi and every confusion row, given their

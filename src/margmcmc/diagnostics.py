@@ -8,6 +8,8 @@ slowly-drifting chain is also flagged.
 
 import numpy as np
 
+MIN_DRAWS = 4   # draws per chain below which ESS and R-hat are refused
+
 
 def _autocovariance(x):
     """Biased autocovariance function of a 1-d series via FFT."""
@@ -29,8 +31,8 @@ def ess(chains):
     """
     chains = np.atleast_2d(np.asarray(chains, dtype=float))
     m, n = chains.shape
-    if n < 4:
-        raise ValueError("need at least 4 draws per chain")
+    if n < MIN_DRAWS:
+        raise ValueError(f"need at least {MIN_DRAWS} draws per chain")
     if np.allclose(chains, chains.flat[0]):
         raise ValueError("effective sample size undefined for a constant chain")
 
@@ -65,8 +67,8 @@ def split_rhat(chains):
     """Split potential scale reduction factor from an (M, N) array."""
     chains = np.atleast_2d(np.asarray(chains, dtype=float))
     m, n = chains.shape
-    if n < 4:
-        raise ValueError("need at least 4 draws per chain")
+    if n < MIN_DRAWS:
+        raise ValueError(f"need at least {MIN_DRAWS} draws per chain")
     half = n // 2
     split = np.vstack([chains[:, :half], chains[:, n - half:n]])
     sm, sn = split.shape
@@ -79,26 +81,21 @@ def split_rhat(chains):
 
 
 def efficiency_report(chain_list):
-    """Summarise a list of ChainDraws into min-ESS, max-Rhat, and timing.
+    """Summarise a list of ChainDraws into BenchRecord's five metrics.
 
-    Only continuous parameters are considered.  `time_per_min_ess` is
-    total wall time (warmup plus sampling, summed over chains) divided by
-    the minimum effective sample size across parameters.
+    Only continuous parameters are considered, each as one C-contiguous
+    (M, N) block.  `time_per_min_ess` is total wall time (warmup plus
+    sampling, summed over chains) divided by the minimum effective
+    sample size across parameters.
     """
-    from .draws import stack_param_chains
-
-    stacked = stack_param_chains(chain_list)
-    ess_by_param = {k: ess(v) for k, v in stacked.items()}
-    rhat_by_param = {k: split_rhat(v) for k, v in stacked.items()}
-    min_ess = min(ess_by_param.values())
-    max_rhat = max(rhat_by_param.values())
+    blocks = np.ascontiguousarray(
+        np.stack([c.draws for c in chain_list]).transpose(2, 0, 1))
+    min_ess = min(ess(b) for b in blocks)
     total_time = sum(c.wall_time for c in chain_list)
     return {
-        "min_ess": float(min_ess),
-        "max_rhat": float(max_rhat),
         "comp_time_s": float(total_time),
+        "min_ess": float(min_ess),
         "time_per_min_ess": float(total_time / min_ess),
-        "ess": ess_by_param,
-        "rhat": rhat_by_param,
+        "max_rhat": float(max(split_rhat(b) for b in blocks)),
         "divergences": int(sum(c.divergences for c in chain_list)),
     }

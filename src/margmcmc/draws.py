@@ -25,12 +25,3 @@ class ChainDraws:
     def wall_time(self):
         """Total computation time: warmup plus sampling."""
         return self.warmup_time + self.sampling_time
-
-    def by_name(self, name):
-        return self.draws[:, self.param_names.index(name)]
-
-
-def stack_param_chains(chains):
-    """dict param name -> (M, N) array across chains."""
-    names = chains[0].param_names
-    return {name: np.stack([c.by_name(name) for c in chains]) for name in names}

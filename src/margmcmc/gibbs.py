@@ -1,7 +1,8 @@
 """Within-Gibbs MCMC for the full and marginalised models.
 
-One chain runs one Gibbs arm of the model handle's `methods`, read as two
-flags fixed at construction, `marginal` and `conjugate`:
+One chain runs one Gibbs arm of the model handle's `methods`, read from
+the arm's name at construction as the flags `marginal` and (mixture
+only) `conjugate`:
 
   gibbs-full            -- labels + conjugate Dirichlet blocks, slice
                            moves for the other continuous coordinates
@@ -200,12 +201,13 @@ def _mu_log_prior(m, truncates):
 
 
 class _MixtureGibbs:
-    def __init__(self, model, data, rng, init, marginal, conjugate):
+    def __init__(self, model, data, rng, init, method):
         self.model, self.data, self.rng = model, data, rng
-        self.marginal, self.conjugate = marginal, conjugate
+        self.marginal = method == "gibbs-marginal"
+        self.conjugate = method == "gibbs-full"
         self.k = model.k
         self.params = init
-        if not conjugate:   # only slice moves read the sticks
+        if not self.conjugate:   # only slice moves read the sticks
             self.u_pi = tr.unconstrain_simplex(self.params.pi)
         self.x2 = data.x**2
 
@@ -218,7 +220,7 @@ class _MixtureGibbs:
         mu, pi = self.params.mu, self.params.pi
         sigma = np.float64(self.params.sigma)   # inf instead of OverflowError
         # (1) labels
-        self.z = z = update_z_block(self.model, self.data, self.params, rng)
+        z = update_z_block(self.model, self.data, self.params, rng)
         counts = np.bincount(z, minlength=k).astype(float)
         sum_x = np.bincount(z, weights=x, minlength=k)
         sum_x2 = np.bincount(z, weights=self.x2, minlength=k)
@@ -307,13 +309,13 @@ class _MixtureGibbs:
 # --------------------------------------------------------- Dawid-Skene
 
 class _DawidSkeneGibbs:
-    def __init__(self, model, data, rng, init, marginal, conjugate):
-        # `conjugate` is `not marginal`: the handle has no restricted arm
+    # no restricted arm: the full arm is the conjugate one
+    def __init__(self, model, data, rng, init, method):
         self.model, self.data, self.rng = model, data, rng
         self.j, self.k = model.j, model.k
         self.params = init
-        self.marginal = marginal
-        if marginal:
+        self.marginal = method == "gibbs-marginal"
+        if self.marginal:
             self.u_pi = tr.unconstrain_simplex(self.params.pi)
             self.u_theta = tr.unconstrain_simplex(self.params.theta)
             self._rebuild_cache()
@@ -331,10 +333,10 @@ class _DawidSkeneGibbs:
     def _sweep_full(self):
         # (1) labels, then (2) pi and (3) theta from their Dirichlet
         # full conditionals
-        self.z = update_z_block(self.model, self.data, self.params, self.rng)
-        z_counts = np.bincount(self.z, minlength=self.k).astype(float)
+        z = update_z_block(self.model, self.data, self.params, self.rng)
+        z_counts = np.bincount(z, minlength=self.k).astype(float)
         pi = update_pi_conjugate(z_counts, self.model.alpha, self.rng)
-        theta = update_theta_conjugate(self.data, self.z, self.model.beta,
+        theta = update_theta_conjugate(self.data, z, self.model.beta,
                                        self.rng)
         self.params = dsm.DSParams(pi=pi, theta=theta)
 
@@ -397,9 +399,7 @@ def gibbs_run(model, data, method, iterations, warmup, rng):
                          f"its arms: {', '.join(model.methods)}")
     check_lengths(iterations, warmup)
     state = _STATE_CLASS[type(model)](model, data, rng,
-                                      model.init_params(rng),
-                                      marginal=method == "gibbs-marginal",
-                                      conjugate=method == "gibbs-full")
+                                      model.init_params(rng), method)
 
     errstate = np.errstate(over="ignore", divide="ignore", invalid="ignore")
     n_keep = iterations - warmup

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dawid_skene import DawidSkeneModel
-from .diagnostics import efficiency_report
+from .diagnostics import MIN_DRAWS, efficiency_report
 from .draws import check_lengths
 from .gibbs import gibbs_run
 from .mixture import MixtureModel
@@ -46,6 +46,8 @@ class RunSpec:
         if self.chains < 1 or self.replicates < 1:
             raise ValueError("need chains >= 1 and replicates >= 1")
         check_lengths(self.iterations, self.warmup)
+        if self.iterations - self.warmup < MIN_DRAWS:
+            raise ValueError(f"need at least {MIN_DRAWS} kept draws per chain")
 
 
 @dataclass
@@ -86,6 +88,7 @@ def _fmt(v):
 
 
 def _chain_stream(scenario_id, method, replicate, chain):
+    # only the key's last 8 bytes count: keys ending alike share a stream
     key = f"{scenario_id}|{method}|{replicate}|{chain}".encode()
     return int.from_bytes(key, "big") % (1 << 63)
 
@@ -113,12 +116,7 @@ def run_record(spec, replicate):
                 spec.scenario_id, spec.method, replicate, chain))
             chain_list.append(run_chain(model, data, spec.method,
                                         spec.iterations, spec.warmup, rng))
-        report = efficiency_report(chain_list)
-        record.comp_time_s = report["comp_time_s"]
-        record.min_ess = report["min_ess"]
-        record.time_per_min_ess = report["time_per_min_ess"]
-        record.max_rhat = report["max_rhat"]
-        record.divergences = report["divergences"]
+        vars(record).update(efficiency_report(chain_list))
     except Exception as exc:  # per-record tolerance: matrix must continue
         lines = str(exc).splitlines()   # status keeps the first line
         record.status = (f"error:{type(exc).__name__}"

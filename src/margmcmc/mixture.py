@@ -71,16 +71,6 @@ def _log_prior(mu, sigma):
     return lp, z, log_tail
 
 
-def mix_z_full_conditional(data, params):
-    """P(z_i = k | x, params): the (K, n) matrix, one simplex per
-    column."""
-    ll = _component_loglik(data.x - params.mu[:, None], params)
-    ll -= lse_rows(ll)
-    np.exp(ll, out=ll)
-    ll /= np.add.reduce(ll, axis=0)
-    return ll
-
-
 # ------------------------------------------------- unconstrained interface
 
 def split(u, k):
@@ -88,10 +78,6 @@ def split(u, k):
     floats, which the scalar transforms run on."""
     raw = np.asarray(u, dtype=float).tolist()
     return raw[:k], raw[k], raw[k + 1:]
-
-
-def n_unconstrained(k):
-    return 2 * k
 
 
 def constrain(mu_raw, log_sigma, pi_raw):
@@ -105,60 +91,19 @@ def constrain(mu_raw, log_sigma, pi_raw):
             lj_mu + lj_sigma + lj_pi, sticks)
 
 
-def mix_marginal_logpost_grad_u(data, u, k):
-    """Fused (value, gradient) of the unconstrained log posterior.
-
-    Shares the (K, n) component log-likelihood matrix between the two,
-    which the gradient-based sampler exploits on every leapfrog step.
-    The K-sized parameter arithmetic runs on scalars (np.float64 where a
-    Python float could raise OverflowError or ZeroDivisionError).
-    """
-    mu_raw, log_sigma, pi_raw = split(u, k)
-    params, lj, sticks = constrain(mu_raw, log_sigma, pi_raw)
-    mu, sigma, pi = params.mu, params.sigma, params.pi
-    lp, z_mu, log_tail = _log_prior(mu, sigma)
-    if not np.isfinite(lp):
-        return -np.inf, np.zeros(n_unconstrained(k))
-    diff = data.x - mu[:, None]
-    ll = _component_loglik(diff, params)
-    row_lse = lse_rows(ll)
-    value = lp + float(row_lse.sum()) + lj
-    if not np.isfinite(value):
-        return -np.inf, np.zeros(n_unconstrained(k))
-
-    r = np.exp(ll - row_lse)
-    rd = r * diff
-    r_sum = r.sum(axis=1)
-    var = sigma * sigma
-    g_mu = (rd.sum(axis=1) / var).tolist()
-    for i, a in enumerate(z_mu):
-        g_mu[i] -= a / PRIOR_MU_SD           # mu_i / PRIOR_MU_SD**2
-        if i < k - 1:
-            g_mu[i] += np.exp(-0.5 * LOG_2PI - 0.5 * a * a
-                              - log_tail[i]) / PRIOR_MU_SD
-    g_sigma = float((rd * diff).sum()) / (var * sigma) \
-        - float(r_sum.sum()) / sigma
-    g_sigma += -1.0 / sigma - np.log(sigma) / sigma
-    return value, np.concatenate([
-        tr.grad_ordered(mu_raw, g_mu),
-        [tr.grad_positive(log_sigma, g_sigma)],
-        tr.grad_simplex(sticks, (r_sum / pi).tolist())])
-
-
 class MixtureModel:
     """Model handle used by the samplers and harness."""
 
     # the sampling arms of this family, in the benchmark matrix's order
     methods = ("nuts-marginal", "gibbs-full", "gibbs-full-restricted",
                "gibbs-marginal")
-    z_full_conditional = staticmethod(mix_z_full_conditional)
 
     def __init__(self, k):
         self.k = int(k)
 
     @property
     def n_dim(self):
-        return n_unconstrained(self.k)
+        return 2 * self.k
 
     def param_names(self):
         k = self.k
@@ -171,8 +116,55 @@ class MixtureModel:
     def constrain(self, u):
         return constrain(*split(u, self.k))[:2]
 
+    def z_full_conditional(self, data, params):
+        """P(z_i = k | x, params): the (K, n) matrix, one simplex per
+        column."""
+        ll = _component_loglik(data.x - params.mu[:, None], params)
+        ll -= lse_rows(ll)
+        np.exp(ll, out=ll)
+        ll /= np.add.reduce(ll, axis=0)
+        return ll
+
     def log_post_grad_u(self, data, u):
-        return mix_marginal_logpost_grad_u(data, u, self.k)
+        """Fused (value, gradient) of the unconstrained log posterior.
+
+        Shares the (K, n) component log-likelihood matrix between the
+        two, which the gradient-based sampler exploits on every leapfrog
+        step.  The K-sized parameter arithmetic runs on scalars
+        (np.float64 where a Python float could raise OverflowError or
+        ZeroDivisionError).
+        """
+        k = self.k
+        mu_raw, log_sigma, pi_raw = split(u, k)
+        params, lj, sticks = constrain(mu_raw, log_sigma, pi_raw)
+        mu, sigma, pi = params.mu, params.sigma, params.pi
+        lp, z_mu, log_tail = _log_prior(mu, sigma)
+        if not np.isfinite(lp):
+            return -np.inf, np.zeros(2 * k)
+        diff = data.x - mu[:, None]
+        ll = _component_loglik(diff, params)
+        row_lse = lse_rows(ll)
+        value = lp + float(row_lse.sum()) + lj
+        if not np.isfinite(value):
+            return -np.inf, np.zeros(2 * k)
+
+        r = np.exp(ll - row_lse)
+        rd = r * diff
+        r_sum = r.sum(axis=1)
+        var = sigma * sigma
+        g_mu = (rd.sum(axis=1) / var).tolist()
+        for i, a in enumerate(z_mu):
+            g_mu[i] -= a / PRIOR_MU_SD           # mu_i / PRIOR_MU_SD**2
+            if i < k - 1:
+                g_mu[i] += np.exp(-0.5 * LOG_2PI - 0.5 * a * a
+                                  - log_tail[i]) / PRIOR_MU_SD
+        g_sigma = float((rd * diff).sum()) / (var * sigma) \
+            - float(r_sum.sum()) / sigma
+        g_sigma += -1.0 / sigma - np.log(sigma) / sigma
+        return value, np.concatenate([
+            tr.grad_ordered(mu_raw, g_mu),
+            [tr.grad_positive(log_sigma, g_sigma)],
+            tr.grad_simplex(sticks, (r_sum / pi).tolist())])
 
     def init_params(self, rng):
         """Prior draw: sorted normals for mu, lognormal sigma, uniform pi."""

@@ -83,10 +83,11 @@ def _log_add_exp(x, y):
 class _Tree:
     """Subtree summary for the doubling procedure.  `ends` is [backward,
     forward], each end (q, p, v, g) with `v` the velocity M^-1 p and `g`
-    the gradient there, so `ends[direction > 0]` is the end that grows."""
-    __slots__ = ("ends", "q_prop", "g_prop", "lp_prop",
-                 "log_sum_weight", "sum_accept", "n_leapfrog",
-                 "diverged", "turning")
+    the gradient there, so `ends[direction > 0]` is the end that grows;
+    `prop` is the proposal (q, logp, grad), in `transition`'s state
+    order."""
+    __slots__ = ("ends", "prop", "log_sum_weight", "sum_accept",
+                 "n_leapfrog", "diverged", "turning")
 
 
 def _uturn(ends):
@@ -118,7 +119,7 @@ class _NutsKernel:
         v1 = self.inv_mass * p1
         tree = _Tree()
         tree.ends = [(q1, p1, v1, g1)] * 2
-        tree.q_prop, tree.g_prop, tree.lp_prop = q1, g1, lp1
+        tree.prop = (q1, lp1, g1)
         tree.n_leapfrog = 1
         h1 = -lp1 + 0.5 * float(p1 @ v1)
         if not math.isfinite(h1):
@@ -153,8 +154,7 @@ class _NutsKernel:
         tree.log_sum_weight = total
         # multinomial choice between the subtrees' proposals
         if np.log(self.rng.random()) < second.log_sum_weight - total:
-            tree.q_prop, tree.g_prop, tree.lp_prop = \
-                second.q_prop, second.g_prop, second.lp_prop
+            tree.prop = second.prop
         tree.turning = second.turning or _uturn(tree.ends)
         return tree
 
@@ -164,13 +164,12 @@ class _NutsKernel:
         `state` is (q, logp, grad) with the cached density and gradient at
         q; returns (state', accept_stat, depth, diverged).
         """
-        q, lp, g = state
+        q, lp, g = prop = state
         rng = self.rng
         p = rng.standard_normal(len(q)) / np.sqrt(self.inv_mass)
         v = self.inv_mass * p
         h0 = -lp + 0.5 * float(p @ v)
         ends = [(q, p, v, g)] * 2
-        q_prop, g_prop, lp_prop = q, g, lp
         log_sum_weight = 0.0     # weight of the initial point: exp(h0 - h0)
         sum_accept = 0.0
         n_leapfrog = 0
@@ -190,13 +189,13 @@ class _NutsKernel:
                 break
             # biased progressive sampling toward the new subtree
             if np.log(rng.random()) < sub.log_sum_weight - log_sum_weight:
-                q_prop, g_prop, lp_prop = sub.q_prop, sub.g_prop, sub.lp_prop
+                prop = sub.prop
             log_sum_weight = _log_add_exp(log_sum_weight, sub.log_sum_weight)
             depth += 1
             if _uturn(ends):
                 break
         accept_stat = sum_accept / max(n_leapfrog, 1)
-        return (q_prop, lp_prop, g_prop), accept_stat, depth, diverged
+        return prop, accept_stat, depth, diverged
 
 
 def find_reasonable_step_size(kernel, q):

@@ -24,6 +24,13 @@ K-1 < 8 this is, bit for bit, the same elementwise arithmetic on
 row-major (R, K-1) arrays: each row's logJ sum over its sticks runs left
 to right, as numpy's row sum does below 8 terms (its pairwise sum from 8
 on would differ).  The rating model, the one caller, has K = 5.
+
+Both simplex paths stay, the caller choosing one vector or a stack: at
+K = 3 and one row (2-vCPU x86-64 host) the scalar constrain takes 4.3-5.6
+us against 11.9-15.3 stacked, the pull-back 2.1-2.6 against 10.4-15.2,
+so merging would add about 17 us to a mixture gradient of about 132, and
+the stacked pull-back matched the scalar bit for bit at only 10,470-13,098
+of 20,000 random points.
 """
 
 import functools

@@ -5,8 +5,9 @@ inverse transforms for round trips, value-only posteriors built from
 those joints plus `constrain`, the row-major fused gradients the
 component-major kernels replaced, the reference for each model's fused
 gradient, the one-row-at-a-time Dirichlet draw and stick inverse the
-stacked simplex primitives replaced, and the two-pass log-sum-exp the
-in-place `lse_rows` must match bit for bit."""
+stacked simplex primitives replaced, the two-pass log-sum-exp the
+in-place `lse_rows` must match bit for bit, and a chain's draws by
+parameter name."""
 
 import math
 
@@ -362,3 +363,17 @@ def unconstrain_simplex_per_row(p):
             raw[idx + (i,)] = np.log(z) - np.log1p(-z) + np.log(k - 1 - i)
             rem -= row[i]
     return raw
+
+
+# ------------------------------------------------------ draws by name
+
+def by_name(chain, name):
+    """One parameter's draws from a ChainDraws."""
+    return chain.draws[:, chain.param_names.index(name)]
+
+
+def stack_param_chains(chains):
+    """dict param name -> (M, N) array across chains."""
+    names = chains[0].param_names
+    return {name: np.stack([by_name(c, name) for c in chains])
+            for name in names}

@@ -29,14 +29,13 @@ from margmcmc import harness as hz
 from margmcmc import mixture as mx
 from margmcmc.cli import build_parser, run_specs
 from margmcmc.diagnostics import ess, split_rhat
-from margmcmc.draws import stack_param_chains
 from margmcmc.gibbs import update_z_block
 from margmcmc.simulate import gen_dataset, get_scenario
 from margmcmc.stats import make_rng
 from oracles import (ds_full_log_joint, ds_log_prior, ds_marginal_log_lik,
                      ds_marginal_log_post_u, mix_full_log_joint,
                      mix_log_prior, mix_marginal_log_lik,
-                     mix_marginal_log_post_u)
+                     mix_marginal_log_post_u, stack_param_chains)
 
 RESULTS_PATH = Path(os.environ.get(
     "MARGMCMC_RESULTS",
@@ -129,8 +128,8 @@ def test_criterion_3_gradient_correctness():
     data = mx.MixtureData(rng.normal(0, 4, size=30))
     for k in (2, 3):
         check(lambda u, k=k: mix_marginal_log_post_u(data, u, k),
-              lambda u, k=k: mx.mix_marginal_logpost_grad_u(data, u, k)[1],
-              mx.n_unconstrained(k), 10)
+              lambda u, k=k: mx.MixtureModel(k).log_post_grad_u(data, u)[1],
+              2 * k, 10)
 
     j_n, k = 3, 3
     ds_data = dsm.DSData(rng.integers(0, k, size=(20, j_n)), k)
@@ -151,7 +150,7 @@ def test_criterion_4_gibbs_exactness():
     data = mx.MixtureData(np.array([-1.5, -0.2, 0.3, 1.1, 2.4]))
     params = mx.MixtureParams(mu=np.array([-1.0, 1.0]), sigma=1.2,
                               pi=np.array([0.55, 0.45]))
-    exact = mx.mix_z_full_conditional(data, params)[1]
+    exact = model.z_full_conditional(data, params)[1]
     n = 200_000
     hits = np.zeros(5)
     for _ in range(n):

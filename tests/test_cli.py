@@ -75,6 +75,9 @@ class TestExitCodes:
         ["run", "--scenario", "two-comp-1", "--method", "gibbs-full",
          "--replicates", "1", "--out", "DIR"],
         ["summarise", "ONE_ROW", "--out", "DIR"],
+        ["run", "--scenario", "two-comp-1", "--method", "gibbs-full",
+         "--replicates", "1", "--chains", "2", "--iterations", "3",
+         "--warmup", "0"],
     ], ids=["chains-0", "warmup-not-below-iterations", "negative-warmup",
             "unknown-scenario", "no-runnable-cell", "summarise-no-records",
             "summarise-missing-file", "summarise-out-in-missing-directory",
@@ -82,7 +85,7 @@ class TestExitCodes:
             "summarise-dataset-file", "summarise-csv-without-result-columns",
             "summarise-truncated-row", "run-out-onto-dataset",
             "run-out-onto-csv-without-schema-line", "run-out-is-directory",
-            "summarise-out-is-directory"])
+            "summarise-out-is-directory", "fewer-than-4-kept-draws"])
     def test_usage_errors_exit_2_with_one_line(self, argv, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")

@@ -120,7 +120,7 @@ class TestLatentConditional:
         rng = make_rng(33)
         data = random_data(rng, 5, 3, 3)
         params = random_params(rng, 3, 3)
-        probs = ds.ds_z_full_conditional(data, params)
+        probs = ds.DawidSkeneModel(3, 3).z_full_conditional(data, params)
         z = np.zeros(5, dtype=int)
         for i in range(5):
             num = np.empty(3)
@@ -138,7 +138,8 @@ class TestLatentConditional:
         params = ds.DSParams(pi=np.full(k, 1 / 3),
                              theta=np.clip(eye, 1e-12, None))
         ratings = np.array([[0, 0], [2, 2], [1, 1]])
-        probs = ds.ds_z_full_conditional(ds.DSData(ratings, k), params)
+        probs = ds.DawidSkeneModel(2, k).z_full_conditional(
+            ds.DSData(ratings, k), params)
         assert np.allclose(probs[[0, 2, 1], np.arange(3)], 1.0, atol=1e-9)
 
 
@@ -159,7 +160,7 @@ class TestUnconstrainedInterface:
         model = ds.DawidSkeneModel(j, k)
         h = 1e-6
         for _ in range(5):
-            u = rng.normal(size=ds.n_unconstrained(j, k)) * 0.5
+            u = rng.normal(size=model.n_dim) * 0.5
             got = model.log_post_grad_u(data, u)[1]
             for i in range(len(u)):
                 e = np.zeros(len(u))

@@ -112,8 +112,9 @@ class TestEfficiencyReport:
         assert rep["comp_time_s"] == pytest.approx(9.0)   # 3 x (1 + 2)
         assert rep["time_per_min_ess"] == pytest.approx(
             rep["comp_time_s"] / rep["min_ess"], rel=1e-12)
-        assert rep["min_ess"] == pytest.approx(min(rep["ess"].values()))
-        assert rep["max_rhat"] == pytest.approx(max(rep["rhat"].values()))
+        columns = [np.stack([c.draws[:, j] for c in chains]) for j in (0, 1)]
+        assert rep["min_ess"] == min(ess(col) for col in columns)
+        assert rep["max_rhat"] == max(split_rhat(col) for col in columns)
         assert rep["divergences"] == 0
 
     def test_divergences_summed(self):

@@ -109,6 +109,21 @@ class TestRunRecord:
         hz.run_matrix(specs, on_record=seen.append)
         assert [r.replicate for r in seen] == [1, 2]
 
+    def test_process_pool_matches_serial(self):
+        specs = [hz.RunSpec("two-comp-1", m, chains=1, iterations=40,
+                            warmup=20, replicates=1)
+                 for m in ("gibbs-full", "gibbs-marginal")]
+        serial = hz.run_matrix(specs)
+        seen = []
+        pooled = hz.run_matrix(specs, parallelism=2, on_record=seen.append)
+        assert seen == pooled
+        assert [r.method for r in pooled] == ["gibbs-full", "gibbs-marginal"]
+        timing = {"comp_time_s", "time_per_min_ess"}
+        for a, b in zip(serial, pooled):
+            assert a.status == "ok"
+            assert {k: v for k, v in vars(a).items() if k not in timing} \
+                == {k: v for k, v in vars(b).items() if k not in timing}
+
 
 class TestPersistence:
     def _records(self):

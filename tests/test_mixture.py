@@ -93,7 +93,7 @@ class TestLatentConditional:
         rng = make_rng(10)
         data = mx.MixtureData(rng.normal(0, 3, size=6))
         params = random_params(rng, 2)
-        probs = mx.mix_z_full_conditional(data, params)
+        probs = mx.MixtureModel(2).z_full_conditional(data, params)
         z = np.zeros(6, dtype=int)
         for i in range(6):
             num = np.empty(2)
@@ -107,7 +107,8 @@ class TestLatentConditional:
     def test_rows_normalised(self):
         rng = make_rng(11)
         data = mx.MixtureData(rng.normal(size=50))
-        probs = mx.mix_z_full_conditional(data, random_params(rng, 3))
+        probs = mx.MixtureModel(3).z_full_conditional(
+            data, random_params(rng, 3))
         assert probs.shape == (3, 50)
         assert np.allclose(probs.sum(axis=0), 1.0, atol=1e-12)
 
@@ -129,8 +130,8 @@ class TestUnconstrainedInterface:
         data = mx.MixtureData(rng.normal(0, 4, size=40))
         h = 1e-6
         for _ in range(10):
-            u = rng.normal(size=mx.n_unconstrained(k))
-            got = mx.mix_marginal_logpost_grad_u(data, u, k)[1]
+            u = rng.normal(size=2 * k)
+            got = mx.MixtureModel(k).log_post_grad_u(data, u)[1]
             for i in range(len(u)):
                 e = np.zeros(len(u))
                 e[i] = h
@@ -142,15 +143,15 @@ class TestUnconstrainedInterface:
         rng = make_rng(16)
         data = mx.MixtureData(rng.normal(0, 4, size=40))
         for k in (2, 3):
-            u = rng.normal(size=mx.n_unconstrained(k))
-            v, _ = mx.mix_marginal_logpost_grad_u(data, u, k)
+            u = rng.normal(size=2 * k)
+            v, _ = mx.MixtureModel(k).log_post_grad_u(data, u)
             assert v == pytest.approx(mix_marginal_log_post_u(data, u, k))
 
     def test_extreme_point_is_finite_or_rejected(self):
         data = mx.MixtureData(np.array([0.0, 1.0]))
         u = np.array([0.0, 0.0, 800.0, 0.0])   # sigma = exp(800)
         with np.errstate(over="ignore"):
-            v, g = mx.mix_marginal_logpost_grad_u(data, u, 2)
+            v, g = mx.MixtureModel(2).log_post_grad_u(data, u)
         assert v == -np.inf and np.all(np.isfinite(g))
 
 

@@ -11,6 +11,7 @@ from scipy import stats as sps
 from margmcmc.nuts import (_adaptation_windows, _log_add_exp, _NutsKernel,
                            nuts_run)
 from margmcmc.stats import make_rng
+from oracles import by_name
 
 
 class GaussianTarget:
@@ -97,7 +98,7 @@ class TestLeapfrog:
 class TestStandardNormal:
     def test_ks_and_moments(self):
         chain = run_gaussian(np.eye(1), 61, iterations=11000, warmup=1000)
-        x = chain.by_name("x[1]")
+        x = by_name(chain, "x[1]")
         assert sps.kstest(x[::10], sps.norm.cdf).pvalue > 1e-6
         assert abs(x.mean()) < 0.05
         assert x.var() == pytest.approx(1.0, abs=0.1)
@@ -119,8 +120,8 @@ class TestMassAdaptation:
         # both scales mix well and the tree depth stays moderate
         cov = np.diag([1.0, 100.0])
         chain = run_gaussian(cov, 63, iterations=3000, warmup=1500)
-        v1 = chain.by_name("x[1]").var()
-        v2 = chain.by_name("x[2]").var()
+        v1 = by_name(chain, "x[1]").var()
+        v2 = by_name(chain, "x[2]").var()
         assert v1 == pytest.approx(1.0, rel=0.3)
         assert v2 == pytest.approx(100.0, rel=0.3)
         assert 50.0 < v2 / v1 < 200.0
@@ -173,7 +174,7 @@ class TestContract:
         exact = nuts_run(GaussianTarget(np.eye(1)), None, 3000, 1000,
                          make_rng(68, 0))
         fd = nuts_run(FDTarget(np.eye(1)), None, 3000, 1000, make_rng(69, 0))
-        m1, m2 = exact.by_name("x[1]").mean(), fd.by_name("x[1]").mean()
-        se = np.sqrt(exact.by_name("x[1]").var() / 500
-                     + fd.by_name("x[1]").var() / 500)
+        m1, m2 = by_name(exact, "x[1]").mean(), by_name(fd, "x[1]").mean()
+        se = np.sqrt(by_name(exact, "x[1]").var() / 500
+                     + by_name(fd, "x[1]").var() / 500)
         assert abs(m1 - m2) < 3 * se
