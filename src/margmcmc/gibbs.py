@@ -17,7 +17,8 @@ isolate the effect of marginalisation itself.
 
 A simplex is sliced one stick coordinate at a time, and each density
 evaluation recomputes only what that stick changes, bit for bit as
-transforms.constrain_simplex would (`_slice_simplex_coords`).
+transforms.constrain_simplex would, and hands the simplex target log p
+from one np.log over one buffer [rem | p] (`_slice_simplex_coords`).
 
 Update order is fixed: labels z, then pi, then theta or (mu, sigma).
 
@@ -146,46 +147,46 @@ def update_z_block(model, data, params, rng):
     return sample_categorical_rows(rng, model.z_full_conditional(data, params))
 
 
-def _slice_simplex_coords(u_row, target_of_row, rng):
+def _slice_simplex_coords(u_row, target_of_log_row, rng):
     """Slice each stick coordinate of one simplex in turn; returns the
-    updated sticks and their simplex.
+    updated sticks and their simplex.  The target takes log p, a view
+    valid only during the call.
 
-    Moving stick c changes only z_c and the remaining stick after it, so
-    an evaluation recomputes z_c, the rem suffix (a cumprod from the kept
-    rem_c), p and logJ.  The arithmetic is tr.constrain_simplex's scalar
-    loop step for step -- numpy ufuncs for exp and the logs (math.exp/log
-    differ in the last bit), the remaining stick as a left-to-right
-    product, logJ as a left-to-right sum of the per-stick terms.  Here the
-    product is np.multiply.accumulate, always left to right, and the sum
-    is np.add.reduce, left to right only while K - 1 < 8 (pairwise
-    beyond); so p is bit-identical to constrain_simplex of the moved
-    sticks for every K, and logJ for K <= 8.
+    Moving stick c changes only z_c, so an evaluation recomputes z_c, then
+    rem (the cumprod of 1 and each 1 - z), p and logJ; rem and p share one
+    buffer [rem (K) | p (K)], so one np.log gives both logs.  This is
+    constrain_simplex's loop step for step: numpy ufuncs for exp and the
+    logs (math's differ in the last bit; numpy's elementwise log over a
+    contiguous buffer is each entry's log), rem a left-to-right product
+    and logJ a left-to-right sum on Python floats.  So log p and logJ are
+    bit-identical to tr.constrain_simplex's for every K.
     """
     u_row = np.array(u_row, dtype=float)
     km1 = len(u_row)
     off = tr._stick_offsets(km1)
     zs = np.append(tr.expit(u_row - off), 1.0)   # z, then 1 for p[K-1]
-    fac = np.append(1.0, 1.0 - zs[:km1])         # rem_c, then 1 - z from c on
-    rem = np.multiply.accumulate(fac)            # rem[K-1] = p[K-1]
-    zterm = np.log(zs[:km1]) + np.log1p(-zs[:km1])
+    fac = np.append(1.0, 1.0 - zs[:km1])
+    (rem, p), (log_rem, log_p) = buf, lbuf = np.ones((2, 2, km1 + 1))
+    zterm = (np.log(zs[:km1]) + np.log1p(-zs[:km1])).tolist()
 
     def place(c, v):
-        """Set stick c to v; returns logJ."""
         zs[c] = z = 1.0 / (1.0 + np.exp(-(v - off[c])))    # tr.expit
         fac[c + 1] = 1.0 - z
-        np.multiply.accumulate(fac[c:], out=rem[c:])     # np.cumprod
-        zterm[c] = np.log(z) + np.log1p(-z)
-        return float(np.add.reduce(zterm + np.log(rem[:km1])))
+        np.multiply.accumulate(fac, out=rem)             # np.cumprod
+        np.multiply(rem, zs, out=p)
+        zterm[c] = float(np.log(z) + np.log1p(-z))
 
     for c in range(km1):
-        fac[c] = rem[c]
-
         def logf(v, c=c):
-            lj = place(c, v)
-            return target_of_row(rem * zs) + lj
+            place(c, v)
+            np.log(buf, out=lbuf)
+            lj = 0.0
+            for t, lr in zip(zterm, log_rem.tolist()):   # the K - 1 sticks
+                lj += t + lr
+            return target_of_log_row(log_p) + lj
         u_row[c] = slice_sample_1d(logf, u_row[c], rng)
         place(c, u_row[c])
-    return u_row, rem * zs
+    return u_row, p.copy()
 
 
 # ------------------------------------------------------------- mixture
@@ -228,8 +229,8 @@ class _MixtureGibbs:
         if self.conjugate:
             pi = update_pi_conjugate(counts, 1.0, rng)   # Dirichlet(1) prior
         else:
-            def pi_target(p):
-                return float(np.dot(counts, np.log(p)))  # Dirichlet(1) prior flat
+            def pi_target(log_p):
+                return float(np.dot(counts, log_p))  # Dirichlet(1) prior flat
             self.u_pi, pi = _slice_simplex_coords(self.u_pi, pi_target, rng)
         # (3) mu then sigma, by slice
         mu = mu.copy()
@@ -273,8 +274,8 @@ class _MixtureGibbs:
         ll = norm_rows(mu, sigma)  # cached (K, n) log f(x_i | mu_k, sigma^2)
 
         # pi via stick coordinates against the marginal joint
-        def pi_target(p):
-            return float(lse_rows(ll + np.log(p)[:, None]).sum())
+        def pi_target(log_p):
+            return float(np.add.reduce(lse_rows(ll + log_p[:, None])))
         self.u_pi, pi = _slice_simplex_coords(self.u_pi, pi_target, rng)
 
         log_pi = np.log(pi)
@@ -282,12 +283,13 @@ class _MixtureGibbs:
         for kk in range(k):
             lo = mu[kk - 1] if kk > 0 else -np.inf
             hi = mu[kk + 1] if kk < k - 1 else np.inf
+            const = log_pi[kk] - np.log(sigma) - 0.5 * LOG_2PI  # - z^2 / 2
 
-            def mu_target(m, kk=kk):
+            def mu_target(m, kk=kk, const=const, row=m_mat[kk]):
                 z = (x - m) / sigma
-                m_mat[kk] = (log_pi[kk] - np.log(sigma) - 0.5 * LOG_2PI
-                             - 0.5 * z * z)
-                return (float(lse_rows(m_mat).sum())
+                z *= 0.5 * z
+                np.subtract(const, z, out=row)
+                return (float(np.add.reduce(lse_rows(m_mat)))
                         + _mu_log_prior(m, kk < k - 1))
             mu[kk] = slice_sample_1d(mu_target, mu[kk], rng,
                                      lower=lo, upper=hi)
@@ -346,9 +348,9 @@ class _DawidSkeneGibbs:
         alpha_m1 = self.model.alpha_m1
 
         # pi stick coordinates (Dirichlet kernel; the normaliser is constant)
-        def pi_target(p):
-            return (float(lse_rows(np.log(p)[:, None] + self.c).sum())
-                    + float(np.dot(alpha_m1, np.log(p))))
+        def pi_target(log_p):
+            return (float(np.add.reduce(lse_rows(log_p[:, None] + self.c)))
+                    + float(np.dot(alpha_m1, log_p)))
         self.u_pi, pi = _slice_simplex_coords(self.u_pi, pi_target, rng)
         log_pi = np.log(pi)
 
@@ -356,6 +358,7 @@ class _DawidSkeneGibbs:
         # over the K-1 untouched categories is cached per row
         theta = self.params.theta.copy()
         base = log_pi[:, None] + self.c       # (K, I)
+        col = np.empty(data.n_items)          # the row target's column
         for jj in range(j):
             y_j = data.ratings[:, jj]
             for kk in range(k):
@@ -367,16 +370,15 @@ class _DawidSkeneGibbs:
                 col_rest = log_pi[kk] + col_wo_row
                 beta_m1 = self.model.beta_m1[kk]
 
-                def row_target(p):
-                    log_row = np.log(p)
-                    col = col_rest + log_row[y_j]
-                    return (float(np.logaddexp(others, col).sum())
+                def row_target(log_row):
+                    np.add(col_rest, log_row[y_j], out=col)
+                    np.logaddexp(others, col, out=col)
+                    return (float(np.add.reduce(col))
                             + float(np.dot(beta_m1, log_row)))
                 self.u_theta[jj, kk], theta[jj, kk] = _slice_simplex_coords(
                     self.u_theta[jj, kk], row_target, rng)
-                new_col = col_wo_row + np.log(theta[jj, kk])[y_j]
-                self.c[kk] = new_col
-                base[kk] = log_pi[kk] + new_col
+                self.c[kk] = col_wo_row + np.log(theta[jj, kk])[y_j]
+                base[kk] = log_pi[kk] + self.c[kk]
         self.params = dsm.DSParams(pi=pi, theta=theta)
         self._rebuild_cache()
 

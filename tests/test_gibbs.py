@@ -99,9 +99,9 @@ stick = st.floats(-50, 50, allow_nan=False)
 
 @st.composite
 def stick_moves(draw):
-    """Sticks of a K-simplex, K = 2..6, and per stick the points a slice
+    """Sticks of a K-simplex, K = 2..10, and per stick the points a slice
     move evaluates; the first point is the one it accepts."""
-    km1 = draw(st.integers(1, 5))
+    km1 = draw(st.integers(1, 9))
     u = draw(st.lists(stick, min_size=km1, max_size=km1))
     trials = draw(st.lists(st.lists(stick, min_size=1, max_size=4),
                            min_size=km1, max_size=km1))
@@ -113,25 +113,29 @@ class TestSimplexSticks:
     @given(stick_moves())
     def test_incremental_sticks_match_constrain_simplex(self, case):
         # at +-50 the sticks saturate: z rounds to 1, the remaining stick
-        # to 0, and logJ is -inf
+        # to 0, and log p and logJ are -inf.  From K - 1 = 8 sticks on,
+        # numpy's pairwise sum of the logJ terms would differ from
+        # constrain_simplex's left-to-right one.
         u, trials = case
         moved = u.copy()
-        seen = []
+        seen = []               # log p as each target call received it
         done = []               # sticks whose move has run
 
-        def target(p):
-            seen.append(p.copy())
+        def target(log_p):
+            seen.append(log_p.copy())
             return 0.0          # so the slice density is logJ alone
 
         def fake_slice(logf, current, *args):
             c = len(done)
             assert current == moved[c]
             for v in trials[c]:
+                n_seen = len(seen)
                 lj = logf(v)
+                assert len(seen) == n_seen + 1
                 u2 = moved.copy()
                 u2[c] = v
                 want_p, want_lj, _ = tr.constrain_simplex(u2)
-                assert np.array_equal(seen[-1], want_p)
+                assert np.array_equal(seen[-1], np.log(want_p))
                 assert np.array_equal(lj, want_lj)
             done.append(c)
             moved[c] = trials[c][0]
@@ -141,6 +145,8 @@ class TestSimplexSticks:
                 mock.patch.object(gb, "slice_sample_1d", fake_slice):
             u_out, p_out = gb._slice_simplex_coords(u, target, None)
             assert len(done) == len(trials)
+            # placing each accepted point calls the target no more
+            assert len(seen) == sum(map(len, trials))
             assert np.array_equal(u_out, moved)
             assert np.array_equal(p_out, tr.constrain_simplex(moved)[0])
 
