@@ -55,7 +55,7 @@ def _selected_scenarios(args):
     if not args.scenario:
         return sim.scenario_catalog()
     try:
-        return [sim.get_scenario(sid) for sid in args.scenario]
+        return [sim.get_scenario(sid) for sid in dict.fromkeys(args.scenario)]
     except KeyError as exc:
         raise UsageError(exc.args[0]) from None
 
@@ -81,11 +81,12 @@ def _check_results_out(path):
 
 def run_specs(args):
     """The specs `run` executes: each selected scenario with each
-    requested method that its model family has."""
+    requested method that its model family has, a repeated scenario or
+    method counted once, in first-seen order."""
     specs = []
     for scenario in _selected_scenarios(args):
         applicable = scenario.model().methods
-        for method in args.method or applicable:
+        for method in dict.fromkeys(args.method or applicable):
             if method not in applicable:
                 print(f"skip: {method} not applicable to {scenario.id}",
                       file=sys.stderr)

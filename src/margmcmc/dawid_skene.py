@@ -13,7 +13,8 @@ PRIOR_CONCENTRATION, PRIOR_DIAG_MASS).
 
 The model handle builds its constants once: alpha, beta, alpha - 1,
 beta - 1 and the two Dirichlet normalisers (pi's, and J times the sum
-of the confusion rows').  Its `log_prior` serves the fused gradient.
+of the confusion rows').  Its `log_prior` serves the fused gradient,
+whose DSParams are the NUTS arm's draws.
 """
 
 import math
@@ -129,17 +130,6 @@ class DawidSkeneModel:
     def flatten(self, params):
         return np.concatenate([params.pi, params.theta.ravel()])
 
-    def constrain(self, u):
-        """Unconstrained vector -> (DSParams, log |Jacobian|).
-
-        Layout: pi sticks (K-1), then theta rows in (j, k) order, K-1 each.
-        """
-        j, k = self.j, self.k
-        rows, log_j, _ = tr.constrain_simplex_rows(
-            np.asarray(u, dtype=float).reshape(1 + j * k, k - 1))
-        return DSParams(pi=rows[0], theta=rows[1:].reshape(j, k, k)), \
-            float(log_j.sum())
-
     def z_full_conditional(self, data, params):
         """P(z_i = k | y, params): the K x I matrix, one simplex per
         column."""
@@ -157,14 +147,17 @@ class DawidSkeneModel:
                 + self.log_norm_theta + float((self.beta_m1 * log_theta).sum()))
 
     def log_post_grad_u(self, data, u):
-        """Fused (value, gradient) of the unconstrained log posterior; one
-        stick pass serves p, logJ and the pull-back."""
+        """Fused (value, gradient, params) of the unconstrained log
+        posterior; one stick pass serves params (the DSParams at `u`, also
+        returned with a -inf value), logJ and the pull-back.  Layout of
+        `u`: pi's sticks (K-1), then theta's rows in (j, k) order."""
         j, k = self.j, self.k
         u = np.asarray(u, dtype=float)
         rows, log_j, sticks = tr.constrain_simplex_rows(
             u.reshape(1 + j * k, k - 1))
         pi = rows[0]
         theta = rows[1:].reshape(j, k, k)
+        params = DSParams(pi=pi, theta=theta)
         log_pi = np.log(pi)
         log_theta = np.log(theta)
 
@@ -173,7 +166,7 @@ class DawidSkeneModel:
         value = float(row_lse.sum()) + self.log_prior(log_pi, log_theta) \
             + float(log_j.sum())
         if not math.isfinite(value):
-            return -math.inf, np.zeros_like(u)
+            return -math.inf, np.zeros_like(u), params
 
         r = np.exp(ll - row_lse)
         # d/dp of every simplex row, laid out (K, rows) for the pull-back
@@ -183,7 +176,7 @@ class DawidSkeneModel:
         counts = (r @ data.rating_onehot.T).reshape(k, j, k).transpose(1, 0, 2)
         np.divide(self.beta_m1 + counts, theta,
                   out=g_p[:, 1:].reshape(k, j, k).transpose(1, 2, 0))
-        return value, tr.grad_simplex_rows(sticks, g_p.T).ravel()
+        return value, tr.grad_simplex_rows(sticks, g_p.T).ravel(), params
 
     def init_params(self, rng):
         """Prior draw for pi and every confusion row."""

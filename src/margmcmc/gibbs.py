@@ -285,15 +285,18 @@ class _MixtureGibbs:
             hi = mu[kk + 1] if kk < k - 1 else np.inf
             const = log_pi[kk] - np.log(sigma) - 0.5 * LOG_2PI  # - z^2 / 2
 
-            def mu_target(m, kk=kk, const=const, row=m_mat[kk]):
+            def set_row(m, const=const, row=m_mat[kk]):
                 z = (x - m) / sigma
                 z *= 0.5 * z
                 np.subtract(const, z, out=row)
+
+            def mu_target(m, kk=kk, set_row=set_row):
+                set_row(m)
                 return (float(np.add.reduce(lse_rows(m_mat)))
                         + _mu_log_prior(m, kk < k - 1))
             mu[kk] = slice_sample_1d(mu_target, mu[kk], rng,
                                      lower=lo, upper=hi)
-            mu_target(mu[kk], kk)  # leave the cached row at the accepted value
+            set_row(mu[kk])  # leave the cached row at the accepted value
 
         def log_sigma_target(ls):
             s = np.exp(ls)
@@ -303,9 +306,6 @@ class _MixtureGibbs:
             return lik - 0.5 * ls * ls  # Lognormal(0,1) kernel + exp Jacobian
         ls = slice_sample_1d(log_sigma_target, np.log(sigma), rng)
         self.params = mx.MixtureParams(mu=mu, sigma=float(np.exp(ls)), pi=pi)
-
-    def state(self):
-        return self.model.flatten(self.params)
 
 
 # --------------------------------------------------------- Dawid-Skene
@@ -382,9 +382,6 @@ class _DawidSkeneGibbs:
         self.params = dsm.DSParams(pi=pi, theta=theta)
         self._rebuild_cache()
 
-    def state(self):
-        return self.model.flatten(self.params)
-
 
 # The sampler state class of each model handle.  It is looked up here,
 # not kept on the handle, because the models do not import the samplers.
@@ -395,7 +392,8 @@ _STATE_CLASS = {mx.MixtureModel: _MixtureGibbs,
 def gibbs_run(model, data, method, iterations, warmup, rng):
     """Run one chain of the Gibbs arm `method` for `iterations` sweeps,
     the first `warmup` discarded, from a draw of the model's prior
-    (`model.init_params`); deterministic given the rng state."""
+    (`model.init_params`); deterministic given the rng state.  Each kept
+    draw is `model.flatten` of the parameters the sweep left."""
     if method not in model.methods or method == "nuts-marginal":
         raise ValueError(f"{method!r} is not a Gibbs arm of this model; "
                          f"its arms: {', '.join(model.methods)}")
@@ -413,7 +411,7 @@ def gibbs_run(model, data, method, iterations, warmup, rng):
         t1 = time.perf_counter()
         for it in range(n_keep):
             state.sweep()
-            draws[it] = state.state()
+            draws[it] = model.flatten(state.params)
         t2 = time.perf_counter()
     return ChainDraws(draws=draws, param_names=model.param_names(),
                       warmup_time=t1 - t0, sampling_time=t2 - t1)

@@ -1,6 +1,6 @@
-"""K-component Gaussian mixture: the fused marginalised log posterior
-and its analytic gradient in unconstrained space, and the latent full
-conditional.
+"""K-component Gaussian mixture: the fused marginalised log posterior,
+its analytic gradient in unconstrained space and the parameters at the
+point, and the latent full conditional.
 
 Parameterisation: ordered means mu (label-switching guard), one shared
 standard deviation sigma, mixture weights pi.  Priors: mu_1 ~ N(0, 10^2),
@@ -71,26 +71,6 @@ def _log_prior(mu, sigma):
     return lp, z, log_tail
 
 
-# ------------------------------------------------- unconstrained interface
-
-def split(u, k):
-    """Unconstrained vector -> (mu_raw, log_sigma, pi_raw) as Python
-    floats, which the scalar transforms run on."""
-    raw = np.asarray(u, dtype=float).tolist()
-    return raw[:k], raw[k], raw[k + 1:]
-
-
-def constrain(mu_raw, log_sigma, pi_raw):
-    """`split`'s pieces of an unconstrained vector -> (MixtureParams,
-    log |Jacobian|, pi's sticks), the sticks being the forward pass
-    tr.grad_simplex reuses."""
-    mu, lj_mu = tr.constrain_ordered(mu_raw)
-    sigma, lj_sigma = tr.constrain_positive(log_sigma)
-    pi, lj_pi, sticks = tr.constrain_simplex(pi_raw)
-    return (MixtureParams(mu=mu, sigma=sigma, pi=pi),
-            lj_mu + lj_sigma + lj_pi, sticks)
-
-
 class MixtureModel:
     """Model handle used by the samplers and harness."""
 
@@ -113,9 +93,6 @@ class MixtureModel:
     def flatten(self, params):
         return np.concatenate([params.mu, [params.sigma], params.pi])
 
-    def constrain(self, u):
-        return constrain(*split(u, self.k))[:2]
-
     def z_full_conditional(self, data, params):
         """P(z_i = k | x, params): the (K, n) matrix, one simplex per
         column."""
@@ -126,27 +103,34 @@ class MixtureModel:
         return ll
 
     def log_post_grad_u(self, data, u):
-        """Fused (value, gradient) of the unconstrained log posterior.
+        """Fused (value, gradient, params) of the unconstrained log
+        posterior at `u`, `params` being the MixtureParams its forward
+        pass builds (returned with the -inf value too).
 
         Shares the (K, n) component log-likelihood matrix between the
-        two, which the gradient-based sampler exploits on every leapfrog
-        step.  The K-sized parameter arithmetic runs on scalars
-        (np.float64 where a Python float could raise OverflowError or
-        ZeroDivisionError).
+        value and the gradient, which the gradient-based sampler exploits
+        on every leapfrog step.  The K-sized parameter arithmetic runs on
+        scalars (np.float64 where a Python float could raise
+        OverflowError or ZeroDivisionError).
         """
         k = self.k
-        mu_raw, log_sigma, pi_raw = split(u, k)
-        params, lj, sticks = constrain(mu_raw, log_sigma, pi_raw)
-        mu, sigma, pi = params.mu, params.sigma, params.pi
+        # the scalar transforms run on Python floats
+        raw = np.asarray(u, dtype=float).tolist()
+        mu_raw, log_sigma, pi_raw = raw[:k], raw[k], raw[k + 1:]
+        mu, lj_mu = tr.constrain_ordered(mu_raw)
+        sigma, lj_sigma = tr.constrain_positive(log_sigma)
+        pi, lj_pi, sticks = tr.constrain_simplex(pi_raw)
+        params = MixtureParams(mu=mu, sigma=sigma, pi=pi)
+        lj = lj_mu + lj_sigma + lj_pi
         lp, z_mu, log_tail = _log_prior(mu, sigma)
         if not np.isfinite(lp):
-            return -np.inf, np.zeros(2 * k)
+            return -np.inf, np.zeros(2 * k), params
         diff = data.x - mu[:, None]
         ll = _component_loglik(diff, params)
         row_lse = lse_rows(ll)
         value = lp + float(row_lse.sum()) + lj
         if not np.isfinite(value):
-            return -np.inf, np.zeros(2 * k)
+            return -np.inf, np.zeros(2 * k), params
 
         r = np.exp(ll - row_lse)
         rd = r * diff
@@ -164,7 +148,7 @@ class MixtureModel:
         return value, np.concatenate([
             tr.grad_ordered(mu_raw, g_mu),
             [tr.grad_positive(log_sigma, g_sigma)],
-            tr.grad_simplex(sticks, (r_sum / pi).tolist())])
+            tr.grad_simplex(sticks, (r_sum / pi).tolist())]), params
 
     def init_params(self, rng):
         """Prior draw: sorted normals for mu, lognormal sigma, uniform pi."""

@@ -8,8 +8,11 @@ forward end (not Stan's test on the momentum sum, Betancourt 2017).
 Trajectory doubling stops on a U-turn, on reaching the maximum tree
 depth, or on a divergence (energy error above 1000).  Operates on the
 marginalised models only, through the model handle's fused
-`log_post_grad_u`, which returns the unconstrained log posterior and its
-gradient from one evaluation.
+`log_post_grad_u`, which returns the unconstrained log posterior, its
+gradient and the constrained parameters from one evaluation.  The chain
+state keeps all three with its point, so a kept draw is `model.flatten`
+of the state's parameters and the step-size search reuses its density
+and gradient: no point is evaluated twice.
 
 The tree's bookkeeping is on Python floats; its exps and logs stay
 numpy's, whose last bits differ from `math`'s, and log-add-exp is
@@ -84,8 +87,8 @@ class _Tree:
     """Subtree summary for the doubling procedure.  `ends` is [backward,
     forward], each end (q, p, v, g) with `v` the velocity M^-1 p and `g`
     the gradient there, so `ends[direction > 0]` is the end that grows;
-    `prop` is the proposal (q, logp, grad), in `transition`'s state
-    order."""
+    `prop` is the proposal (q, logp, grad, params), in `transition`'s
+    state order."""
     __slots__ = ("ends", "prop", "log_sum_weight", "sum_accept",
                  "n_leapfrog", "diverged", "turning")
 
@@ -98,9 +101,9 @@ def _uturn(ends):
 
 
 class _NutsKernel:
-    """Shares one fused (logp, grad) evaluation per leapfrog step by
-    caching the gradient and the velocity at both trajectory ends, and
-    the gradient at the proposal."""
+    """Shares one fused (logp, grad, params) evaluation per leapfrog step
+    by caching the gradient and the velocity at both trajectory ends, and
+    the whole evaluation at the proposal."""
 
     def __init__(self, logp_grad_fn, inv_mass, rng):
         self.logp_grad = logp_grad_fn
@@ -114,12 +117,12 @@ class _NutsKernel:
         half = 0.5 * eps
         p_half = p + half * g
         q1 = q + eps * (self.inv_mass * p_half)
-        lp1, g1 = self.logp_grad(q1)
+        lp1, g1, params1 = self.logp_grad(q1)
         p1 = p_half + half * g1
         v1 = self.inv_mass * p1
         tree = _Tree()
         tree.ends = [(q1, p1, v1, g1)] * 2
-        tree.prop = (q1, lp1, g1)
+        tree.prop = (q1, lp1, g1, params1)
         tree.n_leapfrog = 1
         h1 = -lp1 + 0.5 * float(p1 @ v1)
         if not math.isfinite(h1):
@@ -161,10 +164,10 @@ class _NutsKernel:
     def transition(self, state, step_size):
         """One NUTS transition.
 
-        `state` is (q, logp, grad) with the cached density and gradient at
-        q; returns (state', accept_stat, depth, diverged).
+        `state` is (q, logp, grad, params), the evaluation at q; returns
+        (state', accept_stat, depth, diverged).
         """
-        q, lp, g = prop = state
+        q, lp, g, _ = prop = state
         rng = self.rng
         p = rng.standard_normal(len(q)) / np.sqrt(self.inv_mass)
         v = self.inv_mass * p
@@ -198,14 +201,15 @@ class _NutsKernel:
         return prop, accept_stat, depth, diverged
 
 
-def find_reasonable_step_size(kernel, q):
+def find_reasonable_step_size(kernel, state):
     """Crude bracketing of a step size with acceptance ratio near 1/2
-    (Hoffman & Gelman 2014, Alg. 4), one kernel leapfrog step per trial,
-    the momentum drawn from the kernel's generator."""
+    (Hoffman & Gelman 2014, Alg. 4) from the chain state (q, logp, grad,
+    params), one kernel leapfrog step per trial, the momentum drawn from
+    the kernel's generator."""
     eps = 1.0
     inv_mass = kernel.inv_mass
+    q, lp0, g0, _ = state
     p = kernel.rng.standard_normal(len(q)) / np.sqrt(inv_mass)
-    lp0, g0 = kernel.logp_grad(q)
     h0 = -lp0 + 0.5 * float(p @ (inv_mass * p))
     edge = (q, p, None, g0)
 
@@ -261,17 +265,17 @@ def nuts_run(model, data, iterations, warmup, rng):
     divergences = 0
     # one errstate for the whole chain, the step-size searches included
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        lp0, g0 = logp_grad_fn(q)
+        lp0, g0, params0 = logp_grad_fn(q)
         if not np.all(np.isfinite(g0)) or not np.isfinite(lp0):
             raise ValueError(
                 "non-finite log density or gradient at the initial point")
+        state = (q, lp0, g0, params0)
 
         kernel = _NutsKernel(logp_grad_fn, np.ones(d), rng)
-        adapt = AdaptState(find_reasonable_step_size(kernel, q))
+        adapt = AdaptState(find_reasonable_step_size(kernel, state))
 
         window_ends = _adaptation_windows(warmup)
         window_draws = []
-        state = (q, lp0, g0)
         t0 = time.perf_counter()
         for it in range(warmup):
             state, accept_stat, _, _ = kernel.transition(
@@ -289,7 +293,7 @@ def nuts_run(model, data, iterations, warmup, rng):
                                        + 1e-3 * (5.0 / (n + 5.0)))
                     window_draws = []
                     adapt = AdaptState(
-                        find_reasonable_step_size(kernel, state[0]))
+                        find_reasonable_step_size(kernel, state))
         adapt.freeze()
         t1 = time.perf_counter()
         for it in range(n_keep):
@@ -298,8 +302,7 @@ def nuts_run(model, data, iterations, warmup, rng):
             tree_depths[it] = depth
             if diverged:
                 divergences += 1
-            params, _ = model.constrain(state[0])
-            draws[it] = model.flatten(params)
+            draws[it] = model.flatten(state[3])
         t2 = time.perf_counter()
 
     return ChainDraws(draws=draws, param_names=model.param_names(),

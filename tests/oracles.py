@@ -1,8 +1,9 @@
 """Code only tests use: log densities for the priors, both models' full
 and marginalised log joints (the references the enumeration, latent
 conditional and finite-difference tests hold the samplers' kernels to),
-inverse transforms for round trips, value-only posteriors built from
-those joints plus `constrain`, the row-major fused gradients the
+the forward and inverse transforms of each model's unconstrained
+vector, value-only posteriors built from those joints plus the forward
+transforms, the row-major fused gradients the
 component-major kernels replaced, the reference for each model's fused
 gradient, the one-row-at-a-time Dirichlet draw and stick inverse the
 stacked simplex primitives replaced, the two-pass log-sum-exp the
@@ -136,15 +137,36 @@ def ds_marginal_log_joint(data, params):
     return ds_marginal_log_lik(data, params) + ds_log_prior(params)
 
 
+def mix_constrain(u, k):
+    """Unconstrained mixture vector -> (MixtureParams, log |Jacobian|),
+    by the transforms calls the fused gradient makes."""
+    raw = np.asarray(u, dtype=float).tolist()
+    mu, lj_mu = tr.constrain_ordered(raw[:k])
+    sigma, lj_sigma = tr.constrain_positive(raw[k])
+    pi, lj_pi, _ = tr.constrain_simplex(raw[k + 1:])
+    return (mx.MixtureParams(mu=mu, sigma=sigma, pi=pi),
+            lj_mu + lj_sigma + lj_pi)
+
+
+def ds_constrain(model, u):
+    """Unconstrained rating-model vector -> (DSParams, log |Jacobian|),
+    by the stacked stick pass the fused gradient makes."""
+    j, k = model.j, model.k
+    rows, log_j, _ = tr.constrain_simplex_rows(
+        np.asarray(u, dtype=float).reshape(1 + j * k, k - 1))
+    return (dsm.DSParams(pi=rows[0], theta=rows[1:].reshape(j, k, k)),
+            float(log_j.sum()))
+
+
 def mix_marginal_log_post_u(data, u, k):
     """Mixture marginal log joint plus logJ at an unconstrained point."""
-    params, lj = mx.MixtureModel(k).constrain(u)
+    params, lj = mix_constrain(u, k)
     return mix_marginal_log_joint(data, params) + lj
 
 
 def ds_marginal_log_post_u(model, data, u):
     """Rating-model marginal log joint plus logJ at an unconstrained point."""
-    params, lj = model.constrain(u)
+    params, lj = ds_constrain(model, u)
     return ds_marginal_log_joint(data, params) + lj
 
 

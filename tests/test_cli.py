@@ -3,7 +3,7 @@
 import pytest
 
 from margmcmc import harness as hz
-from margmcmc.cli import main
+from margmcmc.cli import build_parser, main, run_specs
 
 
 class TestRun:
@@ -33,6 +33,18 @@ class TestRun:
         (ra,), (rb,) = hz.read_records(a), hz.read_records(b)
         for key in ("min_ess", "max_rhat", "divergences", "seed"):
             assert ra[key] == rb[key]
+
+    def test_repeated_scenario_or_method_runs_once(self):
+        # a duplicate spec would run its records twice on identical
+        # streams and append rows that `summarise` counts twice
+        args = build_parser().parse_args(
+            ["run", "--scenario", "ds", "--scenario", "two-comp-1",
+             "--scenario", "ds", "--method", "gibbs-full",
+             "--method", "nuts-marginal", "--method", "gibbs-full"])
+        cells = [(s.scenario_id, s.method) for s in run_specs(args)]
+        assert cells == [("ds", "gibbs-full"), ("ds", "nuts-marginal"),
+                         ("two-comp-1", "gibbs-full"),
+                         ("two-comp-1", "nuts-marginal")]
 
     def test_inapplicable_pair_is_usage_error(self, tmp_path):
         # restricted-full is not an arm of the rating-model benchmark

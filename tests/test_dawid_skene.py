@@ -9,7 +9,7 @@ from scipy.special import logsumexp
 
 from margmcmc import dawid_skene as ds
 from margmcmc.stats import make_rng
-from oracles import (ds_full_log_joint, ds_log_prior,
+from oracles import (ds_constrain, ds_full_log_joint, ds_log_prior,
                      ds_marginal_log_joint, ds_marginal_log_lik,
                      ds_marginal_log_post_u, ds_unconstrain, log_dirichlet_pdf)
 
@@ -149,7 +149,7 @@ class TestUnconstrainedInterface:
         j, k = 3, 4
         params = random_params(rng, j, k)
         u = ds_unconstrain(params)
-        back, _ = ds.DawidSkeneModel(j, k).constrain(u)
+        back, _ = ds_constrain(ds.DawidSkeneModel(j, k), u)
         assert np.allclose(back.pi, params.pi, atol=1e-9)
         assert np.allclose(back.theta, params.theta, atol=1e-9)
 
@@ -165,8 +165,8 @@ class TestUnconstrainedInterface:
             for i in range(len(u)):
                 e = np.zeros(len(u))
                 e[i] = h
-                pp, ljp = model.constrain(u + e)
-                pm, ljm = model.constrain(u - e)
+                pp, ljp = ds_constrain(model, u + e)
+                pm, ljm = ds_constrain(model, u - e)
                 num = (ds_marginal_log_joint(data, pp) + ljp
                        - ds_marginal_log_joint(data, pm) - ljm) / (2 * h)
                 assert got[i] == pytest.approx(num, rel=1e-4, abs=1e-5)
@@ -177,7 +177,7 @@ class TestUnconstrainedInterface:
         data = random_data(rng, 30, 4, 3)
         for scale in np.linspace(0.4, 6.0, 20):
             u = rng.normal(size=model.n_dim) * scale
-            v, _ = model.log_post_grad_u(data, u)
+            v, _, _ = model.log_post_grad_u(data, u)
             assert v == ds_marginal_log_post_u(model, data, u)
 
 

@@ -99,7 +99,7 @@ def gradient_digest(scenario_id):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for s in scales:
             u = rng.uniform(-s, s, size=model.n_dim)
-            value, grad = model.log_post_grad_u(data, u)
+            value, grad, _ = model.log_post_grad_u(data, u)
             finite += bool(np.isfinite(value))
             h.update(np.float64(value).tobytes())
             h.update(np.ascontiguousarray(grad, dtype=np.float64).tobytes())

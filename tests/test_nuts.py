@@ -3,13 +3,16 @@ and the determinism contract."""
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+from margmcmc import transforms
 from margmcmc.nuts import (_adaptation_windows, _log_add_exp, _NutsKernel,
                            nuts_run)
+from margmcmc.simulate import gen_dataset, get_scenario
 from margmcmc.stats import make_rng
 from oracles import by_name
 
@@ -28,9 +31,6 @@ class GaussianTarget:
     def flatten(self, params):
         return params
 
-    def constrain(self, u):
-        return u, 0.0
-
     def log_post_u(self, data, u):
         return -0.5 * float(u @ self.prec @ u)
 
@@ -38,7 +38,8 @@ class GaussianTarget:
         return -self.prec @ u
 
     def log_post_grad_u(self, data, u):
-        return self.log_post_u(data, u), self.grad_u(data, u)
+        """(value, gradient, params), the params being the point itself."""
+        return self.log_post_u(data, u), self.grad_u(data, u), u
 
 
 def run_gaussian(cov, seed, iterations=4000, warmup=1000):
@@ -152,7 +153,7 @@ class TestContract:
     def test_rejects_bad_init(self):
         class NaNTarget(GaussianTarget):
             def log_post_grad_u(self, data, u):
-                return math.nan, np.zeros(self.n_dim)
+                return math.nan, np.zeros(self.n_dim), u
 
         with pytest.raises(ValueError, match="initial point"):
             nuts_run(NaNTarget(np.eye(2)), None, 100, 50, make_rng(67))
@@ -160,6 +161,26 @@ class TestContract:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="warmup < iterations"):
             nuts_run(GaussianTarget(np.eye(2)), None, 100, 100, make_rng(67))
+
+    @pytest.mark.parametrize("scenario_id", ["ds", "three-comp-4"])
+    def test_each_point_evaluated_once(self, scenario_id):
+        # kept draws and the step-size searches (one at the start, one at
+        # the window end 100) reuse the evaluation the chain state holds
+        scenario = get_scenario(scenario_id)
+        data, _ = gen_dataset(scenario, 1, 0)
+        model = scenario.model()
+        with (mock.patch.object(model, "log_post_grad_u",
+                                wraps=model.log_post_grad_u) as grads,
+              mock.patch.object(transforms, "constrain_simplex",
+                                wraps=transforms.constrain_simplex) as one,
+              mock.patch.object(transforms, "constrain_simplex_rows",
+                                wraps=transforms.constrain_simplex_rows)
+              as rows):
+            nuts_run(model, data, 160, 150, make_rng(70, 0))
+        points = [c.args[1].tobytes() for c in grads.call_args_list]
+        repeats = len(points) - len(set(points))
+        assert repeats == 0
+        assert one.call_count + rows.call_count == grads.call_count
 
     def test_finite_difference_gradients_agree(self):
         # consuming numeric gradients must not change the target

@@ -10,7 +10,8 @@ never calls is still unused.  Every field of a dataclass in
 `fields(self)`, unless only the benchmark reads it
 (`BENCHMARK_FIELDS`).  Every name the benchmark patches exists, and the
 fused gradients reach the traced layers through those names.  Dirichlet
-and gamma variates are drawn in one place, `stats.sample_dirichlet`.
+and gamma variates are drawn in one place, `stats.sample_dirichlet`, and
+a point is constrained in one place per model, its fused gradient.
 Nothing compares a model family's `kind`: the scenario types and model
 handles own what differs between families."""
 
@@ -182,6 +183,15 @@ def test_one_dirichlet_draw():
     assert sites == ["stats.sample_dirichlet"]
 
 
+def test_one_forward_simplex_pass_per_model():
+    # the samplers read the parameters the fused gradient returns
+    sites = [f"{module}.{site}" for module, tree in src_trees().items()
+             for site in call_sites(tree, {"constrain_simplex",
+                                           "constrain_simplex_rows"})]
+    assert sites == ["dawid_skene.DawidSkeneModel.log_post_grad_u",
+                     "mixture.MixtureModel.log_post_grad_u"]
+
+
 def is_kind(node):
     """`x.kind`, `x["kind"]` or `x.get("kind")`."""
     if isinstance(node, ast.Attribute):
@@ -245,23 +255,26 @@ def test_benchmark_hook_exists(module, name):
 def test_fused_gradients_call_each_traced_layer_once():
     """The per-layer trace divides by these calls: one log-sum-exp and
     one simplex constrain and pull-back per gradient evaluation, each
-    looked up at call time."""
+    looked up at call time.  The third returned value is the handle's
+    parameters."""
     rng = np.random.default_rng(5)
     cases = [
         (mixture, mixture.MixtureModel(3),
          mixture.MixtureData(rng.normal(size=30)),
-         ("constrain_simplex", "grad_simplex")),
+         ("constrain_simplex", "grad_simplex"), mixture.MixtureParams),
         (dawid_skene, dawid_skene.DawidSkeneModel(3, 3),
          dawid_skene.DSData(rng.integers(0, 3, size=(10, 3)), 3),
-         ("constrain_simplex_rows", "grad_simplex_rows")),
+         ("constrain_simplex_rows", "grad_simplex_rows"),
+         dawid_skene.DSParams),
     ]
-    for module, model, data, simplex_names in cases:
+    for module, model, data, simplex_names, params_type in cases:
         u = rng.uniform(-1.0, 1.0, size=model.n_dim)
         with contextlib.ExitStack() as stack:
             spies = [stack.enter_context(mock.patch.object(
                 owner, name, wraps=getattr(owner, name)))
                 for owner, name in [(module, "lse_rows")]
                 + [(transforms, n) for n in simplex_names]]
-            value, _ = model.log_post_grad_u(data, u)
+            value, _, params = model.log_post_grad_u(data, u)
         assert np.isfinite(value)
+        assert type(params) is params_type
         assert [spy.call_count for spy in spies] == [1, 1, 1]
