@@ -52,6 +52,14 @@ PINS = [
      "b7e80b50892a70e9ecf272224fc28861f800a8be0c188435b9d83c0ba5e35546"),
     ("ds", "gibbs-marginal", 30, 15,
      "20d0adcd1740d12417b037f561ce79692bcfa71f38c9a9be9610f7be249e38c7"),
+    # two NUTS paths the pins above never reach: with no warmup the step
+    # size found at the initial point is frozen before the first kept
+    # transition, and a warmup shorter than 150 adapts the step size with
+    # no mass-matrix window
+    ("two-comp-1", "nuts-marginal", 40, 0,
+     "ae86a0ff5c8ebee9e4c8931fc925882323059039a9c1243cd912a298804c4700"),
+    ("ds", "nuts-marginal", 60, 40,
+     "0443ae3ee769c34335416977381dec44986cea4d608eb94388e985f97f5b4575"),
 ]
 
 
@@ -67,8 +75,19 @@ def chain_digest(scenario_id, method, iterations, warmup):
     return h.hexdigest()
 
 
+def pin_ids(pins):
+    """`scenario-method` for each pin, with the lengths appended to a
+    second pin of the same arm."""
+    seen, ids = set(), []
+    for scenario_id, method, iterations, warmup, _ in pins:
+        key = f"{scenario_id}-{method}"
+        ids.append(f"{key}-{iterations}-{warmup}" if key in seen else key)
+        seen.add(key)
+    return ids
+
+
 @pytest.mark.parametrize("scenario_id,method,iterations,warmup,digest", PINS,
-                         ids=[f"{p[0]}-{p[1]}" for p in PINS])
+                         ids=pin_ids(PINS))
 def test_draws_bit_identical(scenario_id, method, iterations, warmup, digest):
     assert chain_digest(scenario_id, method, iterations, warmup) == digest
 
