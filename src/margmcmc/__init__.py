@@ -6,12 +6,10 @@ variants and NUTS, with ESS / R-hat diagnostics and a benchmark harness.
 
 from .dawid_skene import DawidSkeneModel, DSData, DSParams, ds_beta_matrix
 from .diagnostics import efficiency_report, ess, split_rhat
-from .draws import ChainDraws
-from .gibbs import SliceError, gibbs_run, slice_sample_1d
-from .harness import (METHODS, BenchRecord, RunSpec, run_matrix, run_record,
-                      summarise)
+from .gibbs import SliceError, slice_sample_1d
+from .harness import (METHODS, BenchRecord, ChainDraws, RunSpec, run_chain,
+                      run_matrix, run_record, summarise)
 from .mixture import MixtureData, MixtureModel, MixtureParams
-from .nuts import nuts_run
 from .simulate import (DSScenario, MixtureScenario, gen_dataset,
                        get_scenario, scenario_catalog)
 from .stats import make_rng
@@ -23,7 +21,6 @@ __all__ = [
     "DawidSkeneModel", "METHODS", "MixtureData", "MixtureModel",
     "MixtureParams", "MixtureScenario", "RunSpec", "SliceError",
     "ds_beta_matrix", "efficiency_report", "ess", "gen_dataset",
-    "get_scenario", "gibbs_run", "make_rng", "nuts_run", "run_matrix",
-    "run_record", "scenario_catalog", "slice_sample_1d", "split_rhat",
-    "summarise",
+    "get_scenario", "make_rng", "run_chain", "run_matrix", "run_record",
+    "scenario_catalog", "slice_sample_1d", "split_rhat", "summarise",
 ]

@@ -139,6 +139,9 @@ def cmd_summarise(args):
         raise UsageError(f"{args.results} is not a results file: {exc}")
     if not rows:
         raise UsageError(f"no records in {args.results}")
+    if (args.out and os.path.exists(args.out)
+            and os.path.samefile(args.out, args.results)):
+        raise UsageError(f"output {args.out} is the results file")
     summary = hz.summarise(rows)
     with (open(args.out, "w", newline="") if args.out
           else contextlib.nullcontext(sys.stdout)) as out:

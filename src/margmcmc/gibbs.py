@@ -29,20 +29,18 @@ The label conditionals and the marginal slice targets' cached matrices
 are component-major, (K, n) or (K, I), as in the model modules; a slice
 move on one component rewrites one contiguous row.
 
-The model handle supplies the labels' full conditional
-(`model.z_full_conditional`); `_STATE_CLASS` maps the handle's type to
-its sweep state.  No sampler branches on a model's name.
+The handle supplies the labels' full conditional (`z_full_conditional`);
+`_STATE_CLASS` maps its type to the chain state that `harness.run_chain`
+sweeps.  No sampler branches on a model's name.
 """
 
 import math
-import time
 
 import numpy as np
 
 from . import dawid_skene as dsm
 from . import mixture as mx
 from . import transforms as tr
-from .draws import ChainDraws, check_lengths
 from .stats import (LOG_2PI, lse_rows, sample_categorical_rows,
                     sample_dirichlet)
 from scipy import special
@@ -383,35 +381,8 @@ class _DawidSkeneGibbs:
         self._rebuild_cache()
 
 
-# The sampler state class of each model handle.  It is looked up here,
-# not kept on the handle, because the models do not import the samplers.
+# The Gibbs chain state class of each model handle, for `harness.run_chain`.
+# It is not kept on the handle, because the models do not import the samplers.
 _STATE_CLASS = {mx.MixtureModel: _MixtureGibbs,
                 dsm.DawidSkeneModel: _DawidSkeneGibbs}
 
-
-def gibbs_run(model, data, method, iterations, warmup, rng):
-    """Run one chain of the Gibbs arm `method` for `iterations` sweeps,
-    the first `warmup` discarded, from a draw of the model's prior
-    (`model.init_params`); deterministic given the rng state.  Each kept
-    draw is `model.flatten` of the parameters the sweep left."""
-    if method not in model.methods or method == "nuts-marginal":
-        raise ValueError(f"{method!r} is not a Gibbs arm of this model; "
-                         f"its arms: {', '.join(model.methods)}")
-    check_lengths(iterations, warmup)
-    state = _STATE_CLASS[type(model)](model, data, rng,
-                                      model.init_params(rng), method)
-
-    errstate = np.errstate(over="ignore", divide="ignore", invalid="ignore")
-    n_keep = iterations - warmup
-    draws = np.empty((n_keep, len(model.param_names())))
-    with errstate:
-        t0 = time.perf_counter()
-        for _ in range(warmup):
-            state.sweep()
-        t1 = time.perf_counter()
-        for it in range(n_keep):
-            state.sweep()
-            draws[it] = model.flatten(state.params)
-        t2 = time.perf_counter()
-    return ChainDraws(draws=draws, param_names=model.param_names(),
-                      warmup_time=t1 - t0, sampling_time=t2 - t1)

@@ -1,23 +1,23 @@
-"""Benchmark harness: scenario x method x replicate matrix with timing,
-diagnostics, an append-only CSV results file and its per-cell summary.
+"""Benchmark harness: the one chain loop (`run_chain`), the scenario x
+method x replicate matrix with diagnostics, an append-only CSV results
+file and its per-cell summary.
 
-Timing covers warmup plus sampling wall time only; chains within a record
-always run serially so one record's clock is never distorted by another.
-Parallelism, when requested, is applied across records.
+Chains within a record always run serially so one record's clock is never
+distorted by another.  Parallelism, when requested, spans records.
 """
 
 import csv
 import os
+import time
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .dawid_skene import DawidSkeneModel
 from .diagnostics import MIN_DRAWS, efficiency_report
-from .draws import check_lengths
-from .gibbs import gibbs_run
+from .gibbs import _STATE_CLASS
 from .mixture import MixtureModel
-from .nuts import nuts_run
+from .nuts import NutsChain
 from .simulate import gen_dataset, get_scenario
 from .stats import make_rng
 
@@ -26,6 +26,27 @@ SCHEMA_LINE = f"# margmcmc results schema v{SCHEMA_VERSION}\n"
 
 # every arm of either model family, in the order the handles list them
 METHODS = tuple(dict.fromkeys(MixtureModel.methods + DawidSkeneModel.methods))
+
+
+def check_lengths(iterations, warmup):
+    """Raise ValueError unless 0 <= warmup < iterations."""
+    if not (0 <= warmup < iterations):
+        raise ValueError("need 0 <= warmup < iterations")
+
+
+@dataclass
+class ChainDraws:
+    draws: np.ndarray               # (n_kept, P) constrained parameter draws
+    param_names: list
+    warmup_time: float              # seconds spent in warmup iterations
+    sampling_time: float            # seconds spent in kept iterations
+    divergences: int = 0
+    tree_depths: np.ndarray = None  # (n_kept,) NUTS only
+
+    @property
+    def wall_time(self):
+        """Total computation time: warmup plus sampling."""
+        return self.warmup_time + self.sampling_time
 
 
 @dataclass(frozen=True)
@@ -43,8 +64,8 @@ class RunSpec:
             raise ValueError(f"unknown method {self.method!r}; "
                              f"known: {', '.join(METHODS)}")
         get_scenario(self.scenario_id)
-        if self.chains < 1 or self.replicates < 1:
-            raise ValueError("need chains >= 1 and replicates >= 1")
+        if self.chains < 1 or self.replicates < 1 or self.master_seed < 0:
+            raise ValueError("need chains >= 1, replicates >= 1, seed >= 0")
         check_lengths(self.iterations, self.warmup)
         if self.iterations - self.warmup < MIN_DRAWS:
             raise ValueError(f"need at least {MIN_DRAWS} kept draws per chain")
@@ -94,10 +115,35 @@ def _chain_stream(scenario_id, method, replicate, chain):
 
 
 def run_chain(model, data, method, iterations, warmup, rng):
-    """One chain of the given method; returns ChainDraws."""
-    if method == "nuts-marginal":
-        return nuts_run(model, data, iterations, warmup, rng)
-    return gibbs_run(model, data, method, iterations, warmup, rng)
+    """ChainDraws of `iterations` sweeps of the arm `method`'s chain
+    state, the first `warmup` discarded.  Building the state is not timed
+    (NUTS's first evaluation and step-size search, a Gibbs arm's draw from
+    the prior); the warmup and the kept sweeps are.
+    """
+    if method not in model.methods:
+        raise ValueError(f"{method!r} is not an arm of this model; "
+                         f"its arms: {', '.join(model.methods)}")
+    check_lengths(iterations, warmup)
+    draws = np.empty((iterations - warmup, len(model.param_names())))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if method == "nuts-marginal":
+            state = NutsChain(model, data, rng, warmup)
+        else:
+            state = _STATE_CLASS[type(model)](model, data, rng,
+                                              model.init_params(rng), method)
+        t0 = time.perf_counter()
+        for _ in range(warmup):
+            state.sweep()
+        t1 = time.perf_counter()
+        for draw in draws:
+            state.sweep()
+            draw[:] = model.flatten(state.params)
+        t2 = time.perf_counter()
+    chain = ChainDraws(draws, model.param_names(), t1 - t0, t2 - t1)
+    if isinstance(state, NutsChain):
+        chain.divergences = state.divergences
+        chain.tree_depths = np.array(state.tree_depths, dtype=np.int8)
+    return chain
 
 
 def run_record(spec, replicate):

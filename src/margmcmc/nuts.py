@@ -10,9 +10,9 @@ depth, or on a divergence (energy error above 1000).  Operates on the
 marginalised models only, through the model handle's fused
 `log_post_grad_u`, which returns the unconstrained log posterior, its
 gradient and the constrained parameters from one evaluation.  The chain
-state keeps all three with its point, so a kept draw is `model.flatten`
-of the state's parameters and the step-size search reuses its density
-and gradient: no point is evaluated twice.
+state, `NutsChain`, keeps all three with its point, so `harness.run_chain`
+flattens its `params` into a kept draw and the step-size search reuses
+its density and gradient: no point is evaluated twice.
 
 The tree's bookkeeping is on Python floats; its exps and logs stay
 numpy's, whose last bits differ from `math`'s, and log-add-exp is
@@ -23,15 +23,12 @@ The tuning values are fixed and are Stan's defaults: target acceptance
 windows 75 / 25 / 50 (initial buffer, first slow window, terminal
 buffer), and the dual-averaging constants of Hoffman & Gelman (2014).
 Adaptation always runs.  Unlike Stan, the first mass-matrix window takes
-its draws from iteration 0, initial buffer included (see `nuts_run`).
+its draws from iteration 0, initial buffer included (see `NutsChain`).
 """
 
 import math
-import time
 
 import numpy as np
-
-from .draws import ChainDraws, check_lengths
 
 DIVERGENCE_ENERGY = 1000.0
 TARGET_ACCEPT = 0.8
@@ -242,69 +239,67 @@ def _adaptation_windows(warmup):
     return ends + [end]
 
 
-def nuts_run(model, data, iterations, warmup, rng):
-    """Run one NUTS chain of `iterations` transitions, the first `warmup`
-    of them adapting and discarded, on the marginalised posterior of
-    `model`, from a point uniform on [-INIT_RADIUS, INIT_RADIUS] in each
-    unconstrained coordinate.
+class NutsChain:
+    """One NUTS chain on the marginalised posterior of `model`, from a
+    point uniform on [-INIT_RADIUS, INIT_RADIUS] in each unconstrained
+    coordinate.  A sweep is one transition.  The first `warmup` sweeps
+    adapt and the last of them freezes the step size (with no warmup, the
+    constructor does); later sweeps record tree depth and divergence.
 
     The window draws for the mass matrix are collected from iteration 0,
     so the first window is [0, 100) with 100 draws, where Stan's is
     [75, 100) after its initial buffer; the later windows match Stan's.
     """
-    check_lengths(iterations, warmup)
-    d = model.n_dim
-    q = rng.uniform(-INIT_RADIUS, INIT_RADIUS, size=d)
 
-    def logp_grad_fn(u):
-        return model.log_post_grad_u(data, u)
+    def __init__(self, model, data, rng, warmup):
+        d = model.n_dim
+        q = rng.uniform(-INIT_RADIUS, INIT_RADIUS, size=d)
 
-    n_keep = iterations - warmup
-    draws = np.empty((n_keep, len(model.param_names())))
-    tree_depths = np.empty(n_keep, dtype=np.int8)
-    divergences = 0
-    # one errstate for the whole chain, the step-size searches included
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        def logp_grad_fn(u):
+            return model.log_post_grad_u(data, u)
+
         lp0, g0, params0 = logp_grad_fn(q)
         if not np.all(np.isfinite(g0)) or not np.isfinite(lp0):
             raise ValueError(
                 "non-finite log density or gradient at the initial point")
-        state = (q, lp0, g0, params0)
+        self.state = (q, lp0, g0, params0)
+        self.kernel = _NutsKernel(logp_grad_fn, np.ones(d), rng)
+        self.adapt = AdaptState(find_reasonable_step_size(self.kernel,
+                                                          self.state))
+        self.warmup_left = warmup
+        # window ends, as the warmup sweeps left after each
+        self.window_ends = [warmup - e for e in _adaptation_windows(warmup)]
+        self.window_draws = []
+        self.tree_depths = []
+        self.divergences = 0
+        if warmup == 0:
+            self.adapt.freeze()
 
-        kernel = _NutsKernel(logp_grad_fn, np.ones(d), rng)
-        adapt = AdaptState(find_reasonable_step_size(kernel, state))
+    @property
+    def params(self):
+        return self.state[3]
 
-        window_ends = _adaptation_windows(warmup)
-        window_draws = []
-        t0 = time.perf_counter()
-        for it in range(warmup):
-            state, accept_stat, _, _ = kernel.transition(
-                state, adapt.step_size)
-            adapt.update(accept_stat)
-            if window_ends:
-                window_draws.append(state[0])
-                if it + 1 == window_ends[0]:
-                    window_ends.pop(0)
-                    sample = np.asarray(window_draws)
-                    n = sample.shape[0]
-                    var = sample.var(axis=0, ddof=1)
-                    # regularise toward unit scale, as the window may be short
-                    kernel.inv_mass = ((n / (n + 5.0)) * var
-                                       + 1e-3 * (5.0 / (n + 5.0)))
-                    window_draws = []
-                    adapt = AdaptState(
-                        find_reasonable_step_size(kernel, state))
-        adapt.freeze()
-        t1 = time.perf_counter()
-        for it in range(n_keep):
-            state, _, depth, diverged = kernel.transition(
-                state, adapt.step_size)
-            tree_depths[it] = depth
-            if diverged:
-                divergences += 1
-            draws[it] = model.flatten(state[3])
-        t2 = time.perf_counter()
-
-    return ChainDraws(draws=draws, param_names=model.param_names(),
-                      warmup_time=t1 - t0, sampling_time=t2 - t1,
-                      divergences=divergences, tree_depths=tree_depths)
+    def sweep(self):
+        """One transition, adapting if it is a warmup one."""
+        self.state, accept_stat, depth, diverged = self.kernel.transition(
+            self.state, self.adapt.step_size)
+        if self.warmup_left == 0:
+            self.tree_depths.append(depth)
+            self.divergences += diverged
+            return
+        self.warmup_left -= 1
+        self.adapt.update(accept_stat)
+        if self.window_ends:
+            self.window_draws.append(self.state[0])
+            if self.warmup_left == self.window_ends[0]:
+                self.window_ends.pop(0)
+                n = len(self.window_draws)
+                var = np.var(self.window_draws, axis=0, ddof=1)
+                # regularise toward unit scale, as the window may be short
+                self.kernel.inv_mass = ((n / (n + 5.0)) * var
+                                        + 1e-3 * (5.0 / (n + 5.0)))
+                self.window_draws = []
+                self.adapt = AdaptState(
+                    find_reasonable_step_size(self.kernel, self.state))
+        if self.warmup_left == 0:
+            self.adapt.freeze()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from margmcmc.diagnostics import efficiency_report, ess, split_rhat
-from margmcmc.draws import ChainDraws
+from margmcmc.harness import ChainDraws
 from margmcmc.stats import make_rng
 
 

@@ -14,9 +14,9 @@ from margmcmc import dawid_skene as ds
 from margmcmc import gibbs as gb
 from margmcmc import mixture as mx
 from margmcmc import transforms as tr
-from margmcmc.gibbs import (gibbs_run, slice_sample_1d,
-                            update_pi_conjugate, update_theta_conjugate,
-                            update_z_block)
+from margmcmc.gibbs import (slice_sample_1d, update_pi_conjugate,
+                            update_theta_conjugate, update_z_block)
+from margmcmc.harness import run_chain
 from margmcmc.simulate import gen_dataset, get_scenario
 from margmcmc.stats import make_rng
 from oracles import by_name
@@ -227,7 +227,7 @@ class TestLatentBlock:
 
 
 def run_mode(method, data, model, seed, iterations=1200, warmup=600):
-    return gibbs_run(model, data, method, iterations, warmup,
+    return run_chain(model, data, method, iterations, warmup,
                      make_rng(seed, 1))
 
 
@@ -308,7 +308,7 @@ class TestDawidSkeneGibbs:
 
 class TestConfig:
     def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="not a Gibbs arm"):
+        with pytest.raises(ValueError, match="not an arm of this model"):
             run_mode("nope", None, mx.MixtureModel(2), 61, 10, 5)
 
     def test_rejects_bad_warmup(self):

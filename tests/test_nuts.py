@@ -10,8 +10,8 @@ import pytest
 from scipy import stats as sps
 
 from margmcmc import transforms
-from margmcmc.nuts import (_adaptation_windows, _log_add_exp, _NutsKernel,
-                           nuts_run)
+from margmcmc.harness import run_chain
+from margmcmc.nuts import _adaptation_windows, _log_add_exp, _NutsKernel
 from margmcmc.simulate import gen_dataset, get_scenario
 from margmcmc.stats import make_rng
 from oracles import by_name
@@ -19,6 +19,8 @@ from oracles import by_name
 
 class GaussianTarget:
     """Minimal model handle for a fixed multivariate normal."""
+
+    methods = ("nuts-marginal",)
 
     def __init__(self, cov):
         self.cov = np.asarray(cov, dtype=float)
@@ -44,7 +46,8 @@ class GaussianTarget:
 
 def run_gaussian(cov, seed, iterations=4000, warmup=1000):
     model = GaussianTarget(cov)
-    return nuts_run(model, None, iterations, warmup, make_rng(seed, 0))
+    return run_chain(model, None, "nuts-marginal", iterations, warmup,
+                     make_rng(seed, 0))
 
 
 def leapfrog(model, q, p, step_size, inv_mass, n_steps=1):
@@ -156,11 +159,13 @@ class TestContract:
                 return math.nan, np.zeros(self.n_dim), u
 
         with pytest.raises(ValueError, match="initial point"):
-            nuts_run(NaNTarget(np.eye(2)), None, 100, 50, make_rng(67))
+            run_chain(NaNTarget(np.eye(2)), None, "nuts-marginal", 100, 50,
+                      make_rng(67))
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="warmup < iterations"):
-            nuts_run(GaussianTarget(np.eye(2)), None, 100, 100, make_rng(67))
+            run_chain(GaussianTarget(np.eye(2)), None, "nuts-marginal", 100,
+                      100, make_rng(67))
 
     @pytest.mark.parametrize("scenario_id", ["ds", "three-comp-4"])
     def test_each_point_evaluated_once(self, scenario_id):
@@ -176,7 +181,8 @@ class TestContract:
               mock.patch.object(transforms, "constrain_simplex_rows",
                                 wraps=transforms.constrain_simplex_rows)
               as rows):
-            nuts_run(model, data, 160, 150, make_rng(70, 0))
+            run_chain(model, data, "nuts-marginal", 160, 150,
+                      make_rng(70, 0))
         points = [c.args[1].tobytes() for c in grads.call_args_list]
         repeats = len(points) - len(set(points))
         assert repeats == 0
@@ -192,9 +198,9 @@ class TestContract:
                      - self.log_post_u(data, u - h * e)) / (2 * h)
                     for e in np.eye(self.n_dim)])
 
-        exact = nuts_run(GaussianTarget(np.eye(1)), None, 3000, 1000,
-                         make_rng(68, 0))
-        fd = nuts_run(FDTarget(np.eye(1)), None, 3000, 1000, make_rng(69, 0))
+        exact = run_gaussian(np.eye(1), 68, iterations=3000)
+        fd = run_chain(FDTarget(np.eye(1)), None, "nuts-marginal", 3000, 1000,
+                       make_rng(69, 0))
         m1, m2 = by_name(exact, "x[1]").mean(), by_name(fd, "x[1]").mean()
         se = np.sqrt(by_name(exact, "x[1]").var() / 500
                      + by_name(fd, "x[1]").var() / 500)

@@ -10,8 +10,9 @@ never calls is still unused.  Every field of a dataclass in
 `fields(self)`, unless only the benchmark reads it
 (`BENCHMARK_FIELDS`).  Every name the benchmark patches exists, and the
 fused gradients reach the traced layers through those names.  Dirichlet
-and gamma variates are drawn in one place, `stats.sample_dirichlet`, and
-a point is constrained in one place per model, its fused gradient.
+and gamma variates are drawn in one place, `stats.sample_dirichlet`, a
+point is constrained in one place per model, its fused gradient, and
+chains are run and timed in one place, `harness.run_chain`.
 Nothing compares a model family's `kind`: the scenario types and model
 handles own what differs between families."""
 
@@ -181,6 +182,13 @@ def test_one_dirichlet_draw():
     sites = [f"{module}.{site}" for module, tree in src_trees().items()
              for site in call_sites(tree, {"dirichlet", "standard_gamma"})]
     assert sites == ["stats.sample_dirichlet"]
+
+
+def test_one_chain_loop():
+    # every arm's chain is run, timed and error-scoped in one place
+    sites = {f"{module}.{site}" for module, tree in src_trees().items()
+             for site in call_sites(tree, {"perf_counter", "errstate"})}
+    assert sites == {"harness.run_chain"}
 
 
 def test_one_forward_simplex_pass_per_model():
