@@ -14,7 +14,8 @@ PRIOR_CONCENTRATION, PRIOR_DIAG_MASS).
 The model handle builds its constants once: alpha, beta, alpha - 1,
 beta - 1 and the two Dirichlet normalisers (pi's, and J times the sum
 of the confusion rows').  Its `log_prior` serves the fused gradient,
-whose DSParams are the NUTS arm's draws.
+whose DSParams are the NUTS arm's draws; `z_log_weights` gives the
+labels' full conditional as (K, I) log weights, unnormalised.
 """
 
 import math
@@ -130,15 +131,11 @@ class DawidSkeneModel:
     def flatten(self, params):
         return np.concatenate([params.pi, params.theta.ravel()])
 
-    def z_full_conditional(self, data, params):
-        """P(z_i = k | y, params): the K x I matrix, one simplex per
-        column."""
-        ll = np.log(params.pi)[:, None] + _item_category_loglik(
+    def z_log_weights(self, data, params):
+        """log P(z_i = k | y, params) up to a constant per column: the
+        (K, I) matrix log pi_k + sum_j log theta[j, k, y_ij]."""
+        return np.log(params.pi)[:, None] + _item_category_loglik(
             data, np.log(params.theta))
-        ll -= lse_rows(ll)
-        np.exp(ll, out=ll)
-        ll /= np.add.reduce(ll, axis=0)
-        return ll
 
     def log_prior(self, log_pi, log_theta):
         """Dirichlet log prior of pi and every confusion row, given their

@@ -29,7 +29,8 @@ The label conditionals and the marginal slice targets' cached matrices
 are component-major, (K, n) or (K, I), as in the model modules; a slice
 move on one component rewrites one contiguous row.
 
-The handle supplies the labels' full conditional (`z_full_conditional`);
+The handle supplies the labels' full conditional as (K, n) log weights
+up to a constant per column (`z_log_weights`), drawn from unnormalised;
 `_STATE_CLASS` maps its type to the chain state that `harness.run_chain`
 sweeps.  No sampler branches on a model's name.
 """
@@ -141,8 +142,8 @@ def update_theta_conjugate(data, latent, beta, rng):
 
 def update_z_block(model, data, params, rng):
     """Draw every label from the model's full conditional given the
-    continuous state."""
-    return sample_categorical_rows(rng, model.z_full_conditional(data, params))
+    continuous state, straight from its unnormalised log weights."""
+    return sample_categorical_rows(rng, model.z_log_weights(data, params))
 
 
 def _slice_simplex_coords(u_row, target_of_log_row, rng):

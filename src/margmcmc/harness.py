@@ -142,7 +142,7 @@ def run_chain(model, data, method, iterations, warmup, rng):
     chain = ChainDraws(draws, model.param_names(), t1 - t0, t2 - t1)
     if isinstance(state, NutsChain):
         chain.divergences = state.divergences
-        chain.tree_depths = np.array(state.tree_depths, dtype=np.int8)
+        chain.tree_depths = np.array(state.depths, dtype=np.int8)
     return chain
 
 

@@ -1,6 +1,6 @@
 """K-component Gaussian mixture: the fused marginalised log posterior,
 its analytic gradient in unconstrained space and the parameters at the
-point, and the latent full conditional.
+point, and the labels' full conditional as unnormalised log weights.
 
 Parameterisation: ordered means mu (label-switching guard), one shared
 standard deviation sigma, mixture weights pi.  Priors: mu_1 ~ N(0, 10^2),
@@ -93,14 +93,10 @@ class MixtureModel:
     def flatten(self, params):
         return np.concatenate([params.mu, [params.sigma], params.pi])
 
-    def z_full_conditional(self, data, params):
-        """P(z_i = k | x, params): the (K, n) matrix, one simplex per
-        column."""
-        ll = _component_loglik(data.x - params.mu[:, None], params)
-        ll -= lse_rows(ll)
-        np.exp(ll, out=ll)
-        ll /= np.add.reduce(ll, axis=0)
-        return ll
+    def z_log_weights(self, data, params):
+        """log P(z_i = k | x, params) up to a constant per column: the
+        (K, n) matrix log pi_k + log N(x_i | mu_k, sigma^2)."""
+        return _component_loglik(data.x - params.mu[:, None], params)
 
     def log_post_grad_u(self, data, u):
         """Fused (value, gradient, params) of the unconstrained log

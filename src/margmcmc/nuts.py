@@ -270,7 +270,7 @@ class NutsChain:
         # window ends, as the warmup sweeps left after each
         self.window_ends = [warmup - e for e in _adaptation_windows(warmup)]
         self.window_draws = []
-        self.tree_depths = []
+        self.depths = []
         self.divergences = 0
         if warmup == 0:
             self.adapt.freeze()
@@ -284,7 +284,7 @@ class NutsChain:
         self.state, accept_stat, depth, diverged = self.kernel.transition(
             self.state, self.adapt.step_size)
         if self.warmup_left == 0:
-            self.tree_depths.append(depth)
+            self.depths.append(depth)
             self.divergences += diverged
             return
         self.warmup_left -= 1

@@ -47,13 +47,17 @@ def check_simplex(p, atol=1e-12):
     return p
 
 
-def sample_categorical_rows(rng, probs):
-    """Vectorised categorical draw from a (K, n) component-major `probs`:
-    one index per column, n draws in all."""
-    cum = np.add.accumulate(probs, axis=0)
-    cum /= cum[-1]
-    u = rng.random(cum.shape[1])
-    return np.add.reduce(u > cum, axis=0)
+def sample_categorical_rows(rng, log_w):
+    """One index per column of (K, n) log weights, each column known up
+    to its own constant, from one rng.random(n): the running sums of
+    exp(w - column max) against a uniform scaled by their total.  A label
+    can differ from the normalised draw (tests/oracles.py) only where its
+    uniform is within a few ulps of a category boundary; a column of
+    -inf draws 0 in both."""
+    w = log_w - np.maximum.reduce(log_w, axis=0)
+    np.exp(w, out=w)
+    np.add.accumulate(w, axis=0, out=w)
+    return np.add.reduce(rng.random(w.shape[1]) * w[-1] > w, axis=0)
 
 
 def sample_dirichlet(rng, alpha):
@@ -61,10 +65,11 @@ def sample_dirichlet(rng, alpha):
     one standard-gamma draw over the stack, each row scaled by 1 / sum.
     While every row has an entry above 0.1 and K <= 7 this is, bit for
     bit and generator state included, rng.dirichlet on each row in turn
-    (numpy's beta construction for max(alpha) < 0.1 and its pairwise sum
-    for K >= 8 differ).  Every alpha here is a prior (plus counts in a
-    conjugate update), >= 0.8 at the benchmark's K <= 5: 1, 3, or beta,
-    whose off-diagonal is 3.2 / (K - 1)."""
+    clipped at 1e-300 and renormalised, which moves the last bit of many
+    draws (numpy's beta construction for max(alpha) < 0.1 and its
+    pairwise sum for K >= 8 differ).  Every alpha here is a prior (plus
+    counts in a conjugate update), >= 0.8 at the benchmark's K <= 5: 1,
+    3, or beta, whose off-diagonal is 3.2 / (K - 1)."""
     p = rng.standard_gamma(alpha)
     p *= 1.0 / np.add.reduce(p, axis=-1, keepdims=True)
     np.maximum(p, 1e-300, out=p)   # no exact zeros from tiny gamma draws

@@ -7,8 +7,10 @@ transforms, the row-major fused gradients the
 component-major kernels replaced, the reference for each model's fused
 gradient, the one-row-at-a-time Dirichlet draw and stick inverse the
 stacked simplex primitives replaced, the two-pass log-sum-exp the
-in-place `lse_rows` must match bit for bit, and a chain's draws by
-parameter name."""
+in-place `lse_rows` must match bit for bit, the normalised label draw
+that the draw from unnormalised log weights must match label for label
+(with `label_probs`, the normalised conditional the label tests hold
+the samplers to), and a chain's draws by parameter name."""
 
 import math
 
@@ -385,6 +387,29 @@ def unconstrain_simplex_per_row(p):
             raw[idx + (i,)] = np.log(z) - np.log1p(-z) + np.log(k - 1 - i)
             rem -= row[i]
     return raw
+
+
+# ------------------------------------------------- normalised label draw
+# The label draw as it stood when each model handle returned its labels'
+# full conditional normalised: one simplex per column, then running sums
+# divided by their last.
+
+def label_probs(log_w):
+    """The labels' full conditional from its (K, n) log weights: the
+    log-sum-exp subtracted, exponentiated, each column summed to 1."""
+    p = log_w - lse_rows(log_w)
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=0)
+    return p
+
+
+def sample_categorical_rows_normalised(rng, log_w):
+    """One label per column of `log_w`, from `label_probs`' running sums
+    divided by their last and compared with one rng.random(n)."""
+    cum = np.add.accumulate(label_probs(log_w), axis=0)
+    cum /= cum[-1]
+    u = rng.random(cum.shape[1])
+    return np.add.reduce(u > cum, axis=0)
 
 
 # ------------------------------------------------------ draws by name

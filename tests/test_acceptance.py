@@ -33,7 +33,7 @@ from margmcmc.gibbs import update_z_block
 from margmcmc.simulate import gen_dataset, get_scenario
 from margmcmc.stats import make_rng
 from oracles import (ds_full_log_joint, ds_log_prior, ds_marginal_log_lik,
-                     ds_marginal_log_post_u, mix_full_log_joint,
+                     ds_marginal_log_post_u, label_probs, mix_full_log_joint,
                      mix_log_prior, mix_marginal_log_lik,
                      mix_marginal_log_post_u, stack_param_chains)
 
@@ -150,7 +150,7 @@ def test_criterion_4_gibbs_exactness():
     data = mx.MixtureData(np.array([-1.5, -0.2, 0.3, 1.1, 2.4]))
     params = mx.MixtureParams(mu=np.array([-1.0, 1.0]), sigma=1.2,
                               pi=np.array([0.55, 0.45]))
-    exact = model.z_full_conditional(data, params)[1]
+    exact = label_probs(model.z_log_weights(data, params))[1]
     n = 200_000
     hits = np.zeros(5)
     for _ in range(n):

@@ -11,7 +11,8 @@ from margmcmc import dawid_skene as ds
 from margmcmc.stats import make_rng
 from oracles import (ds_constrain, ds_full_log_joint, ds_log_prior,
                      ds_marginal_log_joint, ds_marginal_log_lik,
-                     ds_marginal_log_post_u, ds_unconstrain, log_dirichlet_pdf)
+                     ds_marginal_log_post_u, ds_unconstrain, label_probs,
+                     log_dirichlet_pdf)
 
 
 def random_params(rng, j, k):
@@ -120,7 +121,8 @@ class TestLatentConditional:
         rng = make_rng(33)
         data = random_data(rng, 5, 3, 3)
         params = random_params(rng, 3, 3)
-        probs = ds.DawidSkeneModel(3, 3).z_full_conditional(data, params)
+        probs = label_probs(
+            ds.DawidSkeneModel(3, 3).z_log_weights(data, params))
         z = np.zeros(5, dtype=int)
         for i in range(5):
             num = np.empty(3)
@@ -138,8 +140,8 @@ class TestLatentConditional:
         params = ds.DSParams(pi=np.full(k, 1 / 3),
                              theta=np.clip(eye, 1e-12, None))
         ratings = np.array([[0, 0], [2, 2], [1, 1]])
-        probs = ds.DawidSkeneModel(2, k).z_full_conditional(
-            ds.DSData(ratings, k), params)
+        probs = label_probs(ds.DawidSkeneModel(2, k).z_log_weights(
+            ds.DSData(ratings, k), params))
         assert np.allclose(probs[[0, 2, 1], np.arange(3)], 1.0, atol=1e-9)
 
 

@@ -19,7 +19,7 @@ from margmcmc.gibbs import (slice_sample_1d, update_pi_conjugate,
 from margmcmc.harness import run_chain
 from margmcmc.simulate import gen_dataset, get_scenario
 from margmcmc.stats import make_rng
-from oracles import by_name
+from oracles import by_name, label_probs
 
 
 class TestSliceSampler:
@@ -208,7 +208,7 @@ class TestLatentBlock:
         data = mx.MixtureData(np.array([-1.2, 0.1, 0.8, 2.0, -0.4]))
         params = mx.MixtureParams(mu=np.array([-1.0, 1.0]), sigma=1.5,
                                   pi=np.array([0.6, 0.4]))
-        want = model.z_full_conditional(data, params)[1]
+        want = label_probs(model.z_log_weights(data, params))[1]
         n = 30000
         hits = np.zeros(5)
         for _ in range(n):

@@ -9,8 +9,8 @@ from scipy.special import logsumexp
 
 from margmcmc import mixture as mx
 from margmcmc.stats import make_rng
-from oracles import (log_dirichlet_pdf, log_lognormal_pdf, log_normal_pdf,
-                     log_truncated_normal_pdf, mix_constrain,
+from oracles import (label_probs, log_dirichlet_pdf, log_lognormal_pdf,
+                     log_normal_pdf, log_truncated_normal_pdf, mix_constrain,
                      mix_full_log_joint, mix_log_prior, mix_marginal_log_lik,
                      mix_marginal_log_post_u, mix_unconstrain)
 
@@ -93,7 +93,7 @@ class TestLatentConditional:
         rng = make_rng(10)
         data = mx.MixtureData(rng.normal(0, 3, size=6))
         params = random_params(rng, 2)
-        probs = mx.MixtureModel(2).z_full_conditional(data, params)
+        probs = label_probs(mx.MixtureModel(2).z_log_weights(data, params))
         z = np.zeros(6, dtype=int)
         for i in range(6):
             num = np.empty(2)
@@ -107,10 +107,14 @@ class TestLatentConditional:
     def test_rows_normalised(self):
         rng = make_rng(11)
         data = mx.MixtureData(rng.normal(size=50))
-        probs = mx.MixtureModel(3).z_full_conditional(
-            data, random_params(rng, 3))
+        params = random_params(rng, 3)
+        log_w = mx.MixtureModel(3).z_log_weights(data, params)
+        probs = label_probs(log_w)
         assert probs.shape == (3, 50)
         assert np.allclose(probs.sum(axis=0), 1.0, atol=1e-12)
+        # each column's constant is that point's marginal log likelihood
+        assert logsumexp(log_w, axis=0).sum() == pytest.approx(
+            mix_marginal_log_lik(data, params), rel=1e-12)
 
 
 class TestUnconstrainedInterface:

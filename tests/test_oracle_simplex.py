@@ -1,12 +1,14 @@
 """The stacked simplex primitives against the per-row code they replaced
 (`tests/oracles.py`).  `stats.sample_dirichlet` on a stack of rows must
-give the same bits as rng.dirichlet on each row in turn and leave the
-generator in the same state; `transforms.unconstrain_simplex` on a stack
-must give the same bits as the scalar inverse on each row.  The shapes
-are the samplers': (K,) for a weight vector, (K, K) for one rater's
-confusion rows, (J, K, K) for all of them; alpha is the prior plus
-random counts, so every entry is at least the smallest prior entry
-(0.64, off the diagonal of the K = 6 confusion prior)."""
+give the same bits as rng.dirichlet on each row in turn, each draw
+clipped at 1e-300 and renormalised, and leave the generator in the same
+state (plain rng.dirichlet differs in the last bit of many draws);
+`transforms.unconstrain_simplex` on a stack must give the same bits as
+the scalar inverse on each row.  The shapes are the samplers': (K,) for
+a weight vector, (K, K) for one rater's confusion rows, (J, K, K) for
+all of them; alpha is the prior plus random counts, so every entry is
+at least the smallest prior entry (0.64, off the diagonal of the K = 6
+confusion prior)."""
 
 import numpy as np
 import pytest

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 from scipy.special import logsumexp
 
+from margmcmc import mixture as mx
 from margmcmc.stats import (check_simplex, lse_rows, make_rng,
                             sample_categorical_rows, sample_dirichlet)
-from oracles import (log_dirichlet_pdf, log_lognormal_pdf, log_normal_pdf,
-                     log_truncated_normal_pdf, lse_rows_two_pass)
+from oracles import (label_probs, log_dirichlet_pdf, log_lognormal_pdf,
+                     log_normal_pdf, log_truncated_normal_pdf,
+                     lse_rows_two_pass, sample_categorical_rows_normalised)
 
 finite = st.floats(-50, 50, allow_nan=False)
 positive = st.floats(0.01, 50, allow_nan=False)
@@ -154,12 +156,38 @@ class TestSimplexCheck:
 class TestPrimitiveSamplers:
     def test_categorical_rows_chi_square(self):
         rng = make_rng(12)
-        p = np.array([0.6, 0.3, 0.1])
-        draws = sample_categorical_rows(rng, np.tile(p[:, None], (1, 30000)))
+        log_w = np.tile(np.log([6.0, 3.0, 1.0])[:, None], (1, 30000))
+        p = label_probs(log_w)[:, 0]
+        draws = sample_categorical_rows(rng, log_w)
         counts = np.bincount(draws, minlength=3)
         n = len(draws)
         stat = ((counts - n * p) ** 2 / (n * p)).sum()
         assert stat < sps.chi2.ppf(0.999, df=2)
+
+    def test_categorical_rows_match_normalised_draw(self):
+        # 10^6 labels: for each K and weight scale, 10% of entries -inf
+        # and 1% of columns all -inf; then pi = (1e-300, 1 - 1e-300)
+        make = make_rng(16)
+        cases = []
+        for k in range(2, 7):
+            for scale in (0.1, 1.0, 10.0, 100.0, 300.0):
+                log_w = scale * make.normal(size=(k, 39_000))
+                log_w[make.random(log_w.shape) < 0.1] = -np.inf
+                log_w[:, make.random(log_w.shape[1]) < 0.01] = -np.inf
+                cases.append(log_w)
+        model = mx.MixtureModel(2)
+        params = mx.MixtureParams(mu=np.array([-1.0, 1.0]), sigma=1.0,
+                                  pi=np.array([1e-300, 1.0 - 1e-300]))
+        cases.append(model.z_log_weights(
+            mx.MixtureData(make.normal(0.0, 3.0, size=25_000)), params))
+        assert sum(c.shape[1] for c in cases) == 1_000_000
+        a, b = make_rng(17), make_rng(17)
+        with np.errstate(invalid="ignore"):
+            for log_w in cases:
+                assert np.array_equal(sample_categorical_rows(a, log_w),
+                                      sample_categorical_rows_normalised(
+                                          b, log_w))
+        assert a.bit_generator.state == b.bit_generator.state
 
     def test_dirichlet_moments(self):
         rng = make_rng(14)
