@@ -13,7 +13,7 @@ PRIOR_CONCENTRATION, PRIOR_DIAG_MASS).
 
 The model handle builds its constants once: alpha, beta, alpha - 1,
 beta - 1 and the two Dirichlet normalisers (pi's, and J times the sum
-of the confusion rows').  Its `log_prior` serves the fused gradient,
+of the confusion rows'), from math.lgamma.  Its `log_prior` serves the fused gradient,
 whose DSParams are the NUTS arm's draws; `z_log_weights` gives the
 labels' full conditional as (K, I) log weights, unnormalised.
 """
@@ -25,8 +25,6 @@ from functools import cached_property
 import numpy as np
 
 from . import transforms as tr
-from scipy.special import gammaln
-
 from .stats import lse_rows, sample_dirichlet
 
 PRIOR_ALPHA = 3.0           # Dirichlet parameter of every prevalence
@@ -95,7 +93,10 @@ def _item_category_loglik(data, log_theta):
 
 
 def _dirichlet_log_norm(alpha):
-    return gammaln(alpha.sum()) - gammaln(alpha).sum()
+    """log Gamma(sum alpha) - sum_k log Gamma(alpha_k) of a 1-d `alpha`,
+    both sums exactly rounded (math.fsum)."""
+    a = alpha.tolist()
+    return math.lgamma(math.fsum(a)) - math.fsum(map(math.lgamma, a))
 
 
 class DawidSkeneModel:

@@ -21,6 +21,8 @@ transforms.constrain_simplex would, and hands the simplex target log p
 from one np.log over one buffer [rem | p] (`_slice_simplex_coords`).
 
 Update order is fixed: labels z, then pi, then theta or (mu, sigma).
+A mixture mean's slice target carries the truncation renormaliser of the
+next mean's prior, from `stats.log_ndtr` as in the mixture's prior.
 
 Every slice move starts from an interval of width 1 and doubles it at
 most 10 times (SLICE_WIDTH, SLICE_MAX_DOUBLINGS).
@@ -42,9 +44,8 @@ import numpy as np
 from . import dawid_skene as dsm
 from . import mixture as mx
 from . import transforms as tr
-from .stats import (LOG_2PI, lse_rows, sample_categorical_rows,
+from .stats import (LOG_2PI, log_ndtr, lse_rows, sample_categorical_rows,
                     sample_dirichlet)
-from scipy import special
 
 SLICE_WIDTH = 1.0
 SLICE_MAX_DOUBLINGS = 10
@@ -196,7 +197,7 @@ def _mu_log_prior(m, truncates):
     a = m / mx.PRIOR_MU_SD
     lp = -0.5 * a * a
     if truncates:
-        lp -= float(special.log_ndtr(-a))
+        lp -= log_ndtr(-a)
     return lp
 
 

@@ -5,7 +5,9 @@ point, and the labels' full conditional as unnormalised log weights.
 Parameterisation: ordered means mu (label-switching guard), one shared
 standard deviation sigma, mixture weights pi.  Priors: mu_1 ~ N(0, 10^2),
 mu_k ~ N(0, 10^2) truncated to mu_k > mu_{k-1}, sigma ~ Lognormal(0, 1),
-pi ~ Dirichlet(1,...,1).
+pi ~ Dirichlet(1,...,1).  The truncations' log renormalisers
+log Phi(-mu_{k-1} / 10) come from `stats.log_ndtr` (math.erfc), and the
+Dirichlet normaliser from math.lgamma.
 
 Observation-by-component matrices are component-major, (K, n): each
 component's row is contiguous, and sums over the data run along it.
@@ -17,10 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import transforms as tr
-from .stats import LOG_2PI, lse_rows, sample_dirichlet
+from .stats import LOG_2PI, log_ndtr, lse_rows, sample_dirichlet
 
 PRIOR_MU_SD = 10.0
 
@@ -66,7 +67,7 @@ def _log_prior(mu, sigma):
     lp += k * (-0.5 * LOG_2PI - math.log(PRIOR_MU_SD)) - 0.5 * float(z @ z)
     # truncation renormalisers: upper-tail mass above the previous mean
     z = z.tolist()
-    log_tail = [special.log_ndtr(-a) for a in z[:-1]]
+    log_tail = [log_ndtr(-a) for a in z[:-1]]
     lp -= sum(log_tail)
     return lp, z, log_tail
 

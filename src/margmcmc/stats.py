@@ -3,12 +3,46 @@
 Everything downstream composes densities in log space only; products of
 small probabilities (e.g. 5 confusion-matrix entries per item) underflow
 in linear space at benchmark scale.
+
+The program needs numpy and Python's `math` only: the normal log CDF
+(`log_ndtr`) is built on `math.erfc`, and `lse_rows` handles columns
+holding inf or nan itself.
 """
 
+import math
+from math import erfc, log, log1p
+
 import numpy as np
-from scipy import special
 
 LOG_2PI = np.log(2.0 * np.pi)
+
+_SQRT1_2 = math.sqrt(0.5)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# Below this x, erfc(-x / sqrt 2) falls under 9.3e-308, near the subnormal
+# range, and log Phi(x) comes from its asymptotic series instead.  Its
+# terms (-1)^k (2k - 1)!! / x^(2k), k = 1..8, summed by Horner's rule,
+# end below 1.4e-19 there, so eight of them reach double precision.
+_LOG_NDTR_SERIES_BELOW = -37.5
+_LOG_NDTR_SERIES = (2027025.0, -135135.0, 10395.0, -945.0, 105.0, -15.0,
+                    3.0, -1.0)
+
+
+def log_ndtr(x):
+    """log Phi(x), the standard normal log CDF, of a float; never raises.
+    Above -1 it is log1p(-erfc(x / sqrt 2) / 2), scipy.special.log_ndtr's
+    formula there (and math.log1p is about twice as fast as math.log);
+    down to _LOG_NDTR_SERIES_BELOW it is log(erfc(-x / sqrt 2) / 2);
+    below that (and at nan) the asymptotic series
+    -x^2/2 - log(-x sqrt(2 pi)) + log(1 - 1/x^2 + 3/x^4 - ...)."""
+    if x > -1.0:
+        return log1p(-0.5 * erfc(x * _SQRT1_2))
+    if x > _LOG_NDTR_SERIES_BELOW:
+        return log(0.5 * erfc(x * -_SQRT1_2))
+    r = 1.0 / (x * x)
+    s = 0.0
+    for c in _LOG_NDTR_SERIES:
+        s = (s + c) * r
+    return -0.5 * x * x - log(-x) - _LOG_SQRT_2PI + log1p(s)
 
 
 def make_rng(seed, stream=0):
@@ -26,10 +60,14 @@ def lse_rows(m):
     """Log-sum-exp over axis 0 of a (K, n) component-major array: one
     value per data row (column of `m`), the fast path of the hot loops.
     For K <= 7 numpy adds the K entries in order, as a row-wise sum of
-    the (n, K) transpose would.  `m` is left unchanged."""
+    the (n, K) transpose would.  A column whose maximum is not finite
+    (it holds inf or nan) is shifted by 0 instead, as scipy's logsumexp
+    does, and reads -inf, inf or nan as it does; every other column
+    keeps its bits whatever its neighbours hold.  `m` is left
+    unchanged."""
     mm = np.maximum.reduce(m, axis=0)
     if not np.logical_and.reduce(np.isfinite(mm)):
-        return special.logsumexp(m, axis=0)
+        mm[~np.isfinite(mm)] = 0.0
     t = m - mm
     np.exp(t, out=t)
     out = np.add.reduce(t, axis=0)

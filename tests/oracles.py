@@ -7,7 +7,8 @@ transforms, the row-major fused gradients the
 component-major kernels replaced, the reference for each model's fused
 gradient, the one-row-at-a-time Dirichlet draw and stick inverse the
 stacked simplex primitives replaced, the two-pass log-sum-exp the
-in-place `lse_rows` must match bit for bit, the normalised label draw
+in-place `lse_rows` must match bit for bit (both shift a column that
+holds inf or nan by 0), the normalised label draw
 that the draw from unnormalised log weights must match label for label
 (with `label_probs`, the normalised conditional the label tests hold
 the samplers to), and a chain's draws by parameter name."""
@@ -20,7 +21,7 @@ from scipy import special
 from margmcmc import dawid_skene as dsm
 from margmcmc import mixture as mx
 from margmcmc import transforms as tr
-from margmcmc.stats import LOG_2PI, lse_rows
+from margmcmc.stats import LOG_2PI, log_ndtr, lse_rows
 
 
 def log_normal_pdf(x, mu, sigma):
@@ -205,21 +206,22 @@ def ds_unconstrain(params):
 # matrices kept (n, K) / (I, K) and the mixture's length-K parameter
 # arithmetic done on numpy arrays.  Every helper that the component-major
 # kernels rewrote is copied here, so this reference does not move with
-# `src/`.
+# `src/`.  The scalar pieces that are not about memory layout -- the
+# normal log CDF, the Dirichlet normalisers (through `model.log_prior`)
+# and the shift of a non-finite column -- are the program's, so the
+# comparison checks the layout bit for bit.
 
 def lse_rows_two_pass(m):
     """Log-sum-exp over axis 0 of a (K, n) array, written as the max pass
     and the exp-sum pass with a fresh array for each step."""
     mm = m.max(axis=0)
-    if not np.isfinite(mm).all():
-        return special.logsumexp(m, axis=0)
+    mm[~np.isfinite(mm)] = 0.0
     return mm + np.log(np.exp(m - mm).sum(axis=0))
 
 
 def _lse_rows_row_major(m):
     mm = m.max(axis=1)
-    if not np.all(np.isfinite(mm)):
-        return special.logsumexp(m, axis=1)
+    mm[~np.isfinite(mm)] = 0.0
     return mm + np.log(np.exp(m - mm[:, None]).sum(axis=1))
 
 
@@ -288,7 +290,7 @@ def _log_prior_np(params):
     z = mu / mx.PRIOR_MU_SD
     lp += k * (-0.5 * LOG_2PI - math.log(mx.PRIOR_MU_SD)) - 0.5 * float(z @ z)
     if k > 1:
-        lp -= float(special.log_ndtr(-z[:-1]).sum())
+        lp -= sum(map(log_ndtr, -z[:-1]))
     return lp
 
 
@@ -318,8 +320,9 @@ def mix_grad_row_major(data, u, k):
     g_mu = (r * diff).sum(axis=0) / sigma**2 - mu / mx.PRIOR_MU_SD**2
     if k > 1:
         a = mu[:-1] / mx.PRIOR_MU_SD
+        log_tail = np.array([log_ndtr(b) for b in -a])
         g_mu[:-1] += np.exp(-0.5 * LOG_2PI - 0.5 * a * a
-                            - special.log_ndtr(-a)) / mx.PRIOR_MU_SD
+                            - log_tail) / mx.PRIOR_MU_SD
     g_sigma = float((r * (diff**2 / sigma**3 - 1.0 / sigma)).sum())
     g_sigma += -1.0 / sigma - np.log(sigma) / sigma
     g_pi = r.sum(axis=0) / pi

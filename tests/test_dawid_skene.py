@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from margmcmc import dawid_skene as ds
 from margmcmc.stats import make_rng
@@ -114,6 +114,19 @@ class TestPrior:
             for kk in range(k):
                 want += log_dirichlet_pdf(params.theta[jj, kk], beta[kk])
         assert ds_log_prior(params) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_normaliser_matches_gammaln(self, k):
+        # math.lgamma and scipy's gammaln differ by a few ulps per term:
+        # the bound is 1e-14 of the summed term magnitudes
+        rng = make_rng(33, k)
+        rows = [*ds.ds_beta_matrix(k), np.full(k, ds.PRIOR_ALPHA),
+                *rng.uniform(0.05, 20.0, size=(200, k))]
+        for alpha in rows:
+            terms = np.concatenate([[gammaln(alpha.sum())], gammaln(alpha)])
+            want = terms[0] - terms[1:].sum()
+            assert abs(ds._dirichlet_log_norm(alpha) - want) <= \
+                1e-14 * np.abs(terms).sum()
 
 
 class TestLatentConditional:

@@ -14,11 +14,16 @@ and gamma variates are drawn in one place, `stats.sample_dirichlet`, a
 point is constrained in one place per model, its fused gradient, and
 chains are run and timed in one place, `harness.run_chain`.
 Nothing compares a model family's `kind`: the scenario types and model
-handles own what differs between families."""
+handles own what differs between families.  Nothing in `src/margmcmc`
+imports scipy, which only the tests and the benchmark use as a
+reference: the program's runtime is numpy and Python's `math`."""
 
 import ast
 import contextlib
 import importlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -292,3 +297,33 @@ def test_fused_gradients_call_each_traced_layer_once():
         assert np.isfinite(value)
         assert type(params) is params_type
         assert [spy.call_count for spy in spies] == [1, 1, 1]
+
+
+def imported_modules(tree):
+    """The top-level package of every absolute import in `tree`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_guard_finds_scipy_imports():
+    tree = ast.parse("import scipy.special\nfrom scipy import stats\n"
+                     "from . import stats\nimport numpy as np\n")
+    assert list(imported_modules(tree)) == ["scipy", "scipy", "numpy"]
+
+
+def test_no_scipy_import_in_src():
+    found = [module for module, tree in src_trees().items()
+             if "scipy" in imported_modules(tree)]
+    assert found == []
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, margmcmc.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "[]"

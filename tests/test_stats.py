@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats as sps
+from scipy import special
 from scipy.special import logsumexp
 
 from margmcmc import mixture as mx
-from margmcmc.stats import (check_simplex, lse_rows, make_rng,
+from margmcmc.stats import (check_simplex, log_ndtr, lse_rows, make_rng,
                             sample_categorical_rows, sample_dirichlet)
 from oracles import (label_probs, log_dirichlet_pdf, log_lognormal_pdf,
                      log_normal_pdf, log_truncated_normal_pdf,
@@ -97,6 +98,42 @@ class TestLogDensities:
             log_dirichlet_pdf(np.array([0.5, 0.3, 0.2]), np.array([1.0, 1.0]))
 
 
+class TestLogNdtr:
+    # a dense grid over [-1e3, 40] plus each branch boundary (-1 and
+    # -37.5) and its neighbouring floats
+    GRID = np.concatenate([
+        np.linspace(-1e3, 40.0, 200_001), np.linspace(-40.0, -35.0, 5001),
+        np.linspace(-1.5, 1.0, 2501),
+        [np.nextafter(b, d) for b in (-1.0, -37.5) for d in (-np.inf, np.inf)],
+    ])
+
+    def test_matches_scipy(self):
+        x = self.GRID
+        got = np.array([log_ndtr(float(v)) for v in x])
+        want = special.log_ndtr(x)
+        normal = np.abs(want) >= np.finfo(float).tiny
+        rel = np.abs(got - want) / np.where(normal, np.abs(want), 1.0)
+        # x <= -1: erfc(-x / sqrt 2) and scipy's erfcx route agree to a
+        # few ulps of the log
+        assert rel[x <= -1].max() <= 2e-15
+        # x > -1: both compute log1p(-erfc(x / sqrt 2) / 2); the rounding
+        # of x / sqrt 2 moves erfc by about x^2 ulps, and the two erfc
+        # implementations differ by that much
+        assert rel[(x > -1) & (x <= 6)].max() <= 1e-14
+        assert rel[(x > 6) & normal].max() <= 1e-13
+        # past x = 37.5 the value is subnormal here and 0 in scipy
+        assert np.all(np.abs(got - want)[~normal] <= 1e-300)
+        assert np.all(got <= 0.0)
+
+    def test_extremes(self):
+        for x, want in [(1e200, 0.0), (np.inf, 0.0), (-1e200, -np.inf),
+                        (-np.inf, -np.inf)]:
+            assert log_ndtr(x) == want == special.log_ndtr(x)
+        assert np.isnan(log_ndtr(np.nan))
+        assert log_ndtr(-1e150) == pytest.approx(special.log_ndtr(-1e150),
+                                                  rel=2e-15)
+
+
 class TestLogSumExp:
     @given(st.lists(finite, min_size=1, max_size=30), finite)
     def test_shift_invariance(self, values, shift):
@@ -109,7 +146,8 @@ class TestLogSumExp:
         assert lse_rows(v)[0] == pytest.approx(1000.0 + np.log(2.0))
 
     def test_all_neg_inf(self):
-        assert lse_rows(np.array([[-np.inf], [-np.inf]]))[0] == -np.inf
+        with np.errstate(divide="ignore"):
+            assert lse_rows(np.array([[-np.inf], [-np.inf]]))[0] == -np.inf
 
     def test_rows_match_scalar(self):
         rng = make_rng(3)
@@ -128,7 +166,7 @@ class TestLogSumExp:
         non_finite[0, 7] = np.inf
         for case in (m, with_gap, non_finite):
             kept = case.copy()
-            with np.errstate(invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore"):
                 got = lse_rows(case)
                 want = lse_rows_two_pass(case)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -136,8 +174,43 @@ class TestLogSumExp:
 
     def test_rows_with_neg_inf_row(self):
         m = np.array([[0.0, 1.0], [-np.inf, -np.inf]])
-        got = lse_rows(m.T)
+        with np.errstate(divide="ignore"):
+            got = lse_rows(m.T)
         assert got[1] == -np.inf and np.isfinite(got[0])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
+    def test_non_finite_columns_match_scipy(self, k):
+        # entries -inf (15%), +inf (2%) and nan (2%), and 50 columns all
+        # -inf: the same columns read -inf, inf and nan as in scipy; a
+        # finite column agrees within 1e-15 of its largest magnitude,
+        # the scale of the shift both subtract
+        rng = make_rng(90, k)
+        m = rng.normal(size=(k, 2000)) * 30
+        u = rng.random(m.shape)
+        m[u < 0.15] = -np.inf
+        m[(u >= 0.15) & (u < 0.17)] = np.inf
+        m[(u >= 0.17) & (u < 0.19)] = np.nan
+        m[:, :50] = -np.inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = lse_rows(m)
+            want = logsumexp(m, axis=0)
+        fin = np.isfinite(want)
+        assert np.array_equal(got[~fin], want[~fin], equal_nan=True)
+        assert {-np.inf, np.inf} <= set(want[~fin]) and np.isnan(want).any()
+        scale = np.abs(np.where(np.isfinite(m), m, 0.0)).max(axis=0)
+        assert np.all(np.abs(got[fin] - want[fin])
+                      <= 1e-15 * np.maximum(scale[fin], np.abs(want[fin])))
+
+    @pytest.mark.parametrize("neighbour", [-np.inf, np.inf, np.nan])
+    def test_finite_columns_ignore_non_finite_neighbours(self, neighbour):
+        rng = make_rng(91)
+        m = rng.normal(size=(3, 2000)) * 30
+        alone = lse_rows(m)
+        beside = np.concatenate([m, np.full((3, 1), neighbour)], axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = lse_rows(beside)
+        assert np.array_equal(got[:-1].view(np.int64), alone.view(np.int64))
+        assert np.array_equal(got[-1:], [neighbour], equal_nan=True)
 
 
 class TestSimplexCheck:
@@ -182,7 +255,7 @@ class TestPrimitiveSamplers:
             mx.MixtureData(make.normal(0.0, 3.0, size=25_000)), params))
         assert sum(c.shape[1] for c in cases) == 1_000_000
         a, b = make_rng(17), make_rng(17)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             for log_w in cases:
                 assert np.array_equal(sample_categorical_rows(a, log_w),
                                       sample_categorical_rows_normalised(
