@@ -66,6 +66,14 @@ PINS = [
      "ae86a0ff5c8ebee9e4c8931fc925882323059039a9c1243cd912a298804c4700"),
     ("ds", "nuts-marginal", 60, 40,
      "74f9c1d2426618c12374c28934e8124a1547eee4115e10b92f18df23f5c94763"),
+    # longer marginal Gibbs chains, so that a slice target changed to read
+    # cached terms is checked over many sweeps: its densities move in the
+    # last bits, and a draw moves only if a comparison with a slice level
+    # flips
+    ("three-comp-4", "gibbs-marginal", 300, 150,
+     "caa05d1a8a19f3c8f3311248f0de8dcd390929620d64445a05b42f8875daa8ac"),
+    ("ds", "gibbs-marginal", 60, 30,
+     "2a6d72d7b0188cfe6aec40a239d9ab9e5a43d905bd7fc52fcfc0b0382b5a8e16"),
 ]
 
 
