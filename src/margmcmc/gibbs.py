@@ -31,6 +31,20 @@ The label conditionals and the marginal slice targets' cached matrices
 are component-major, (K, n) or (K, I), as in the model modules; a slice
 move on one component rewrites one contiguous row.
 
+Each marginal slice target caches, once per block, what its coordinate
+leaves fixed, as the full arms' targets read counts made once per sweep:
+pi the column shifts and e = exp(rows - shift), for sum(shift) +
+sum log(p @ e) (`_mixing_target`); a mixture mean the other rows'
+log-sum-exp (`_row_lse_sum`); sigma (x - mu_k)^2 / 2 (`_log_sigma_target`);
+a confusion row a and b, for sum(shift) + sum log(a + b p[y])
+(`_theta_row_target`).  A total that is not finite, or a simplex entry
+at or below _P_FLOOR, is evaluated in log space over all rows, the
+uncached form, so saturated sticks and extreme sigma read exactly as in
+it.  Elsewhere a density differs from it in the last bits only, and the
+slice sampler reads densities only through comparisons with the slice
+level, so a draw moves only where a comparison falls within those bits;
+none in the pinned chains does.
+
 The handle supplies the labels' full conditional as (K, n) log weights
 up to a constant per column (`z_log_weights`), drawn from unnormalised;
 `_STATE_CLASS` maps its type to the chain state that `harness.run_chain`
@@ -49,6 +63,9 @@ from .stats import (LOG_2PI, log_ndtr, lse_rows, sample_categorical_rows,
 
 SLICE_WIDTH = 1.0
 SLICE_MAX_DOUBLINGS = 10
+# A cached simplex target sums p_k e_ki directly only while every p_k is
+# above this, so each sum stays a normal float to full precision.
+_P_FLOOR = 1e-290
 
 
 class SliceError(RuntimeError):
@@ -147,9 +164,44 @@ def update_z_block(model, data, params, rng):
     return sample_categorical_rows(rng, model.z_log_weights(data, params))
 
 
-def _slice_simplex_coords(u_row, target_of_log_row, rng):
+def _lse_other_rows(m, kk):
+    """lse_rows(m) with row kk read as -inf: the log-sum-exp over the
+    other rows, bit for bit.  `m` is left unchanged."""
+    saved = m[kk].copy()
+    m[kk] = -np.inf
+    out = lse_rows(m)
+    m[kk] = saved
+    return out
+
+
+def _mixing_target(log_rows, prior_m1=None):
+    """The simplex target sum_i log sum_k p_k exp(log_rows[k, i]) of
+    (log p, p), plus the Dirichlet(prior_m1 + 1) kernel if given, with
+    what p leaves fixed cached: per column the shift max_k log_rows[k, i],
+    its sum, and e = exp(log_rows - shift).  An evaluation is then
+    sum(shift) + sum_i log (p @ e)_i.  Each (p @ e)_i is at least the
+    smallest p_k, so while that is above _P_FLOOR no sum nears the
+    subnormals; below it, or if the total is not finite, the log-space
+    lse_rows(log p + log_rows) is evaluated instead."""
+    shift = np.maximum.reduce(log_rows, axis=0)
+    e = np.exp(log_rows - shift)
+    shift_sum = float(np.add.reduce(shift))
+
+    def lik(log_p, p):
+        if min(p.tolist()) > _P_FLOOR:
+            total = shift_sum + float(np.add.reduce(np.log(p @ e)))
+            if math.isfinite(total):
+                return total
+        return float(np.add.reduce(lse_rows(log_p[:, None] + log_rows)))
+
+    if prior_m1 is None:
+        return lik
+    return lambda log_p, p: lik(log_p, p) + float(np.dot(prior_m1, log_p))
+
+
+def _slice_simplex_coords(u_row, target, rng):
     """Slice each stick coordinate of one simplex in turn; returns the
-    updated sticks and their simplex.  The target takes log p, a view
+    updated sticks and their simplex.  The target takes (log p, p), views
     valid only during the call.
 
     Moving stick c changes only z_c, so an evaluation recomputes z_c, then
@@ -183,7 +235,7 @@ def _slice_simplex_coords(u_row, target_of_log_row, rng):
             lj = 0.0
             for t, lr in zip(zterm, log_rem.tolist()):   # the K - 1 sticks
                 lj += t + lr
-            return target_of_log_row(log_p) + lj
+            return target(log_p, p) + lj
         u_row[c] = slice_sample_1d(logf, u_row[c], rng)
         place(c, u_row[c])
     return u_row, p.copy()
@@ -229,7 +281,7 @@ class _MixtureGibbs:
         if self.conjugate:
             pi = update_pi_conjugate(counts, 1.0, rng)   # Dirichlet(1) prior
         else:
-            def pi_target(log_p):
+            def pi_target(log_p, p):
                 return float(np.dot(counts, log_p))  # Dirichlet(1) prior flat
             self.u_pi, pi = _slice_simplex_coords(self.u_pi, pi_target, rng)
         # (3) mu then sigma, by slice
@@ -265,18 +317,12 @@ class _MixtureGibbs:
         x = self.data.x
         mu = self.params.mu.copy()
         sigma = self.params.sigma
-        pi = self.params.pi
-
-        def norm_rows(mu_vec, s):
-            z = (x - mu_vec[:, None]) / s
-            return -np.log(s) - 0.5 * LOG_2PI - 0.5 * z * z
-
-        ll = norm_rows(mu, sigma)  # cached (K, n) log f(x_i | mu_k, sigma^2)
+        z = (x - mu[:, None]) / sigma
+        ll = -np.log(sigma) - 0.5 * LOG_2PI - 0.5 * z * z  # log f(x_i | mu_k)
 
         # pi via stick coordinates against the marginal joint
-        def pi_target(log_p):
-            return float(np.add.reduce(lse_rows(ll + log_p[:, None])))
-        self.u_pi, pi = _slice_simplex_coords(self.u_pi, pi_target, rng)
+        self.u_pi, pi = _slice_simplex_coords(self.u_pi, _mixing_target(ll),
+                                              rng)
 
         log_pi = np.log(pi)
         m_mat = ll + log_pi[:, None]
@@ -290,22 +336,70 @@ class _MixtureGibbs:
                 z *= 0.5 * z
                 np.subtract(const, z, out=row)
 
-            def mu_target(m, kk=kk, set_row=set_row):
+            lik = _row_lse_sum(m_mat, kk)
+
+            def mu_target(m, kk=kk, set_row=set_row, lik=lik):
                 set_row(m)
-                return (float(np.add.reduce(lse_rows(m_mat)))
-                        + _mu_log_prior(m, kk < k - 1))
+                return lik() + _mu_log_prior(m, kk < k - 1)
             mu[kk] = slice_sample_1d(mu_target, mu[kk], rng,
                                      lower=lo, upper=hi)
             set_row(mu[kk])  # leave the cached row at the accepted value
 
-        def log_sigma_target(ls):
-            s = np.exp(ls)
-            if not np.isfinite(s) or s <= 0:
-                return -np.inf
-            lik = float(lse_rows(norm_rows(mu, s) + log_pi[:, None]).sum())
-            return lik - 0.5 * ls * ls  # Lognormal(0,1) kernel + exp Jacobian
-        ls = slice_sample_1d(log_sigma_target, np.log(sigma), rng)
+        ls = slice_sample_1d(_log_sigma_target(x, mu, pi), np.log(sigma), rng)
         self.params = mx.MixtureParams(mu=mu, sigma=float(np.exp(ls)), pi=pi)
+
+
+def _row_lse_sum(m, kk):
+    """sum(lse_rows(m)) as a function of row kk of `m`, which the caller
+    rewrites in place between calls: the other rows' log-sum-exp is
+    cached, so a call is sum(logaddexp(others, m[kk])).  A non-finite
+    total is recomputed as sum(lse_rows(m))."""
+    others, row, col = _lse_other_rows(m, kk), m[kk], np.empty(m.shape[1])
+
+    def lik():
+        total = float(np.add.reduce(np.logaddexp(others, row, out=col)))
+        if math.isfinite(total):
+            return total
+        return float(np.add.reduce(lse_rows(m)))
+    return lik
+
+
+def _log_sigma_target(x, mu, pi):
+    """The marginal mixture's log density of log sigma (Lognormal(0, 1)
+    prior, exp Jacobian) at fixed mu and pi.  With h = (x - mu_k)^2 / 2
+    and h_min its column minimum, both cached, the likelihood is
+    sum_i log (pi @ exp(-(h - h_min) / s^2))_i - sum(h_min) / s^2
+    - n (log s + log(2 pi) / 2); each sum over pi is at least min(pi).
+    If min(pi) is not above _P_FLOOR, or the total is not finite, it is
+    recomputed in log space."""
+    n = len(x)
+    half_sq = x - mu[:, None]
+    half_sq *= 0.5 * half_sq
+    h_min = np.minimum.reduce(half_sq, axis=0)
+    gap = half_sq - h_min
+    h_min_sum = float(np.add.reduce(h_min))
+    w = np.empty_like(gap)
+    cached = min(pi.tolist()) > _P_FLOOR
+    n_const = n * 0.5 * LOG_2PI
+    log_pi = np.log(pi)
+
+    def target(ls):
+        s = np.exp(ls)
+        if not np.isfinite(s) or s <= 0:
+            return -np.inf
+        lik = -np.inf
+        if cached:
+            inv_var = 1.0 / (s * s)   # np.float64: inf, not an error
+            np.multiply(gap, -inv_var, out=w)
+            np.exp(w, out=w)
+            lik = (float(np.add.reduce(np.log(pi @ w)))
+                   - h_min_sum * inv_var - n * ls - n_const)
+        if not math.isfinite(lik):
+            z = (x - mu[:, None]) / s
+            lik = float(lse_rows(-np.log(s) - 0.5 * LOG_2PI - 0.5 * z * z
+                                 + log_pi[:, None]).sum())
+        return lik - 0.5 * ls * ls  # Lognormal(0,1) kernel + exp Jacobian
+    return target
 
 
 # --------------------------------------------------------- Dawid-Skene
@@ -345,42 +439,59 @@ class _DawidSkeneGibbs:
     def _sweep_marginal(self):
         rng = self.rng
         data, j, k = self.data, self.j, self.k
-        alpha_m1 = self.model.alpha_m1
 
         # pi stick coordinates (Dirichlet kernel; the normaliser is constant)
-        def pi_target(log_p):
-            return (float(np.add.reduce(lse_rows(log_p[:, None] + self.c)))
-                    + float(np.dot(alpha_m1, log_p)))
-        self.u_pi, pi = _slice_simplex_coords(self.u_pi, pi_target, rng)
+        self.u_pi, pi = _slice_simplex_coords(
+            self.u_pi, _mixing_target(self.c, self.model.alpha_m1), rng)
         log_pi = np.log(pi)
 
         # theta rows, one stick coordinate at a time; per-item log-sum-exp
         # over the K-1 untouched categories is cached per row
         theta = self.params.theta.copy()
         base = log_pi[:, None] + self.c       # (K, I)
-        col = np.empty(data.n_items)          # the row target's column
         for jj in range(j):
             y_j = data.ratings[:, jj]
             for kk in range(k):
                 col_wo_row = self.c[kk] - np.log(theta[jj, kk])[y_j]
-                saved = base[kk].copy()
-                base[kk] = -np.inf
-                others = lse_rows(base)          # (I,) reduction over k' != kk
-                base[kk] = saved
-                col_rest = log_pi[kk] + col_wo_row
-                beta_m1 = self.model.beta_m1[kk]
-
-                def row_target(log_row):
-                    np.add(col_rest, log_row[y_j], out=col)
-                    np.logaddexp(others, col, out=col)
-                    return (float(np.add.reduce(col))
-                            + float(np.dot(beta_m1, log_row)))
+                others = _lse_other_rows(base, kk)   # (I,), over k' != kk
+                row_target = _theta_row_target(
+                    others, log_pi[kk] + col_wo_row, y_j,
+                    self.model.beta_m1[kk])
                 self.u_theta[jj, kk], theta[jj, kk] = _slice_simplex_coords(
                     self.u_theta[jj, kk], row_target, rng)
                 self.c[kk] = col_wo_row + np.log(theta[jj, kk])[y_j]
                 base[kk] = log_pi[kk] + self.c[kk]
         self.params = dsm.DSParams(pi=pi, theta=theta)
         self._rebuild_cache()
+
+
+def _theta_row_target(others, col_rest, y, beta_m1):
+    """The marginal log density of one confusion row as a function of
+    (log p, p): per item, logaddexp(others, col_rest + log p[y]) summed,
+    plus the Dirichlet(beta) kernel.  `others` is the item's log-sum-exp
+    over the other true categories and `col_rest` its log joint with this
+    row's entry left out.  With shift = max(others, col_rest), its sum,
+    a = exp(others - shift) and b = exp(col_rest - shift) cached, a call
+    is sum(shift) + sum log(a + b p[y]); one of a and b is 1, so each sum
+    is at least min(p).  If that is not above _P_FLOOR, or the total is
+    not finite, the logaddexp form is evaluated instead."""
+    shift = np.maximum(others, col_rest)
+    a = np.exp(others - shift)
+    b = np.exp(col_rest - shift)
+    shift_sum = float(np.add.reduce(shift))
+
+    def target(log_p, p):
+        prior = float(np.dot(beta_m1, log_p))
+        if min(p.tolist()) > _P_FLOOR:
+            q = p[y]
+            q *= b
+            q += a
+            total = shift_sum + float(np.add.reduce(np.log(q, out=q)))
+            if math.isfinite(total):
+                return total + prior
+        col = np.logaddexp(others, col_rest + log_p[y])
+        return float(np.add.reduce(col)) + prior
+    return target
 
 
 # The Gibbs chain state class of each model handle, for `harness.run_chain`.

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transforms as tr
-from .stats import LOG_2PI, log_ndtr, lse_rows, sample_dirichlet
+from .stats import (LOG_2PI, inv_mills_ratio, log_ndtr, lse_rows,
+                    sample_dirichlet)
 
 PRIOR_MU_SD = 10.0
 
@@ -137,8 +138,7 @@ class MixtureModel:
         for i, a in enumerate(z_mu):
             g_mu[i] -= a / PRIOR_MU_SD           # mu_i / PRIOR_MU_SD**2
             if i < k - 1:
-                g_mu[i] += np.exp(-0.5 * LOG_2PI - 0.5 * a * a
-                                  - log_tail[i]) / PRIOR_MU_SD
+                g_mu[i] += inv_mills_ratio(a, log_tail[i]) / PRIOR_MU_SD
         g_sigma = float((rd * diff).sum()) / (var * sigma) \
             - float(r_sum.sum()) / sigma
         g_sigma += -1.0 / sigma - np.log(sigma) / sigma

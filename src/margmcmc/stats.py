@@ -38,11 +38,29 @@ def log_ndtr(x):
         return log1p(-0.5 * erfc(x * _SQRT1_2))
     if x > _LOG_NDTR_SERIES_BELOW:
         return log(0.5 * erfc(x * -_SQRT1_2))
+    return -0.5 * x * x - log(-x) - _LOG_SQRT_2PI + log1p(_ndtr_series(x))
+
+
+def _ndtr_series(x):
+    """-1/x^2 + 3/x^4 - ..., eight terms: Phi(x) = phi(x) / -x times one
+    plus this, for x at or below _LOG_NDTR_SERIES_BELOW."""
     r = 1.0 / (x * x)
     s = 0.0
     for c in _LOG_NDTR_SERIES:
         s = (s + c) * r
-    return -0.5 * x * x - log(-x) - _LOG_SQRT_2PI + log1p(s)
+    return s
+
+
+def inv_mills_ratio(a, log_tail):
+    """phi(a) / Phi(-a) of a float, given log_tail = log_ndtr(-a).  Where
+    log_ndtr(-a) takes its series (a >= 37.5, and nan) it is a / (1 + s),
+    s that series, in which phi(a) and Phi(-a) have cancelled; there
+    exp(log phi(a) - log_tail) would subtract two numbers near a^2 / 2
+    and keep no digits once a passes about 1e8.  Elsewhere it is that
+    exp, as an np.float64."""
+    if -a > _LOG_NDTR_SERIES_BELOW:
+        return np.exp(-0.5 * LOG_2PI - 0.5 * a * a - log_tail)
+    return a / (1.0 + _ndtr_series(-a))
 
 
 def make_rng(seed, stream=0):

@@ -11,7 +11,8 @@ in-place `lse_rows` must match bit for bit (both shift a column that
 holds inf or nan by 0), the normalised label draw
 that the draw from unnormalised log weights must match label for label
 (with `label_probs`, the normalised conditional the label tests hold
-the samplers to), and a chain's draws by parameter name."""
+the samplers to), the marginal Gibbs slice targets in log space that
+the cached ones must match, and a chain's draws by parameter name."""
 
 import math
 
@@ -413,6 +414,51 @@ def sample_categorical_rows_normalised(rng, log_w):
     cum /= cum[-1]
     u = rng.random(cum.shape[1])
     return np.add.reduce(u > cum, axis=0)
+
+
+# ------------------------------------------ marginal Gibbs slice targets
+# The marginal Gibbs arm's slice targets as they stood before each cached
+# what its coordinate leaves fixed: every evaluation in log space over
+# all K rows.  The cached targets must agree with these.
+
+def mix_pi_target_log_space(ll, log_p):
+    """The mixture's pi stick target; `ll` is the (K, n) matrix
+    log f(x_i | mu_k, sigma^2)."""
+    return float(np.add.reduce(lse_rows(ll + log_p[:, None])))
+
+
+def mix_mu_lik_log_space(m_mat):
+    """The likelihood part of the mixture's mean target, once row kk of
+    the (K, n) log pi_k + log f(x_i | mu_k, sigma^2) holds the trial
+    mean's entries."""
+    return float(np.add.reduce(lse_rows(m_mat)))
+
+
+def mix_log_sigma_target_log_space(x, mu, pi, ls):
+    """The mixture's log sigma target: Lognormal(0, 1) kernel plus the
+    exp Jacobian."""
+    s = np.exp(ls)
+    if not np.isfinite(s) or s <= 0:
+        return -np.inf
+    z = (x - mu[:, None]) / s
+    norm_rows = -np.log(s) - 0.5 * LOG_2PI - 0.5 * z * z
+    lik = float(lse_rows(norm_rows + np.log(pi)[:, None]).sum())
+    return lik - 0.5 * ls * ls
+
+
+def ds_pi_target_log_space(c, alpha_m1, log_p):
+    """The rating model's pi stick target; `c` is the (K, I) matrix of
+    each item's log likelihood given its true category."""
+    return (float(np.add.reduce(lse_rows(log_p[:, None] + c)))
+            + float(np.dot(alpha_m1, log_p)))
+
+
+def ds_theta_row_target_log_space(others, col_rest, y, beta_m1, log_row):
+    """The rating model's target for one confusion row: `others` is each
+    item's log-sum-exp over the other true categories, `col_rest` its
+    log joint with this row's entry left out, `y` the rater's ratings."""
+    col = np.logaddexp(others, col_rest + log_row[y])
+    return float(np.add.reduce(col)) + float(np.dot(beta_m1, log_row))
 
 
 # ------------------------------------------------------ draws by name

@@ -19,6 +19,7 @@ from margmcmc.gibbs import (slice_sample_1d, update_pi_conjugate,
 from margmcmc.harness import run_chain
 from margmcmc.simulate import gen_dataset, get_scenario
 from margmcmc.stats import make_rng
+import oracles
 from oracles import by_name, label_probs
 
 
@@ -118,11 +119,11 @@ class TestSimplexSticks:
         # constrain_simplex's left-to-right one.
         u, trials = case
         moved = u.copy()
-        seen = []               # log p as each target call received it
+        seen = []               # (log p, p) as each target call received them
         done = []               # sticks whose move has run
 
-        def target(log_p):
-            seen.append(log_p.copy())
+        def target(log_p, p):
+            seen.append((log_p.copy(), p.copy()))
             return 0.0          # so the slice density is logJ alone
 
         def fake_slice(logf, current, *args):
@@ -135,7 +136,8 @@ class TestSimplexSticks:
                 u2 = moved.copy()
                 u2[c] = v
                 want_p, want_lj, _ = tr.constrain_simplex(u2)
-                assert np.array_equal(seen[-1], np.log(want_p))
+                assert np.array_equal(seen[-1][0], np.log(want_p))
+                assert np.array_equal(seen[-1][1], want_p)
                 assert np.array_equal(lj, want_lj)
             done.append(c)
             moved[c] = trials[c][0]
@@ -149,6 +151,238 @@ class TestSimplexSticks:
             assert len(seen) == sum(map(len, trials))
             assert np.array_equal(u_out, moved)
             assert np.array_equal(p_out, tr.constrain_simplex(moved)[0])
+
+
+def stick_points(rng, km1):
+    """Stick vectors of a (km1 + 1)-simplex: ordinary ones, ones up to
+    +-50 whose sticks saturate (a remainder rounds to 0, so p has exact
+    zeros), and ones near +-745 whose z and p are subnormal or 0."""
+    yield from rng.uniform(-3.0, 3.0, size=(20, km1))
+    yield from rng.uniform(-50.0, 50.0, size=(10, km1))
+    extreme = [-1000.0, -745.0, -720.0, -700.0, 700.0, 720.0, 745.0]
+    for _ in range(10):
+        u = rng.uniform(-3.0, 3.0, size=km1)
+        u[rng.integers(km1)] = rng.choice(extreme)
+        yield u
+
+
+def simplex_at(u):
+    p = tr.constrain_simplex(u)[0]
+    return np.log(p), p
+
+
+def assert_agrees(got, want):
+    """Finite values within 1e-12 relative; otherwise the same value."""
+    if np.isfinite(want):
+        assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+    else:
+        assert np.array_equal(got, want, equal_nan=True), (got, want)
+
+
+@pytest.fixture
+def lse_spy():
+    """Counts the sweeps' log-space fallback calls (lse_rows and
+    np.logaddexp) while the cached paths run."""
+    with mock.patch.object(gb, "lse_rows", wraps=gb.lse_rows) as lse, \
+            mock.patch.object(np, "logaddexp", wraps=np.logaddexp) as lae:
+        yield lambda: lse.call_count + lae.call_count
+
+
+class TestCachedTargets:
+    """Each marginal slice target caches what its coordinate leaves fixed;
+    it must read as the log-space target in tests/oracles.py did, at
+    ordinary points, at saturated sticks and at extreme sigma."""
+
+    @pytest.fixture(scope="class")
+    def mix(self):
+        data, _ = gen_dataset(get_scenario("three-comp-4"), 1, 2024)
+        rng = make_rng(2024, 7)
+        states = []
+        for sigma in [*np.exp(rng.normal(size=4)), 1e-200, 1e-5, 1e5, 1e200]:
+            mu = np.sort(rng.normal(0.0, 5.0, size=3))
+            states.append((mu, float(sigma)))
+        return data.x, states
+
+    @pytest.fixture(scope="class")
+    def ds_case(self):
+        scenario = get_scenario("ds")
+        data, _ = gen_dataset(scenario, 1, 2024)
+        return data, scenario.model()
+
+    @staticmethod
+    def loglik_rows(x, mu, sigma):
+        z = (x - mu[:, None]) / sigma
+        return -np.log(sigma) - 0.5 * oracles.LOG_2PI - 0.5 * z * z
+
+    def test_mixture_pi(self, mix, lse_spy):
+        x, states = mix
+        rng = make_rng(2024, 8)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for mu, sigma in states:
+                ll = self.loglik_rows(x, mu, sigma)
+                target = gb._mixing_target(ll)
+                for i, u in enumerate(stick_points(rng, 2)):
+                    log_p, p = simplex_at(u)
+                    before = lse_spy()
+                    got = target(log_p, p)
+                    if i < 20 and 1e-5 <= sigma <= 1e5:
+                        assert lse_spy() == before    # the cached path ran
+                    assert_agrees(got,
+                                  oracles.mix_pi_target_log_space(ll, log_p))
+
+    def test_mixture_mu(self, mix, lse_spy):
+        x, states = mix
+        rng = make_rng(2024, 9)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            pis = [rng.dirichlet(np.ones(3)) for _ in range(3)]
+            pis.append(simplex_at(np.array([40.0, -3.0]))[1])   # p[2] = 0
+            for (mu, sigma), pi in zip(states, pis * 2):
+                log_pi = np.log(pi)
+                m_mat = self.loglik_rows(x, mu, sigma) + log_pi[:, None]
+                for kk in range(3):
+                    lik = gb._row_lse_sum(m_mat, kk)
+                    trials = [*rng.normal(0.0, 10.0, size=10),
+                              -1e300, -1e160, -1e10, 1e10, 1e160, 1e300]
+                    for m in trials:
+                        z = (x - m) / sigma
+                        m_mat[kk] = (log_pi[kk] - np.log(sigma)
+                                     - 0.5 * oracles.LOG_2PI - 0.5 * z * z)
+                        assert_agrees(lik(),
+                                      oracles.mix_mu_lik_log_space(m_mat))
+
+    def test_mixture_mu_uses_the_cache(self, mix, lse_spy):
+        x, states = mix
+        mu, sigma = states[0]
+        m_mat = self.loglik_rows(x, mu, sigma) + np.log(1.0 / 3.0)
+        lik = gb._row_lse_sum(m_mat, 1)
+        before = lse_spy()
+        lik()
+        assert lse_spy() == before + 1      # one logaddexp, no lse_rows
+
+    def test_mixture_sigma(self, mix, lse_spy):
+        x, states = mix
+        rng = make_rng(2024, 10)
+        with np.errstate(divide="ignore", over="ignore"):
+            pis = [rng.dirichlet(np.ones(3)) for _ in range(4)]
+            pis += [simplex_at(np.array([40.0, -3.0]))[1],    # p[2] = 0
+                    simplex_at(np.array([-720.0, 1.0]))[1]]   # p[0] subnormal
+        extreme = [-800.0, -400.0, -356.0, -355.5, -355.0, -354.5, -300.0,
+                   -100.0, -20.0, 20.0, 100.0, 300.0, 355.0, 400.0, 800.0]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for (mu, _), pi in zip(states, pis + pis[:2]):
+                target = gb._log_sigma_target(x, mu, pi)
+                for i, ls in enumerate([*rng.normal(size=10), *extreme]):
+                    before = lse_spy()
+                    got = target(ls)
+                    if i < 10 and pi.min() > 1e-3:
+                        assert lse_spy() == before
+                    assert_agrees(got, oracles.mix_log_sigma_target_log_space(
+                        x, mu, pi, ls))
+
+    def test_mixture_sigma_overflow_edge(self):
+        # one far point, whose (x - mu)^2 / 2s^2 overflows in both forms
+        # near log s = -348.3: the totals near -1e308 must agree, and the
+        # infinities past them
+        x, mu, pi = np.array([0.0, 1e3]), np.array([0.0, 1.0, 2.0]), \
+            np.array([0.2, 0.3, 0.5])
+        target = gb._log_sigma_target(x, mu, pi)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for ls in np.linspace(-350.0, -346.0, 401):
+                assert_agrees(target(ls),
+                              oracles.mix_log_sigma_target_log_space(
+                                  x, mu, pi, ls))
+
+    @pytest.mark.parametrize("u", [[20.0, -700.0], [30.0, -700.0],
+                                   [35.0, -708.0]])
+    def test_subnormal_weight(self, u):
+        # p[1] is subnormal and leads every column, and p[0] = 1 times
+        # its subnormal weight exp(row 0 - row 1) is of the same size: a
+        # direct sum of the two would lose digits
+        n = 80
+        lead = np.linspace(-760.0, -700.0, n)
+        log_rows = np.stack([lead, np.zeros(n), np.full(n, -1e4)])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_p, p = simplex_at(np.array(u))
+            assert 0.0 < p[1] < 2.3e-308
+            assert_agrees(gb._mixing_target(log_rows)(log_p, p),
+                          oracles.mix_pi_target_log_space(log_rows, log_p))
+            y, beta_m1 = np.ones(n, dtype=int), np.array([2.0, 1.0, 1.0])
+            assert_agrees(
+                gb._theta_row_target(lead, np.zeros(n), y, beta_m1)(log_p, p),
+                oracles.ds_theta_row_target_log_space(
+                    lead, np.zeros(n), y, beta_m1, log_p))
+            # x near mu[1]; exp(-(h_0 - h_1) / s^2) is subnormal near
+            # log s = -3.35
+            x, mu = np.linspace(0.0, 0.4, n), np.array([-1.0, 0.0, 50.0])
+            target = gb._log_sigma_target(x, mu, p)
+            for ls in np.linspace(-3.6, -3.0, 13):
+                assert_agrees(target(ls),
+                              oracles.mix_log_sigma_target_log_space(
+                                  x, mu, p, ls))
+
+    def test_ds_pi(self, ds_case, lse_spy):
+        data, model = ds_case
+        rng = make_rng(2024, 11)
+        k = model.k
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for t in range(6):
+                theta = rng.dirichlet(model.beta.ravel()[:k] * 0 + 1.0,
+                                      size=(model.j, k))
+                if t == 5:      # a confusion entry of exactly 0
+                    theta[0, 0] = simplex_at(np.full(k - 1, 40.0))[1]
+                c = ds._item_category_loglik(data, np.log(theta))
+                target = gb._mixing_target(c, model.alpha_m1)
+                for i, u in enumerate(stick_points(rng, k - 1)):
+                    log_p, p = simplex_at(u)
+                    before = lse_spy()
+                    got = target(log_p, p)
+                    if i < 20 and t < 5:
+                        assert lse_spy() == before
+                    assert_agrees(got, oracles.ds_pi_target_log_space(
+                        c, model.alpha_m1, log_p))
+
+    def test_ds_theta_row(self, ds_case, lse_spy):
+        data, model = ds_case
+        rng = make_rng(2024, 12)
+        k = model.k
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for t in range(6):
+                pi = rng.dirichlet(np.full(k, 3.0))
+                theta = rng.dirichlet(np.ones(k), size=(model.j, k))
+                if t == 5:      # a category of prevalence exactly 0
+                    pi = simplex_at(np.full(k - 1, 40.0))[1]
+                c = ds._item_category_loglik(data, np.log(theta))
+                base = np.log(pi)[:, None] + c
+                jj, kk = rng.integers(model.j), rng.integers(k)
+                y = data.ratings[:, jj]
+                col_wo_row = c[kk] - np.log(theta[jj, kk])[y]
+                others = gb._lse_other_rows(base, kk)
+                col_rest = np.log(pi[kk]) + col_wo_row
+                target = gb._theta_row_target(others, col_rest, y,
+                                              model.beta_m1[kk])
+                for i, u in enumerate(stick_points(rng, k - 1)):
+                    log_p, p = simplex_at(u)
+                    before = lse_spy()
+                    got = target(log_p, p)
+                    if i < 20:
+                        assert lse_spy() == before
+                    assert_agrees(got, oracles.ds_theta_row_target_log_space(
+                        others, col_rest, y, model.beta_m1[kk], log_p))
+
+    def test_other_rows_lse(self):
+        rng = make_rng(2024, 13)
+        m = rng.normal(size=(4, 50))
+        m[2, :5] = -np.inf
+        m[:, 7] = -np.inf
+        kept = m.copy()
+        for kk in range(4):
+            rest = np.delete(m, kk, axis=0)
+            with np.errstate(divide="ignore"):
+                got = gb._lse_other_rows(m, kk)
+                want = gb.lse_rows(np.concatenate(
+                    [rest, np.full((1, 50), -np.inf)]))
+            assert np.array_equal(got, want)
+            assert np.array_equal(m, kept)
 
 
 class TestConjugateUpdates:

@@ -9,7 +9,8 @@ from scipy import special
 from scipy.special import logsumexp
 
 from margmcmc import mixture as mx
-from margmcmc.stats import (check_simplex, log_ndtr, lse_rows, make_rng,
+from margmcmc.stats import (LOG_2PI, check_simplex, inv_mills_ratio,
+                            log_ndtr, lse_rows, make_rng,
                             sample_categorical_rows, sample_dirichlet)
 from oracles import (label_probs, log_dirichlet_pdf, log_lognormal_pdf,
                      log_normal_pdf, log_truncated_normal_pdf,
@@ -132,6 +133,34 @@ class TestLogNdtr:
         assert np.isnan(log_ndtr(np.nan))
         assert log_ndtr(-1e150) == pytest.approx(special.log_ndtr(-1e150),
                                                   rel=2e-15)
+
+
+class TestInvMillsRatio:
+    """phi(a) / Phi(-a), the mixture gradient's truncation term."""
+
+    def test_bit_identical_below_the_series(self):
+        a = np.concatenate([np.linspace(-50.0, 37.5, 20_000, endpoint=False),
+                            [np.nextafter(37.5, -np.inf)]])
+        for v in a.tolist():
+            want = np.exp(-0.5 * LOG_2PI - 0.5 * v * v - log_ndtr(-v))
+            assert inv_mills_ratio(v, log_ndtr(-v)) == want
+
+    def test_matches_scipy_on_the_series(self):
+        # scipy: phi(a) / Phi(-a) = sqrt(2 / pi) / erfcx(a / sqrt 2), its
+        # exp(-a^2 / 2) cancelled; erfcx holds about 1e-14 up to 1e20
+        a = np.concatenate([[37.5, np.nextafter(37.5, np.inf)],
+                            np.linspace(37.5, 40.0, 2501),
+                            np.geomspace(40.0, 1e20, 20_001)])
+        got = np.array([inv_mills_ratio(v, log_ndtr(-v)) for v in a.tolist()])
+        want = np.sqrt(2.0 / np.pi) / special.erfcx(a / np.sqrt(2.0))
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-14
+
+    def test_far_tail_is_a(self):
+        # from 1e9 on, 1 / a^2 is below half an ulp of 1, and
+        # phi(a) / Phi(-a) = a (1 + 1 / a^2 + ...) is a to double precision
+        for v in np.geomspace(1e9, 1e300, 301).tolist():
+            assert inv_mills_ratio(v, log_ndtr(-v)) == v
+        assert np.isnan(inv_mills_ratio(np.nan, log_ndtr(np.nan)))
 
 
 class TestLogSumExp:
