@@ -176,13 +176,11 @@ def _lse_other_rows(m, kk):
 
 def _mixing_target(log_rows, prior_m1=None):
     """The simplex target sum_i log sum_k p_k exp(log_rows[k, i]) of
-    (log p, p), plus the Dirichlet(prior_m1 + 1) kernel if given, with
-    what p leaves fixed cached: per column the shift max_k log_rows[k, i],
-    its sum, and e = exp(log_rows - shift).  An evaluation is then
-    sum(shift) + sum_i log (p @ e)_i.  Each (p @ e)_i is at least the
-    smallest p_k, so while that is above _P_FLOOR no sum nears the
-    subnormals; below it, or if the total is not finite, the log-space
-    lse_rows(log p + log_rows) is evaluated instead."""
+    (log p, p), plus the Dirichlet(prior_m1 + 1) kernel if given, as
+    sum(shift) + sum_i log (p @ e)_i with shift = max_k log_rows[k, i]
+    and e = exp(log_rows - shift) cached.  Each (p @ e)_i is at least
+    min(p), so while that is above _P_FLOOR no sum nears the subnormals;
+    below it, or at a non-finite total, lse_rows(log p + log_rows) runs."""
     shift = np.maximum.reduce(log_rows, axis=0)
     e = np.exp(log_rows - shift)
     shift_sum = float(np.add.reduce(shift))
@@ -351,9 +349,9 @@ class _MixtureGibbs:
 
 def _row_lse_sum(m, kk):
     """sum(lse_rows(m)) as a function of row kk of `m`, which the caller
-    rewrites in place between calls: the other rows' log-sum-exp is
-    cached, so a call is sum(logaddexp(others, m[kk])).  A non-finite
-    total is recomputed as sum(lse_rows(m))."""
+    rewrites in place between calls: sum(logaddexp(others, m[kk])) with
+    the other rows' log-sum-exp cached, or at a non-finite total
+    sum(lse_rows(m))."""
     others, row, col = _lse_other_rows(m, kk), m[kk], np.empty(m.shape[1])
 
     def lik():
@@ -367,11 +365,11 @@ def _row_lse_sum(m, kk):
 def _log_sigma_target(x, mu, pi):
     """The marginal mixture's log density of log sigma (Lognormal(0, 1)
     prior, exp Jacobian) at fixed mu and pi.  With h = (x - mu_k)^2 / 2
-    and h_min its column minimum, both cached, the likelihood is
+    and its column minimum h_min cached, the likelihood is
     sum_i log (pi @ exp(-(h - h_min) / s^2))_i - sum(h_min) / s^2
-    - n (log s + log(2 pi) / 2); each sum over pi is at least min(pi).
-    If min(pi) is not above _P_FLOOR, or the total is not finite, it is
-    recomputed in log space."""
+    - n (log s + log(2 pi) / 2), each sum over pi at least min(pi); if
+    that is not above _P_FLOOR, or the total is not finite, it is the
+    log-space lse_rows form."""
     n = len(x)
     half_sq = x - mu[:, None]
     half_sq *= 0.5 * half_sq
@@ -467,14 +465,14 @@ class _DawidSkeneGibbs:
 
 def _theta_row_target(others, col_rest, y, beta_m1):
     """The marginal log density of one confusion row as a function of
-    (log p, p): per item, logaddexp(others, col_rest + log p[y]) summed,
-    plus the Dirichlet(beta) kernel.  `others` is the item's log-sum-exp
-    over the other true categories and `col_rest` its log joint with this
-    row's entry left out.  With shift = max(others, col_rest), its sum,
-    a = exp(others - shift) and b = exp(col_rest - shift) cached, a call
-    is sum(shift) + sum log(a + b p[y]); one of a and b is 1, so each sum
-    is at least min(p).  If that is not above _P_FLOOR, or the total is
-    not finite, the logaddexp form is evaluated instead."""
+    (log p, p): sum logaddexp(others, col_rest + log p[y]) plus the
+    Dirichlet(beta_m1 + 1) kernel, `others` being each item's
+    log-sum-exp over the other true categories and `col_rest` its log
+    joint without this row's entry.  With shift = max(others, col_rest),
+    a = exp(others - shift) and b = exp(col_rest - shift) cached, it is
+    sum(shift) + sum log(a + b p[y]); one of a, b is 1, so each sum is at
+    least min(p).  If that is not above _P_FLOOR, or the total is not
+    finite, the logaddexp form runs."""
     shift = np.maximum(others, col_rest)
     a = np.exp(others - shift)
     b = np.exp(col_rest - shift)

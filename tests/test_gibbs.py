@@ -156,7 +156,8 @@ class TestSimplexSticks:
 def stick_points(rng, km1):
     """Stick vectors of a (km1 + 1)-simplex: ordinary ones, ones up to
     +-50 whose sticks saturate (a remainder rounds to 0, so p has exact
-    zeros), and ones near +-745 whose z and p are subnormal or 0."""
+    zeros), and ones with a stick at +-700 or beyond, where a p entry
+    falls to about 1e-304 or to 0."""
     yield from rng.uniform(-3.0, 3.0, size=(20, km1))
     yield from rng.uniform(-50.0, 50.0, size=(10, km1))
     extreme = [-1000.0, -745.0, -720.0, -700.0, 700.0, 720.0, 745.0]
@@ -181,8 +182,8 @@ def assert_agrees(got, want):
 
 @pytest.fixture
 def lse_spy():
-    """Counts the sweeps' log-space fallback calls (lse_rows and
-    np.logaddexp) while the cached paths run."""
+    """Counts calls of the log-space forms (gibbs.lse_rows and
+    np.logaddexp), so a test can tell that a cached path ran."""
     with mock.patch.object(gb, "lse_rows", wraps=gb.lse_rows) as lse, \
             mock.patch.object(np, "logaddexp", wraps=np.logaddexp) as lae:
         yield lambda: lse.call_count + lae.call_count
@@ -190,7 +191,7 @@ def lse_spy():
 
 class TestCachedTargets:
     """Each marginal slice target caches what its coordinate leaves fixed;
-    it must read as the log-space target in tests/oracles.py did, at
+    it must read as the log-space targets in tests/oracles.py, at
     ordinary points, at saturated sticks and at extreme sigma."""
 
     @pytest.fixture(scope="class")
@@ -230,7 +231,7 @@ class TestCachedTargets:
                     assert_agrees(got,
                                   oracles.mix_pi_target_log_space(ll, log_p))
 
-    def test_mixture_mu(self, mix, lse_spy):
+    def test_mixture_mu(self, mix):
         x, states = mix
         rng = make_rng(2024, 9)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -326,8 +327,7 @@ class TestCachedTargets:
         k = model.k
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for t in range(6):
-                theta = rng.dirichlet(model.beta.ravel()[:k] * 0 + 1.0,
-                                      size=(model.j, k))
+                theta = rng.dirichlet(np.ones(k), size=(model.j, k))
                 if t == 5:      # a confusion entry of exactly 0
                     theta[0, 0] = simplex_at(np.full(k - 1, 40.0))[1]
                 c = ds._item_category_loglik(data, np.log(theta))
