@@ -236,7 +236,7 @@ class TestCachedTargets:
         rng = make_rng(2024, 9)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             pis = [rng.dirichlet(np.ones(3)) for _ in range(3)]
-            pis.append(simplex_at(np.array([40.0, -3.0]))[1])   # p[2] = 0
+            pis.append(simplex_at(np.array([40.0, -3.0]))[1])   # (1, 0, 0)
             for (mu, sigma), pi in zip(states, pis * 2):
                 log_pi = np.log(pi)
                 m_mat = self.loglik_rows(x, mu, sigma) + log_pi[:, None]
@@ -265,8 +265,8 @@ class TestCachedTargets:
         rng = make_rng(2024, 10)
         with np.errstate(divide="ignore", over="ignore"):
             pis = [rng.dirichlet(np.ones(3)) for _ in range(4)]
-            pis += [simplex_at(np.array([40.0, -3.0]))[1],    # p[2] = 0
-                    simplex_at(np.array([-720.0, 1.0]))[1]]   # p[0] subnormal
+            pis += [simplex_at(np.array([40.0, -3.0]))[1],    # (1, 0, 0)
+                    simplex_at(np.array([-720.0, 1.0]))[1]]   # p[0] = 0
         extreme = [-800.0, -400.0, -356.0, -355.5, -355.0, -354.5, -300.0,
                    -100.0, -20.0, 20.0, 100.0, 300.0, 355.0, 400.0, 800.0]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
