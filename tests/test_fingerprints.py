@@ -4,10 +4,12 @@ must leave these digests unchanged; a deliberate change to a sampler
 updates the digest here in the same commit, with the reason."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from margmcmc import gibbs
 from margmcmc import harness as hz
 from margmcmc.simulate import gen_dataset, get_scenario
 from margmcmc.stats import make_rng
@@ -74,6 +76,13 @@ PINS = [
      "caa05d1a8a19f3c8f3311248f0de8dcd390929620d64445a05b42f8875daa8ac"),
     ("ds", "gibbs-marginal", 60, 30,
      "2a6d72d7b0188cfe6aec40a239d9ab9e5a43d905bd7fc52fcfc0b0382b5a8e16"),
+    # every simplex slice target reads cached terms, the restricted arm's
+    # pi too, so its densities move in the last bits: a longer restricted
+    # chain and a longer rating-model chain check that no draw moves
+    ("three-comp-4", "gibbs-full-restricted", 300, 150,
+     "9a95127bfebf84f694a343aea4e60b25572c9245ec076b1795179a25c99721cb"),
+    ("ds", "gibbs-marginal", 120, 60,
+     "87729b133256a827c67abc8b66942c8db56bf11dd20ced52b5291e770037d38a"),
 ]
 
 
@@ -104,6 +113,35 @@ def pin_ids(pins):
                          ids=pin_ids(PINS))
 def test_draws_bit_identical(scenario_id, method, iterations, warmup, digest):
     assert chain_digest(scenario_id, method, iterations, warmup) == digest
+
+
+# Slice density evaluations of two marginal Gibbs pins above, counted as
+# perfbench's meter counts them, by wrapping gibbs.slice_sample_1d.  A
+# change to a slice target or to the slice kernel must leave evaluations
+# per iteration, a factor of the compared metric, exactly as they are.
+EVAL_COUNTS = [
+    ("ds", "gibbs-marginal", 60, 30, 68323),
+    ("three-comp-4", "gibbs-marginal", 300, 150, 14174),
+]
+
+
+@pytest.mark.parametrize("scenario_id,method,iterations,warmup,evals",
+                         EVAL_COUNTS, ids=pin_ids(EVAL_COUNTS))
+def test_slice_evaluations_counted(scenario_id, method, iterations, warmup,
+                                   evals):
+    calls = 0
+    slice_move = gibbs.slice_sample_1d
+
+    def counting_move(logdensity, *args, **kwargs):
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return logdensity(x)
+        return slice_move(counted, *args, **kwargs)
+
+    with mock.patch.object(gibbs, "slice_sample_1d", counting_move):
+        chain_digest(scenario_id, method, iterations, warmup)
+    assert calls == evals
 
 
 # sha256 of (value, gradient) of each model's fused log posterior at
