@@ -15,10 +15,13 @@ The restricted and marginal arms use the identical sampler set on the
 continuous coordinates by construction, so differences between them
 isolate the effect of marginalisation itself.
 
-A simplex is sliced one stick coordinate at a time, and each density
-evaluation recomputes only what that stick changes, bit for bit as
-transforms.constrain_simplex would, and hands the simplex target log p
-from one np.log over one buffer [rem | p] (`_slice_simplex_coords`).
+A simplex is sliced one stick coordinate at a time through one target,
+sum_i log sum_k p_k exp(rows[k, i]) plus a Dirichlet kernel, in
+`_slice_simplex_coords`: both models' pi (the restricted arm's with
+the kernel alone) and each confusion row.  While one stick moves the
+others fix every p_k up to a factor z or 1 - z, so an evaluation reads
+a (3, n) matrix built once per move.  The accepted point is placed bit
+for bit as transforms.constrain_simplex would place it.
 
 Update order is fixed: labels z, then pi, then theta or (mu, sigma).
 A mixture mean's slice target carries the truncation renormaliser of the
@@ -31,19 +34,17 @@ The label conditionals and the marginal slice targets' cached matrices
 are component-major, (K, n) or (K, I), as in the model modules; a slice
 move on one component rewrites one contiguous row.
 
-Each marginal slice target caches, once per block, what its coordinate
-leaves fixed, as the full arms' targets read counts made once per sweep:
-pi the column shifts and e = exp(rows - shift), for sum(shift) +
-sum log(p @ e) (`_mixing_target`); a mixture mean the other rows'
-log-sum-exp (`_row_lse_sum`); sigma (x - mu_k)^2 / 2 (`_log_sigma_target`);
-a confusion row a and b, for sum(shift) + sum log(a + b p[y])
-(`_theta_row_target`).  A total that is not finite, or a simplex entry
-at or below _P_FLOOR, is evaluated in log space over all rows, the
-uncached form, so saturated sticks and extreme sigma read exactly as in
-it.  Elsewhere a density differs from it in the last bits only, and the
-slice sampler reads densities only through comparisons with the slice
-level, so a draw moves only where a comparison falls within those bits;
-none in the pinned chains does.
+Each marginal slice target caches what its coordinate leaves fixed, as
+the full arms' targets read counts made once per sweep: a stick what the
+other sticks fix (above); a mixture mean the other rows' log-sum-exp
+(`_row_lse_sum`); sigma (x - mu_k)^2 / 2 (`_log_sigma_target`).  A
+total that is not finite, or a simplex entry at or below _P_FLOOR, is
+evaluated in log space over all rows, the uncached form, so saturated
+sticks and extreme sigma read exactly as in it.  Elsewhere a density
+differs from it in the last bits only, and the slice sampler reads
+densities only through comparisons with the slice level, so a draw moves
+only where a comparison falls within those bits; none in the pinned
+chains does.
 
 The handle supplies the labels' full conditional as (K, n) log weights
 up to a constant per column (`z_log_weights`), drawn from unnormalised;
@@ -78,7 +79,8 @@ def slice_sample_1d(logdensity, current, rng, lower=-np.inf, upper=np.inf):
     `lower`/`upper` restrict the support; the density is treated as zero
     outside, which keeps the doubling bookkeeping exact.  The point, the
     bounds and the slice level are Python floats, so the interval
-    arithmetic skips numpy's scalar overhead; the result is a float.
+    arithmetic skips numpy's scalar overhead; the result is a float.  With
+    both bounds infinite the density is called directly.
     """
     def lf(x):
         if x <= lower or x >= upper:
@@ -87,6 +89,8 @@ def slice_sample_1d(logdensity, current, rng, lower=-np.inf, upper=np.inf):
 
     random = rng.random
     current, lower, upper = float(current), float(lower), float(upper)
+    if lower == -math.inf and upper == math.inf:
+        lf = logdensity
     logf0 = lf(current)
     if not math.isfinite(logf0):
         raise SliceError(f"log density not finite at current point {current}")
@@ -174,42 +178,28 @@ def _lse_other_rows(m, kk):
     return out
 
 
-def _mixing_target(log_rows, prior_m1=None):
-    """The simplex target sum_i log sum_k p_k exp(log_rows[k, i]) of
-    (log p, p), plus the Dirichlet(prior_m1 + 1) kernel if given, as
-    sum(shift) + sum_i log (p @ e)_i with shift = max_k log_rows[k, i]
-    and e = exp(log_rows - shift) cached.  Each (p @ e)_i is at least
-    min(p), so while that is above _P_FLOOR no sum nears the subnormals;
-    below it, or at a non-finite total, lse_rows(log p + log_rows) runs."""
-    shift = np.maximum.reduce(log_rows, axis=0)
-    e = np.exp(log_rows - shift)
-    shift_sum = float(np.add.reduce(shift))
-
-    def lik(log_p, p):
-        if min(p.tolist()) > _P_FLOOR:
-            total = shift_sum + float(np.add.reduce(np.log(p @ e)))
-            if math.isfinite(total):
-                return total
-        return float(np.add.reduce(lse_rows(log_p[:, None] + log_rows)))
-
-    if prior_m1 is None:
-        return lik
-    return lambda log_p, p: lik(log_p, p) + float(np.dot(prior_m1, log_p))
-
-
-def _slice_simplex_coords(u_row, target, rng):
+def _slice_simplex_coords(u_row, rng, log_rows=None, prior_m1=None):
     """Slice each stick coordinate of one simplex in turn; returns the
-    updated sticks and their simplex.  The target takes (log p, p), views
-    valid only during the call.
+    updated sticks and their simplex.  The sticks' density is the simplex
+    target sum_i log sum_k p_k exp(log_rows[k, i]) + prior_m1 . log p
+    (each term left out when its argument is None) plus logJ.
 
-    Moving stick c changes only z_c, so an evaluation recomputes z_c, then
-    rem (the cumprod of 1 and each 1 - z), p and logJ; rem and p share one
-    buffer [rem (K) | p (K)], so one np.log gives both logs.  This is
-    constrain_simplex's loop step for step: numpy ufuncs for exp and the
-    logs (math's differ in the last bit; numpy's elementwise log over a
-    contiguous buffer is each entry's log), rem a left-to-right product
-    and logJ a left-to-right sum on Python floats.  So log p and logJ are
-    bit-identical to tr.constrain_simplex's for every K.
+    While stick c moves, with z = expit(u_c - off_c), w = 1 - z and the
+    other sticks fixed, p_k is fixed for k < c, p_c = rem_c z, and
+    p_k = rem_c w t_k for k > c.  So with shift the column maximum of
+    log_rows and e = exp(log_rows - shift), the likelihood is sum(shift)
+    + sum_i log(z U_i + w V_i + H_i), U = rem_c e_c, V = rem_c sum_k>c
+    t_k e_k and H = sum_k<c p_k e_k built once per move, and logJ and the
+    prior are a constant plus multiples of log z and log w.  An evaluation
+    is one math.exp, two math logs and three numpy calls.  Each sum is at
+    least min(p), so this runs only while every p_k is above _P_FLOOR.
+    Below it, or when the total is not finite, the evaluation is exact:
+    `place` sets z, rem and p as transforms.constrain_simplex would, bit
+    for bit (numpy's exp and logs, rem a left-to-right product), and the
+    likelihood is lse_rows(log p + log_rows), logJ a left-to-right sum.
+    The accepted point is placed the same way, so the sticks and p are
+    bit-identical to constrain_simplex's; an evaluation is within the last
+    bits of the exact one.
     """
     u_row = np.array(u_row, dtype=float)
     km1 = len(u_row)
@@ -218,6 +208,13 @@ def _slice_simplex_coords(u_row, target, rng):
     fac = np.append(1.0, 1.0 - zs[:km1])
     (rem, p), (log_rem, log_p) = buf, lbuf = np.ones((2, 2, km1 + 1))
     zterm = (np.log(zs[:km1]) + np.log1p(-zs[:km1])).tolist()
+    pm = [0.0] * (km1 + 1) if prior_m1 is None else \
+        np.asarray(prior_m1, dtype=float).tolist()
+    if log_rows is not None:
+        shift = np.maximum.reduce(log_rows, axis=0)
+        e = np.exp(log_rows - shift)
+        shift_sum = float(np.add.reduce(shift))
+        m, coef, col = np.empty((3, len(shift))), np.ones(3), shift.copy()
 
     def place(c, v):
         zs[c] = z = 1.0 / (1.0 + np.exp(-(v - off[c])))    # tr.expit
@@ -226,14 +223,55 @@ def _slice_simplex_coords(u_row, target, rng):
         np.multiply(rem, zs, out=p)
         zterm[c] = float(np.log(z) + np.log1p(-z))
 
+    def exact(c, v):
+        place(c, v)
+        np.log(buf, out=lbuf)
+        lj = total = 0.0
+        for t, lr in zip(zterm, log_rem.tolist()):   # the K - 1 sticks
+            lj += t + lr
+        if log_rows is not None:
+            total = float(np.add.reduce(lse_rows(log_p[:, None] + log_rows)))
+        if prior_m1 is not None:
+            total += float(np.dot(prior_m1, log_p))
+        return total + lj
+
     for c in range(km1):
+        # p_k for k < c, p_c / z, p_k / w for k > c; rem_j for j <= c,
+        # rem_j / w for c < j < K - 1: all fixed while stick c moves
+        pl, rl = p.tolist(), rem.tolist()
+        rc, offc, q = rl[c], off[c], 1.0
+        p_over, rem_over = pl[:c] + [rc], rl[:c + 1]
+        for zk in zs[c + 1:].tolist():
+            rem_over.append(rc * q)
+            p_over.append(rc * q * zk)
+            q *= 1.0 - zk
+        low = min(p_over[c + 1:])
+        cached = min(p_over) > _P_FLOOR
+        if cached:
+            log = math.log
+            const = (sum(zterm[:c]) + sum(zterm[c + 1:])
+                     + sum(map(log, rem_over[:km1]))
+                     + sum(a * log(v) for a, v in zip(pm, p_over)))
+            a_z, a_w = 1.0 + pm[c], km1 - c + sum(pm[c + 1:])
+            if log_rows is not None:
+                const += shift_sum
+                np.multiply(e[c], rc, out=m[0])
+                np.dot(p_over[c + 1:], e[c + 1:], out=m[1])
+                np.dot(p_over[:c], e[:c], out=m[2])
+
         def logf(v, c=c):
-            place(c, v)
-            np.log(buf, out=lbuf)
-            lj = 0.0
-            for t, lr in zip(zterm, log_rem.tolist()):   # the K - 1 sticks
-                lj += t + lr
-            return target(log_p, p) + lj
+            x = v - offc    # below -700, z is below _P_FLOOR: no overflow
+            z = 1.0 / (1.0 + math.exp(-x)) if x > -700.0 else 0.0
+            w = 1.0 - z
+            if cached and z * rc > _P_FLOOR and w * low > _P_FLOOR:
+                total = const + a_z * math.log(z) + a_w * math.log1p(-z)
+                if log_rows is not None:
+                    coef[0], coef[1] = z, w
+                    np.dot(coef, m, out=col)
+                    total += float(np.add.reduce(np.log(col, out=col)))
+                if math.isfinite(total):
+                    return total
+            return exact(c, v)
         u_row[c] = slice_sample_1d(logf, u_row[c], rng)
         place(c, u_row[c])
     return u_row, p.copy()
@@ -278,10 +316,9 @@ class _MixtureGibbs:
         # (2) pi
         if self.conjugate:
             pi = update_pi_conjugate(counts, 1.0, rng)   # Dirichlet(1) prior
-        else:
-            def pi_target(log_p, p):
-                return float(np.dot(counts, log_p))  # Dirichlet(1) prior flat
-            self.u_pi, pi = _slice_simplex_coords(self.u_pi, pi_target, rng)
+        else:   # the Dirichlet(1) prior is flat
+            self.u_pi, pi = _slice_simplex_coords(self.u_pi, rng,
+                                                  prior_m1=counts)
         # (3) mu then sigma, by slice
         mu = mu.copy()
         two_var = 2.0 * sigma**2   # np.float64: 0 or inf divides, not raises
@@ -319,8 +356,7 @@ class _MixtureGibbs:
         ll = -np.log(sigma) - 0.5 * LOG_2PI - 0.5 * z * z  # log f(x_i | mu_k)
 
         # pi via stick coordinates against the marginal joint
-        self.u_pi, pi = _slice_simplex_coords(self.u_pi, _mixing_target(ll),
-                                              rng)
+        self.u_pi, pi = _slice_simplex_coords(self.u_pi, rng, ll)
 
         log_pi = np.log(pi)
         m_mat = ll + log_pi[:, None]
@@ -439,57 +475,31 @@ class _DawidSkeneGibbs:
         data, j, k = self.data, self.j, self.k
 
         # pi stick coordinates (Dirichlet kernel; the normaliser is constant)
-        self.u_pi, pi = _slice_simplex_coords(
-            self.u_pi, _mixing_target(self.c, self.model.alpha_m1), rng)
+        self.u_pi, pi = _slice_simplex_coords(self.u_pi, rng, self.c,
+                                              self.model.alpha_m1)
         log_pi = np.log(pi)
 
-        # theta rows, one stick coordinate at a time; per-item log-sum-exp
-        # over the K-1 untouched categories is cached per row
+        # theta rows, one stick coordinate at a time.  Per item, with
+        # `others` the log-sum-exp over the K-1 untouched categories and
+        # `rest` the log joint without this row's entry, the likelihood is
+        # logaddexp(others, rest + log p[y]): as sum(p) = 1, the simplex
+        # target of rows `others` with entry y set to logaddexp(others, rest)
         theta = self.params.theta.copy()
         base = log_pi[:, None] + self.c       # (K, I)
         for jj in range(j):
             y_j = data.ratings[:, jj]
+            onehot = data.rating_onehot[jj * k:(jj + 1) * k]   # (K, I)
             for kk in range(k):
                 col_wo_row = self.c[kk] - np.log(theta[jj, kk])[y_j]
                 others = _lse_other_rows(base, kk)   # (I,), over k' != kk
-                row_target = _theta_row_target(
-                    others, log_pi[kk] + col_wo_row, y_j,
-                    self.model.beta_m1[kk])
+                rows = np.where(onehot, np.logaddexp(
+                    others, log_pi[kk] + col_wo_row), others)
                 self.u_theta[jj, kk], theta[jj, kk] = _slice_simplex_coords(
-                    self.u_theta[jj, kk], row_target, rng)
+                    self.u_theta[jj, kk], rng, rows, self.model.beta_m1[kk])
                 self.c[kk] = col_wo_row + np.log(theta[jj, kk])[y_j]
                 base[kk] = log_pi[kk] + self.c[kk]
         self.params = dsm.DSParams(pi=pi, theta=theta)
         self._rebuild_cache()
-
-
-def _theta_row_target(others, col_rest, y, beta_m1):
-    """The marginal log density of one confusion row as a function of
-    (log p, p): sum logaddexp(others, col_rest + log p[y]) plus the
-    Dirichlet(beta_m1 + 1) kernel, `others` being each item's
-    log-sum-exp over the other true categories and `col_rest` its log
-    joint without this row's entry.  With shift = max(others, col_rest),
-    a = exp(others - shift) and b = exp(col_rest - shift) cached, it is
-    sum(shift) + sum log(a + b p[y]); one of a, b is 1, so each sum is at
-    least min(p).  If that is not above _P_FLOOR, or the total is not
-    finite, the logaddexp form runs."""
-    shift = np.maximum(others, col_rest)
-    a = np.exp(others - shift)
-    b = np.exp(col_rest - shift)
-    shift_sum = float(np.add.reduce(shift))
-
-    def target(log_p, p):
-        prior = float(np.dot(beta_m1, log_p))
-        if min(p.tolist()) > _P_FLOOR:
-            q = p[y]
-            q *= b
-            q += a
-            total = shift_sum + float(np.add.reduce(np.log(q, out=q)))
-            if math.isfinite(total):
-                return total + prior
-        col = np.logaddexp(others, col_rest + log_p[y])
-        return float(np.add.reduce(col)) + prior
-    return target
 
 
 # The Gibbs chain state class of each model handle, for `harness.run_chain`.

@@ -114,43 +114,60 @@ class TestSimplexSticks:
     @given(stick_moves())
     def test_incremental_sticks_match_constrain_simplex(self, case):
         # at +-50 the sticks saturate: z rounds to 1, the remaining stick
-        # to 0, and log p and logJ are -inf.  From K - 1 = 8 sticks on,
-        # numpy's pairwise sum of the logJ terms would differ from
-        # constrain_simplex's left-to-right one.
+        # to 0, and log p and logJ are -inf.  Each evaluation reads as the
+        # log-space target plus constrain_simplex's logJ; one at a p entry
+        # at or below the floor takes the exact path (one lse_rows call),
+        # any other the cached one; the placed sticks and p are exact.
         u, trials = case
+        km1 = len(u)
+        rng = make_rng(2024, km1)
+        log_rows = rng.normal(0.0, 3.0, size=(km1 + 1, 4))
+        prior_m1 = rng.uniform(0.0, 2.0, size=km1 + 1)
         moved = u.copy()
-        seen = []               # (log p, p) as each target call received them
         done = []               # sticks whose move has run
-
-        def target(log_p, p):
-            seen.append((log_p.copy(), p.copy()))
-            return 0.0          # so the slice density is logJ alone
+        exact = []              # evaluations that must take the exact path
 
         def fake_slice(logf, current, *args):
             c = len(done)
             assert current == moved[c]
             for v in trials[c]:
-                n_seen = len(seen)
-                lj = logf(v)
-                assert len(seen) == n_seen + 1
                 u2 = moved.copy()
                 u2[c] = v
                 want_p, want_lj, _ = tr.constrain_simplex(u2)
-                assert np.array_equal(seen[-1][0], np.log(want_p))
-                assert np.array_equal(seen[-1][1], want_p)
-                assert np.array_equal(lj, want_lj)
+                exact.append(want_p.min() <= gb._P_FLOOR)
+                assert_agrees(logf(v), oracles.ds_pi_target_log_space(
+                    log_rows, prior_m1, np.log(want_p)) + want_lj)
+                assert lse.call_count == sum(exact)
             done.append(c)
             moved[c] = trials[c][0]
             return trials[c][0]
 
-        with np.errstate(divide="ignore", over="ignore"), \
-                mock.patch.object(gb, "slice_sample_1d", fake_slice):
-            u_out, p_out = gb._slice_simplex_coords(u, target, None)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"), \
+                mock.patch.object(gb, "slice_sample_1d", fake_slice), \
+                mock.patch.object(gb, "lse_rows", wraps=gb.lse_rows) as lse:
+            u_out, p_out = gb._slice_simplex_coords(u, None, log_rows,
+                                                    prior_m1)
             assert len(done) == len(trials)
-            # placing each accepted point calls the target no more
-            assert len(seen) == sum(map(len, trials))
+            # placing each accepted point evaluates nothing
+            assert lse.call_count == sum(exact)
             assert np.array_equal(u_out, moved)
             assert np.array_equal(p_out, tr.constrain_simplex(moved)[0])
+
+
+def stick_densities(u, log_rows=None, prior_m1=None, spy=lambda: 0):
+    """The densities `_slice_simplex_coords` reads at sticks `u`, one from
+    each stick's move (each move evaluates its current point and stays),
+    as (density, calls of `spy` during the evaluation)."""
+    out = []
+
+    def fake_slice(logf, current, *args):
+        before = spy()
+        out.append((logf(current), spy() - before))
+        return current
+
+    with mock.patch.object(gb, "slice_sample_1d", fake_slice):
+        gb._slice_simplex_coords(u, None, log_rows, prior_m1)
+    return out
 
 
 def stick_points(rng, km1):
@@ -170,6 +187,21 @@ def stick_points(rng, km1):
 def simplex_at(u):
     p = tr.constrain_simplex(u)[0]
     return np.log(p), p
+
+
+def sticks_log_space(u, target_log_space):
+    """A log-space simplex target at the simplex of sticks `u`, plus the
+    stick transform's logJ: the density that a stick move reads."""
+    p, log_j, _ = tr.constrain_simplex(u)
+    return target_log_space(np.log(p)) + log_j
+
+
+def confusion_row_rows(others, col_rest, y, k):
+    """The (K, I) log rows whose simplex target is one confusion row's
+    likelihood, built as `_DawidSkeneGibbs` builds them: `others` with each
+    item's entry y set to logaddexp(others, col_rest)."""
+    onehot = np.arange(k)[:, None] == y
+    return np.where(onehot, np.logaddexp(others, col_rest), others)
 
 
 def assert_agrees(got, want):
@@ -221,15 +253,14 @@ class TestCachedTargets:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for mu, sigma in states:
                 ll = self.loglik_rows(x, mu, sigma)
-                target = gb._mixing_target(ll)
                 for i, u in enumerate(stick_points(rng, 2)):
-                    log_p, p = simplex_at(u)
-                    before = lse_spy()
-                    got = target(log_p, p)
-                    if i < 20 and 1e-5 <= sigma <= 1e5:
-                        assert lse_spy() == before    # the cached path ran
-                    assert_agrees(got,
-                                  oracles.mix_pi_target_log_space(ll, log_p))
+                    want = sticks_log_space(
+                        u, lambda log_p: oracles.mix_pi_target_log_space(
+                            ll, log_p))
+                    for got, calls in stick_densities(u, ll, spy=lse_spy):
+                        if i < 20 and 1e-5 <= sigma <= 1e5:
+                            assert calls == 0     # the cached path ran
+                        assert_agrees(got, want)
 
     def test_mixture_mu(self, mix):
         x, states = mix
@@ -305,13 +336,18 @@ class TestCachedTargets:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             log_p, p = simplex_at(np.array(u))
             assert 0.0 < p[1] < 2.3e-308
-            assert_agrees(gb._mixing_target(log_rows)(log_p, p),
-                          oracles.mix_pi_target_log_space(log_rows, log_p))
+            want = sticks_log_space(
+                u, lambda log_p: oracles.mix_pi_target_log_space(log_rows,
+                                                                 log_p))
+            for got, _ in stick_densities(u, log_rows):
+                assert_agrees(got, want)
             y, beta_m1 = np.ones(n, dtype=int), np.array([2.0, 1.0, 1.0])
-            assert_agrees(
-                gb._theta_row_target(lead, np.zeros(n), y, beta_m1)(log_p, p),
-                oracles.ds_theta_row_target_log_space(
+            want = sticks_log_space(
+                u, lambda log_p: oracles.ds_theta_row_target_log_space(
                     lead, np.zeros(n), y, beta_m1, log_p))
+            rows = confusion_row_rows(lead, np.zeros(n), y, 3)
+            for got, _ in stick_densities(u, rows, beta_m1):
+                assert_agrees(got, want)
             # x near mu[1]; exp(-(h_0 - h_1) / s^2) is subnormal near
             # log s = -3.35
             x, mu = np.linspace(0.0, 0.4, n), np.array([-1.0, 0.0, 50.0])
@@ -331,15 +367,15 @@ class TestCachedTargets:
                 if t == 5:      # a confusion entry of exactly 0
                     theta[0, 0] = simplex_at(np.full(k - 1, 40.0))[1]
                 c = ds._item_category_loglik(data, np.log(theta))
-                target = gb._mixing_target(c, model.alpha_m1)
                 for i, u in enumerate(stick_points(rng, k - 1)):
-                    log_p, p = simplex_at(u)
-                    before = lse_spy()
-                    got = target(log_p, p)
-                    if i < 20 and t < 5:
-                        assert lse_spy() == before
-                    assert_agrees(got, oracles.ds_pi_target_log_space(
-                        c, model.alpha_m1, log_p))
+                    want = sticks_log_space(
+                        u, lambda log_p: oracles.ds_pi_target_log_space(
+                            c, model.alpha_m1, log_p))
+                    for got, calls in stick_densities(u, c, model.alpha_m1,
+                                                      lse_spy):
+                        if i < 20 and t < 5:
+                            assert calls == 0
+                        assert_agrees(got, want)
 
     def test_ds_theta_row(self, ds_case, lse_spy):
         data, model = ds_case
@@ -358,16 +394,19 @@ class TestCachedTargets:
                 col_wo_row = c[kk] - np.log(theta[jj, kk])[y]
                 others = gb._lse_other_rows(base, kk)
                 col_rest = np.log(pi[kk]) + col_wo_row
-                target = gb._theta_row_target(others, col_rest, y,
-                                              model.beta_m1[kk])
+                rows = confusion_row_rows(others, col_rest, y, k)
+                assert np.array_equal(   # the one-hot the sweep reads
+                    data.rating_onehot[jj * k:(jj + 1) * k],
+                    np.arange(k)[:, None] == y)
                 for i, u in enumerate(stick_points(rng, k - 1)):
-                    log_p, p = simplex_at(u)
-                    before = lse_spy()
-                    got = target(log_p, p)
-                    if i < 20:
-                        assert lse_spy() == before
-                    assert_agrees(got, oracles.ds_theta_row_target_log_space(
-                        others, col_rest, y, model.beta_m1[kk], log_p))
+                    want = sticks_log_space(
+                        u, lambda log_p: oracles.ds_theta_row_target_log_space(
+                            others, col_rest, y, model.beta_m1[kk], log_p))
+                    for got, calls in stick_densities(
+                            u, rows, model.beta_m1[kk], lse_spy):
+                        if i < 20:
+                            assert calls == 0
+                        assert_agrees(got, want)
 
     def test_other_rows_lse(self):
         rng = make_rng(2024, 13)
