@@ -53,6 +53,7 @@ sweeps.  No sampler branches on a model's name.
 """
 
 import math
+from operator import mul
 
 import numpy as np
 
@@ -251,7 +252,7 @@ def _slice_simplex_coords(u_row, rng, log_rows=None, prior_m1=None):
             log = math.log
             const = (sum(zterm[:c]) + sum(zterm[c + 1:])
                      + sum(map(log, rem_over[:km1]))
-                     + sum(a * log(v) for a, v in zip(pm, p_over)))
+                     + sum(map(mul, pm, map(log, p_over))))
             a_z, a_w = 1.0 + pm[c], km1 - c + sum(pm[c + 1:])
             if log_rows is not None:
                 const += shift_sum
