@@ -20,8 +20,9 @@ sum_i log sum_k p_k exp(rows[k, i]) plus a Dirichlet kernel, in
 `_slice_simplex_coords`: both models' pi (the restricted arm's with
 the kernel alone) and each confusion row.  While one stick moves the
 others fix every p_k up to a factor z or 1 - z, so an evaluation reads
-a (3, n) matrix built once per move.  The accepted point is placed bit
-for bit as transforms.constrain_simplex would place it.
+a (3, n) matrix, every stick's built once per simplex, in three numpy
+calls and no reduction.  The accepted point is placed bit for bit as
+transforms.constrain_simplex would place it.
 
 Update order is fixed: labels z, then pi, then theta or (mu, sigma).
 A mixture mean's slice target carries the truncation renormaliser of the
@@ -53,6 +54,7 @@ sweeps.  No sampler branches on a model's name.
 """
 
 import math
+from itertools import accumulate
 from operator import mul
 
 import numpy as np
@@ -81,17 +83,17 @@ def slice_sample_1d(logdensity, current, rng, lower=-np.inf, upper=np.inf):
     outside, which keeps the doubling bookkeeping exact.  The point, the
     bounds and the slice level are Python floats, so the interval
     arithmetic skips numpy's scalar overhead; the result is a float.  With
-    both bounds infinite the density is called directly.
+    both bounds infinite the density is called directly; an interval that
+    never doubled skips Neal's accept test, which would not loop.
     """
-    def lf(x):
-        if x <= lower or x >= upper:
-            return -np.inf
-        return logdensity(x)
-
     random = rng.random
     current, lower, upper = float(current), float(lower), float(upper)
-    if lower == -math.inf and upper == math.inf:
-        lf = logdensity
+    lf = logdensity
+    if lower > -math.inf or upper < math.inf:
+        def lf(x):
+            if x <= lower or x >= upper:
+                return -math.inf
+            return logdensity(x)
     logf0 = lf(current)
     if not math.isfinite(logf0):
         raise SliceError(f"log density not finite at current point {current}")
@@ -118,11 +120,11 @@ def slice_sample_1d(logdensity, current, rng, lower=-np.inf, upper=np.inf):
         k -= 1
     # doublings may be exhausted before both ends leave the slice; Neal's
     # limited-doubling variant proceeds and stays exact via the accept test
-    lb, rb = left, right
+    lb, rb, doubled = left, right, k < SLICE_MAX_DOUBLINGS
     for _ in range(1000):
         x1 = lb + random() * (rb - lb)
-        if lf(x1) > logy and _doubling_accept(lf, current, x1, logy,
-                                              left, right):
+        if lf(x1) > logy and (not doubled or _doubling_accept(
+                lf, current, x1, logy, left, right)):
             return x1
         if x1 < current:
             lb = x1
@@ -189,44 +191,56 @@ def _slice_simplex_coords(u_row, rng, log_rows=None, prior_m1=None):
     other sticks fixed, p_k is fixed for k < c, p_c = rem_c z, and
     p_k = rem_c w t_k for k > c.  So with shift the column maximum of
     log_rows and e = exp(log_rows - shift), the likelihood is sum(shift)
-    + sum_i log(z U_i + w V_i + H_i), U = rem_c e_c, V = rem_c sum_k>c
-    t_k e_k and H = sum_k<c p_k e_k built once per move, and logJ and the
-    prior are a constant plus multiples of log z and log w.  An evaluation
-    is one math.exp, two math logs and three numpy calls.  Each sum is at
-    least min(p), so this runs only while every p_k is above _P_FLOOR.
-    Below it, or when the total is not finite, the evaluation is exact:
-    `place` sets z, rem and p as transforms.constrain_simplex would, bit
-    for bit (numpy's exp and logs, rem a left-to-right product), and the
-    likelihood is lse_rows(log p + log_rows), logJ a left-to-right sum.
-    The accepted point is placed the same way, so the sticks and p are
-    bit-identical to constrain_simplex's; an evaluation is within the last
-    bits of the exact one.
+    + sum_i log col_i, col = rem_c (z e_c + w T_c) + H_c, and logJ and
+    the prior are a constant plus multiples of log z and log w.  The
+    tails T_c = sum_k>c t_k e_k of all sticks are one matrix product at
+    the starting sticks; H_c = sum_k<c p_k e_k grows as each is placed.
+    An evaluation is one math.exp, two math logs and three numpy calls:
+    col as a dot, its log, and their sum as a dot with ones (a ufunc
+    reduction costs about as much as two such calls).
+    Each col_i is at least min(p), so this runs only while every p_k is
+    above _P_FLOOR.  Below it, or when the total is not finite, the
+    evaluation is exact: `place` sets z, rem and p as
+    transforms.constrain_simplex would, bit for bit (numpy's exp and
+    logs, rem a left-to-right product), and the likelihood is
+    lse_rows(log p + log_rows), logJ a left-to-right sum.  The accepted
+    point is placed the same way, so the sticks and p are bit-identical
+    to constrain_simplex's; an evaluation is within the last bits of the
+    exact one.
     """
     u_row = np.array(u_row, dtype=float)
     km1 = len(u_row)
     off = tr._stick_offsets(km1)
-    zs = np.append(tr.expit(u_row - off), 1.0)   # z, then 1 for p[K-1]
-    fac = np.append(1.0, 1.0 - zs[:km1])
-    (rem, p), (log_rem, log_p) = buf, lbuf = np.ones((2, 2, km1 + 1))
-    zterm = (np.log(zs[:km1]) + np.log1p(-zs[:km1])).tolist()
+    z0 = tr.expit(u_row - off)
+    zs = z0.tolist() + [1.0]                      # z, then 1 for p[K-1]
+    rem, p = [1.0] * (km1 + 1), [1.0] * (km1 + 1)
+    zterm = (np.log(z0) + np.log1p(-z0)).tolist()
     pm = [0.0] * (km1 + 1) if prior_m1 is None else \
         np.asarray(prior_m1, dtype=float).tolist()
+    w0 = [1.0 - z for z in zs[:km1]]     # qs[c][k-c-1] = prod(w0[c+1:k])
+    qs = [list(accumulate(w0[c + 1:], mul, initial=1.0)) for c in range(km1)]
     if log_rows is not None:
         shift = np.maximum.reduce(log_rows, axis=0)
-        e = np.exp(log_rows - shift)
-        shift_sum = float(np.add.reduce(shift))
-        m, coef, col = np.empty((3, len(shift))), np.ones(3), shift.copy()
+        shift_sum, n = float(np.add.reduce(shift)), len(shift)
+        rows = np.zeros((km1 + 1, 3, n))    # rows[c] = (e_c, T_c, H_c)
+        e, tails, heads = rows.transpose(1, 0, 2)
+        e[:] = np.exp(log_rows - shift)
+        np.matmul([[0.0] * (c + 1) + list(map(mul, qc, zs[c + 1:]))
+                   for c, qc in enumerate(qs)], e, out=tails[:km1])
+        coef, col = np.ones(3), np.empty(n)
+        # bound methods skip np.dot's dispatch
+        dot, sum_of = coef.dot, np.ones(n).dot
 
     def place(c, v):
-        zs[c] = z = 1.0 / (1.0 + np.exp(-(v - off[c])))    # tr.expit
-        fac[c + 1] = 1.0 - z
-        np.multiply.accumulate(fac, out=rem)             # np.cumprod
-        np.multiply(rem, zs, out=p)
-        zterm[c] = float(np.log(z) + np.log1p(-z))
+        z = 1.0 / (1.0 + np.exp(-(v - off[c])))    # tr.expit
+        zs[c], zterm[c] = float(z), float(np.log(z) + np.log1p(-z))
+        w0[c] = 1.0 - zs[c]
+        rem[c:] = accumulate(w0[c:], mul, initial=rem[c])   # as np.cumprod
+        p[:] = map(mul, rem, zs)
 
     def exact(c, v):
         place(c, v)
-        np.log(buf, out=lbuf)
+        log_rem, log_p = np.log([rem, p])
         lj = total = 0.0
         for t, lr in zip(zterm, log_rem.tolist()):   # the K - 1 sticks
             lj += t + lr
@@ -236,46 +250,42 @@ def _slice_simplex_coords(u_row, rng, log_rows=None, prior_m1=None):
             total += float(np.dot(prior_m1, log_p))
         return total + lj
 
+    exp, log, log1p, isfinite = math.exp, math.log, math.log1p, math.isfinite
     for c in range(km1):
         # p_k for k < c, p_c / z, p_k / w for k > c; rem_j for j <= c,
         # rem_j / w for c < j < K - 1: all fixed while stick c moves
-        pl, rl = p.tolist(), rem.tolist()
-        rc, offc, q = rl[c], off[c], 1.0
-        p_over, rem_over = pl[:c] + [rc], rl[:c + 1]
-        for zk in zs[c + 1:].tolist():
-            rem_over.append(rc * q)
-            p_over.append(rc * q * zk)
-            q *= 1.0 - zk
+        rc, offc = rem[c], off[c]
+        rem_over = rem[:c + 1] + [rc * q for q in qs[c]]
+        p_over = p[:c] + [rc] + list(map(mul, rem_over[c + 1:], zs[c + 1:]))
         low = min(p_over[c + 1:])
         cached = min(p_over) > _P_FLOOR
         if cached:
-            log = math.log
             const = (sum(zterm[:c]) + sum(zterm[c + 1:])
                      + sum(map(log, rem_over[:km1]))
                      + sum(map(mul, pm, map(log, p_over))))
             a_z, a_w = 1.0 + pm[c], km1 - c + sum(pm[c + 1:])
             if log_rows is not None:
                 const += shift_sum
-                np.multiply(e[c], rc, out=m[0])
-                np.dot(p_over[c + 1:], e[c + 1:], out=m[1])
-                np.dot(p_over[:c], e[:c], out=m[2])
+                m = rows[c]
 
         def logf(v, c=c):
             x = v - offc    # below -700, z is below _P_FLOOR: no overflow
-            z = 1.0 / (1.0 + math.exp(-x)) if x > -700.0 else 0.0
+            z = 1.0 / (1.0 + exp(-x)) if x > -700.0 else 0.0
             w = 1.0 - z
             if cached and z * rc > _P_FLOOR and w * low > _P_FLOOR:
-                total = const + a_z * math.log(z) + a_w * math.log1p(-z)
+                total = const + a_z * log(z) + a_w * log1p(-z)
                 if log_rows is not None:
-                    coef[0], coef[1] = z, w
-                    np.dot(coef, m, out=col)
-                    total += float(np.add.reduce(np.log(col, out=col)))
-                if math.isfinite(total):
+                    coef[0], coef[1] = rc * z, rc * w
+                    dot(m, out=col)
+                    total += sum_of(np.log(col, out=col))
+                if isfinite(total):
                     return total
             return exact(c, v)
         u_row[c] = slice_sample_1d(logf, u_row[c], rng)
         place(c, u_row[c])
-    return u_row, p.copy()
+        if log_rows is not None:
+            np.add(heads[c], e[c] * p[c], out=heads[c + 1])
+    return u_row, np.array(p)
 
 
 # ------------------------------------------------------------- mixture
@@ -490,8 +500,9 @@ class _DawidSkeneGibbs:
         for jj in range(j):
             y_j = data.ratings[:, jj]
             onehot = data.rating_onehot[jj * k:(jj + 1) * k]   # (K, I)
+            log_theta_j = np.log(theta[jj])   # row kk is read before it moves
             for kk in range(k):
-                col_wo_row = self.c[kk] - np.log(theta[jj, kk])[y_j]
+                col_wo_row = self.c[kk] - log_theta_j[kk][y_j]
                 others = _lse_other_rows(base, kk)   # (I,), over k' != kk
                 rows = np.where(onehot, np.logaddexp(
                     others, log_pi[kk] + col_wo_row), others)

@@ -2,6 +2,7 @@
 small cases, mode agreement, and the determinism contract."""
 
 import hashlib
+import math
 from unittest import mock
 
 import numpy as np
@@ -40,8 +41,8 @@ class TestSliceSampler:
 
     def test_skewed_target_moments(self):
         rng = make_rng(41)
-        dist = sps.gamma(3.0)
-        logf = lambda x: dist.logpdf(x) if x > 0 else -np.inf
+        # Gamma(3) log kernel; the slice sampler ignores the constant
+        logf = lambda x: 2.0 * math.log(x) - x if x > 0 else -np.inf
         x = 2.0
         draws = np.empty(20000)
         for i in range(len(draws)):
@@ -109,49 +110,92 @@ def stick_moves(draw):
     return np.array(u), trials
 
 
+def check_stick_moves(u, trials, log_rows, prior_m1):
+    """Slices sticks `u`, stick c's move evaluating trials[c] and accepting
+    trials[c][0].  Each evaluation must read as the log-space target plus
+    constrain_simplex's logJ, within 1e-12 relative with the same
+    non-finite pattern; one at a p entry at or below the floor takes the
+    exact path (one lse_rows call), any other none; the placed sticks and
+    p are exact.  Returns the np.log calls of each evaluation."""
+    moved = u.copy()
+    done = []               # sticks whose move has run
+    exact = []              # evaluations that must take the exact path
+    logs = []
+
+    def fake_slice(logf, current, *args):
+        c = len(done)
+        assert current == moved[c]
+        for v in trials[c]:
+            u2 = moved.copy()
+            u2[c] = v
+            want_p, want_lj, _ = tr.constrain_simplex(u2)
+            exact.append(want_p.min() <= gb._P_FLOOR)
+            before = log.call_count
+            got = logf(v)
+            logs.append(log.call_count - before)
+            assert_agrees(got, oracles.ds_pi_target_log_space(
+                log_rows, prior_m1, np.log(want_p)) + want_lj)
+            assert lse.call_count == sum(exact)
+        done.append(c)
+        moved[c] = trials[c][0]
+        return trials[c][0]
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"), \
+            mock.patch.object(gb, "slice_sample_1d", fake_slice), \
+            mock.patch.object(gb, "lse_rows", wraps=gb.lse_rows) as lse, \
+            mock.patch.object(np, "log", wraps=np.log) as log:
+        u_out, p_out = gb._slice_simplex_coords(u, None, log_rows, prior_m1)
+        assert len(done) == len(trials)
+        # placing each accepted point evaluates nothing
+        assert lse.call_count == sum(exact)
+        assert np.array_equal(u_out, moved)
+        assert np.array_equal(p_out, tr.constrain_simplex(moved)[0])
+    return logs
+
+
+def many_columns():
+    """Sticks, trial points, log rows and a prior at 5000 columns, where
+    the product of a column underflows though its log-sum does not."""
+    rng = make_rng(2024, 5000)
+    log_rows = rng.normal(0.0, 3.0, size=(4, 5000))
+    u = rng.uniform(-1.0, 1.0, size=3)
+    col = tr.constrain_simplex(u)[0] @ np.exp(log_rows - log_rows.max(0))
+    assert np.multiply.reduce(col) == 0.0
+    trials = [[v + d for d in (0.002, 0.0, -0.003, 0.5)] for v in u]
+    return u, trials, log_rows, rng.uniform(0.0, 2.0, size=4)
+
+
+def tiny_entries():
+    """Sticks, trial points, log rows and a prior where columns 0 and 1
+    hold stick 0's entry alone: at the trial points z = e^-360 and e^-400,
+    above the floor, so are those columns, and their product is
+    subnormal or 0."""
+    log_rows = np.array([[0.0, 0.0, -800.0], [-800.0, -800.0, 0.0],
+                         [-800.0, -800.0, 0.0]])
+    off = np.log(2.0)
+    trials = [[0.0, off - 360.0, off - 400.0, 0.5], [0.0, 0.3]]
+    return np.zeros(2), trials, log_rows, np.ones(3)
+
+
 class TestSimplexSticks:
     @settings(max_examples=300)
     @given(stick_moves())
     def test_incremental_sticks_match_constrain_simplex(self, case):
         # at +-50 the sticks saturate: z rounds to 1, the remaining stick
-        # to 0, and log p and logJ are -inf.  Each evaluation reads as the
-        # log-space target plus constrain_simplex's logJ; one at a p entry
-        # at or below the floor takes the exact path (one lse_rows call),
-        # any other the cached one; the placed sticks and p are exact.
+        # to 0, and log p and logJ are -inf
         u, trials = case
         km1 = len(u)
         rng = make_rng(2024, km1)
-        log_rows = rng.normal(0.0, 3.0, size=(km1 + 1, 4))
-        prior_m1 = rng.uniform(0.0, 2.0, size=km1 + 1)
-        moved = u.copy()
-        done = []               # sticks whose move has run
-        exact = []              # evaluations that must take the exact path
+        check_stick_moves(u, trials, rng.normal(0.0, 3.0, size=(km1 + 1, 4)),
+                          rng.uniform(0.0, 2.0, size=km1 + 1))
 
-        def fake_slice(logf, current, *args):
-            c = len(done)
-            assert current == moved[c]
-            for v in trials[c]:
-                u2 = moved.copy()
-                u2[c] = v
-                want_p, want_lj, _ = tr.constrain_simplex(u2)
-                exact.append(want_p.min() <= gb._P_FLOOR)
-                assert_agrees(logf(v), oracles.ds_pi_target_log_space(
-                    log_rows, prior_m1, np.log(want_p)) + want_lj)
-                assert lse.call_count == sum(exact)
-            done.append(c)
-            moved[c] = trials[c][0]
-            return trials[c][0]
-
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"), \
-                mock.patch.object(gb, "slice_sample_1d", fake_slice), \
-                mock.patch.object(gb, "lse_rows", wraps=gb.lse_rows) as lse:
-            u_out, p_out = gb._slice_simplex_coords(u, None, log_rows,
-                                                    prior_m1)
-            assert len(done) == len(trials)
-            # placing each accepted point evaluates nothing
-            assert lse.call_count == sum(exact)
-            assert np.array_equal(u_out, moved)
-            assert np.array_equal(p_out, tr.constrain_simplex(moved)[0])
+    @pytest.mark.parametrize("build", [many_columns, tiny_entries],
+                             ids=["5000-columns", "tiny-entries"])
+    def test_incremental_sticks_cached_at_extremes(self, build):
+        # every evaluation takes the cached path (one np.log call, no
+        # lse_rows) and reads as the log-space target
+        logs = check_stick_moves(*build())
+        assert logs == [1] * len(logs)
 
 
 def stick_densities(u, log_rows=None, prior_m1=None, spy=lambda: 0):
