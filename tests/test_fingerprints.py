@@ -3,6 +3,7 @@ pair.  Refactors that are meant to leave the samplers' arithmetic alone
 must leave these digests unchanged; a deliberate change to a sampler
 updates the digest here in the same commit, with the reason."""
 
+import functools
 import hashlib
 from unittest import mock
 
@@ -83,6 +84,11 @@ PINS = [
      "9a95127bfebf84f694a343aea4e60b25572c9245ec076b1795179a25c99721cb"),
     ("ds", "gibbs-marginal", 120, 60,
      "87729b133256a827c67abc8b66942c8db56bf11dd20ced52b5291e770037d38a"),
+    # a longer three-component NUTS chain: _adaptation_windows(300) gives
+    # two mass-matrix windows, so the step-size search after a window runs
+    # twice, and every leapfrog of 400 transitions feeds the draws
+    ("three-comp-4", "nuts-marginal", 400, 300,
+     "eb1ba104293d923e5b1352901659b229de4ed9051c010365936dbe1771dbe018"),
 ]
 
 
@@ -169,29 +175,42 @@ DS_GRAD_DIGEST = \
     "696473d13d65283f45471eb36e4519549939b41de1dfbdb1f84d836c7eb3bbbe"
 MIX_GRAD_DIGEST = \
     "8a3c3cb0ebe49bcaa93807203a015b243959db35d32f716c74f32ff128acb6c8"
+# sha256 of the third returned value, the parameters (mu, sigma, pi; pi,
+# theta) flattened as a kept draw is, at the same points, the non-finite
+# ones included.  NUTS keeps these as its draws, so they must not move
+# when the value and the gradient do not.
+DS_PARAMS_DIGEST = \
+    "fbe820a8cad7a9cf2c944f8125eeef2d5c6a79aaef861378fe2df1dbee862b52"
+MIX_PARAMS_DIGEST = \
+    "778e86bda4ddcbc08cf052bbd79c2044c5c8023ee5a3db951f99ed098ccfb61e"
 
 
+@functools.lru_cache(maxsize=None)
 def gradient_digest(scenario_id):
+    """(sha256 of the values and gradients, sha256 of the parameters,
+    number of finite values) at the GRAD_POINTS points."""
     scenario = get_scenario(scenario_id)
     data, _ = gen_dataset(scenario, 1, SEED)
     model = scenario.model()
     rng = make_rng(SEED, 99)
     half = GRAD_POINTS // 2
     scales = np.concatenate([np.full(half, 3.0), np.linspace(3.0, 50.0, half)])
-    h = hashlib.sha256()
+    h, h_params = hashlib.sha256(), hashlib.sha256()
     finite = 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for s in scales:
             u = rng.uniform(-s, s, size=model.n_dim)
-            value, grad, _ = model.log_post_grad_u(data, u)
+            value, grad, params = model.log_post_grad_u(data, u)
             finite += bool(np.isfinite(value))
             h.update(np.float64(value).tobytes())
             h.update(np.ascontiguousarray(grad, dtype=np.float64).tobytes())
-    return h.hexdigest(), finite
+            h_params.update(np.ascontiguousarray(model.flatten(params),
+                                                 dtype=np.float64).tobytes())
+    return h.hexdigest(), h_params.hexdigest(), finite
 
 
 def check_gradient_pin(scenario_id, digest):
-    got, finite = gradient_digest(scenario_id)
+    got, _, finite = gradient_digest(scenario_id)
     # both branches of the gradient are covered
     assert GRAD_POINTS // 2 < finite < GRAD_POINTS
     assert got == digest
@@ -203,3 +222,10 @@ def test_ds_gradient_bit_identical():
 
 def test_mixture_gradient_bit_identical():
     check_gradient_pin("three-comp-4", MIX_GRAD_DIGEST)
+
+
+@pytest.mark.parametrize("scenario_id,digest", [
+    ("ds", DS_PARAMS_DIGEST), ("three-comp-4", MIX_PARAMS_DIGEST)],
+    ids=["ds", "three-comp-4"])
+def test_gradient_params_bit_identical(scenario_id, digest):
+    assert gradient_digest(scenario_id)[1] == digest
