@@ -400,9 +400,10 @@ def _row_lse_sum(m, kk):
     the other rows' log-sum-exp cached, or at a non-finite total
     sum(lse_rows(m))."""
     others, row, col = _lse_other_rows(m, kk), m[kk], np.empty(m.shape[1])
+    sum_of = np.ones(len(col)).dot      # a bound dot: no ufunc reduction
 
     def lik():
-        total = float(np.add.reduce(np.logaddexp(others, row, out=col)))
+        total = float(sum_of(np.logaddexp(others, row, out=col)))
         if math.isfinite(total):
             return total
         return float(np.add.reduce(lse_rows(m)))
@@ -423,7 +424,7 @@ def _log_sigma_target(x, mu, pi):
     h_min = np.minimum.reduce(half_sq, axis=0)
     gap = half_sq - h_min
     h_min_sum = float(np.add.reduce(h_min))
-    w = np.empty_like(gap)
+    w, col, sum_of = np.empty_like(gap), np.empty(n), np.ones(n).dot
     cached = min(pi.tolist()) > _P_FLOOR
     n_const = n * 0.5 * LOG_2PI
     log_pi = np.log(pi)
@@ -437,7 +438,7 @@ def _log_sigma_target(x, mu, pi):
             inv_var = 1.0 / (s * s)   # np.float64: inf, not an error
             np.multiply(gap, -inv_var, out=w)
             np.exp(w, out=w)
-            lik = (float(np.add.reduce(np.log(pi @ w)))
+            lik = (float(sum_of(np.log(pi.dot(w, out=col), out=col)))
                    - h_min_sum * inv_var - n * ls - n_const)
         if not math.isfinite(lik):
             z = (x - mu[:, None]) / s

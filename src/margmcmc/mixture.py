@@ -44,12 +44,14 @@ class MixtureData:
             raise ValueError("observations must be a finite 1-d vector")
 
 
-def _component_loglik(diff, params):
-    """(K, n) matrix of log pi_k + log N(x_i | mu_k, sigma^2), from the
-    (K, n) differences x_i - mu_k."""
+def _component_loglik(x, params):
+    """(K, n) matrix of log pi_k + log N(x_i | mu_k, sigma^2) in a new
+    buffer, with the (K, n) differences x_i - mu_k and numpy's log sigma."""
+    diff, log_sigma = x - params.mu[:, None], np.log(params.sigma)
     z = diff / params.sigma
-    return ((np.log(params.pi) - np.log(params.sigma) - 0.5 * LOG_2PI)[:, None]
-            - 0.5 * z * z)
+    z *= 0.5 * z
+    c = np.log(params.pi) - log_sigma - 0.5 * LOG_2PI
+    return np.subtract(c[:, None], z, out=z), diff, log_sigma
 
 
 def _log_prior(mu, sigma):
@@ -65,7 +67,7 @@ def _log_prior(mu, sigma):
     ls = math.log(sigma)
     lp += -ls - 0.5 * LOG_2PI - 0.5 * ls * ls  # Lognormal(0, 1) on sigma
     z = mu / PRIOR_MU_SD
-    lp += k * (-0.5 * LOG_2PI - math.log(PRIOR_MU_SD)) - 0.5 * float(z @ z)
+    lp += k * (-0.5 * LOG_2PI - math.log(PRIOR_MU_SD)) - 0.5 * float(z.dot(z))
     # truncation renormalisers: upper-tail mass above the previous mean
     z = z.tolist()
     log_tail = [log_ndtr(-a) for a in z[:-1]]
@@ -98,17 +100,17 @@ class MixtureModel:
     def z_log_weights(self, data, params):
         """log P(z_i = k | x, params) up to a constant per column: the
         (K, n) matrix log pi_k + log N(x_i | mu_k, sigma^2)."""
-        return _component_loglik(data.x - params.mu[:, None], params)
+        return _component_loglik(data.x, params)[0]
 
     def log_post_grad_u(self, data, u):
         """Fused (value, gradient, params) of the unconstrained log
         posterior at `u`, `params` being the MixtureParams its forward
         pass builds (returned with the -inf value too).
 
-        Shares the (K, n) component log-likelihood matrix between the
-        value and the gradient, which the gradient-based sampler exploits
-        on every leapfrog step.  The K-sized parameter arithmetic runs on
-        scalars (np.float64 where a Python float could raise
+        One (K, n) buffer holds the component log-likelihood for the
+        value, then in place the responsibilities r, r (x - mu) and
+        r (x - mu)^2 for the gradient.  The K-sized parameter arithmetic
+        runs on scalars (np.float64 where a Python float could raise
         OverflowError or ZeroDivisionError).
         """
         k = self.k
@@ -121,31 +123,32 @@ class MixtureModel:
         params = MixtureParams(mu=mu, sigma=sigma, pi=pi)
         lj = lj_mu + lj_sigma + lj_pi
         lp, z_mu, log_tail = _log_prior(mu, sigma)
-        if not np.isfinite(lp):
+        if not math.isfinite(lp):
             return -np.inf, np.zeros(2 * k), params
-        diff = data.x - mu[:, None]
-        ll = _component_loglik(diff, params)
-        row_lse = lse_rows(ll)
-        value = lp + float(row_lse.sum()) + lj
-        if not np.isfinite(value):
+        r, diff, ls = _component_loglik(data.x, params)
+        row_lse = lse_rows(r)
+        value = lp + float(np.add.reduce(row_lse)) + lj
+        if not math.isfinite(value):
             return -np.inf, np.zeros(2 * k), params
 
-        r = np.exp(ll - row_lse)
-        rd = r * diff
-        r_sum = r.sum(axis=1)
+        r -= row_lse
+        np.exp(r, out=r)
+        r_sum = np.add.reduce(r, axis=1)
+        r *= diff
         var = sigma * sigma
-        g_mu = (rd.sum(axis=1) / var).tolist()
+        g_mu = (np.add.reduce(r, axis=1) / var).tolist()
         for i, a in enumerate(z_mu):
             g_mu[i] -= a / PRIOR_MU_SD           # mu_i / PRIOR_MU_SD**2
             if i < k - 1:
                 g_mu[i] += inv_mills_ratio(a, log_tail[i]) / PRIOR_MU_SD
-        g_sigma = float((rd * diff).sum()) / (var * sigma) \
-            - float(r_sum.sum()) / sigma
-        g_sigma += -1.0 / sigma - np.log(sigma) / sigma
-        return value, np.concatenate([
-            tr.grad_ordered(mu_raw, g_mu),
-            [tr.grad_positive(log_sigma, g_sigma)],
-            tr.grad_simplex(sticks, (r_sum / pi).tolist())]), params
+        r *= diff
+        g_sigma = float(np.add.reduce(r, axis=None)) / (var * sigma) \
+            - float(np.add.reduce(r_sum)) / sigma
+        g_sigma += -1.0 / sigma - ls / sigma
+        return value, np.array(
+            tr.grad_ordered(mu_raw, g_mu)
+            + [tr.grad_positive(log_sigma, g_sigma)]
+            + tr.grad_simplex(sticks, (r_sum / pi).tolist())), params
 
     def init_params(self, rng):
         """Prior draw: sorted normals for mu, lognormal sigma, uniform pi."""

@@ -16,7 +16,8 @@ its density and gradient: no point is evaluated twice.
 
 The tree's bookkeeping is on Python floats; its exps and logs stay
 numpy's, whose last bits differ from `math`'s, and log-add-exp is
-numpy's scalar formula (see `_log_add_exp`).
+numpy's scalar formula (see `_log_add_exp`).  Its vector dots are bound
+`.dot` calls: BLAS ddot, as `@` calls, bit for bit and at half the cost.
 
 The tuning values are fixed and are Stan's defaults: target acceptance
 0.8, maximum tree depth 10, initial points uniform on [-2, 2], adaptation
@@ -94,7 +95,7 @@ def _uturn(ends):
     """Hoffman & Gelman's criterion: dq . M^-1 p < 0 at either end."""
     (q_back, _, v_back, _), (q_fwd, _, v_fwd, _) = ends
     dq = q_fwd - q_back
-    return dq @ v_back < 0 or dq @ v_fwd < 0
+    return dq.dot(v_back) < 0 or dq.dot(v_fwd) < 0
 
 
 class _NutsKernel:
@@ -121,7 +122,7 @@ class _NutsKernel:
         tree.ends = [(q1, p1, v1, g1)] * 2
         tree.prop = (q1, lp1, g1, params1)
         tree.n_leapfrog = 1
-        h1 = -lp1 + 0.5 * float(p1 @ v1)
+        h1 = -lp1 + 0.5 * float(p1.dot(v1))
         if not math.isfinite(h1):
             h1 = math.inf
         delta = h0 - h1                     # log weight of the leaf
@@ -168,7 +169,7 @@ class _NutsKernel:
         rng = self.rng
         p = rng.standard_normal(len(q)) / np.sqrt(self.inv_mass)
         v = self.inv_mass * p
-        h0 = -lp + 0.5 * float(p @ v)
+        h0 = -lp + 0.5 * float(p.dot(v))
         ends = [(q, p, v, g)] * 2
         log_sum_weight = 0.0     # weight of the initial point: exp(h0 - h0)
         sum_accept = 0.0
@@ -207,7 +208,7 @@ def find_reasonable_step_size(kernel, state):
     inv_mass = kernel.inv_mass
     q, lp0, g0, _ = state
     p = kernel.rng.standard_normal(len(q)) / np.sqrt(inv_mass)
-    h0 = -lp0 + 0.5 * float(p @ (inv_mass * p))
+    h0 = -lp0 + 0.5 * float(p.dot(inv_mass * p))
     edge = (q, p, None, g0)
 
     def log_ratio(eps_):

@@ -9,12 +9,14 @@ The program needs numpy and Python's `math` only: the normal log CDF
 holding inf or nan itself.
 """
 
+import functools
 import math
 from math import erfc, log, log1p
 
 import numpy as np
 
-LOG_2PI = np.log(2.0 * np.pi)
+LOG_2PI = float(np.log(2.0 * np.pi))   # numpy's bits, a Python float
+_sum_of = functools.cache(lambda n: np.ones(n).dot)   # bound dot with ones
 
 _SQRT1_2 = math.sqrt(0.5)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -79,12 +81,12 @@ def lse_rows(m):
     value per data row (column of `m`), the fast path of the hot loops.
     For K <= 7 numpy adds the K entries in order, as a row-wise sum of
     the (n, K) transpose would.  A column whose maximum is not finite
-    (it holds inf or nan) is shifted by 0 instead, as scipy's logsumexp
-    does, and reads -inf, inf or nan as it does; every other column
-    keeps its bits whatever its neighbours hold.  `m` is left
-    unchanged."""
+    (the maxima's sum, one cached bound dot, screens for it) is shifted
+    by 0, as scipy's logsumexp does, and reads -inf, inf or nan as it
+    does; every other column keeps its bits whatever its neighbours
+    hold, also where that sum overflows.  `m` is unchanged."""
     mm = np.maximum.reduce(m, axis=0)
-    if not np.logical_and.reduce(np.isfinite(mm)):
+    if not math.isfinite(_sum_of(len(mm))(mm)):
         mm[~np.isfinite(mm)] = 0.0
     t = m - mm
     np.exp(t, out=t)

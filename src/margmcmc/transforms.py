@@ -15,22 +15,22 @@ Every simplex transform, and the Gibbs stick moves, take the centring
 offsets from the one cached `_stick_offsets`.
 
 The single-vector transforms loop over their K-sized blocks on scalars,
-with numpy's exp and logs (the `math` versions differ in the last bit,
-and Python-float arithmetic would raise on overflow where np.float64
-returns inf).  The `_rows` twins apply the simplex to a stack of R rows,
-(R, K-1) in and (R, K) out.  Their sticks are stick-major, (K-1, R) and
-contiguous, so each step is one numpy call over all R rows.  While
-K-1 < 8 this is, bit for bit, the same elementwise arithmetic on
-row-major (R, K-1) arrays: each row's logJ sum over its sticks runs left
-to right, as numpy's row sum does below 8 terms (its pairwise sum from 8
-on would differ).  The rating model, the one caller, has K = 5.
+with numpy's exp and logs (`math`'s differ in the last bit); the sticks
+are Python floats, cheaper than np.float64s, and the positive transform
+keeps an np.float64, whose powers overflow to inf without raising.  The
+`_rows` twins apply the simplex to a stack of R rows, (R, K-1) in and
+(R, K) out.  Their sticks are stick-major, (K-1, R) and contiguous, so
+each step is one numpy call over all R rows.  While K-1 < 8 this is,
+bit for bit, the same elementwise arithmetic on row-major (R, K-1)
+arrays: each row's logJ sum over its sticks runs left to right, as
+numpy's row sum does below 8 terms (its pairwise sum from 8 on would
+differ).  The rating model, the one caller, has K = 5.
 
-Both simplex paths stay, the caller choosing one vector or a stack: at
-K = 3 and one row (2-vCPU x86-64 host) the scalar constrain takes 4.3-5.6
-us against 11.9-15.3 stacked, the pull-back 2.1-2.6 against 10.4-15.2,
-so merging would add about 17 us to a mixture gradient of about 132, and
-the stacked pull-back matched the scalar bit for bit at only 10,470-13,098
-of 20,000 random points.
+Both simplex paths stay: at K = 3 and one row (2-vCPU x86-64 host) the
+stacked constrain and pull-back take 10-11 and 9-13 us against 2.9 and
+0.7 scalar, 16-20 us more per mixture gradient of about 42, and the
+stacked pull-back matches the scalar bit for bit at 12,766 of 20,000
+random points only.
 """
 
 import functools
@@ -64,7 +64,7 @@ def grad_ordered(raw, g_mu):
         tail = tail + g_mu[i]
         g_raw[i] = tail * np.exp(raw[i]) + 1.0  # +1 from logJ
     g_raw[0] = tail + g_mu[0]
-    return np.array(g_raw)
+    return g_raw
 
 
 # --------------------------------------------------------------- positive
@@ -95,7 +95,7 @@ def constrain_simplex(raw):
     log_j = 0.0
     r = 1.0                    # remaining stick before each break
     for v, off in zip(raw, _stick_offsets(len(raw))):
-        zi = 1.0 / (1.0 + np.exp(-(v - off)))      # expit
+        zi = 1.0 / (1.0 + float(np.exp(-(v - off))))      # expit
         z.append(zi)
         one_mz.append(1.0 - zi)
         rem.append(r)
@@ -187,4 +187,4 @@ def grad_simplex(sticks, g_p):
         if i > 0:
             g_rem += 1.0 / rem[i]  # logJ wrt rem[i]
         g_raw[i] = g_z * z[i] * one_mz[i]
-    return np.array(g_raw)
+    return g_raw

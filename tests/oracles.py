@@ -99,13 +99,13 @@ def mix_full_log_joint(data, latent, params):
     z = np.asarray(latent, dtype=int)
     if z.shape != data.x.shape:
         raise ValueError("latent labels must match data length")
-    ll = mx._component_loglik(data.x - params.mu[:, None], params)
+    ll = mx._component_loglik(data.x, params)[0]
     return lp + float(ll[z, np.arange(len(z))].sum())
 
 
 def mix_marginal_log_lik(data, params):
     """Marginalised log likelihood: sum_i log sum_k pi_k N(x_i|mu_k, s^2)."""
-    ll = mx._component_loglik(data.x - params.mu[:, None], params)
+    ll = mx._component_loglik(data.x, params)[0]
     return float(lse_rows(ll).sum())
 
 

@@ -230,6 +230,22 @@ class TestLogSumExp:
         assert np.all(np.abs(got[fin] - want[fin])
                       <= 1e-15 * np.maximum(scale[fin], np.abs(want[fin])))
 
+    def test_finite_maxima_whose_screen_overflows(self):
+        # the maxima are all finite, but any two of the last three sum
+        # past 1e308, so lse_rows takes its non-finite path: it must
+        # leave every column as it reads alone, bit for bit
+        rng = make_rng(92)
+        m = rng.normal(size=(3, 6)) * 30
+        m[:, 3] = [1.0e308, -1.0e308, -2.0]
+        m[:, 4] = [1.5e308, 3.0, 1.5e308]
+        m[:, 5] = [-1.7e308, 1.2e308, 1.1e308]
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.ones(6).dot(m.max(axis=0)))
+            alone = np.concatenate([lse_rows(m[:, [i]]) for i in range(6)])
+            got = lse_rows(m)
+        assert np.isfinite(got).all()
+        assert np.array_equal(got.view(np.int64), alone.view(np.int64))
+
     @pytest.mark.parametrize("neighbour", [-np.inf, np.inf, np.nan])
     def test_finite_columns_ignore_non_finite_neighbours(self, neighbour):
         rng = make_rng(91)
