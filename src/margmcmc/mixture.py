@@ -46,7 +46,8 @@ class MixtureData:
 
 def _component_loglik(x, params):
     """(K, n) matrix of log pi_k + log N(x_i | mu_k, sigma^2) in a new
-    buffer, with the (K, n) differences x_i - mu_k and numpy's log sigma."""
+    buffer; also returns the (K, n) differences x_i - mu_k and numpy's
+    log sigma, which the gradient reuses."""
     diff, log_sigma = x - params.mu[:, None], np.log(params.sigma)
     z = diff / params.sigma
     z *= 0.5 * z

@@ -16,7 +16,9 @@ from math import erfc, log, log1p
 import numpy as np
 
 LOG_2PI = float(np.log(2.0 * np.pi))   # numpy's bits, a Python float
-_sum_of = functools.cache(lambda n: np.ones(n).dot)   # bound dot with ones
+# a bound dot with ones sums a vector at a third of a ufunc reduction's
+# cost; cached, as an np.ones per call would cost the saving
+_sum_of = functools.cache(lambda n: np.ones(n).dot)
 
 _SQRT1_2 = math.sqrt(0.5)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)

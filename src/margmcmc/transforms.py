@@ -55,7 +55,7 @@ def constrain_ordered(raw):
 
 
 def grad_ordered(raw, g_mu):
-    """Pull d/dmu back to d/draw, including the logJ gradient."""
+    """Pull d/dmu back to d/draw, including the logJ gradient; a list."""
     # mu_j depends on raw_k for all j >= k
     k = len(raw)
     g_raw = [0.0] * k
@@ -95,7 +95,7 @@ def constrain_simplex(raw):
     log_j = 0.0
     r = 1.0                    # remaining stick before each break
     for v, off in zip(raw, _stick_offsets(len(raw))):
-        zi = 1.0 / (1.0 + float(np.exp(-(v - off))))      # expit
+        zi = 1.0 / (1.0 + float(np.exp(-(v - off))))     # expit
         z.append(zi)
         one_mz.append(1.0 - zi)
         rem.append(r)
@@ -175,7 +175,7 @@ def grad_simplex_rows(sticks, g_p):
 def grad_simplex(sticks, g_p):
     """Pull d/dp back to d/draw, including the stick-breaking logJ
     gradient, through the forward pass `sticks` that constrain_simplex
-    returned."""
+    returned; a list."""
     z, one_mz, rem = sticks
     km1 = len(z)
     g_raw = [0.0] * km1
