@@ -62,8 +62,8 @@ import numpy as np
 from . import dawid_skene as dsm
 from . import mixture as mx
 from . import transforms as tr
-from .stats import (LOG_2PI, log_ndtr, lse_rows, sample_categorical_rows,
-                    sample_dirichlet)
+from .stats import (LOG_2PI, log_ndtr, lse_rows, ones_dot,
+                    sample_categorical_rows, sample_dirichlet)
 
 SLICE_WIDTH = 1.0
 SLICE_MAX_DOUBLINGS = 10
@@ -229,7 +229,7 @@ def _slice_simplex_coords(u_row, rng, log_rows=None, prior_m1=None):
                    for c, qc in enumerate(qs)], e, out=tails[:km1])
         coef, col = np.ones(3), np.empty(n)
         # bound methods skip np.dot's dispatch
-        dot, sum_of = coef.dot, np.ones(n).dot
+        dot, sum_of = coef.dot, ones_dot(n)
 
     def place(c, v):
         z = 1.0 / (1.0 + np.exp(-(v - off[c])))    # tr.expit
@@ -400,7 +400,7 @@ def _row_lse_sum(m, kk):
     the other rows' log-sum-exp cached, or at a non-finite total
     sum(lse_rows(m))."""
     others, row, col = _lse_other_rows(m, kk), m[kk], np.empty(m.shape[1])
-    sum_of = np.ones(len(col)).dot      # a bound dot: no ufunc reduction
+    sum_of = ones_dot(len(col))
 
     def lik():
         total = float(sum_of(np.logaddexp(others, row, out=col)))
@@ -424,7 +424,7 @@ def _log_sigma_target(x, mu, pi):
     h_min = np.minimum.reduce(half_sq, axis=0)
     gap = half_sq - h_min
     h_min_sum = float(np.add.reduce(h_min))
-    w, col, sum_of = np.empty_like(gap), np.empty(n), np.ones(n).dot
+    w, col, sum_of = np.empty_like(gap), np.empty(n), ones_dot(n)
     cached = min(pi.tolist()) > _P_FLOOR
     n_const = n * 0.5 * LOG_2PI
     log_pi = np.log(pi)

@@ -16,9 +16,9 @@ from math import erfc, log, log1p
 import numpy as np
 
 LOG_2PI = float(np.log(2.0 * np.pi))   # numpy's bits, a Python float
-# a bound dot with ones sums a vector at a third of a ufunc reduction's
-# cost; cached, as an np.ones per call would cost the saving
-_sum_of = functools.cache(lambda n: np.ones(n).dot)
+# ones_dot(n)(v) sums an n-vector at a third of a ufunc reduction's cost
+# (in BLAS's order); cached, as an np.ones per call would cost the saving
+ones_dot = functools.cache(lambda n: np.ones(n).dot)
 
 _SQRT1_2 = math.sqrt(0.5)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -88,7 +88,7 @@ def lse_rows(m):
     does; every other column keeps its bits whatever its neighbours
     hold, also where that sum overflows.  `m` is unchanged."""
     mm = np.maximum.reduce(m, axis=0)
-    if not math.isfinite(_sum_of(len(mm))(mm)):
+    if not math.isfinite(ones_dot(len(mm))(mm)):
         mm[~np.isfinite(mm)] = 0.0
     t = m - mm
     np.exp(t, out=t)
