@@ -89,6 +89,14 @@ PINS = [
     # twice, and every leapfrog of 400 transitions feeds the draws
     ("three-comp-4", "nuts-marginal", 400, 300,
      "eb1ba104293d923e5b1352901659b229de4ed9051c010365936dbe1771dbe018"),
+    # longer label-sampling chains, so that a change to the conjugate
+    # Dirichlet draws or to the full arm's slice targets is checked over
+    # many sweeps: every gamma variate and every slice comparison of 600
+    # sweeps feeds these digests
+    ("three-comp-4", "gibbs-full", 600, 300,
+     "863fc92105a2ccf21c88a355bd452af3a0028191e1eb3295ebe6be0300c4f616"),
+    ("ds", "gibbs-full", 600, 300,
+     "b8d89640b0e2a480b87d9b307c42d31efe32ee3e0aee315d42f929d252918d1b"),
 ]
 
 

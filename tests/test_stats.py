@@ -319,3 +319,20 @@ class TestPrimitiveSamplers:
         rng = make_rng(15)
         p = sample_dirichlet(rng, np.array([0.05, 0.05]))
         assert np.all(p > 0) and p.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_dirichlet_one_row_matches_stack(self, k):
+        """One row of alpha draws the bits of the stack of that one row,
+        and leaves the generator in the same state: alpha log-uniform
+        from 0.05 to 1e6, and rows with one entry at 1e-3, whose gamma
+        variate underflows to 0 and is floored at 1e-300."""
+        make = np.random.default_rng(100 + k)
+        for t in range(300):
+            alpha = np.exp(make.uniform(np.log(0.05), np.log(1e6), size=k))
+            if t % 3 == 0:
+                alpha[make.integers(k)] = 1e-3
+            one, stack = make_rng(k, t), make_rng(k, t)
+            got = sample_dirichlet(one, alpha)
+            assert got.shape == (k,)
+            assert np.array_equal(got, sample_dirichlet(stack, alpha[None])[0])
+            assert one.random() == stack.random()
