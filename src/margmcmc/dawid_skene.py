@@ -11,11 +11,12 @@ theta[j, k] ~ Dirichlet(beta[k]) with N = 8 prior counts, a share p = 0.6
 of them on the diagonal and the rest spread evenly (PRIOR_ALPHA,
 PRIOR_CONCENTRATION, PRIOR_DIAG_MASS).
 
-The model handle builds its constants once: alpha, beta, alpha - 1,
-beta - 1 and the two Dirichlet normalisers (pi's, and J times the sum
-of the confusion rows'), from math.lgamma.  Its `log_prior` serves the fused gradient,
-whose DSParams are the NUTS arm's draws; `z_log_weights` gives the
-labels' full conditional as (K, I) log weights, unnormalised.
+The model handle builds its constants once: alpha, beta, both stacked
+as `prior_rows` (alpha, then beta per rater), alpha - 1, beta - 1 and
+the two Dirichlet normalisers (pi's, and J times the sum of the
+confusion rows'), from math.lgamma.  Its `log_prior` serves the fused
+gradient, whose DSParams are the NUTS arm's draws; `z_log_weights`
+gives the labels' full conditional as (K, I) log weights, unnormalised.
 """
 
 import math
@@ -52,6 +53,8 @@ class DSData:
     @property
     def n_raters(self):
         return self.ratings.shape[1]
+
+    item_index = cached_property(lambda self: np.arange(self.n_items))
 
     @cached_property
     def rating_onehot(self):
@@ -113,6 +116,7 @@ class DawidSkeneModel:
         self.beta = ds_beta_matrix(self.k)
         self.alpha_m1 = self.alpha - 1.0
         self.beta_m1 = self.beta - 1.0
+        self.prior_rows = np.vstack([self.alpha] + [self.beta] * self.j)
         self.log_norm_pi = _dirichlet_log_norm(self.alpha)
         self.log_norm_theta = self.j * sum(_dirichlet_log_norm(row)
                                            for row in self.beta)
@@ -177,8 +181,6 @@ class DawidSkeneModel:
         return value, tr.grad_simplex_rows(sticks, g_p.T).ravel(), params
 
     def init_params(self, rng):
-        """Prior draw for pi and every confusion row."""
-        pi = sample_dirichlet(rng, self.alpha)
-        theta = sample_dirichlet(
-            rng, np.broadcast_to(self.beta, (self.j, self.k, self.k)))
-        return DSParams(pi=pi, theta=theta)
+        """Prior draw for pi and every confusion row, in one stack."""
+        p = sample_dirichlet(rng, self.prior_rows)
+        return DSParams(pi=p[0], theta=p[1:].reshape(self.j, self.k, self.k))

@@ -155,14 +155,17 @@ def update_pi_conjugate(counts, alpha, rng):
     return sample_dirichlet(rng, alpha + counts)
 
 
-def update_theta_conjugate(data, latent, beta, rng):
-    """Confusion rows from their Dirichlet(beta[k] + counts) full
-    conditionals."""
+def update_theta_conjugate(data, latent, prior_rows, rng):
+    """(pi, theta) in one draw from their Dirichlet full conditionals.
+    `prior_rows` (1 + J K, K) holds alpha, then beta for each rater, and
+    one bincount adds #{z_i = c} to row 0, #{z_i = k, y_ij = c} to row
+    1 + j K + k."""
     j, k = data.n_raters, data.n_categories
-    # counts[j, k, c] = #{i : z_i = k, y_ij = c}
-    idx = data.category_index[:, latent, np.arange(data.n_items)]
-    counts = np.bincount(idx.ravel(), minlength=j * k * k).reshape(j, k, k)
-    return sample_dirichlet(rng, beta + counts)
+    idx = data.category_index[:, latent, data.item_index] + k
+    counts = np.bincount(np.concatenate((latent, idx.ravel())),
+                         minlength=prior_rows.size)
+    p = sample_dirichlet(rng, prior_rows + counts.reshape(-1, k))
+    return p[0], p[1:].reshape(j, k, k)
 
 
 def update_z_block(model, data, params, rng):
@@ -309,7 +312,7 @@ class _MixtureGibbs:
         self.params = init
         if not self.conjugate:   # only slice moves read the sticks
             self.u_pi = tr.unconstrain_simplex(self.params.pi)
-        self.x2 = data.x**2
+        self.x2, self.ones = data.x**2, np.ones(len(data.x))
 
     def sweep(self):
         if self.marginal:
@@ -321,7 +324,7 @@ class _MixtureGibbs:
         sigma = np.float64(self.params.sigma)   # inf instead of OverflowError
         # (1) labels
         z = update_z_block(self.model, self.data, self.params, rng)
-        counts = np.bincount(z, minlength=k).astype(float)
+        counts = np.bincount(z, weights=self.ones, minlength=k)
         sum_x = np.bincount(z, weights=x, minlength=k)
         sum_x2 = np.bincount(z, weights=self.x2, minlength=k)
         # (2) pi
@@ -331,28 +334,30 @@ class _MixtureGibbs:
             self.u_pi, pi = _slice_simplex_coords(self.u_pi, rng,
                                                   prior_m1=counts)
         # (3) mu then sigma, by slice
-        mu = mu.copy()
-        two_var = 2.0 * sigma**2   # np.float64: 0 or inf divides, not raises
+        mu = mu.tolist()
+        # a float, or an np.float64 0 that divides instead of raising
+        two_var = float(2.0 * sigma**2) or np.float64(0.0)
         per_comp = zip(counts.tolist(), sum_x.tolist(), sum_x2.tolist())
         for kk, (n_k, s1, s2) in enumerate(per_comp):
-            lo = mu[kk - 1] if kk > 0 else -np.inf
-            hi = mu[kk + 1] if kk < k - 1 else np.inf
+            lo = mu[kk - 1] if kk > 0 else -math.inf
+            hi = mu[kk + 1] if kk < k - 1 else math.inf
 
             def mu_target(m, n_k=n_k, s1=s1, s2=s2, truncates=kk < k - 1):
                 quad = -(s2 - 2.0 * m * s1 + n_k * m * m) / two_var
                 return quad + _mu_log_prior(m, truncates)
             mu[kk] = slice_sample_1d(mu_target, mu[kk], rng,
                                      lower=lo, upper=hi)
+        mu = np.array(mu)
         d = x - mu[z]
         np.multiply(d, d, out=d)
         sse = float(np.add.reduce(d))
         n = len(x)
 
         def log_sigma_target(ls):
-            s = np.exp(ls)
-            if not (s > 0 and math.isfinite(s)):
-                return -np.inf
-            lx = np.log(s)   # Lognormal(0, 1) log density at s
+            s = float(np.exp(ls))
+            if not (2.0 * s * s > 0 and s < math.inf):   # 0 would raise
+                return -math.inf
+            lx = float(np.log(s))   # Lognormal(0, 1) log density at s
             return (-n * ls - sse / (2.0 * s * s)
                     + (-lx - 0.5 * LOG_2PI - 0.5 * lx * lx) + ls)
         ls = slice_sample_1d(log_sigma_target, np.log(sigma), rng)
@@ -473,13 +478,11 @@ class _DawidSkeneGibbs:
             self._sweep_full()
 
     def _sweep_full(self):
-        # (1) labels, then (2) pi and (3) theta from their Dirichlet
-        # full conditionals
+        # (1) labels, then (2) pi and (3) theta in one draw from their
+        # Dirichlet full conditionals
         z = update_z_block(self.model, self.data, self.params, self.rng)
-        z_counts = np.bincount(z, minlength=self.k).astype(float)
-        pi = update_pi_conjugate(z_counts, self.model.alpha, self.rng)
-        theta = update_theta_conjugate(self.data, z, self.model.beta,
-                                       self.rng)
+        pi, theta = update_theta_conjugate(self.data, z,
+                                           self.model.prior_rows, self.rng)
         self.params = dsm.DSParams(pi=pi, theta=theta)
 
     def _sweep_marginal(self):

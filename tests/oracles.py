@@ -1,18 +1,19 @@
-"""Code only tests use: log densities for the priors, both models' full
-and marginalised log joints (the references the enumeration, latent
+"""Code only tests use: log densities for the priors, both models' full and
+marginalised log joints (the references the enumeration, latent
 conditional and finite-difference tests hold the samplers' kernels to),
-the forward and inverse transforms of each model's unconstrained
-vector, value-only posteriors built from those joints plus the forward
-transforms, the row-major fused gradients the
-component-major kernels replaced, the reference for each model's fused
-gradient, the one-row-at-a-time Dirichlet draw and stick inverse the
-stacked simplex primitives replaced, the two-pass log-sum-exp the
+the forward and inverse transforms of each model's unconstrained vector,
+value-only posteriors built from those joints plus the forward
+transforms, the row-major fused gradients the component-major kernels
+replaced, the reference for each model's fused gradient, the
+one-row-at-a-time Dirichlet draw and stick inverse the stacked simplex
+primitives replaced, the rating model's two-call conjugate draw of pi
+and theta that one stacked draw replaced, the two-pass log-sum-exp the
 in-place `lse_rows` must match bit for bit (both shift a column that
-holds inf or nan by 0), the normalised label draw
-that the draw from unnormalised log weights must match label for label
-(with `label_probs`, the normalised conditional the label tests hold
-the samplers to), the marginal Gibbs slice targets in log space that
-the cached ones must match, and a chain's draws by parameter name."""
+holds inf or nan by 0), the normalised label draw that the draw from
+unnormalised log weights must match label for label (with `label_probs`,
+the normalised conditional the label tests hold the samplers to), the
+marginal Gibbs slice targets in log space that the cached ones must
+match, and a chain's draws by parameter name."""
 
 import math
 
@@ -22,7 +23,7 @@ from scipy import special
 from margmcmc import dawid_skene as dsm
 from margmcmc import mixture as mx
 from margmcmc import transforms as tr
-from margmcmc.stats import LOG_2PI, log_ndtr, lse_rows
+from margmcmc.stats import LOG_2PI, log_ndtr, lse_rows, sample_dirichlet
 
 
 def log_normal_pdf(x, mu, sigma):
@@ -391,6 +392,22 @@ def unconstrain_simplex_per_row(p):
             raw[idx + (i,)] = np.log(z) - np.log1p(-z) + np.log(k - 1 - i)
             rem -= row[i]
     return raw
+
+
+# ------------------------------------------------ two-call conjugate draw
+# The rating model's full arm as it drew pi and theta before one stacked
+# draw replaced them: pi from its own Dirichlet, then every confusion row
+# from theirs, each as the stack path of sample_dirichlet drew it.
+
+def conjugate_pi_theta_two_calls(data, latent, alpha, beta, rng):
+    """pi ~ Dirichlet(alpha + label counts), then each confusion row
+    theta[j, k] ~ Dirichlet(beta[k] + #{i : z_i = k, y_ij = c})."""
+    j, k = data.n_raters, data.n_categories
+    z_counts = np.bincount(latent, minlength=k).astype(float)
+    pi = sample_dirichlet(rng, (alpha + z_counts)[None])[0]
+    idx = data.category_index[:, latent, np.arange(data.n_items)]
+    counts = np.bincount(idx.ravel(), minlength=j * k * k).reshape(j, k, k)
+    return pi, sample_dirichlet(rng, beta + counts)
 
 
 # ------------------------------------------------- normalised label draw

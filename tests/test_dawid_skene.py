@@ -8,7 +8,7 @@ import pytest
 from scipy.special import gammaln, logsumexp
 
 from margmcmc import dawid_skene as ds
-from margmcmc.stats import make_rng
+from margmcmc.stats import make_rng, sample_dirichlet
 from oracles import (ds_constrain, ds_full_log_joint, ds_log_prior,
                      ds_marginal_log_joint, ds_marginal_log_lik,
                      ds_marginal_log_post_u, ds_unconstrain, label_probs,
@@ -215,3 +215,16 @@ class TestModelHandle:
         p = model.init_params(make_rng(38))
         assert p.pi.sum() == pytest.approx(1.0)
         assert np.allclose(p.theta.sum(axis=2), 1.0)
+
+    @pytest.mark.parametrize("j,k", [(1, 2), (3, 3), (5, 5), (2, 6)])
+    def test_init_draws_pi_then_theta(self, j, k):
+        """The one stacked prior draw is pi's draw and then theta's, bit
+        for bit and generator state included."""
+        model = ds.DawidSkeneModel(j, k)
+        one, two = make_rng(39, k), make_rng(39, k)
+        p = model.init_params(one)
+        pi = sample_dirichlet(two, model.alpha[None])[0]
+        assert np.array_equal(p.pi, pi)
+        assert np.array_equal(p.theta, sample_dirichlet(
+            two, np.broadcast_to(model.beta, (j, k, k))))
+        assert one.bit_generator.state == two.bit_generator.state

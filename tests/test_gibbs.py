@@ -502,12 +502,33 @@ class TestConjugateUpdates:
         # all items truly category 0: rows for other categories see no data
         data = ds.DSData(np.zeros((30, 2), dtype=int), 3)
         latent = np.zeros(30, dtype=int)
-        beta = ds.ds_beta_matrix(3)
-        draws = np.array([update_theta_conjugate(data, latent, beta, rng)
-                          for _ in range(4000)])
+        model = ds.DawidSkeneModel(2, 3)
+        beta = model.beta
+        draws = np.array([
+            update_theta_conjugate(data, latent, model.prior_rows, rng)[1]
+            for _ in range(4000)])
         # rows k=1,2 had zero counts, so their mean is the prior mean
         want = beta[1] / beta[1].sum()
         assert np.allclose(draws[:, :, 1].mean(axis=(0, 1)), want, atol=0.02)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_stacked_draw_matches_two_calls(self, k):
+        """pi and every confusion row from one stacked draw are, bit for
+        bit and generator state included, pi's draw and then theta's."""
+        make = np.random.default_rng(200 + k)
+        for t in range(30):
+            j, n = int(make.integers(1, 6)), int(make.integers(1, 60))
+            data = ds.DSData(make.integers(0, k, size=(n, j)), k)
+            model = ds.DawidSkeneModel(j, k)
+            latent = make.integers(0, k, size=n)
+            one, two = make_rng(k, t), make_rng(k, t)
+            pi, theta = update_theta_conjugate(data, latent,
+                                               model.prior_rows, one)
+            want_pi, want_theta = oracles.conjugate_pi_theta_two_calls(
+                data, latent, model.alpha, model.beta, two)
+            assert np.array_equal(pi, want_pi)
+            assert np.array_equal(theta, want_theta)
+            assert one.bit_generator.state == two.bit_generator.state
 
 
 class TestLatentBlock:
