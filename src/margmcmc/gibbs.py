@@ -4,8 +4,8 @@ One chain runs one Gibbs arm of the model handle's `methods`, read from
 the arm's name at construction as the flags `marginal` and (mixture
 only) `conjugate`:
 
-  gibbs-full            -- labels + conjugate Dirichlet blocks, slice
-                           moves for the other continuous coordinates
+  gibbs-full            -- labels + conjugate Dirichlet blocks, all in
+                           one stacked draw; slice moves for the rest
   gibbs-full-restricted -- labels, every continuous coordinate by 1-d
                            slice moves (simplexes via stick coordinates)
   gibbs-marginal        -- no labels; every continuous coordinate of the
