@@ -59,18 +59,22 @@ class TestSliceSampler:
             x = slice_sample_1d(logf, x, rng, lower=0.0, upper=1.0)
             assert 0.0 < x < 1.0
 
-    @pytest.mark.parametrize("logf,lower,upper,x0,seed,evals,following", [
-        (lambda x: -0.5 * x * x, -np.inf, np.inf, 0.3, 61, 2283,
-         0.8424162554399204),
-        (lambda x: np.log(x) + 2.0 * np.log1p(-x), 0.0, 1.0, 0.5, 62, 544,
-         0.2969399916618466),
-    ], ids=["unbounded", "bounded"])
+    @pytest.mark.parametrize(
+        "logf,lower,upper,x0,seed,evals,following,stream",
+        [pytest.param(*case, stream, id=name + ("-stream" if stream else ""))
+         for stream in (False, True) for name, *case in [
+             ("unbounded", lambda x: -0.5 * x * x, -np.inf, np.inf, 0.3, 61,
+              2283, 0.8424162554399204),
+             ("bounded", lambda x: np.log(x) + 2.0 * np.log1p(-x), 0.0, 1.0,
+              0.5, 62, 544, 0.2969399916618466)]])
     def test_evaluation_and_generator_contract(self, logf, lower, upper, x0,
-                                               seed, evals, following):
+                                               seed, evals, following, stream):
         # perfbench divides gibbs-marginal time by these density
         # evaluations, and the slice moves' share of the generator fixes
-        # every later draw: both are pinned
+        # every later draw: both are pinned, and a chain's uniform stream
+        # leaves both as the generator itself does once it is closed
         rng = make_rng(seed)
+        source = gb._Uniforms(rng) if stream else rng
         calls = []
 
         def counted(x):
@@ -79,9 +83,26 @@ class TestSliceSampler:
 
         x = x0
         for _ in range(200):
-            x = slice_sample_1d(counted, x, rng, lower=lower, upper=upper)
+            x = slice_sample_1d(counted, x, source, lower=lower, upper=upper)
+        if stream:
+            source.close()
         assert len(calls) == evals
         assert rng.random() == following
+
+    def test_uniform_stream_matches_one_at_a_time(self):
+        # each take, the generator after close() and a direct draw after
+        # it equal a twin generator's one-at-a-time draws, across blocks
+        rng, twin = make_rng(63), make_rng(63)
+        stream = gb._Uniforms(rng)
+        for n in (0, 1, 63, 64, 65, 200):
+            assert ([stream.random() for _ in range(n)]
+                    == [twin.random() for _ in range(n)])
+            stream.close()
+            assert rng.bit_generator.state == twin.bit_generator.state
+            assert rng.random() == twin.random()
+        stream.close()   # a second close hands back nothing more
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert stream.random() == twin.random()
 
     def test_deterministic(self):
         logf = lambda x: -0.5 * x * x

@@ -12,7 +12,9 @@ never calls is still unused.  Every field of a dataclass in
 fused gradients reach the traced layers through those names.  Dirichlet
 and gamma variates are drawn in one place, `stats.sample_dirichlet`, a
 point is constrained in one place per model, its fused gradient, and
-chains are run and timed in one place, `harness.run_chain`.
+chains are run and timed in one place, `harness.run_chain`.  A generator
+is rewound in one place, `gibbs._Uniforms.close`, and no Gibbs sweep
+draws a uniform one `random()` call at a time.
 Nothing compares a model family's `kind`: the scenario types and model
 handles own what differs between families.  Nothing in `src/margmcmc`
 imports scipy, which only the tests and the benchmark use as a
@@ -33,6 +35,9 @@ import pytest
 
 import margmcmc
 from margmcmc import dawid_skene, mixture, transforms
+from margmcmc.harness import run_chain
+from margmcmc.simulate import gen_dataset, get_scenario
+from margmcmc.stats import make_rng
 
 SRC = Path(margmcmc.__file__).resolve().parent
 ENTRY_POINTS = {("cli", "main")}
@@ -193,6 +198,41 @@ def test_one_dirichlet_draw():
     sites = [f"{module}.{site}" for module, tree in src_trees().items()
              for site in call_sites(tree, {"dirichlet", "standard_gamma"})]
     assert sites == ["stats.sample_dirichlet"]
+
+
+def test_one_generator_rewind():
+    # slice moves take their uniforms in blocks from one stream per chain,
+    # and only that stream hands unused values back to the generator
+    sites = [f"{module}.{site}" for module, tree in src_trees().items()
+             for site in call_sites(tree, {"advance"})]
+    assert sites == ["gibbs._Uniforms.close"]
+
+
+class NoScalarRandom:
+    """A chain generator that forwards every attribute but refuses a
+    one-at-a-time `random()`."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def random(self, *args, **kwargs):
+        if not args and not kwargs:
+            raise AssertionError("a scalar random() call on a chain generator")
+        return self._rng.random(*args, **kwargs)
+
+
+@pytest.mark.parametrize("scenario_id", ["two-comp-1", "three-comp-4", "ds"])
+def test_gibbs_sweeps_draw_no_scalar_uniform(scenario_id):
+    scenario = get_scenario(scenario_id)
+    model, (data, _) = scenario.model(), gen_dataset(scenario, 1, 7)
+    for method in model.methods:
+        if method.startswith("gibbs"):
+            chain = run_chain(model, data, method, 1, 0,
+                              NoScalarRandom(make_rng(7)))
+            assert np.isfinite(chain.draws).all()
 
 
 def test_one_chain_loop():
