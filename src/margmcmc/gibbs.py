@@ -17,19 +17,23 @@ isolate the effect of marginalisation itself.
 
 A simplex is sliced one stick coordinate at a time through one target,
 sum_i log sum_k p_k exp(rows[k, i]) plus a Dirichlet kernel, in
-`_slice_simplex_coords`: both models' pi (the restricted arm's with
-the kernel alone) and each confusion row.  While one stick moves the
-others fix every p_k up to a factor z or 1 - z, so an evaluation reads
-a (3, n) matrix, every stick's built once per simplex, in three numpy
-calls and no reduction.  The accepted point is placed bit for bit as
-transforms.constrain_simplex would place it.
+`_slice_simplex_coords`: both models' pi (the restricted arm's with the
+kernel alone) and each confusion row, each accepted point placed bit for
+bit as transforms.constrain_simplex would place it.
 
 Update order is fixed: labels z, then pi, then theta or (mu, sigma).
 A mixture mean's slice target carries the truncation renormaliser of the
 next mean's prior, from `stats.log_ndtr` as in the mixture's prior.
 
 Every slice move starts from an interval of width 1 and doubles it at
-most 10 times (SLICE_WIDTH, SLICE_MAX_DOUBLINGS).
+most 10 times (SLICE_WIDTH, SLICE_MAX_DOUBLINGS).  Its uniforms come
+from the chain's `_Uniforms`, rng.random(_BLOCK) blocks handed out in
+turn.  A sweep's slice moves are its last draws, and it ends by closing
+the stream, which rewinds the generator over the values not taken, so
+every draw is as if made one at a time.  The rewind needs a PCG64, as
+stats.make_rng builds, with no pending 32-bit value; a chain's generator
+never holds one.  A SliceError leaves the generator ahead, which is
+harmless: the chain is abandoned.
 
 The label conditionals and the marginal slice targets' cached matrices
 are component-major, (K, n) or (K, I), as in the model modules; a slice
@@ -37,15 +41,15 @@ move on one component rewrites one contiguous row.
 
 Each marginal slice target caches what its coordinate leaves fixed, as
 the full arms' targets read counts made once per sweep: a stick what the
-other sticks fix (above); a mixture mean the other rows' log-sum-exp
-(`_row_lse_sum`); sigma (x - mu_k)^2 / 2 (`_log_sigma_target`).  A
-total that is not finite, or a simplex entry at or below _P_FLOOR, is
-evaluated in log space over all rows, the uncached form, so saturated
-sticks and extreme sigma read exactly as in it.  Elsewhere a density
-differs from it in the last bits only, and the slice sampler reads
-densities only through comparisons with the slice level, so a draw moves
-only where a comparison falls within those bits; none in the pinned
-chains does.
+other sticks fix (`_slice_simplex_coords`); a mixture mean the other
+rows' log-sum-exp (`_row_lse_sum`); sigma (x - mu_k)^2 / 2
+(`_log_sigma_target`).  A total that is not finite, or a simplex entry
+at or below _P_FLOOR, is evaluated in log space over all rows, the
+uncached form, so saturated sticks and extreme sigma read exactly as in
+it.  Elsewhere a density differs from it in the last bits only, and the
+slice sampler reads densities only through comparisons with the slice
+level, so a draw moves only where a comparison falls within those bits;
+none in the pinned chains does.
 
 The handle supplies the labels' full conditional as (K, n) log weights
 up to a constant per column (`z_log_weights`), drawn from unnormalised;
@@ -54,8 +58,9 @@ sweeps.  No sampler branches on a model's name.
 """
 
 import math
-from itertools import accumulate
-from operator import mul
+from collections import deque
+from itertools import accumulate, chain
+from operator import length_hint, mul
 
 import numpy as np
 
@@ -70,6 +75,22 @@ SLICE_MAX_DOUBLINGS = 10
 # A cached simplex target sums p_k e_ki directly only while every p_k is
 # above this, so each sum stays a normal float to full precision.
 _P_FLOOR = 1e-290
+_BLOCK = 64   # uniforms per draw of a chain's slice-move stream
+
+
+class _Uniforms:
+    def __init__(self, rng):
+        self.rng, self._block = rng, iter(())
+        self.random = chain.from_iterable(iter(self._draw, None)).__next__
+
+    def _draw(self):
+        self._block = iter(self.rng.random(_BLOCK).tolist())
+        return self._block
+
+    def close(self):
+        if unused := length_hint(self._block):
+            self.rng.bit_generator.advance((1 << 128) - unused)
+            deque(self._block, maxlen=0)   # the next take draws a block
 
 
 class SliceError(RuntimeError):
@@ -84,7 +105,8 @@ def slice_sample_1d(logdensity, current, rng, lower=-np.inf, upper=np.inf):
     bounds and the slice level are Python floats, so the interval
     arithmetic skips numpy's scalar overhead; the result is a float.  With
     both bounds infinite the density is called directly; an interval that
-    never doubled skips Neal's accept test, which would not loop.
+    never doubled skips Neal's accept test, which would not loop.  `rng`
+    is anything with a `.random()`, a generator or a chain's _Uniforms.
     """
     random = rng.random
     current, lower, upper = float(current), float(lower), float(upper)
@@ -309,7 +331,7 @@ class _MixtureGibbs:
         self.marginal = method == "gibbs-marginal"
         self.conjugate = method == "gibbs-full"
         self.k = model.k
-        self.params = init
+        self.params, self.uniforms = init, _Uniforms(rng)
         if not self.conjugate:   # only slice moves read the sticks
             self.u_pi = tr.unconstrain_simplex(self.params.pi)
         self.x2, self.ones = data.x**2, np.ones(len(data.x))
@@ -318,7 +340,7 @@ class _MixtureGibbs:
         if self.marginal:
             self._sweep_marginal()
             return
-        rng, k = self.rng, self.k
+        rng, uniforms, k = self.rng, self.uniforms, self.k
         x = self.data.x
         mu, pi = self.params.mu, self.params.pi
         sigma = np.float64(self.params.sigma)   # inf instead of OverflowError
@@ -331,7 +353,7 @@ class _MixtureGibbs:
         if self.conjugate:
             pi = update_pi_conjugate(counts, 1.0, rng)   # Dirichlet(1) prior
         else:   # the Dirichlet(1) prior is flat
-            self.u_pi, pi = _slice_simplex_coords(self.u_pi, rng,
+            self.u_pi, pi = _slice_simplex_coords(self.u_pi, uniforms,
                                                   prior_m1=counts)
         # (3) mu then sigma, by slice
         mu = mu.tolist()
@@ -345,7 +367,7 @@ class _MixtureGibbs:
             def mu_target(m, n_k=n_k, s1=s1, s2=s2, truncates=kk < k - 1):
                 quad = -(s2 - 2.0 * m * s1 + n_k * m * m) / two_var
                 return quad + _mu_log_prior(m, truncates)
-            mu[kk] = slice_sample_1d(mu_target, mu[kk], rng,
+            mu[kk] = slice_sample_1d(mu_target, mu[kk], uniforms,
                                      lower=lo, upper=hi)
         mu = np.array(mu)
         d = x - mu[z]
@@ -360,11 +382,12 @@ class _MixtureGibbs:
             lx = float(np.log(s))   # Lognormal(0, 1) log density at s
             return (-n * ls - sse / (2.0 * s * s)
                     + (-lx - 0.5 * LOG_2PI - 0.5 * lx * lx) + ls)
-        ls = slice_sample_1d(log_sigma_target, np.log(sigma), rng)
+        ls = slice_sample_1d(log_sigma_target, np.log(sigma), uniforms)
         self.params = mx.MixtureParams(mu=mu, sigma=float(np.exp(ls)), pi=pi)
+        uniforms.close()
 
     def _sweep_marginal(self):
-        rng, k = self.rng, self.k
+        rng, k = self.uniforms, self.k   # every draw here is a slice move's
         x = self.data.x
         mu = self.params.mu.copy()
         sigma = self.params.sigma
@@ -397,6 +420,7 @@ class _MixtureGibbs:
 
         ls = slice_sample_1d(_log_sigma_target(x, mu, pi), np.log(sigma), rng)
         self.params = mx.MixtureParams(mu=mu, sigma=float(np.exp(ls)), pi=pi)
+        self.uniforms.close()
 
 
 def _row_lse_sum(m, kk):
@@ -460,7 +484,7 @@ class _DawidSkeneGibbs:
     def __init__(self, model, data, rng, init, method):
         self.model, self.data, self.rng = model, data, rng
         self.j, self.k = model.j, model.k
-        self.params = init
+        self.params, self.uniforms = init, _Uniforms(rng)
         self.marginal = method == "gibbs-marginal"
         if self.marginal:
             self.u_pi = tr.unconstrain_simplex(self.params.pi)
@@ -476,6 +500,7 @@ class _DawidSkeneGibbs:
             self._sweep_marginal()
         else:
             self._sweep_full()
+        self.uniforms.close()
 
     def _sweep_full(self):
         # (1) labels, then (2) pi and (3) theta in one draw from their
@@ -486,7 +511,7 @@ class _DawidSkeneGibbs:
         self.params = dsm.DSParams(pi=pi, theta=theta)
 
     def _sweep_marginal(self):
-        rng = self.rng
+        rng = self.uniforms   # every draw here is a slice move's
         data, j, k = self.data, self.j, self.k
 
         # pi stick coordinates (Dirichlet kernel; the normaliser is constant)
