@@ -89,6 +89,11 @@ PINS = [
     # twice, and every leapfrog of 400 transitions feeds the draws
     ("three-comp-4", "nuts-marginal", 400, 300,
      "eb1ba104293d923e5b1352901659b229de4ed9051c010365936dbe1771dbe018"),
+    # the same for the rating model: the two ds NUTS pins above see at
+    # most one window, and this one feeds every leapfrog of the stick
+    # transforms' row path through two windows and two step-size searches
+    ("ds", "nuts-marginal", 400, 300,
+     "5934b51c113ac93c10c92763051fce207d2e1caf6b595f4909db0859c65c300f"),
     # longer label-sampling chains, so that a change to the conjugate
     # Dirichlet draws or to the full arm's slice targets is checked over
     # many sweeps: every gamma variate and every slice comparison of 600
