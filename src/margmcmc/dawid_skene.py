@@ -92,7 +92,7 @@ def ds_beta_matrix(k):
 def _item_category_loglik(data, log_theta):
     """C[k, i] = sum_j log theta[j, k, y_ij]  (K x I), summed in rater
     order."""
-    return log_theta.take(data.category_index).sum(axis=0)
+    return np.add.reduce(log_theta.take(data.category_index), axis=0)
 
 
 def _dirichlet_log_norm(alpha):
@@ -145,14 +145,15 @@ class DawidSkeneModel:
     def log_prior(self, log_pi, log_theta):
         """Dirichlet log prior of pi and every confusion row, given their
         logs."""
-        return (self.log_norm_pi + float(np.dot(self.alpha_m1, log_pi))
+        return (self.log_norm_pi + float(self.alpha_m1.dot(log_pi))
                 + self.log_norm_theta + float((self.beta_m1 * log_theta).sum()))
 
     def log_post_grad_u(self, data, u):
         """Fused (value, gradient, params) of the unconstrained log
         posterior; one stick pass serves params (the DSParams at `u`, also
-        returned with a -inf value), logJ and the pull-back.  Layout of
-        `u`: pi's sticks (K-1), then theta's rows in (j, k) order."""
+        returned with a -inf value), logJ and the pull-back.  One (K, I)
+        buffer is turned in place from C into ll, then r.  Layout of `u`:
+        pi's sticks (K-1), then theta's rows in (j, k) order."""
         j, k = self.j, self.k
         u = np.asarray(u, dtype=float)
         rows, log_j, sticks = tr.constrain_simplex_rows(
@@ -163,17 +164,19 @@ class DawidSkeneModel:
         log_pi = np.log(pi)
         log_theta = np.log(theta)
 
-        ll = log_pi[:, None] + _item_category_loglik(data, log_theta)
+        ll = _item_category_loglik(data, log_theta)
+        ll += log_pi[:, None]
         row_lse = lse_rows(ll)
-        value = float(row_lse.sum()) + self.log_prior(log_pi, log_theta) \
-            + float(log_j.sum())
+        value = float(np.add.reduce(row_lse)) \
+            + self.log_prior(log_pi, log_theta) + float(np.add.reduce(log_j))
         if not math.isfinite(value):
             return -math.inf, np.zeros_like(u), params
 
-        r = np.exp(ll - row_lse)
+        ll -= row_lse
+        r = np.exp(ll, out=ll)
         # d/dp of every simplex row, laid out (K, rows) for the pull-back
         g_p = np.empty((k, 1 + j * k))
-        g_p[:, 0] = (r.sum(axis=1) + self.alpha_m1) / pi
+        np.divide(np.add.reduce(r, axis=1) + self.alpha_m1, pi, out=g_p[:, 0])
         # counts[j, k, c] = sum_i r[k, i] [y_ij == c]
         counts = (r @ data.rating_onehot.T).reshape(k, j, k).transpose(1, 0, 2)
         np.divide(self.beta_m1 + counts, theta,

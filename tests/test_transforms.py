@@ -226,3 +226,33 @@ class TestSimplexRows:
         assert np.array_equal(lj, want_lj, equal_nan=True)
         assert np.array_equal(got, want_g, equal_nan=True)
 
+    @pytest.mark.parametrize("r,k", [(1, 2), (26, 5), (9, 7)])
+    def test_pull_back_leaves_sticks_unchanged(self, r, k):
+        # one forward pass serves any number of pull-backs: each reads
+        # the sticks as a fresh forward pass leaves them
+        rng = make_rng(6)
+        rows = rng.normal(scale=3.0, size=(r, k - 1))
+        g_a, g_b = rng.normal(size=(2, r, k))
+        _, _, sticks = tr.constrain_simplex_rows(rows)
+        got_a = tr.grad_simplex_rows(sticks, g_a)
+        got_b = tr.grad_simplex_rows(sticks, g_b)
+        for g_p, got in ((g_a, got_a), (g_b, got_b)):
+            fresh = tr.constrain_simplex_rows(rows)[2]
+            assert np.array_equal(got, tr.grad_simplex_rows(fresh, g_p))
+
+    def test_any_memory_layout_of_rows(self):
+        # C-ordered, Fortran-ordered and strided views of the same rows
+        # give the same bits
+        rng = make_rng(7)
+        rows = rng.normal(scale=3.0, size=(26, 4))
+        wide = rng.normal(size=(52, 12))
+        wide[::2, 1::3] = rows
+        layouts = [np.asfortranarray(rows), wide[::2, 1::3],
+                   rows[::-1].copy()[::-1]]
+        want = tr.constrain_simplex_rows(rows)
+        for view in layouts:
+            assert np.array_equal(view, rows)
+            got = tr.constrain_simplex_rows(view)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
