@@ -162,7 +162,7 @@ def grad_simplex_rows(sticks, g_p):
     inv = np.divide(1.0, sticks)    # 1 / z, 1 / rem, 1 / (1 - z)
     g = g_p.T
     g_rem = g[1:].copy()            # g_rem[i]: the adjoint entering stick i
-    g_rem[:-1] *= z[1:]             # p's share, before the later sticks'
+    g_rem[:-1] *= z[1:]             # p's own share; the loop adds the rest
     nxt = g_rem[-1]
     for i in range(len(z) - 1, 0, -1):
         prev = g_rem[i - 1]
