@@ -255,4 +255,3 @@ class TestSimplexRows:
             got = tr.constrain_simplex_rows(view)
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
-
