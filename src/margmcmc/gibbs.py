@@ -42,14 +42,16 @@ move on one component rewrites one contiguous row.
 Each marginal slice target caches what its coordinate leaves fixed, as
 the full arms' targets read counts made once per sweep: a stick what the
 other sticks fix (`_slice_simplex_coords`); a mixture mean the other
-rows' log-sum-exp (`_row_lse_sum`); sigma (x - mu_k)^2 / 2
-(`_log_sigma_target`).  A total that is not finite, or a simplex entry
-at or below _P_FLOOR, is evaluated in log space over all rows, the
-uncached form, so saturated sticks and extreme sigma read exactly as in
-it.  Elsewhere a density differs from it in the last bits only, and the
-slice sampler reads densities only through comparisons with the slice
-level, so a draw moves only where a comparison falls within those bits;
-none in the pinned chains does.
+rows' log-sum-exp (`_mu_target`); sigma (x - mu_k)^2 / 2
+(`_log_sigma_target`).  A stick or sigma total that is not finite, or a
+simplex entry at or below _P_FLOOR, is evaluated in log space over all
+rows, the uncached form, so saturated sticks and extreme sigma read
+exactly as in it.  A mean's rows hold only finite values and -inf (the
+data, sigma and slice points are finite), so its total is -inf exactly
+where the log-space one is, and it needs no fallback.  Elsewhere a
+density differs in its last bits only, and the slice sampler only
+compares it with the slice level: a draw moves only where a comparison
+falls within those bits, and none in the pinned chains does.
 
 The handle supplies the labels' full conditional as (K, n) log weights
 up to a constant per column (`z_log_weights`), drawn from unnormalised;
@@ -339,10 +341,13 @@ class _MixtureGibbs:
     def sweep(self):
         if self.marginal:
             self._sweep_marginal()
-            return
+        else:
+            self._sweep_full()
+        self.uniforms.close()
+
+    def _sweep_full(self):
         rng, uniforms, k = self.rng, self.uniforms, self.k
-        x = self.data.x
-        mu, pi = self.params.mu, self.params.pi
+        x, mu, pi = self.data.x, self.params.mu, self.params.pi
         sigma = np.float64(self.params.sigma)   # inf instead of OverflowError
         # (1) labels
         z = update_z_block(self.model, self.data, self.params, rng)
@@ -384,13 +389,11 @@ class _MixtureGibbs:
                     + (-lx - 0.5 * LOG_2PI - 0.5 * lx * lx) + ls)
         ls = slice_sample_1d(log_sigma_target, np.log(sigma), uniforms)
         self.params = mx.MixtureParams(mu=mu, sigma=float(np.exp(ls)), pi=pi)
-        uniforms.close()
 
     def _sweep_marginal(self):
         rng, k = self.uniforms, self.k   # every draw here is a slice move's
-        x = self.data.x
+        x, sigma = self.data.x, self.params.sigma
         mu = self.params.mu.copy()
-        sigma = self.params.sigma
         z = (x - mu[:, None]) / sigma
         ll = -np.log(sigma) - 0.5 * LOG_2PI - 0.5 * z * z  # log f(x_i | mu_k)
 
@@ -402,41 +405,31 @@ class _MixtureGibbs:
         for kk in range(k):
             lo = mu[kk - 1] if kk > 0 else -np.inf
             hi = mu[kk + 1] if kk < k - 1 else np.inf
-            const = log_pi[kk] - np.log(sigma) - 0.5 * LOG_2PI  # - z^2 / 2
-
-            def set_row(m, const=const, row=m_mat[kk]):
-                z = (x - m) / sigma
-                z *= 0.5 * z
-                np.subtract(const, z, out=row)
-
-            lik = _row_lse_sum(m_mat, kk)
-
-            def mu_target(m, kk=kk, set_row=set_row, lik=lik):
-                set_row(m)
-                return lik() + _mu_log_prior(m, kk < k - 1)
-            mu[kk] = slice_sample_1d(mu_target, mu[kk], rng,
-                                     lower=lo, upper=hi)
+            target, set_row = _mu_target(x, sigma, log_pi[kk], m_mat, kk)
+            mu[kk] = slice_sample_1d(target, mu[kk], rng, lower=lo, upper=hi)
             set_row(mu[kk])  # leave the cached row at the accepted value
 
         ls = slice_sample_1d(_log_sigma_target(x, mu, pi), np.log(sigma), rng)
         self.params = mx.MixtureParams(mu=mu, sigma=float(np.exp(ls)), pi=pi)
-        self.uniforms.close()
 
 
-def _row_lse_sum(m, kk):
-    """sum(lse_rows(m)) as a function of row kk of `m`, which the caller
-    rewrites in place between calls: sum(logaddexp(others, m[kk])) with
-    the other rows' log-sum-exp cached, or at a non-finite total
-    sum(lse_rows(m))."""
+def _mu_target(x, sigma, log_pi_k, m, kk):
+    """Mean kk's log density and `set_row`, which writes log pi_k +
+    log f(x | mean) into row kk of `m`; the other rows' lse is cached."""
+    const = log_pi_k - np.log(sigma) - 0.5 * LOG_2PI   # - z^2 / 2
     others, row, col = _lse_other_rows(m, kk), m[kk], np.empty(m.shape[1])
-    sum_of = ones_dot(len(col))
+    sum_of, truncates = ones_dot(len(col)), kk < len(m) - 1
 
-    def lik():
-        total = float(sum_of(np.logaddexp(others, row, out=col)))
-        if math.isfinite(total):
-            return total
-        return float(np.add.reduce(lse_rows(m)))
-    return lik
+    def set_row(mean):
+        z = (x - mean) / sigma
+        z *= 0.5 * z
+        np.subtract(const, z, out=row)
+
+    def target(mean):
+        set_row(mean)
+        return (float(sum_of(np.logaddexp(others, row, out=col)))
+                + _mu_log_prior(mean, truncates))
+    return target, set_row
 
 
 def _log_sigma_target(x, mu, pi):
@@ -483,17 +476,11 @@ class _DawidSkeneGibbs:
     # no restricted arm: the full arm is the conjugate one
     def __init__(self, model, data, rng, init, method):
         self.model, self.data, self.rng = model, data, rng
-        self.j, self.k = model.j, model.k
         self.params, self.uniforms = init, _Uniforms(rng)
         self.marginal = method == "gibbs-marginal"
         if self.marginal:
             self.u_pi = tr.unconstrain_simplex(self.params.pi)
             self.u_theta = tr.unconstrain_simplex(self.params.theta)
-            self._rebuild_cache()
-
-    def _rebuild_cache(self):
-        self.c = dsm._item_category_loglik(self.data,
-                                           np.log(self.params.theta))
 
     def sweep(self):
         if self.marginal:
@@ -512,10 +499,11 @@ class _DawidSkeneGibbs:
 
     def _sweep_marginal(self):
         rng = self.uniforms   # every draw here is a slice move's
-        data, j, k = self.data, self.j, self.k
+        data, j, k = self.data, self.model.j, self.model.k
+        c = dsm._item_category_loglik(data, np.log(self.params.theta))
 
         # pi stick coordinates (Dirichlet kernel; the normaliser is constant)
-        self.u_pi, pi = _slice_simplex_coords(self.u_pi, rng, self.c,
+        self.u_pi, pi = _slice_simplex_coords(self.u_pi, rng, c,
                                               self.model.alpha_m1)
         log_pi = np.log(pi)
 
@@ -525,22 +513,21 @@ class _DawidSkeneGibbs:
         # logaddexp(others, rest + log p[y]): as sum(p) = 1, the simplex
         # target of rows `others` with entry y set to logaddexp(others, rest)
         theta = self.params.theta.copy()
-        base = log_pi[:, None] + self.c       # (K, I)
+        base = log_pi[:, None] + c       # (K, I)
         for jj in range(j):
             y_j = data.ratings[:, jj]
             onehot = data.rating_onehot[jj * k:(jj + 1) * k]   # (K, I)
             log_theta_j = np.log(theta[jj])   # row kk is read before it moves
             for kk in range(k):
-                col_wo_row = self.c[kk] - log_theta_j[kk][y_j]
+                col_wo_row = c[kk] - log_theta_j[kk][y_j]
                 others = _lse_other_rows(base, kk)   # (I,), over k' != kk
                 rows = np.where(onehot, np.logaddexp(
                     others, log_pi[kk] + col_wo_row), others)
                 self.u_theta[jj, kk], theta[jj, kk] = _slice_simplex_coords(
                     self.u_theta[jj, kk], rng, rows, self.model.beta_m1[kk])
-                self.c[kk] = col_wo_row + np.log(theta[jj, kk])[y_j]
-                base[kk] = log_pi[kk] + self.c[kk]
+                c[kk] = col_wo_row + np.log(theta[jj, kk])[y_j]
+                base[kk] = log_pi[kk] + c[kk]
         self.params = dsm.DSParams(pi=pi, theta=theta)
-        self._rebuild_cache()
 
 
 # The Gibbs chain state class of each model handle, for `harness.run_chain`.

@@ -198,10 +198,12 @@ def test_criterion_5_cross_sampler_agreement():
 def test_criterion_6_parameter_recovery():
     # Known discrepancy: the overlapping scenarios (means at +-2.5, so 5
     # apart, with sd 2) do not identify the component means to +-0.5 at
-    # n=200.  On two-comp-3 the posterior sds of mu are 0.82 and 1.68,
-    # so the bound sits inside one posterior sd.  Whether two-comp-4's
-    # reading is a tail data draw or a sampler fault is still open (see
-    # ROADMAP.md).  The check is reported per scenario and fails honestly.
+    # n=200.  On two-comp-3 the exact posterior sds of mu are 1.22 and
+    # 1.42, so the bound sits inside one posterior sd.  On two-comp-4 the
+    # exact posterior mean of mu[1] is itself -3.020, 0.52 from the truth,
+    # so that reading is the data draw, not a sampler fault (grid
+    # quadrature from README's priors; see ROADMAP.md).  The check is
+    # reported per scenario and fails honestly.
     t0 = time.time()
     worst = 0.0
     details = []

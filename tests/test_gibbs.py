@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
@@ -50,6 +50,31 @@ class TestSliceSampler:
             draws[i] = x
         assert draws.mean() == pytest.approx(3.0, abs=0.1)
         assert draws.var() == pytest.approx(3.0, abs=0.3)
+
+    def test_two_mode_target_moments(self):
+        # Neal's (2003) acceptance test for doubled intervals rejects a
+        # point from which doubling would not rebuild the interval.  Modes
+        # at +-1.5, sd 0.5, are close enough for chains to cross often and
+        # far enough apart for the test to reject
+        rng = make_rng(64)
+        logf = lambda x: float(np.logaddexp(-2.0 * (x - 1.5) ** 2,
+                                            -2.0 * (x + 1.5) ** 2))
+        real, accepts = gb._doubling_accept, []
+
+        def spy(*args):
+            accepts.append(real(*args))
+            return accepts[-1]
+        x = 1.5
+        draws = np.empty(20000)
+        with mock.patch.object(gb, "_doubling_accept", spy):
+            for i in range(len(draws)):
+                x = slice_sample_1d(logf, x, rng)
+                draws[i] = x
+        assert accepts.count(False) > 100
+        assert np.count_nonzero(np.diff(np.sign(draws))) > 1000
+        # equal-weight N(+-1.5, 0.5^2): mean 0, variance 1.5^2 + 0.5^2
+        assert draws.mean() == pytest.approx(0.0, abs=0.1)
+        assert draws.var() == pytest.approx(2.5, abs=0.15)
 
     def test_respects_bounds(self):
         rng = make_rng(42)
@@ -286,6 +311,31 @@ def lse_spy():
         yield lambda: lse.call_count + lae.call_count
 
 
+big = st.floats(-1e300, 1e300)
+
+
+@st.composite
+def mean_target_states(draw):
+    """A marginal mixture state and a trial mean as extreme as finite
+    values go: data and means out to +-1e300, sigma from e^-745 to e^709
+    and weights with exact zeros; (x, mu, sigma, pi, kk, trial)."""
+    k = draw(st.integers(2, 4))
+    x = draw(st.lists(big, min_size=1, max_size=6))
+    mu = draw(st.lists(big, min_size=k, max_size=k))
+    sigma = math.exp(draw(st.floats(-745.0, 709.0)))
+    w = np.array(draw(st.lists(st.sampled_from([0.0, 1e-300])
+                               | st.floats(0.0, 1.0), min_size=k, max_size=k)))
+    assume(sigma > 0.0 and w.sum() > 0.0)
+    return (np.array(x), np.array(mu), sigma, w / w.sum(),
+            draw(st.integers(0, k - 1)), draw(big))
+
+
+def mu_prior_off():
+    """Reads the mean target's prior as 0, so the target is its
+    likelihood alone."""
+    return mock.patch.object(gb, "_mu_log_prior", lambda m, truncates: 0.0)
+
+
 class TestCachedTargets:
     """Each marginal slice target caches what its coordinate leaves fixed;
     it must read as the log-space targets in tests/oracles.py, at
@@ -327,33 +377,62 @@ class TestCachedTargets:
                             assert calls == 0     # the cached path ran
                         assert_agrees(got, want)
 
+    @staticmethod
+    def mu_lik(x, sigma, log_pi, m_mat, kk):
+        """`_mu_target`'s likelihood: its target, to be called under
+        `mu_prior_off`."""
+        return gb._mu_target(x, sigma, log_pi[kk], m_mat, kk)[0]
+
     def test_mixture_mu(self, mix):
         x, states = mix
         rng = make_rng(2024, 9)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"), \
+                mu_prior_off():
             pis = [rng.dirichlet(np.ones(3)) for _ in range(3)]
             pis.append(simplex_at(np.array([40.0, -3.0]))[1])   # (1, 0, 0)
             for (mu, sigma), pi in zip(states, pis * 2):
                 log_pi = np.log(pi)
                 m_mat = self.loglik_rows(x, mu, sigma) + log_pi[:, None]
                 for kk in range(3):
-                    lik = gb._row_lse_sum(m_mat, kk)
+                    lik = self.mu_lik(x, sigma, log_pi, m_mat, kk)
                     trials = [*rng.normal(0.0, 10.0, size=10),
                               -1e300, -1e160, -1e10, 1e10, 1e160, 1e300]
                     for m in trials:
+                        got = lik(m)   # writes row kk of m_mat at m
                         z = (x - m) / sigma
-                        m_mat[kk] = (log_pi[kk] - np.log(sigma)
-                                     - 0.5 * oracles.LOG_2PI - 0.5 * z * z)
-                        assert_agrees(lik(),
-                                      oracles.mix_mu_lik_log_space(m_mat))
+                        want = m_mat.copy()
+                        want[kk] = (log_pi[kk] - np.log(sigma)
+                                    - 0.5 * oracles.LOG_2PI - 0.5 * z * z)
+                        assert np.array_equal(m_mat, want)
+                        assert_agrees(got, oracles.mix_mu_lik_log_space(want))
+
+    @settings(max_examples=500)
+    @given(mean_target_states())
+    def test_mixture_mu_non_finite_as_log_space(self, case):
+        # Why the mean target has no log-space fallback: with finite data,
+        # means and sigma, every entry of its rows is finite or -inf, so
+        # its total is not finite exactly where sum(lse_rows(m)) is not.
+        # (At the sum's overflow threshold the two summation orders may
+        # round apart, to -1.8e308 and -inf: a last-bits difference.)
+        x, mu, sigma, pi, kk, m = case
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"), \
+                mu_prior_off():
+            log_pi = np.log(pi)
+            m_mat = self.loglik_rows(x, mu, sigma) + log_pi[:, None]
+            got = self.mu_lik(x, sigma, log_pi, m_mat, kk)(m)
+            want = float(np.add.reduce(gb.lse_rows(m_mat)))
+        if not (math.isfinite(got) and math.isfinite(want)):
+            assert got == want
 
     def test_mixture_mu_uses_the_cache(self, mix, lse_spy):
         x, states = mix
         mu, sigma = states[0]
-        m_mat = self.loglik_rows(x, mu, sigma) + np.log(1.0 / 3.0)
-        lik = gb._row_lse_sum(m_mat, 1)
+        log_pi = np.full(3, np.log(1.0 / 3.0))
+        m_mat = self.loglik_rows(x, mu, sigma) + log_pi[:, None]
+        lik = self.mu_lik(x, sigma, log_pi, m_mat, 1)
         before = lse_spy()
-        lik()
+        with mu_prior_off():
+            lik(mu[1])
         assert lse_spy() == before + 1      # one logaddexp, no lse_rows
 
     def test_mixture_sigma(self, mix, lse_spy):

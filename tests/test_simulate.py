@@ -77,6 +77,15 @@ class TestGenerators:
         b, _ = sim.gen_dataset(sim.get_scenario("two-comp-2"), 1, 42)
         assert not np.array_equal(a.x, b.x)
 
+    def test_every_scenario_has_its_own_stream(self):
+        # _replicate_rng keys a stream by the id's bytes mod 2^63, so only
+        # an id's last 8 bytes (ASCII: 63 bits) count; two ids that shared
+        # them would share every dataset
+        ids = [s.id for s in sim.scenario_catalog()]
+        assert len({sid.encode()[-8:] for sid in ids}) == len(ids) == 13
+        assert len({sim._replicate_rng(sid, 1, 42).random()
+                    for sid in ids}) == 13
+
     def test_population_moments(self):
         s = sim.get_scenario("two-comp-1")
         pop_mean = float(np.dot(s.pi, s.mu))
