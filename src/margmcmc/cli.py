@@ -30,14 +30,14 @@ def build_parser():
     p_run = sub.add_parser("run", help="execute benchmark records")
     p_run.add_argument("--scenario", action="append", default=None,
                        help="scenario id (repeatable; default: all)")
-    p_run.add_argument("--seed", type=int, default=0, help="master seed")
-    p_run.add_argument("--replicates", type=int, default=5)
+    p_run.add_argument("--seed", type=int, default=hz.RunSpec.master_seed,
+                       help="master seed")
     p_run.add_argument("--method", action="append", default=None,
                        choices=list(hz.METHODS),
                        help="method arm (repeatable; default: all applicable)")
-    p_run.add_argument("--chains", type=int, default=3)
-    p_run.add_argument("--iterations", type=int, default=3000)
-    p_run.add_argument("--warmup", type=int, default=1500)
+    for name in ("chains", "iterations", "warmup", "replicates"):
+        p_run.add_argument(f"--{name}", type=int,   # the paper's protocol
+                           default=getattr(hz.RunSpec, name))
     p_run.add_argument("--out", default="results.csv", help="results file")
     p_run.add_argument("--parallel", type=int, default=1,
                        help="records run concurrently (chains stay serial)")

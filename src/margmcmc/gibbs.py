@@ -23,7 +23,9 @@ bit as transforms.constrain_simplex would place it.
 
 Update order is fixed: labels z, then pi, then theta or (mu, sigma).
 A mixture mean's slice target carries the truncation renormaliser of the
-next mean's prior, from `stats.log_ndtr` as in the mixture's prior.
+next mean's prior, from `stats.log_ndtr` as in the mixture's prior; both
+arms' log sigma targets carry its prior as -log(sigma)^2 / 2, the
+Lognormal(0, 1) kernel and the exp Jacobian up to a constant.
 
 Every slice move starts from an interval of width 1 and doubles it at
 most 10 times (SLICE_WIDTH, SLICE_MAX_DOUBLINGS).  Its uniforms come
@@ -45,18 +47,21 @@ other sticks fix (`_slice_simplex_coords`); a mixture mean the other
 rows' log-sum-exp (`_mu_target`); sigma (x - mu_k)^2 / 2
 (`_log_sigma_target`).  A stick or sigma total that is not finite, or a
 simplex entry at or below _P_FLOOR, is evaluated in log space over all
-rows, the uncached form, so saturated sticks and extreme sigma read
-exactly as in it.  A mean's rows hold only finite values and -inf (the
-data, sigma and slice points are finite), so its total is -inf exactly
-where the log-space one is, and it needs no fallback.  Elsewhere a
-density differs in its last bits only, and the slice sampler only
-compares it with the slice level: a draw moves only where a comparison
-falls within those bits, and none in the pinned chains does.
+rows (sigma's through `mixture._component_loglik`), the uncached form,
+so saturated sticks and extreme sigma read exactly as in it.  A mean's
+rows hold only finite values and -inf (the data, sigma and slice points
+are finite), so its total is -inf exactly where the log-space one is,
+and it needs no fallback.  Elsewhere a density differs in its last bits
+only, and the slice sampler only compares it with the slice level: a
+draw moves only where a comparison falls within those bits, and none in
+the pinned chains does.
 
 The handle supplies the labels' full conditional as (K, n) log weights
 up to a constant per column (`z_log_weights`), drawn from unnormalised;
 `_STATE_CLASS` maps its type to the chain state that `harness.run_chain`
-sweeps.  No sampler branches on a model's name.
+sweeps.  Both chain states are a `_GibbsChain`, whose sweep runs the
+arm's marginal or full body, then closes the uniform stream.  No sampler
+branches on a model's name.
 """
 
 import math
@@ -315,6 +320,23 @@ def _slice_simplex_coords(u_row, rng, log_rows=None, prior_m1=None):
     return u_row, np.array(p)
 
 
+class _GibbsChain:
+    """A Gibbs chain's model, data, generator, parameters, uniform stream
+    and arm; a sweep runs the arm's body, then closes the stream."""
+
+    def __init__(self, model, data, rng, init, method):
+        self.model, self.data, self.rng = model, data, rng
+        self.params, self.uniforms = init, _Uniforms(rng)
+        self.marginal = method == "gibbs-marginal"
+
+    def sweep(self):
+        if self.marginal:
+            self._sweep_marginal()
+        else:
+            self._sweep_full()
+        self.uniforms.close()
+
+
 # ------------------------------------------------------------- mixture
 
 def _mu_log_prior(m, truncates):
@@ -327,23 +349,14 @@ def _mu_log_prior(m, truncates):
     return lp
 
 
-class _MixtureGibbs:
+class _MixtureGibbs(_GibbsChain):
     def __init__(self, model, data, rng, init, method):
-        self.model, self.data, self.rng = model, data, rng
-        self.marginal = method == "gibbs-marginal"
+        super().__init__(model, data, rng, init, method)
         self.conjugate = method == "gibbs-full"
         self.k = model.k
-        self.params, self.uniforms = init, _Uniforms(rng)
         if not self.conjugate:   # only slice moves read the sticks
             self.u_pi = tr.unconstrain_simplex(self.params.pi)
         self.x2, self.ones = data.x**2, np.ones(len(data.x))
-
-    def sweep(self):
-        if self.marginal:
-            self._sweep_marginal()
-        else:
-            self._sweep_full()
-        self.uniforms.close()
 
     def _sweep_full(self):
         rng, uniforms, k = self.rng, self.uniforms, self.k
@@ -384,9 +397,7 @@ class _MixtureGibbs:
             s = float(np.exp(ls))
             if not (2.0 * s * s > 0 and s < math.inf):   # 0 would raise
                 return -math.inf
-            lx = float(np.log(s))   # Lognormal(0, 1) log density at s
-            return (-n * ls - sse / (2.0 * s * s)
-                    + (-lx - 0.5 * LOG_2PI - 0.5 * lx * lx) + ls)
+            return -n * ls - sse / (2.0 * s * s) - 0.5 * ls * ls
         ls = slice_sample_1d(log_sigma_target, np.log(sigma), uniforms)
         self.params = mx.MixtureParams(mu=mu, sigma=float(np.exp(ls)), pi=pi)
 
@@ -449,7 +460,6 @@ def _log_sigma_target(x, mu, pi):
     w, col, sum_of = np.empty_like(gap), np.empty(n), ones_dot(n)
     cached = min(pi.tolist()) > _P_FLOOR
     n_const = n * 0.5 * LOG_2PI
-    log_pi = np.log(pi)
 
     def target(ls):
         s = np.exp(ls)
@@ -463,31 +473,21 @@ def _log_sigma_target(x, mu, pi):
             lik = (float(sum_of(np.log(pi.dot(w, out=col), out=col)))
                    - h_min_sum * inv_var - n * ls - n_const)
         if not math.isfinite(lik):
-            z = (x - mu[:, None]) / s
-            lik = float(lse_rows(-np.log(s) - 0.5 * LOG_2PI - 0.5 * z * z
-                                 + log_pi[:, None]).sum())
+            ll = mx._component_loglik(x, mx.MixtureParams(mu, s, pi))[0]
+            lik = float(lse_rows(ll).sum())
         return lik - 0.5 * ls * ls  # Lognormal(0,1) kernel + exp Jacobian
     return target
 
 
 # --------------------------------------------------------- Dawid-Skene
 
-class _DawidSkeneGibbs:
+class _DawidSkeneGibbs(_GibbsChain):
     # no restricted arm: the full arm is the conjugate one
     def __init__(self, model, data, rng, init, method):
-        self.model, self.data, self.rng = model, data, rng
-        self.params, self.uniforms = init, _Uniforms(rng)
-        self.marginal = method == "gibbs-marginal"
+        super().__init__(model, data, rng, init, method)
         if self.marginal:
             self.u_pi = tr.unconstrain_simplex(self.params.pi)
             self.u_theta = tr.unconstrain_simplex(self.params.theta)
-
-    def sweep(self):
-        if self.marginal:
-            self._sweep_marginal()
-        else:
-            self._sweep_full()
-        self.uniforms.close()
 
     def _sweep_full(self):
         # (1) labels, then (2) pi and (3) theta in one draw from their

@@ -108,12 +108,6 @@ def _fmt(v):
     return "" if (isinstance(v, float) and not np.isfinite(v)) else repr(float(v))
 
 
-def _chain_stream(scenario_id, method, replicate, chain):
-    # only the key's last 8 bytes count: keys ending alike share a stream
-    key = f"{scenario_id}|{method}|{replicate}|{chain}".encode()
-    return int.from_bytes(key, "big") % (1 << 63)
-
-
 def run_chain(model, data, method, iterations, warmup, rng):
     """ChainDraws of `iterations` sweeps of the arm `method`'s chain
     state, the first `warmup` discarded.  Building the state is not timed
@@ -158,8 +152,8 @@ def run_record(spec, replicate):
         model = scenario.model()
         chain_list = []
         for chain in range(spec.chains):
-            rng = make_rng(spec.master_seed, _chain_stream(
-                spec.scenario_id, spec.method, replicate, chain))
+            rng = make_rng(spec.master_seed, f"{spec.scenario_id}|"
+                           f"{spec.method}|{replicate}|{chain}")
             chain_list.append(run_chain(model, data, spec.method,
                                         spec.iterations, spec.warmup, rng))
         vars(record).update(efficiency_report(chain_list))

@@ -27,6 +27,7 @@ Adaptation always runs.  Unlike Stan, the first mass-matrix window takes
 its draws from iteration 0, initial buffer included (see `NutsChain`).
 """
 
+import functools
 import math
 
 import numpy as np
@@ -255,10 +256,7 @@ class NutsChain:
     def __init__(self, model, data, rng, warmup):
         d = model.n_dim
         q = rng.uniform(-INIT_RADIUS, INIT_RADIUS, size=d)
-
-        def logp_grad_fn(u):
-            return model.log_post_grad_u(data, u)
-
+        logp_grad_fn = functools.partial(model.log_post_grad_u, data)
         lp0, g0, params0 = logp_grad_fn(q)
         if not np.all(np.isfinite(g0)) or not np.isfinite(lp0):
             raise ValueError(

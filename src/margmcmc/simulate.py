@@ -3,7 +3,8 @@
 Four two-component mixtures, eight three-component mixtures, and one
 categorical rating scenario.  Every dataset is a pure function of
 (scenario id, replicate index, master seed), so adding scenarios or
-replicates never perturbs existing data.
+replicates never perturbs existing data: its generator is
+`stats.make_rng(master seed, scenario id, replicate)`.
 
 Each scenario type owns its model family: its handle (`model`) and its
 generator (`generate`).
@@ -15,7 +16,7 @@ import numpy as np
 
 from .dawid_skene import DawidSkeneModel, DSData
 from .mixture import MixtureData, MixtureModel
-from .stats import check_simplex
+from .stats import check_simplex, make_rng
 
 
 @dataclass(frozen=True)
@@ -128,16 +129,8 @@ def get_scenario(scenario_id):
     raise KeyError(f"unknown scenario {scenario_id!r}; known: {known}")
 
 
-def _replicate_rng(scenario_id, replicate, master_seed):
-    """Stream-isolated generator keyed by (seed, scenario, replicate)."""
-    if replicate < 1:
-        raise ValueError("replicate index is 1-based")
-    sid = int.from_bytes(scenario_id.encode(), "big") % (1 << 63)
-    ss = np.random.SeedSequence((int(master_seed), sid, int(replicate)))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
 def gen_dataset(scenario, replicate, master_seed):
     """One replicate dataset of `scenario`: (data, ground-truth dict)."""
-    return scenario.generate(_replicate_rng(scenario.id, replicate,
-                                            master_seed))
+    if replicate < 1:
+        raise ValueError("replicate index is 1-based")
+    return scenario.generate(make_rng(master_seed, scenario.id, replicate))

@@ -1,4 +1,5 @@
-"""Log densities, primitive samplers and the shared RNG contract.
+"""Log densities, primitive samplers and `make_rng`, the one generator
+constructor: every chain's and dataset's stream is keyed there.
 
 Everything downstream composes densities in log space only; products of
 small probabilities (e.g. 5 confusion-matrix entries per item) underflow
@@ -67,15 +68,17 @@ def inv_mills_ratio(a, log_tail):
     return a / (1.0 + _ndtr_series(-a))
 
 
-def make_rng(seed, stream=0):
-    """Deterministic generator for (seed, stream).
-
-    Distinct streams are independent by construction (SeedSequence keying),
-    so per-chain generators never share state.
-    """
+def make_rng(seed, *key):
+    """A PCG64 keyed by (seed, *key), or (seed, 0) with no key, through a
+    SeedSequence.  An int part keys as itself, a str as its bytes mod
+    2^63, which keeps only its last 8 bytes (a fault, ROADMAP item 4):
+    the default matrix's 765 chain keys, "scenario|method|replicate|chain",
+    give 45 streams (keys ending `...inal|r|c` share one).  The 13
+    scenario ids, which key the datasets, end differently."""
+    parts = [int.from_bytes(part.encode(), "big") % (1 << 63)
+             if isinstance(part, str) else int(part) for part in key or (0,)]
     return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((int(seed), int(stream))))
-    )
+        np.random.PCG64(np.random.SeedSequence((int(seed), *parts))))
 
 
 def lse_rows(m):
@@ -98,9 +101,9 @@ def lse_rows(m):
     return out
 
 
-def check_simplex(p, atol=1e-12):
+def check_simplex(p):
     p = np.asarray(p, dtype=float)
-    if np.any(p < -atol) or np.any(p > 1 + atol):
+    if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
         raise ValueError(f"simplex entries outside [0,1]: {p}")
     if abs(p.sum() - 1.0) > 1e-8:
         raise ValueError(f"simplex does not sum to 1: sum={p.sum()}")

@@ -34,6 +34,14 @@ class TestRun:
         for key in ("min_ess", "max_rhat", "divergences", "seed"):
             assert ra[key] == rb[key]
 
+    def test_default_specs_follow_the_paper_protocol(self):
+        # 3 chains of 3000 iterations, 1500 of them warmup, 5 replicates
+        # and master seed 0, from RunSpec's defaults
+        for spec in run_specs(build_parser().parse_args(["run"])):
+            assert spec == hz.RunSpec(spec.scenario_id, spec.method)
+            assert (spec.chains, spec.iterations, spec.warmup,
+                    spec.replicates, spec.master_seed) == (3, 3000, 1500, 5, 0)
+
     def test_repeated_scenario_or_method_runs_once(self):
         # a duplicate spec would run its records twice on identical
         # streams and append rows that `summarise` counts twice

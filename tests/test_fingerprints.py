@@ -109,7 +109,7 @@ def chain_digest(scenario_id, method, iterations, warmup):
     scenario = get_scenario(scenario_id)
     data, _ = gen_dataset(scenario, 1, SEED)
     model = scenario.model()
-    rng = make_rng(SEED, hz._chain_stream(scenario_id, method, 1, 0))
+    rng = make_rng(SEED, f"{scenario_id}|{method}|1|0")
     chain = hz.run_chain(model, data, method, iterations, warmup, rng)
     h = hashlib.sha256(np.ascontiguousarray(chain.draws, dtype=np.float64))
     if chain.tree_depths is not None:

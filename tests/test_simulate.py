@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from margmcmc import simulate as sim
+from margmcmc.stats import make_rng
 
 # regression lock: the benchmark's 13 scenario definitions
 EXPECTED_MIXTURES = {
@@ -78,13 +79,12 @@ class TestGenerators:
         assert not np.array_equal(a.x, b.x)
 
     def test_every_scenario_has_its_own_stream(self):
-        # _replicate_rng keys a stream by the id's bytes mod 2^63, so only
-        # an id's last 8 bytes (ASCII: 63 bits) count; two ids that shared
+        # make_rng keys a stream by the id's bytes mod 2^63, so only an
+        # id's last 8 bytes (ASCII: 63 bits) count; two ids that shared
         # them would share every dataset
         ids = [s.id for s in sim.scenario_catalog()]
         assert len({sid.encode()[-8:] for sid in ids}) == len(ids) == 13
-        assert len({sim._replicate_rng(sid, 1, 42).random()
-                    for sid in ids}) == 13
+        assert len({make_rng(42, sid, 1).random() for sid in ids}) == 13
 
     def test_population_moments(self):
         s = sim.get_scenario("two-comp-1")

@@ -13,8 +13,9 @@ fused gradients reach the traced layers through those names.  Dirichlet
 and gamma variates are drawn in one place, `stats.sample_dirichlet`, a
 point is constrained in one place per model, its fused gradient, and
 chains are run and timed in one place, `harness.run_chain`.  A generator
-is rewound in one place, `gibbs._Uniforms.close`, and no Gibbs sweep
-draws a uniform one `random()` call at a time.
+is built in one place, `stats.make_rng`, and rewound in one place,
+`gibbs._Uniforms.close`, which one Gibbs chain frame calls once a sweep;
+no Gibbs sweep draws a uniform one `random()` call at a time.
 Nothing compares a model family's `kind`: the scenario types and model
 handles own what differs between families.  Nothing in `src/margmcmc`
 imports scipy, which only the tests and the benchmark use as a
@@ -206,6 +207,21 @@ def test_one_generator_rewind():
     sites = [f"{module}.{site}" for module, tree in src_trees().items()
              for site in call_sites(tree, {"advance"})]
     assert sites == ["gibbs._Uniforms.close"]
+
+
+def test_one_generator_constructor():
+    # every chain's and dataset's stream is keyed in one place
+    sites = {f"{module}.{site}" for module, tree in src_trees().items()
+             for site in call_sites(tree, {"Generator", "PCG64",
+                                           "SeedSequence", "default_rng"})}
+    assert sites == {"stats.make_rng"}
+
+
+def test_one_stream_close():
+    # both Gibbs chain classes end a sweep through their common frame
+    sites = [f"{module}.{site}" for module, tree in src_trees().items()
+             for site in call_sites(tree, {"close"})]
+    assert sites == ["gibbs._GibbsChain.sweep"]
 
 
 class NoScalarRandom:

@@ -8,7 +8,9 @@ from scipy import stats as sps
 from scipy import special
 from scipy.special import logsumexp
 
+from margmcmc import cli
 from margmcmc import mixture as mx
+from margmcmc import simulate as sim
 from margmcmc.stats import (LOG_2PI, check_simplex, inv_mills_ratio,
                             log_ndtr, lse_rows, make_rng,
                             sample_categorical_rows, sample_dirichlet)
@@ -33,6 +35,36 @@ class TestRngContract:
 
     def test_distinct_seeds_differ(self):
         assert not np.array_equal(make_rng(1).random(50), make_rng(2).random(50))
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_streams_as_the_old_constructors_keyed_them(self, seed):
+        # the chain and dataset generators were once built beside
+        # make_rng, each reducing a str key to its bytes mod 2^63
+        def old(*parts):
+            return np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(tuple(map(int, (seed, *parts))))))
+
+        def reduce(key):
+            return int.from_bytes(key.encode(), "big") % (1 << 63)
+
+        args = cli.build_parser().parse_args(["run", "--seed", str(seed)])
+        keys = [f"{spec.scenario_id}|{spec.method}|{rep}|{chain}"
+                for spec in cli.run_specs(args)
+                for rep in range(1, spec.replicates + 1)
+                for chain in range(spec.chains)]
+        assert len(keys) == 765
+        # only a key's last 8 bytes count, so the keys share 45 streams
+        assert len({reduce(key) for key in keys}) == 45
+        for key in keys:
+            assert np.array_equal(make_rng(seed, key).random(4),
+                                  old(reduce(key)).random(4))
+        for scenario in sim.scenario_catalog():
+            for rep in range(1, 6):
+                assert np.array_equal(
+                    make_rng(seed, scenario.id, rep).random(4),
+                    old(reduce(scenario.id), rep).random(4))
+        assert np.array_equal(make_rng(seed).random(4), old(0).random(4))
+        assert np.array_equal(make_rng(seed, 2).random(4), old(2).random(4))
 
 
 class TestLogDensities:
