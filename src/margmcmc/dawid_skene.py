@@ -6,15 +6,19 @@ ordering constraint on the parameters; label switching is handled by the
 diagonal-heavy Dirichlet priors on the confusion rows.  Item-by-category
 matrices are category-major, (K, I), like the mixture's (K, n).
 
+The parameters are one stack of 1 + J K simplex rows, `DSParams.rows`:
+pi, then rater j's confusion row for true category k at row 1 + j K + k.
+The prior draw, the NUTS row transform and the conjugate draw each make
+a whole stack; `pi` and `theta` (J, K, K) are its views, made once per
+DSParams, and no other module splits it.
+
 The priors are fixed: pi ~ Dirichlet(3, ..., 3), and each confusion row
 theta[j, k] ~ Dirichlet(beta[k]) with N = 8 prior counts, a share p = 0.6
 of them on the diagonal and the rest spread evenly (PRIOR_ALPHA,
-PRIOR_CONCENTRATION, PRIOR_DIAG_MASS).
-
-The model handle builds its constants once: alpha, beta, both stacked
-as `prior_rows` (alpha, then beta per rater), alpha - 1, beta - 1 and
-the two Dirichlet normalisers (pi's, and J times the sum of the
-confusion rows'), from math.lgamma.  Its `log_prior` serves the fused
+PRIOR_CONCENTRATION, PRIOR_DIAG_MASS).  The model handle builds its
+constants once: alpha and beta, also as the stack `prior_rows`, alpha - 1,
+beta - 1 and the two Dirichlet normalisers (pi's, and J times the sum of
+the confusion rows'), from math.lgamma.  Its `log_prior` serves the fused
 gradient, whose DSParams are the NUTS arm's draws; `z_log_weights`
 gives the labels' full conditional as (K, I) log weights, unnormalised.
 """
@@ -75,8 +79,11 @@ class DSData:
 
 @dataclass
 class DSParams:
-    pi: np.ndarray          # (K,) simplex
-    theta: np.ndarray       # (J, K, K); theta[j, k] = rater j's row for true k
+    rows: np.ndarray        # the stack; pi and theta are its views
+
+    def __post_init__(self):
+        k = self.rows.shape[1]
+        self.pi, self.theta = self.rows[0], self.rows[1:].reshape(-1, k, k)
 
 
 def ds_beta_matrix(k):
@@ -134,7 +141,7 @@ class DawidSkeneModel:
         return names
 
     def flatten(self, params):
-        return np.concatenate([params.pi, params.theta.ravel()])
+        return params.rows.ravel()
 
     def z_log_weights(self, data, params):
         """log P(z_i = k | y, params) up to a constant per column: the
@@ -152,17 +159,14 @@ class DawidSkeneModel:
         """Fused (value, gradient, params) of the unconstrained log
         posterior; one stick pass serves params (the DSParams at `u`, also
         returned with a -inf value), logJ and the pull-back.  One (K, I)
-        buffer is turned in place from C into ll, then r.  Layout of `u`:
-        pi's sticks (K-1), then theta's rows in (j, k) order."""
+        buffer is turned in place from C into ll, then r.  `u` holds the
+        stack's sticks, K - 1 per row."""
         j, k = self.j, self.k
         u = np.asarray(u, dtype=float)
         rows, log_j, sticks = tr.constrain_simplex_rows(
             u.reshape(1 + j * k, k - 1))
-        pi = rows[0]
-        theta = rows[1:].reshape(j, k, k)
-        params = DSParams(pi=pi, theta=theta)
-        log_pi = np.log(pi)
-        log_theta = np.log(theta)
+        params = DSParams(rows)
+        log_pi, log_theta = np.log(params.pi), np.log(params.theta)
 
         ll = _item_category_loglik(data, log_theta)
         ll += log_pi[:, None]
@@ -176,14 +180,14 @@ class DawidSkeneModel:
         r = np.exp(ll, out=ll)
         # d/dp of every simplex row, laid out (K, rows) for the pull-back
         g_p = np.empty((k, 1 + j * k))
-        np.divide(np.add.reduce(r, axis=1) + self.alpha_m1, pi, out=g_p[:, 0])
+        np.divide(np.add.reduce(r, axis=1) + self.alpha_m1, params.pi,
+                  out=g_p[:, 0])
         # counts[j, k, c] = sum_i r[k, i] [y_ij == c]
         counts = (r @ data.rating_onehot.T).reshape(k, j, k).transpose(1, 0, 2)
-        np.divide(self.beta_m1 + counts, theta,
+        np.divide(self.beta_m1 + counts, params.theta,
                   out=g_p[:, 1:].reshape(k, j, k).transpose(1, 2, 0))
         return value, tr.grad_simplex_rows(sticks, g_p.T).ravel(), params
 
     def init_params(self, rng):
         """Prior draw for pi and every confusion row, in one stack."""
-        p = sample_dirichlet(rng, self.prior_rows)
-        return DSParams(pi=p[0], theta=p[1:].reshape(self.j, self.k, self.k))
+        return DSParams(sample_dirichlet(rng, self.prior_rows))

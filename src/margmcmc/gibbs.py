@@ -19,7 +19,8 @@ A simplex is sliced one stick coordinate at a time through one target,
 sum_i log sum_k p_k exp(rows[k, i]) plus a Dirichlet kernel, in
 `_slice_simplex_coords`: both models' pi (the restricted arm's with the
 kernel alone) and each confusion row, each accepted point placed bit for
-bit as transforms.constrain_simplex would place it.
+bit as transforms.constrain_simplex would place it.  The rating chain
+keeps one stick stack, `u_rows`, row for row with `DSParams.rows`.
 
 Update order is fixed: labels z, then pi, then theta or (mu, sigma).
 A mixture mean's slice target carries the truncation renormaliser of the
@@ -185,16 +186,14 @@ def update_pi_conjugate(counts, alpha, rng):
 
 
 def update_theta_conjugate(data, latent, prior_rows, rng):
-    """(pi, theta) in one draw from their Dirichlet full conditionals.
-    `prior_rows` (1 + J K, K) holds alpha, then beta for each rater, and
-    one bincount adds #{z_i = c} to row 0, #{z_i = k, y_ij = c} to row
-    1 + j K + k."""
-    j, k = data.n_raters, data.n_categories
+    """The rows of pi and theta, stacked as in DSParams, in one draw from
+    their Dirichlet full conditionals: one bincount adds #{z_i = c} to
+    `prior_rows`' row 0 and #{z_i = k, y_ij = c} to row 1 + j K + k."""
+    k = data.n_categories
     idx = data.category_index[:, latent, data.item_index] + k
     counts = np.bincount(np.concatenate((latent, idx.ravel())),
                          minlength=prior_rows.size)
-    p = sample_dirichlet(rng, prior_rows + counts.reshape(-1, k))
-    return p[0], p[1:].reshape(j, k, k)
+    return sample_dirichlet(rng, prior_rows + counts.reshape(-1, k))
 
 
 def update_z_block(model, data, params, rng):
@@ -485,49 +484,46 @@ class _DawidSkeneGibbs(_GibbsChain):
     # no restricted arm: the full arm is the conjugate one
     def __init__(self, model, data, rng, init, method):
         super().__init__(model, data, rng, init, method)
-        if self.marginal:
-            self.u_pi = tr.unconstrain_simplex(self.params.pi)
-            self.u_theta = tr.unconstrain_simplex(self.params.theta)
+        if self.marginal:   # one stick row per simplex row
+            self.u_rows = tr.unconstrain_simplex(self.params.rows)
 
     def _sweep_full(self):
-        # (1) labels, then (2) pi and (3) theta in one draw from their
-        # Dirichlet full conditionals
+        # (1) labels, then (2) pi and (3) theta in one conjugate draw
         z = update_z_block(self.model, self.data, self.params, self.rng)
-        pi, theta = update_theta_conjugate(self.data, z,
-                                           self.model.prior_rows, self.rng)
-        self.params = dsm.DSParams(pi=pi, theta=theta)
+        self.params = dsm.DSParams(update_theta_conjugate(
+            self.data, z, self.model.prior_rows, self.rng))
 
     def _sweep_marginal(self):
         rng = self.uniforms   # every draw here is a slice move's
-        data, j, k = self.data, self.model.j, self.model.k
-        c = dsm._item_category_loglik(data, np.log(self.params.theta))
+        data, j, k, u = self.data, self.model.j, self.model.k, self.u_rows
+        log_theta = np.log(self.params.theta)   # each row read before it moves
+        c = dsm._item_category_loglik(data, log_theta)
+        p = self.params.rows.copy()
 
         # pi stick coordinates (Dirichlet kernel; the normaliser is constant)
-        self.u_pi, pi = _slice_simplex_coords(self.u_pi, rng, c,
-                                              self.model.alpha_m1)
-        log_pi = np.log(pi)
+        u[0], p[0] = _slice_simplex_coords(u[0], rng, c, self.model.alpha_m1)
+        log_pi = np.log(p[0])
 
         # theta rows, one stick coordinate at a time.  Per item, with
         # `others` the log-sum-exp over the K-1 untouched categories and
         # `rest` the log joint without this row's entry, the likelihood is
         # logaddexp(others, rest + log p[y]): as sum(p) = 1, the simplex
         # target of rows `others` with entry y set to logaddexp(others, rest)
-        theta = self.params.theta.copy()
         base = log_pi[:, None] + c       # (K, I)
         for jj in range(j):
             y_j = data.ratings[:, jj]
             onehot = data.rating_onehot[jj * k:(jj + 1) * k]   # (K, I)
-            log_theta_j = np.log(theta[jj])   # row kk is read before it moves
             for kk in range(k):
-                col_wo_row = c[kk] - log_theta_j[kk][y_j]
+                col_wo_row = c[kk] - log_theta[jj, kk][y_j]
                 others = _lse_other_rows(base, kk)   # (I,), over k' != kk
-                rows = np.where(onehot, np.logaddexp(
+                log_rows = np.where(onehot, np.logaddexp(
                     others, log_pi[kk] + col_wo_row), others)
-                self.u_theta[jj, kk], theta[jj, kk] = _slice_simplex_coords(
-                    self.u_theta[jj, kk], rng, rows, self.model.beta_m1[kk])
-                c[kk] = col_wo_row + np.log(theta[jj, kk])[y_j]
+                r = 1 + jj * k + kk   # theta[jj, kk]'s row of the stack
+                u[r], p[r] = _slice_simplex_coords(u[r], rng, log_rows,
+                                                   self.model.beta_m1[kk])
+                c[kk] = col_wo_row + np.log(p[r])[y_j]
                 base[kk] = log_pi[kk] + c[kk]
-        self.params = dsm.DSParams(pi=pi, theta=theta)
+        self.params = dsm.DSParams(p)
 
 
 # The Gibbs chain state class of each model handle, for `harness.run_chain`.

@@ -32,13 +32,11 @@ class MixtureScenario:
         check_simplex(np.asarray(self.pi))
         if self.sigma <= 0 or self.n < 1:
             raise ValueError("need sigma > 0 and n >= 1")
-
-    @property
-    def n_components(self):
-        return len(self.mu)
+        if len(self.mu) != len(self.pi) or np.any(np.diff(self.mu) <= 0):
+            raise ValueError("need one weight per mean, the means increasing")
 
     def model(self):
-        return MixtureModel(self.n_components)
+        return MixtureModel(len(self.mu))
 
     def generate(self, rng):
         """One dataset from `rng`: (MixtureData, ground-truth dict)."""
@@ -62,6 +60,8 @@ class DSScenario:
     def __post_init__(self):
         if not (0.0 < self.diag_accuracy <= 1.0):
             raise ValueError("diag accuracy must be in (0, 1]")
+        if self.n_categories < 2 or self.n_items < 1 or self.n_raters < 1:
+            raise ValueError("need 2+ categories and 1+ items and raters")
 
     @property
     def pi(self):

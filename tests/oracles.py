@@ -156,11 +156,15 @@ def mix_constrain(u, k):
 def ds_constrain(model, u):
     """Unconstrained rating-model vector -> (DSParams, log |Jacobian|),
     by the stacked stick pass the fused gradient makes."""
-    j, k = model.j, model.k
     rows, log_j, _ = tr.constrain_simplex_rows(
-        np.asarray(u, dtype=float).reshape(1 + j * k, k - 1))
-    return (dsm.DSParams(pi=rows[0], theta=rows[1:].reshape(j, k, k)),
-            float(log_j.sum()))
+        np.asarray(u, dtype=float).reshape(-1, model.k - 1))
+    return dsm.DSParams(rows), float(log_j.sum())
+
+
+def ds_params(pi, theta):
+    """DSParams stacking `pi` (K,) over the (J, K, K) confusion rows."""
+    theta = np.asarray(theta, dtype=float)
+    return dsm.DSParams(np.vstack([pi, theta.reshape(-1, theta.shape[-1])]))
 
 
 def mix_marginal_log_post_u(data, u, k):
@@ -199,8 +203,7 @@ def mix_unconstrain(params):
 
 
 def ds_unconstrain(params):
-    return np.concatenate([tr.unconstrain_simplex(params.pi),
-                           tr.unconstrain_simplex(params.theta).ravel()])
+    return tr.unconstrain_simplex(params.rows).ravel()
 
 
 # ------------------------------------------------ row-major fused gradients

@@ -40,6 +40,7 @@ RATING_GRID = (12, 20, 24, 9.0)
 RECENTRE = 4      # passes of the grid that finds the box
 FACE_MASS = 1e-5  # the most mass one face of a box may hold
 AGREE_SDS = 1e-3  # how far two grid sizes' means may differ, in sds
+SMALL_PI = 0.05   # mix2_posterior reports the mass where min(pi) is below
 
 
 def mix2_log_joint(x, mu1, mu2, t, u):
@@ -126,9 +127,11 @@ def _moments(marginal, values):
 
 
 def _integrate(log_joint, box, grid, functionals):
-    """Exact posterior means of `functionals` (name -> (axis, function of
-    that axis's coordinate)), with the finer grid's weights and sparse
-    coordinates.  `grid` is (start, coarse, fine, box sds), as MIX_GRID.
+    """Exact posterior (mean, sd) of `functionals` (name -> (axis,
+    function of that axis's coordinate)), the finer grid's weights and
+    sparse coordinates, and the checks: the two grid sizes, the largest
+    gap between their means in posterior sds and the largest face mass.
+    `grid` is (start, coarse, fine, box sds), as MIX_GRID.
 
     The box is re-centred RECENTRE times on the start grid, to the
     coordinates' means +- box sds posterior sds (at least two of the
@@ -145,10 +148,10 @@ def _integrate(log_joint, box, grid, functionals):
         step = [(hi - lo) / (start - 1) for lo, hi in box]
         half = np.maximum(box_sds * sds, 2.0 * np.array(step))
         box = list(zip(means - half, means + half))
-    results = []
+    results, face = [], 0.0
     for size in sizes:
         w, coords, margs = _grid(log_joint, box, size)
-        face = 2.0 * max(max(m[0], m[-1]) for m in margs)
+        face = max(face, 2.0 * float(max(max(m[0], m[-1]) for m in margs)))
         if face > FACE_MASS:
             raise AssertionError(f"a face of the {size}-point grid holds "
                                  f"{face:.2g} of the mass")
@@ -160,21 +163,41 @@ def _integrate(log_joint, box, grid, functionals):
             raise AssertionError(f"{name}: {coarse[name][0]} on {sizes[0]}"
                                  f" points an axis against {mean} on "
                                  f"{sizes[1]}")
-    return {name: mean for name, (mean, _) in fine.items()}, w, coords
+    gap = max(abs(mean - coarse[name][0]) / sd
+              for name, (mean, sd) in fine.items() if sd > 0)
+    return fine, w, coords, {"sizes": sizes, "gap_sds": gap,
+                             "face_mass": face}
+
+
+def mix2_posterior(x):
+    """The exact posterior given data `x`, from a box wide around the
+    data: (mean, sd) of mu[1], mu[2], sigma, pi[1] and pi[2], the
+    (mean, sd) of the indicator of min(pi) < SMALL_PI, whose mean is
+    that region's mass, and `_integrate`'s checks, which cover it too.
+    The indicator is the share of each point's trapezoid cell (half a
+    spacing either side) beyond |logit pi_1| = logit(1 - SMALL_PI); it
+    is 0 everywhere when the box, whose faces hold under FACE_MASS,
+    ends inside the cut."""
+    x = np.asarray(x, dtype=float)
+    spread = float(x.max() - x.min()) + 1.0
+    box = [(x.min() - spread, x.max() + spread)] * 2 + [(-4.0, 4.0)] * 2
+
+    def small_pi(u):
+        cut, h = special.logit(1.0 - SMALL_PI), u[1] - u[0]
+        return np.clip((np.abs(u) - cut) / h + 0.5, 0.0, 1.0)
+    moments, _, _, checks = _integrate(
+        functools.partial(mix2_log_joint, x), box, MIX_GRID,
+        {"mu[1]": (0, np.asarray), "mu[2]": (1, np.asarray),
+         "sigma": (2, np.exp), "pi[1]": (3, special.expit),
+         "pi[2]": (3, lambda u: special.expit(-u)),
+         "small_pi": (3, small_pi)})
+    return moments, moments.pop("small_pi"), checks
 
 
 def posterior_means(x):
     """Exact posterior means of mu[1], mu[2], sigma, pi[1] and pi[2]
-    given data `x`, from a box wide around the data."""
-    x = np.asarray(x, dtype=float)
-    spread = float(x.max() - x.min()) + 1.0
-    box = [(x.min() - spread, x.max() + spread)] * 2 + [(-4.0, 4.0)] * 2
-    means, _, _ = _integrate(
-        functools.partial(mix2_log_joint, x), box, MIX_GRID,
-        {"mu[1]": (0, np.asarray), "mu[2]": (1, np.asarray),
-         "sigma": (2, np.exp), "pi[1]": (3, special.expit),
-         "pi[2]": (3, lambda u: special.expit(-u))})
-    return means
+    given data `x`."""
+    return {name: mean for name, (mean, _) in mix2_posterior(x)[0].items()}
 
 
 def rating_posterior(counts):
@@ -191,9 +214,10 @@ def rating_posterior(counts):
     """
     log_joint = functools.partial(rating2_log_joint, counts)
     names = ["pi[1]"] + [f"theta[{j},{k},1]" for j in (1, 2) for k in (1, 2)]
-    means, w, coords = _integrate(
+    moments, w, coords, _ = _integrate(
         log_joint, [(-8.0, 8.0)] * 5, RATING_GRID,
         {name: (d, special.expit) for d, name in enumerate(names)})
+    means = {name: mean for name, (mean, _) in moments.items()}
 
     def gain(u_pi, u11, u12, u21, u22):
         # a rater's mean diagonal is below 0.5 where theta[j,1,1] <

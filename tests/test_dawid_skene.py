@@ -9,15 +9,16 @@ from scipy.special import gammaln, logsumexp
 
 from margmcmc import dawid_skene as ds
 from margmcmc.stats import make_rng, sample_dirichlet
+from margmcmc.transforms import unconstrain_simplex
 from oracles import (ds_constrain, ds_full_log_joint, ds_log_prior,
                      ds_marginal_log_joint, ds_marginal_log_lik,
-                     ds_marginal_log_post_u, ds_unconstrain, label_probs,
-                     log_dirichlet_pdf)
+                     ds_marginal_log_post_u, ds_params, ds_unconstrain,
+                     label_probs, log_dirichlet_pdf)
 
 
 def random_params(rng, j, k):
     theta = rng.dirichlet(np.full(k, 2.0), size=(j, k))
-    return ds.DSParams(pi=rng.dirichlet(np.full(k, 2.0)), theta=theta)
+    return ds_params(rng.dirichlet(np.full(k, 2.0)), theta)
 
 
 def random_data(rng, i, j, k):
@@ -98,7 +99,7 @@ class TestMarginalisation:
             inv = np.argsort(perm)
             data_p = ds.DSData(perm[data.ratings], k)
             theta_p = params.theta[:, inv][:, :, inv]
-            params_p = ds.DSParams(pi=params.pi[inv], theta=theta_p)
+            params_p = ds_params(params.pi[inv], theta_p)
             assert ds_marginal_log_lik(data_p, params_p) == \
                 pytest.approx(want, rel=1e-12)
 
@@ -150,8 +151,7 @@ class TestLatentConditional:
         k = 3
         eye = np.broadcast_to(np.eye(k), (2, k, k)).copy()
         # strictly, rows must be simplexes with mass 1 on the diagonal
-        params = ds.DSParams(pi=np.full(k, 1 / 3),
-                             theta=np.clip(eye, 1e-12, None))
+        params = ds_params(np.full(k, 1 / 3), np.clip(eye, 1e-12, None))
         ratings = np.array([[0, 0], [2, 2], [1, 1]])
         probs = label_probs(ds.DawidSkeneModel(2, k).z_log_weights(
             ds.DSData(ratings, k), params))
@@ -228,3 +228,47 @@ class TestModelHandle:
         assert np.array_equal(p.theta, sample_dirichlet(
             two, np.broadcast_to(model.beta, (j, k, k))))
         assert one.bit_generator.state == two.bit_generator.state
+
+
+class TestStackedLayout:
+    """The parameters are one (1 + J K, K) stack: pi, then theta[j, k] at
+    row 1 + j K + k, with `pi` and `theta` views of it."""
+
+    J, K = 3, 4
+
+    def points(self):
+        model = ds.DawidSkeneModel(self.J, self.K)
+        data = random_data(make_rng(40), 12, self.J, self.K)
+        u = make_rng(41).normal(size=model.n_dim)
+        return model, data, [model.init_params(make_rng(42)),
+                             model.log_post_grad_u(data, u)[2],
+                             random_params(make_rng(43), self.J, self.K)]
+
+    def test_pi_and_theta_are_views_of_rows(self):
+        for params in self.points()[2]:
+            assert params.rows.shape == (1 + self.J * self.K, self.K)
+            assert np.shares_memory(params.pi, params.rows)
+            assert np.shares_memory(params.theta, params.rows)
+            assert np.array_equal(params.pi, params.rows[0])
+            for j, k in np.ndindex(self.J, self.K):
+                assert np.array_equal(params.theta[j, k],
+                                      params.rows[1 + j * self.K + k])
+
+    def test_flatten_reads_rows_at_param_names(self):
+        model, _, points = self.points()
+        for params in points:
+            flat = model.flatten(params)
+            assert np.array_equal(flat, params.rows.ravel())
+            for i, name in enumerate(model.param_names()):
+                idx = [int(v) - 1 for v in name[name.index("[") + 1:-1]
+                       .split(",")]
+                row = 0 if name.startswith("pi[") else \
+                    1 + idx[0] * self.K + idx[1]
+                assert flat[i] == params.rows[row, idx[-1]]
+
+    def test_fused_gradient_inverts_the_stick_stack(self):
+        model, data, points = self.points()
+        for params in points:
+            u = unconstrain_simplex(params.rows).ravel()
+            got = model.log_post_grad_u(data, u)[2]
+            assert np.allclose(got.rows, params.rows, rtol=0, atol=1e-12)

@@ -604,9 +604,8 @@ class TestConjugateUpdates:
         latent = np.zeros(30, dtype=int)
         model = ds.DawidSkeneModel(2, 3)
         beta = model.beta
-        draws = np.array([
-            update_theta_conjugate(data, latent, model.prior_rows, rng)[1]
-            for _ in range(4000)])
+        draws = np.array([ds.DSParams(update_theta_conjugate(
+            data, latent, model.prior_rows, rng)).theta for _ in range(4000)])
         # rows k=1,2 had zero counts, so their mean is the prior mean
         want = beta[1] / beta[1].sum()
         assert np.allclose(draws[:, :, 1].mean(axis=(0, 1)), want, atol=0.02)
@@ -622,12 +621,12 @@ class TestConjugateUpdates:
             model = ds.DawidSkeneModel(j, k)
             latent = make.integers(0, k, size=n)
             one, two = make_rng(k, t), make_rng(k, t)
-            pi, theta = update_theta_conjugate(data, latent,
-                                               model.prior_rows, one)
+            got = ds.DSParams(update_theta_conjugate(data, latent,
+                                                     model.prior_rows, one))
             want_pi, want_theta = oracles.conjugate_pi_theta_two_calls(
                 data, latent, model.alpha, model.beta, two)
-            assert np.array_equal(pi, want_pi)
-            assert np.array_equal(theta, want_theta)
+            assert np.array_equal(got.pi, want_pi)
+            assert np.array_equal(got.theta, want_theta)
             assert one.bit_generator.state == two.bit_generator.state
 
 
@@ -658,7 +657,7 @@ class TestLatentBlock:
     def test_ds_identity_raters_unanimous(self):
         model = ds.DawidSkeneModel(2, 3)
         eye = np.clip(np.broadcast_to(np.eye(3), (2, 3, 3)).copy(), 1e-12, None)
-        params = ds.DSParams(pi=np.full(3, 1 / 3), theta=eye)
+        params = oracles.ds_params(np.full(3, 1 / 3), eye)
         ratings = np.array([[2, 2], [0, 0], [1, 1], [2, 2]])
         z = update_z_block(model, ds.DSData(ratings, 3), params, make_rng(49))
         assert np.array_equal(z, [2, 0, 1, 2])
@@ -736,6 +735,29 @@ class TestDawidSkeneGibbs:
         a = run_mode("gibbs-full", data, model, 59, 100, 50)
         b = run_mode("gibbs-full", data, model, 59, 100, 50)
         assert np.array_equal(a.draws, b.draws)
+
+    @pytest.mark.parametrize("method", ["gibbs-full", "gibbs-marginal"])
+    def test_sweeps_keep_one_stack(self, method):
+        """Each sweep leaves a DSParams whose pi and theta are views of its
+        rows; the marginal arm's one stick stack places those rows bit for
+        bit, row by row, as constrain_simplex does."""
+        rng = make_rng(62)
+        model = ds.DawidSkeneModel(3, 3)
+        data = ds.DSData(rng.integers(0, 3, size=(20, 3)), 3)
+        state = gb._DawidSkeneGibbs(model, data, rng, model.init_params(rng),
+                                    method)
+        for _ in range(3):
+            with np.errstate(over="ignore", divide="ignore"):   # as run_chain
+                state.sweep()
+            rows = state.params.rows
+            assert rows.shape == (10, 3)
+            assert np.shares_memory(state.params.pi, rows)
+            assert np.shares_memory(state.params.theta, rows)
+            if method == "gibbs-marginal":
+                assert state.u_rows.shape == (10, 2)
+                for u_row, p_row in zip(state.u_rows, rows):
+                    assert np.array_equal(tr.constrain_simplex(u_row)[0],
+                                          p_row)
 
     def test_rejects_full_restricted(self):
         data, _ = gen_dataset(get_scenario("ds"), 1, 0)

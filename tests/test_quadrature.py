@@ -1,8 +1,10 @@
 """Every arm against the exact posterior: grid quadrature of a tiny
 two-component dataset and of a tiny two-rater, two-category rating
-dataset (tests/quadrature.py), with no sampler in the reference."""
+dataset (tests/quadrature.py), with no sampler in the reference; and the
+committed full-size references of three of criterion 6's datasets."""
 
 import ast
+import json
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,9 @@ from margmcmc import dawid_skene as dsm
 from margmcmc import harness as hz
 from margmcmc import mixture as mx
 from margmcmc.diagnostics import ess
+from margmcmc.simulate import gen_dataset, get_scenario
 from margmcmc.stats import make_rng
+import make_quadrature_reference as reference
 import quadrature
 
 # perfbench's agreement gate: a Bonferroni two-sided normal quantile for
@@ -107,3 +111,34 @@ def test_reference_shares_no_code_with_the_program():
     defined = {node.name for node in tree.body
                if isinstance(node, ast.FunctionDef)}
     assert {"mix2_log_joint", "rating2_log_joint"} <= defined
+
+
+def test_full_size_reference_is_current():
+    """tests/quadrature_reference.json (made by
+    tests/make_quadrature_reference.py) holds every cell's fields, each
+    cell met both bars, and its data are the ones gen_dataset makes."""
+    ref = json.loads(reference.OUT.read_text())
+    bars = {"agree_sds": quadrature.AGREE_SDS,
+            "face_mass": quadrature.FACE_MASS,
+            "small_pi": quadrature.SMALL_PI}
+    assert ref["bars"] == bars
+    assert list(ref["cells"]) == list(reference.CELLS)
+    for scenario_id, cell in ref["cells"].items():
+        assert set(cell) == {"data", "posterior", "small_pi_mass", "grid",
+                             "checks"}
+        data = cell["data"]
+        assert (data["scenario"], data["replicate"], data["master_seed"]) \
+            == (scenario_id, reference.REPLICATE, reference.MASTER_SEED)
+        x = gen_dataset(get_scenario(scenario_id), data["replicate"],
+                        data["master_seed"])[0].x
+        assert data["n"] == len(x)
+        assert data["x_sha256"] == reference.x_sha256(x)
+        assert list(cell["posterior"]) == list(reference.PARAMS)
+        for moments in cell["posterior"].values():
+            assert set(moments) == {"mean", "sd"} and moments["sd"] > 0
+        mu = [cell["posterior"][f"mu[{k}]"]["mean"] for k in (1, 2)]
+        assert mu[0] < mu[1]
+        assert 0.0 <= cell["small_pi_mass"] <= 1.0
+        assert len(cell["grid"]["sizes"]) == 2
+        assert cell["checks"]["gap_sds"] <= bars["agree_sds"]
+        assert cell["checks"]["face_mass"] <= bars["face_mass"]

@@ -60,6 +60,35 @@ class TestCatalog:
             sim.get_scenario("nope")
 
 
+class TestValidation:
+    """A scenario that contradicts itself raises ValueError when made,
+    not later in the generator or the model."""
+
+    def test_catalog_is_valid(self):
+        for s in sim.scenario_catalog():
+            assert type(s)(**vars(s)) == s
+
+    def test_more_means_than_weights(self):
+        with pytest.raises(ValueError, match="one weight per mean"):
+            sim.MixtureScenario("x", (-3.0, 0.0, 3.0), (0.5, 0.5))
+
+    def test_fewer_means_than_weights(self):
+        with pytest.raises(ValueError, match="one weight per mean"):
+            sim.MixtureScenario("x", (0.0,), (0.5, 0.5))
+
+    @pytest.mark.parametrize("mu", [(3.0, -3.0), (0.0, 0.0), (-1.0, 2.0, 2.0)])
+    def test_means_not_increasing(self, mu):
+        with pytest.raises(ValueError, match="means increasing"):
+            sim.MixtureScenario("x", mu, (1.0 / len(mu),) * len(mu))
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_categories", 1), ("n_categories", 0), ("n_items", 0),
+        ("n_raters", 0)])
+    def test_ds_sizes(self, field, value):
+        with pytest.raises(ValueError, match="categories"):
+            sim.DSScenario("x", **{field: value})
+
+
 class TestGenerators:
     def test_mixture_deterministic(self):
         s = sim.get_scenario("two-comp-1")
