@@ -12,7 +12,7 @@ import pytest
 
 from margmcmc import gibbs
 from margmcmc import harness as hz
-from margmcmc.simulate import gen_dataset, get_scenario
+from margmcmc.simulate import DSScenario, gen_dataset, get_scenario
 from margmcmc.stats import make_rng
 
 SEED = 2024
@@ -134,6 +134,29 @@ def test_draws_bit_identical(scenario_id, method, iterations, warmup, digest):
     assert chain_digest(scenario_id, method, iterations, warmup) == digest
 
 
+# gibbs-marginal chains of small rating models (40 items, 3 raters), 3
+# chains of 60/30 each.  A K = 2 simplex has a single stick and a K = 3
+# one two, edges of the stick loops that the K = 5 pins above never reach.
+SMALL_DS_PINS = [
+    (2, "4ec30ca3d8a44e68513810c3130166525c8e960c21169ebc38cb998a49629185"),
+    (3, "9ef6a58626c998b05a1fb9a263a285208a68d782f6ff05da3ff8c6d032f6b69c"),
+]
+
+
+@pytest.mark.parametrize("k,digest", SMALL_DS_PINS,
+                         ids=[f"K{k}" for k, _ in SMALL_DS_PINS])
+def test_small_rating_model_draws_bit_identical(k, digest):
+    scenario = DSScenario(f"ds-k{k}", n_items=40, n_raters=3, n_categories=k)
+    data, _ = gen_dataset(scenario, 1, SEED)
+    h = hashlib.sha256()
+    for c in range(3):
+        rng = make_rng(SEED, f"{scenario.id}|gibbs-marginal|1|{c}")
+        chain = hz.run_chain(scenario.model(), data, "gibbs-marginal",
+                             60, 30, rng)
+        h.update(np.ascontiguousarray(chain.draws, dtype=np.float64))
+    assert h.hexdigest() == digest
+
+
 # Slice density evaluations of two marginal Gibbs pins above, counted as
 # perfbench's meter counts them, by wrapping gibbs.slice_sample_1d.  A
 # change to a slice target or to the slice kernel must leave evaluations
@@ -198,27 +221,45 @@ MIX_PARAMS_DIGEST = \
     "778e86bda4ddcbc08cf052bbd79c2044c5c8023ee5a3db951f99ed098ccfb61e"
 
 
-@functools.lru_cache(maxsize=None)
-def gradient_digest(scenario_id):
-    """(sha256 of the values and gradients, sha256 of the parameters,
-    number of finite values) at the GRAD_POINTS points."""
+# sha256 of (value, gradient) at the GRAD_POINTS mixture points whose
+# truncating means (all but the last) lie below 375, where a = mu / 10 is
+# below 37.5 and the truncated prior takes no tail series: 164 of the 200.
+MIX_GRAD_BODY_DIGEST = \
+    "3f9db1f48746eaff6c0398540a16c6bc4d580519982783cb62bcf8b223b27904"
+
+
+def gradient_points(scenario_id):
+    """(value, gradient, params) of the fused log posterior at each of the
+    GRAD_POINTS seeded points."""
     scenario = get_scenario(scenario_id)
     data, _ = gen_dataset(scenario, 1, SEED)
     model = scenario.model()
     rng = make_rng(SEED, 99)
     half = GRAD_POINTS // 2
     scales = np.concatenate([np.full(half, 3.0), np.linspace(3.0, 50.0, half)])
-    h, h_params = hashlib.sha256(), hashlib.sha256()
-    finite = 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for s in scales:
             u = rng.uniform(-s, s, size=model.n_dim)
-            value, grad, params = model.log_post_grad_u(data, u)
-            finite += bool(np.isfinite(value))
-            h.update(np.float64(value).tobytes())
-            h.update(np.ascontiguousarray(grad, dtype=np.float64).tobytes())
-            h_params.update(np.ascontiguousarray(model.flatten(params),
-                                                 dtype=np.float64).tobytes())
+            yield model.log_post_grad_u(data, u)
+
+
+def update_value_grad(h, value, grad):
+    h.update(np.float64(value).tobytes())
+    h.update(np.ascontiguousarray(grad, dtype=np.float64).tobytes())
+
+
+@functools.lru_cache(maxsize=None)
+def gradient_digest(scenario_id):
+    """(sha256 of the values and gradients, sha256 of the parameters,
+    number of finite values) at the GRAD_POINTS points."""
+    flatten = get_scenario(scenario_id).model().flatten
+    h, h_params = hashlib.sha256(), hashlib.sha256()
+    finite = 0
+    for value, grad, params in gradient_points(scenario_id):
+        finite += bool(np.isfinite(value))
+        update_value_grad(h, value, grad)
+        h_params.update(np.ascontiguousarray(flatten(params),
+                                             dtype=np.float64).tobytes())
     return h.hexdigest(), h_params.hexdigest(), finite
 
 
@@ -235,6 +276,16 @@ def test_ds_gradient_bit_identical():
 
 def test_mixture_gradient_bit_identical():
     check_gradient_pin("three-comp-4", MIX_GRAD_DIGEST)
+
+
+def test_mixture_gradient_below_prior_tail_bit_identical():
+    h, points = hashlib.sha256(), 0
+    for value, grad, params in gradient_points("three-comp-4"):
+        if params.mu[:-1].max() < 375.0:
+            points += 1
+            update_value_grad(h, value, grad)
+    assert points == 164
+    assert h.hexdigest() == MIX_GRAD_BODY_DIGEST
 
 
 @pytest.mark.parametrize("scenario_id,digest", [
