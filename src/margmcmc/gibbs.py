@@ -20,11 +20,12 @@ sum_i log sum_k p_k exp(rows[k, i]) plus a Dirichlet kernel, in
 `_slice_simplex_coords`: both models' pi (the restricted arm's with the
 kernel alone) and each confusion row, each accepted point placed bit for
 bit as transforms.constrain_simplex would place it.  The rating chain
-keeps one stick stack, `u_rows`, row for row with `DSParams.rows`.
+keeps one stick stack, `u_rows`, row for row with `DSParams.rows`, and
+builds every simplex's stick state once per sweep (`_stick_states`).
 
 Update order is fixed: labels z, then pi, then theta or (mu, sigma).
 A mixture mean's slice target carries the truncation renormaliser of the
-next mean's prior, from `stats.log_ndtr` as in the mixture's prior; both
+next mean's prior with its own kernel, `stats.log_kernel_over_tail`; both
 arms' log sigma targets carry its prior as -log(sigma)^2 / 2, the
 Lognormal(0, 1) kernel and the exp Jacobian up to a constant.
 
@@ -67,6 +68,7 @@ branches on a model's name.
 
 import math
 from collections import deque
+from functools import partial
 from itertools import accumulate, chain
 from operator import length_hint, mul
 
@@ -75,7 +77,7 @@ import numpy as np
 from . import dawid_skene as dsm
 from . import mixture as mx
 from . import transforms as tr
-from .stats import (LOG_2PI, log_ndtr, lse_rows, ones_dot,
+from .stats import (LOG_2PI, log_kernel_over_tail, lse_rows, ones_dot,
                     sample_categorical_rows, sample_dirichlet)
 
 SLICE_WIDTH = 1.0
@@ -212,7 +214,26 @@ def _lse_other_rows(m, kk):
     return out
 
 
-def _slice_simplex_coords(u_row, rng, log_rows=None, prior_m1=None):
+def _stick_states(u):
+    """Per row of an (R, K-1) stick stack, _slice_simplex_coords' stick
+    state: lists z + [1], log z + log(1 - z), 1 - z, per stick the running
+    products of the later 1 - z, and the (K-1, K) tails coefficients."""
+    r, km1 = u.shape
+    zs = np.ones((r, km1 + 1))
+    z = zs[:, :km1] = tr.expit(u - tr._stick_offsets(km1))
+    w = 1.0 - z
+    coef, qs = np.zeros((r, km1, km1 + 1)), []
+    for c in range(km1):
+        q = np.ones((r, km1 - c))
+        np.multiply.accumulate(w[:, c + 1:], axis=1, out=q[:, 1:])
+        np.multiply(q, zs[:, c + 1:], out=coef[:, c, c + 1:])
+        qs.append(q.tolist())
+    return zip(zs.tolist(), (np.log(z) + np.log1p(-z)).tolist(), w.tolist(),
+               zip(*qs), coef)
+
+
+def _slice_simplex_coords(u_row, rng, log_rows=None, prior_m1=None,
+                          sticks=None):
     """Slice each stick coordinate of one simplex in turn; returns the
     updated sticks and their simplex.  The sticks' density is the simplex
     target sum_i log sum_k p_k exp(log_rows[k, i]) + prior_m1 . log p
@@ -226,6 +247,8 @@ def _slice_simplex_coords(u_row, rng, log_rows=None, prior_m1=None):
     the prior are a constant plus multiples of log z and log w.  The
     tails T_c = sum_k>c t_k e_k of all sticks are one matrix product at
     the starting sticks; H_c = sum_k<c p_k e_k grows as each is placed.
+    That stick state is `sticks`, a row of _stick_states (one pass per
+    sweep over a stack of simplexes), or this row's own set-up: same bits.
     An evaluation is one math.exp, two math logs and three numpy calls:
     col as a dot, its log, and their sum as a dot with ones (a ufunc
     reduction costs about as much as two such calls).
@@ -242,22 +265,27 @@ def _slice_simplex_coords(u_row, rng, log_rows=None, prior_m1=None):
     u_row = np.array(u_row, dtype=float)
     km1 = len(u_row)
     off = tr._stick_offsets(km1)
-    z0 = tr.expit(u_row - off)
-    zs = z0.tolist() + [1.0]                      # z, then 1 for p[K-1]
+    if sticks is None:   # one row: cheaper on lists than _stick_states
+        z0 = tr.expit(u_row - off)
+        zs = z0.tolist() + [1.0]                  # z, then 1 for p[K-1]
+        w0 = [1.0 - z for z in zs[:km1]]   # qs[c][k-c-1] = prod(w0[c+1:k])
+        sticks = (zs, (np.log(z0) + np.log1p(-z0)).tolist(), w0, [
+            list(accumulate(w0[c + 1:], mul, initial=1.0))
+            for c in range(km1)], None)
+    zs, zterm, w0, qs, tails_coef = sticks
     rem, p = [1.0] * (km1 + 1), [1.0] * (km1 + 1)
-    zterm = (np.log(z0) + np.log1p(-z0)).tolist()
     pm = [0.0] * (km1 + 1) if prior_m1 is None else \
         np.asarray(prior_m1, dtype=float).tolist()
-    w0 = [1.0 - z for z in zs[:km1]]     # qs[c][k-c-1] = prod(w0[c+1:k])
-    qs = [list(accumulate(w0[c + 1:], mul, initial=1.0)) for c in range(km1)]
     if log_rows is not None:
         shift = np.maximum.reduce(log_rows, axis=0)
         shift_sum, n = float(np.add.reduce(shift)), len(shift)
         rows = np.zeros((km1 + 1, 3, n))    # rows[c] = (e_c, T_c, H_c)
         e, tails, heads = rows.transpose(1, 0, 2)
         e[:] = np.exp(log_rows - shift)
-        np.matmul([[0.0] * (c + 1) + list(map(mul, qc, zs[c + 1:]))
-                   for c, qc in enumerate(qs)], e, out=tails[:km1])
+        if tails_coef is None:
+            tails_coef = [[0.0] * (c + 1) + list(map(mul, qc, zs[c + 1:]))
+                          for c, qc in enumerate(qs)]
+        np.matmul(tails_coef, e, out=tails[:km1])
         coef, col = np.ones(3), np.empty(n)
         # bound methods skip np.dot's dispatch
         dot, sum_of = coef.dot, ones_dot(n)
@@ -285,33 +313,30 @@ def _slice_simplex_coords(u_row, rng, log_rows=None, prior_m1=None):
     for c in range(km1):
         # p_k for k < c, p_c / z, p_k / w for k > c; rem_j for j <= c,
         # rem_j / w for c < j < K - 1: all fixed while stick c moves
-        rc, offc = rem[c], off[c]
+        rc = rem[c]
         rem_over = rem[:c + 1] + [rc * q for q in qs[c]]
         p_over = p[:c] + [rc] + list(map(mul, rem_over[c + 1:], zs[c + 1:]))
-        low = min(p_over[c + 1:])
-        cached = min(p_over) > _P_FLOOR
-        if cached:
+        logf = partial(exact, c)   # while a p_k is at or below _P_FLOOR
+        if min(p_over) > _P_FLOOR:
             const = (sum(zterm[:c]) + sum(zterm[c + 1:])
                      + sum(map(log, rem_over[:km1]))
                      + sum(map(mul, pm, map(log, p_over))))
-            a_z, a_w = 1.0 + pm[c], km1 - c + sum(pm[c + 1:])
-            if log_rows is not None:
-                const += shift_sum
-                m = rows[c]
+            m = None if log_rows is None else rows[c]
 
-        def logf(v, c=c):
-            x = v - offc    # below -700, z is below _P_FLOOR: no overflow
-            z = 1.0 / (1.0 + exp(-x)) if x > -700.0 else 0.0
-            w = 1.0 - z
-            if cached and z * rc > _P_FLOOR and w * low > _P_FLOOR:
-                total = const + a_z * log(z) + a_w * log1p(-z)
-                if log_rows is not None:
-                    coef[0], coef[1] = rc * z, rc * w
-                    dot(m, out=col)
-                    total += sum_of(np.log(col, out=col))
-                if isfinite(total):
-                    return total
-            return exact(c, v)
+            def logf(v, c=c, offc=off[c], rc=rc, low=min(p_over[c + 1:]),
+                     const=const if m is None else const + shift_sum,
+                     a_z=1.0 + pm[c], a_w=km1 - c + sum(pm[c + 1:]), m=m):
+                x = v - offc    # below -700, z is below _P_FLOOR: no overflow
+                z = 1.0 / (1.0 + exp(-x)) if x > -700.0 else 0.0
+                w = 1.0 - z
+                if z * rc > _P_FLOOR and w * low > _P_FLOOR:
+                    total = const + a_z * log(z) + a_w * log1p(-z)
+                    if m is not None:
+                        coef[0], coef[1] = rc * z, rc * w
+                        total += sum_of(np.log(dot(m, col), col))
+                    if isfinite(total):
+                        return total
+                return exact(c, v)
         u_row[c] = slice_sample_1d(logf, u_row[c], rng)
         place(c, u_row[c])
         if log_rows is not None:
@@ -342,10 +367,7 @@ def _mu_log_prior(m, truncates):
     """N(0, 10^2) log kernel of a component mean, less the truncation
     renormaliser of the next component's prior if there is one."""
     a = m / mx.PRIOR_MU_SD
-    lp = -0.5 * a * a
-    if truncates:
-        lp -= log_ndtr(-a)
-    return lp
+    return log_kernel_over_tail(a) if truncates else -0.5 * a * a
 
 
 class _MixtureGibbs(_GibbsChain):
@@ -499,9 +521,11 @@ class _DawidSkeneGibbs(_GibbsChain):
         log_theta = np.log(self.params.theta)   # each row read before it moves
         c = dsm._item_category_loglik(data, log_theta)
         p = self.params.rows.copy()
+        sticks = _stick_states(u)   # each row moves only when it is sliced
 
         # pi stick coordinates (Dirichlet kernel; the normaliser is constant)
-        u[0], p[0] = _slice_simplex_coords(u[0], rng, c, self.model.alpha_m1)
+        u[0], p[0] = _slice_simplex_coords(u[0], rng, c, self.model.alpha_m1,
+                                           next(sticks))
         log_pi = np.log(p[0])
 
         # theta rows, one stick coordinate at a time.  Per item, with
@@ -519,8 +543,8 @@ class _DawidSkeneGibbs(_GibbsChain):
                 log_rows = np.where(onehot, np.logaddexp(
                     others, log_pi[kk] + col_wo_row), others)
                 r = 1 + jj * k + kk   # theta[jj, kk]'s row of the stack
-                u[r], p[r] = _slice_simplex_coords(u[r], rng, log_rows,
-                                                   self.model.beta_m1[kk])
+                u[r], p[r] = _slice_simplex_coords(
+                    u[r], rng, log_rows, self.model.beta_m1[kk], next(sticks))
                 c[kk] = col_wo_row + np.log(p[r])[y_j]
                 base[kk] = log_pi[kk] + c[kk]
         self.params = dsm.DSParams(p)

@@ -6,8 +6,9 @@ Parameterisation: ordered means mu (label-switching guard), one shared
 standard deviation sigma, mixture weights pi.  Priors: mu_1 ~ N(0, 10^2),
 mu_k ~ N(0, 10^2) truncated to mu_k > mu_{k-1}, sigma ~ Lognormal(0, 1),
 pi ~ Dirichlet(1,...,1).  The truncations' log renormalisers
-log Phi(-mu_{k-1} / 10) come from `stats.log_ndtr` (math.erfc), and the
-Dirichlet normaliser from math.lgamma.
+log Phi(-a), a = mu_{k-1} / 10, come from `stats.log_ndtr` (math.erfc),
+or once a >= 37.5 with the kernel -a^2/2 from
+`stats.log_kernel_over_tail`; the Dirichlet normaliser from math.lgamma.
 
 Observation-by-component matrices are component-major, (K, n): each
 component's row is contiguous, and sums over the data run along it.
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transforms as tr
-from .stats import (LOG_2PI, inv_mills_ratio, log_ndtr, lse_rows,
-                    sample_dirichlet)
+from .stats import (_LOG_NDTR_SERIES_BELOW, LOG_2PI, inv_mills_ratio,
+                    log_kernel_over_tail, log_ndtr, lse_rows, sample_dirichlet)
 
 PRIOR_MU_SD = 10.0
 
@@ -67,13 +68,15 @@ def _log_prior(mu, sigma):
     lp = math.lgamma(k)                       # Dirichlet(1,...,1) normaliser
     ls = math.log(sigma)
     lp += -ls - 0.5 * LOG_2PI - 0.5 * ls * ls  # Lognormal(0, 1) on sigma
-    z = mu / PRIOR_MU_SD
-    lp += k * (-0.5 * LOG_2PI - math.log(PRIOR_MU_SD)) - 0.5 * float(z.dot(z))
+    c, z = k * (-0.5 * LOG_2PI - math.log(PRIOR_MU_SD)), mu / PRIOR_MU_SD
+    zl = z.tolist()
     # truncation renormalisers: upper-tail mass above the previous mean
-    z = z.tolist()
-    log_tail = [log_ndtr(-a) for a in z[:-1]]
-    lp -= sum(log_tail)
-    return lp, z, log_tail
+    log_tail = [log_ndtr(-a) for a in zl[:-1]]
+    if k < 2 or -zl[-2] > _LOG_NDTR_SERIES_BELOW:   # zl[-2] is the largest
+        return lp + (c - 0.5 * float(z.dot(z))) - sum(log_tail), zl, log_tail
+    # a mean in log Phi's series: its kernel and renormaliser as one term
+    lp += c + sum(map(log_kernel_over_tail, zl[:-1])) - 0.5 * zl[-1] * zl[-1]
+    return lp, zl, log_tail
 
 
 class MixtureModel:

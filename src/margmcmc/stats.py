@@ -46,6 +46,16 @@ def log_ndtr(x):
     return -0.5 * x * x - log(-x) - _LOG_SQRT_2PI + log1p(_ndtr_series(x))
 
 
+def log_kernel_over_tail(a):
+    """-a^2/2 - log Phi(-a) of a float, on log_ndtr(-a)'s branches; in its
+    series (a >= 37.5, nan) log a + log sqrt(2 pi) - log1p(s), uncancelled."""
+    if -a > -1.0:
+        return -0.5 * a * a - log1p(-0.5 * erfc(-a * _SQRT1_2))
+    if -a > _LOG_NDTR_SERIES_BELOW:
+        return -0.5 * a * a - log(0.5 * erfc(a * _SQRT1_2))
+    return log(a) + _LOG_SQRT_2PI - log1p(_ndtr_series(-a))
+
+
 def _ndtr_series(x):
     """-1/x^2 + 3/x^4 - ..., eight terms: Phi(x) = phi(x) / -x times one
     plus this, for x at or below _LOG_NDTR_SERIES_BELOW."""

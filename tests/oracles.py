@@ -23,7 +23,8 @@ from scipy import special
 from margmcmc import dawid_skene as dsm
 from margmcmc import mixture as mx
 from margmcmc import transforms as tr
-from margmcmc.stats import LOG_2PI, log_ndtr, lse_rows, sample_dirichlet
+from margmcmc.stats import (LOG_2PI, log_kernel_over_tail, log_ndtr, lse_rows,
+                            sample_dirichlet)
 
 
 def log_normal_pdf(x, mu, sigma):
@@ -293,7 +294,14 @@ def _log_prior_np(params):
     ls = math.log(sigma)
     lp += -ls - 0.5 * LOG_2PI - 0.5 * ls * ls
     z = mu / mx.PRIOR_MU_SD
-    lp += k * (-0.5 * LOG_2PI - math.log(mx.PRIOR_MU_SD)) - 0.5 * float(z @ z)
+    c = k * (-0.5 * LOG_2PI - math.log(mx.PRIOR_MU_SD))
+    if k > 1 and z[:-1].max() >= 37.5:
+        # a truncating mean in log Phi's series: each -a^2/2 - log Phi(-a)
+        # in its uncancelled form, as mixture._log_prior takes it there
+        last = float(z[-1])
+        return lp + (c + sum(map(log_kernel_over_tail, z[:-1].tolist()))
+                     - 0.5 * last * last)
+    lp += c - 0.5 * float(z @ z)
     if k > 1:
         lp -= sum(map(log_ndtr, -z[:-1]))
     return lp

@@ -243,6 +243,43 @@ class TestSimplexSticks:
         logs = check_stick_moves(*build())
         assert logs == [1] * len(logs)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 26), st.data())
+    def test_stacked_stick_states_match_one_row(self, km1, r, data):
+        # a row sliced from its stick state in a stack reads the same
+        # densities and ends at the same sticks and simplex as from its
+        # own set-up, bit for bit.  Near |u| = 40 a z rounds to 1, at -750
+        # to 0, and log z + log(1 - z) reads -inf
+        u = np.array(data.draw(st.lists(
+            st.lists(st.floats(-40, 40) | st.sampled_from([-750.0, 750.0]),
+                     min_size=km1, max_size=km1), min_size=r, max_size=r)))
+        rng = make_rng(2024, km1, r)
+        log_rows = rng.normal(0.0, 3.0, size=(km1 + 1, 3))
+        prior_m1 = rng.uniform(0.0, 2.0, size=km1 + 1)
+        with np.errstate(divide="ignore", over="ignore"):
+            stack = list(gb._stick_states(u))
+        for row, sticks in zip(u, stack):
+            assert (stick_readings(row, log_rows, prior_m1, None)
+                    == stick_readings(row, log_rows, prior_m1, sticks))
+
+
+def stick_readings(u, log_rows, prior_m1, sticks):
+    """The bytes of the densities `_slice_simplex_coords` reads from stick
+    state `sticks` (None: its own set-up) at each stick's current point
+    and two trial points, accepting a point 0.25 above the current one,
+    and of the sticks and simplex it returns."""
+    reads = []
+
+    def fake_slice(logf, current, *args):
+        reads.extend(logf(current + d) for d in (0.0, 0.5, -2.0))
+        return current + 0.25
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"), \
+            mock.patch.object(gb, "slice_sample_1d", fake_slice):
+        u_out, p_out = gb._slice_simplex_coords(u, None, log_rows, prior_m1,
+                                                sticks)
+    return np.array(reads).tobytes(), u_out.tobytes(), p_out.tobytes()
+
 
 def stick_densities(u, log_rows=None, prior_m1=None, spy=lambda: 0):
     """The densities `_slice_simplex_coords` reads at sticks `u`, one from

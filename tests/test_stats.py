@@ -1,5 +1,7 @@
 """Density, sampler and RNG-contract tests against scipy references."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,10 +11,11 @@ from scipy import special
 from scipy.special import logsumexp
 
 from margmcmc import cli
+from margmcmc import gibbs as gb
 from margmcmc import mixture as mx
 from margmcmc import simulate as sim
 from margmcmc.stats import (LOG_2PI, check_simplex, inv_mills_ratio,
-                            log_ndtr, lse_rows, make_rng,
+                            log_kernel_over_tail, log_ndtr, lse_rows, make_rng,
                             sample_categorical_rows, sample_dirichlet)
 from oracles import (label_probs, log_dirichlet_pdf, log_lognormal_pdf,
                      log_normal_pdf, log_truncated_normal_pdf,
@@ -193,6 +196,64 @@ class TestInvMillsRatio:
         for v in np.geomspace(1e9, 1e300, 301).tolist():
             assert inv_mills_ratio(v, log_ndtr(-v)) == v
         assert np.isnan(inv_mills_ratio(np.nan, log_ndtr(np.nan)))
+
+
+def kernel_over_tail_mp(a):
+    """-a^2/2 - log Phi(-a) from mpmath at 30 digits, through
+    Phi(-a) = Gamma(1/2, a^2/2) / (2 sqrt pi), which holds no cancellation."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        z = mpmath.mpf(a) ** 2 / 2
+        return float(-mpmath.log(mpmath.exp(z) * mpmath.gammainc(0.5, z)
+                                 / (2 * mpmath.sqrt(mpmath.pi))))
+
+
+class TestLogKernelOverTail:
+    """-a^2/2 - log Phi(-a), a = mu / 10: a mixture mean's prior kernel less
+    the next mean's truncation renormaliser, in both priors that carry it."""
+
+    MEANS = (1e8, 1e10, 1e200)
+
+    def test_bit_identical_below_the_series(self):
+        a = np.concatenate([np.linspace(-50.0, 37.5, 20_000, endpoint=False),
+                            [-1.0, 1.0, np.nextafter(37.5, -np.inf)]])
+        for v in a.tolist():
+            assert log_kernel_over_tail(v) == -0.5 * v * v - log_ndtr(-v)
+
+    def test_near_the_difference_where_it_holds(self):
+        # from 37.5 to 100 the difference keeps about 12 digits
+        for v in np.linspace(37.5, 100.0, 501).tolist():
+            old = -0.5 * v * v - log_ndtr(-v)
+            assert log_kernel_over_tail(v) == pytest.approx(old, rel=1e-9)
+
+    def test_matches_mpmath_in_the_tail(self):
+        for v in [37.5, 40.0, 1e3, 1e7, 1e9, 1e20, 1e199, 1e300]:
+            assert log_kernel_over_tail(v) == pytest.approx(
+                kernel_over_tail_mp(v), rel=1e-12)
+        assert math.isnan(log_kernel_over_tail(math.nan))
+
+    def test_gibbs_mean_prior_finite_in_the_tail(self):
+        for m in self.MEANS:
+            got = gb._mu_log_prior(m, True)
+            assert math.isfinite(got)
+            assert got == pytest.approx(kernel_over_tail_mp(m / 10.0),
+                                        rel=1e-12)
+
+    def test_mixture_prior_in_the_tail(self):
+        # means (m, 2m), sigma 1: the first mean's term as above, the last
+        # mean's kernel -(2m / 10)^2 / 2, and the constants
+        mpmath = pytest.importorskip("mpmath")
+        const = math.lgamma(2) - 0.5 * LOG_2PI - 2 * (0.5 * LOG_2PI
+                                                      + math.log(10.0))
+        for m in self.MEANS[:2]:
+            got = mx._log_prior(np.array([m, 2.0 * m]), 1.0)[0]
+            with mpmath.workdps(30):
+                want = float(const + mpmath.mpf(kernel_over_tail_mp(m / 10.0))
+                             - mpmath.mpf(m / 5.0) ** 2 / 2)
+            assert math.isfinite(got) and got == pytest.approx(want, rel=1e-12)
+        # at 1e200 the last mean's own kernel underflows: -inf, not nan
+        for mu in ([1e200, 2e200], [1e200, 2e200, 3e200]):
+            assert mx._log_prior(np.array(mu), 1.0)[0] == -np.inf
 
 
 class TestLogSumExp:
