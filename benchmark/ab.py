@@ -66,6 +66,9 @@ class Side:
                                for mod in ("simulate", "stats", "harness"))
         scenario = sim.get_scenario(args.scenario)
         if args.items is not None:
+            if not hasattr(scenario, "n_items"):
+                raise SystemExit(f"ab.py: --items needs a rating-model "
+                                 f"scenario, not {args.scenario!r}")
             scenario = dataclasses.replace(scenario, n_items=args.items)
         data, _ = sim.gen_dataset(scenario, 1, args.seed)
         model = scenario.model()

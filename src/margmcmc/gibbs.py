@@ -287,8 +287,8 @@ def _slice_simplex_coords(u_row, rng, log_rows=None, prior_m1=None,
                           for c, qc in enumerate(qs)]
         np.matmul(tails_coef, e, out=tails[:km1])
         coef, col = np.ones(3), np.empty(n)
-        # bound methods skip np.dot's dispatch
-        dot, sum_of = coef.dot, ones_dot(n)
+        # bound methods skip np.dot's dispatch, a memoryview numpy's setitem
+        dot, sum_of, items, np_log = coef.dot, ones_dot(n), coef.data, np.log
 
     def place(c, v):
         z = 1.0 / (1.0 + np.exp(-(v - off[c])))    # tr.expit
@@ -332,8 +332,8 @@ def _slice_simplex_coords(u_row, rng, log_rows=None, prior_m1=None,
                 if z * rc > _P_FLOOR and w * low > _P_FLOOR:
                     total = const + a_z * log(z) + a_w * log1p(-z)
                     if m is not None:
-                        coef[0], coef[1] = rc * z, rc * w
-                        total += sum_of(np.log(dot(m, col), col))
+                        items[0], items[1] = rc * z, rc * w
+                        total += float(sum_of(np_log(dot(m, col), col)))
                     if isfinite(total):
                         return total
                 return exact(c, v)
