@@ -72,6 +72,9 @@ class Side:
             scenario = dataclasses.replace(scenario, n_items=args.items)
         data, _ = sim.gen_dataset(scenario, 1, args.seed)
         model = scenario.model()
+        if args.method not in model.methods:
+            raise SystemExit(f"ab.py: {args.method!r} is not an arm of "
+                             f"{args.scenario!r}: {', '.join(model.methods)}")
         self.rng = stats.make_rng(
             args.seed, f"{args.scenario}|{args.method}|1|0")
         self.flatten, self.times = model.flatten, []

@@ -241,7 +241,9 @@ class TestLogKernelOverTail:
 
     def test_mixture_prior_in_the_tail(self):
         # means (m, 2m), sigma 1: the first mean's term as above, the last
-        # mean's kernel -(2m / 10)^2 / 2, and the constants
+        # mean's kernel -(2m / 10)^2 / 2, and the constants.  That kernel
+        # dwarfs the term, so only 1e200, where the cancelling form read
+        # nan, tells the two forms apart here
         mpmath = pytest.importorskip("mpmath")
         const = math.lgamma(2) - 0.5 * LOG_2PI - 2 * (0.5 * LOG_2PI
                                                       + math.log(10.0))
