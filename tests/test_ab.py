@@ -3,6 +3,7 @@ itself: both sides draw the same chain, so their final states agree."""
 
 import importlib.util
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -40,3 +41,17 @@ def test_src_against_itself(ab, capsys, scenario_id, method):
     assert result["identical_final_state"]
     assert result["gain"] == round(1.0 - result["median_ratio"], 4)
     assert result["b_lower_in"].endswith(" of 2")
+
+
+def test_different_draws_report_no_gain(ab, capsys, tmp_path):
+    # a copy of src whose slice moves start from a wider interval draws
+    # differently, so the tool reports no gain
+    shutil.copytree(ROOT / "src" / "margmcmc", tmp_path / "margmcmc")
+    gibbs = tmp_path / "margmcmc" / "gibbs.py"
+    gibbs.write_text(gibbs.read_text().replace(
+        "SLICE_WIDTH = 1.0\n", "SLICE_WIDTH = 2.0\n", 1))
+    result = ab.main([SRC, str(tmp_path), "--scenario", "two-comp-1",
+                      "--method", "gibbs-marginal", "--rounds", "2",
+                      "--sweeps", "1", "--warmup", "0"])
+    assert not result["identical_final_state"] and result["gain"] is None
+    assert "no gain reported" in capsys.readouterr().out
