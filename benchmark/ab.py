@@ -8,12 +8,14 @@ example the `src/` of two checkouts.  Each is imported under its own
 package name (`margmcmc_a`, `margmcmc_b`), as perfbench/pinned.py imports
 its pinned copy, so both sides run in one process at one host speed.
 
-Each side builds one chain of the arm on the same dataset (replicate 1 of
-the scenario at master seed --seed; --items sets a rating model's item
-count) and the same chain stream, then runs --warmup sweeps untimed (a
-NUTS chain adapts over them).  Each round then times --sweeps sweeps of
-each side's chain with perf_counter, the side that runs first
-alternating from round to round.
+Each side starts one chain of the arm through its tree's
+`harness.start_chain`, as `run_chain` does, on the same dataset
+(replicate 1 of the scenario at master seed --seed; --items sets a rating
+model's item count) and the same chain stream, then runs --warmup sweeps
+untimed (a NUTS chain adapts over them).  A tree older than `start_chain`
+or `make_rng`'s string keys needs an older `ab.py`.  Each round then
+times --sweeps sweeps of each side's chain with perf_counter, the side
+that runs first alternating from round to round.
 
 Prints the median time per sweep (a NUTS sweep is one transition) of each
 side, the median of the rounds' B/A ratios and in how many rounds B was
@@ -58,7 +60,7 @@ def load(src, name):
 
 
 class Side:
-    """One tree's chain of the arm, built as harness.run_chain builds it."""
+    """One tree's chain of the arm, started by its harness.start_chain."""
 
     def __init__(self, src, name, args):
         load(src, name)
@@ -72,21 +74,13 @@ class Side:
             scenario = dataclasses.replace(scenario, n_items=args.items)
         data, _ = sim.gen_dataset(scenario, 1, args.seed)
         model = scenario.model()
-        if args.method not in model.methods:
-            raise SystemExit(f"ab.py: {args.method!r} is not an arm of "
-                             f"{args.scenario!r}: {', '.join(model.methods)}")
         self.rng = stats.make_rng(
             args.seed, f"{args.scenario}|{args.method}|1|0")
         self.flatten, self.times = model.flatten, []
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            if args.method == "nuts-marginal":
-                self.chain = harness.NutsChain(model, data, self.rng,
-                                               args.warmup)
-            else:
-                self.chain = harness._STATE_CLASS[type(model)](
-                    model, data, self.rng, model.init_params(self.rng),
-                    args.method)
-            self.run(args.warmup)
+            self.chain = harness.start_chain(model, data, args.method,
+                                             args.warmup, self.rng)
+        self.run(args.warmup)
 
     def run(self, sweeps):
         sweep = self.chain.sweep

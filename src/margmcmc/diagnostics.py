@@ -33,8 +33,6 @@ def ess(chains):
     m, n = chains.shape
     if n < MIN_DRAWS:
         raise ValueError(f"need at least {MIN_DRAWS} draws per chain")
-    if np.allclose(chains, chains.flat[0]):
-        raise ValueError("effective sample size undefined for a constant chain")
 
     chain_means = chains.mean(axis=1)
     chain_vars = chains.var(axis=1, ddof=1)

@@ -60,8 +60,8 @@ the pinned chains does.
 
 The handle supplies the labels' full conditional as (K, n) log weights
 up to a constant per column (`z_log_weights`), drawn from unnormalised;
-`_STATE_CLASS` maps its type to the chain state that `harness.run_chain`
-sweeps.  Both chain states are a `_GibbsChain`, whose sweep runs the
+`_STATE_CLASS` maps its type to the chain state that `harness.start_chain`
+starts.  Both chain states are a `_GibbsChain`, whose sweep runs the
 arm's marginal or full body, then closes the uniform stream.  No sampler
 branches on a model's name.
 """
@@ -347,6 +347,7 @@ def _slice_simplex_coords(u_row, rng, log_rows=None, prior_m1=None,
 class _GibbsChain:
     """A Gibbs chain's model, data, generator, parameters, uniform stream
     and arm; a sweep runs the arm's body, then closes the stream."""
+    divergences, depths = 0, ()   # NUTS's sampler fields: it builds no tree
 
     def __init__(self, model, data, rng, init, method):
         self.model, self.data, self.rng = model, data, rng
@@ -550,7 +551,7 @@ class _DawidSkeneGibbs(_GibbsChain):
         self.params = dsm.DSParams(p)
 
 
-# The Gibbs chain state class of each model handle, for `harness.run_chain`.
+# The Gibbs chain state class of each model handle, for `harness.start_chain`.
 # It is not kept on the handle, because the models do not import the samplers.
 _STATE_CLASS = {mx.MixtureModel: _MixtureGibbs,
                 dsm.DawidSkeneModel: _DawidSkeneGibbs}

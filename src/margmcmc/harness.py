@@ -1,11 +1,13 @@
-"""Benchmark harness: the one chain loop (`run_chain`), the scenario x
-method x replicate matrix with diagnostics, an append-only CSV results
-file and its per-cell summary.
+"""Benchmark harness: the one chain start (`start_chain`) and chain loop
+(`run_chain`), the scenario x method x replicate matrix with diagnostics,
+an append-only CSV results file and its per-cell summary.
 
 Chains within a record always run serially so one record's clock is never
-distorted by another.  Parallelism, when requested, spans records.
+distorted by another.  Parallelism, when requested, spans records; they
+arrive in submission order either way.
 """
 
+import contextlib
 import csv
 import os
 import time
@@ -41,7 +43,7 @@ class ChainDraws:
     warmup_time: float              # seconds spent in warmup iterations
     sampling_time: float            # seconds spent in kept iterations
     divergences: int = 0
-    tree_depths: np.ndarray = None  # (n_kept,) NUTS only
+    tree_depths: np.ndarray = None  # (n_kept,) int8; empty for a Gibbs arm
 
     @property
     def wall_time(self):
@@ -108,23 +110,29 @@ def _fmt(v):
     return "" if (isinstance(v, float) and not np.isfinite(v)) else repr(float(v))
 
 
-def run_chain(model, data, method, iterations, warmup, rng):
-    """ChainDraws of `iterations` sweeps of the arm `method`'s chain
-    state, the first `warmup` discarded.  Building the state is not timed
-    (NUTS's first evaluation and step-size search, a Gibbs arm's draw from
-    the prior); the warmup and the kept sweeps are.
-    """
+def start_chain(model, data, method, warmup, rng):
+    """The chain state of the arm `method` of `model`, which `run_chain`
+    sweeps: NUTS from a uniform point, its step size searched, or a Gibbs
+    arm from a draw of the prior.  Every state has NUTS's `divergences`
+    and `depths`, so no arm is read by its type."""
     if method not in model.methods:
         raise ValueError(f"{method!r} is not an arm of this model; "
                          f"its arms: {', '.join(model.methods)}")
+    if method == "nuts-marginal":
+        return NutsChain(model, data, rng, warmup)
+    return _STATE_CLASS[type(model)](model, data, rng, model.init_params(rng),
+                                     method)
+
+
+def run_chain(model, data, method, iterations, warmup, rng):
+    """ChainDraws of `iterations` sweeps of the arm `method`'s chain
+    state, the first `warmup` discarded.  Starting the chain
+    (`start_chain`) is not timed; the warmup and the kept sweeps are.
+    """
     check_lengths(iterations, warmup)
     draws = np.empty((iterations - warmup, len(model.param_names())))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if method == "nuts-marginal":
-            state = NutsChain(model, data, rng, warmup)
-        else:
-            state = _STATE_CLASS[type(model)](model, data, rng,
-                                              model.init_params(rng), method)
+        state = start_chain(model, data, method, warmup, rng)
         t0 = time.perf_counter()
         for _ in range(warmup):
             state.sweep()
@@ -133,11 +141,8 @@ def run_chain(model, data, method, iterations, warmup, rng):
             state.sweep()
             draw[:] = model.flatten(state.params)
         t2 = time.perf_counter()
-    chain = ChainDraws(draws, model.param_names(), t1 - t0, t2 - t1)
-    if isinstance(state, NutsChain):
-        chain.divergences = state.divergences
-        chain.tree_depths = np.array(state.depths, dtype=np.int8)
-    return chain
+    return ChainDraws(draws, model.param_names(), t1 - t0, t2 - t1,
+                      state.divergences, np.array(state.depths, dtype=np.int8))
 
 
 def run_record(spec, replicate):
@@ -167,30 +172,21 @@ def run_record(spec, replicate):
 def run_matrix(spec_list, parallelism=1, on_record=None):
     """Run every replicate of every spec; crash-safe incremental output.
 
-    `on_record` is called with each finished BenchRecord (e.g. to append
-    it to a results file).  With parallelism > 1, records are distributed
-    across processes; the chains inside each record still run serially
-    for timing isolation.
+    Records come back in submission order, and `on_record` is called with
+    each as it arrives (e.g. to append it to a results file).  With
+    parallelism > 1, records are distributed across processes; the chains
+    inside each record still run serially for timing isolation.
     """
-    cells = [(spec, rep) for spec in spec_list
-             for rep in range(1, spec.replicates + 1)]
+    import concurrent.futures as cf   # here: importing the harness stays light
+    specs = [spec for spec in spec_list for _ in range(spec.replicates)]
+    reps = [rep for spec in spec_list for rep in range(1, spec.replicates + 1)]
     records = []
-
-    def _finish(rec):
-        records.append(rec)
-        if on_record is not None:
-            on_record(rec)
-
-    if parallelism <= 1:
-        for spec, rep in cells:
-            _finish(run_record(spec, rep))
-    else:
-        import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=parallelism) as pool:
-            futures = [pool.submit(run_record, spec, rep)
-                       for spec, rep in cells]
-            for fut in futures:   # completion order kept deterministic
-                _finish(fut.result())
+    with (cf.ProcessPoolExecutor(parallelism) if parallelism > 1
+          else contextlib.nullcontext()) as pool:
+        for rec in (pool.map if pool else map)(run_record, specs, reps):
+            records.append(rec)
+            if on_record is not None:
+                on_record(rec)
     return records
 
 

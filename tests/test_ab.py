@@ -1,6 +1,8 @@
 """benchmark/ab.py, the in-process A/B timing tool, run on `src` against
-itself: both sides draw the same chain, so their final states agree."""
+itself: both sides draw the same chain, so their final states agree, and
+each is the chain `harness.run_chain` runs."""
 
+import argparse
 import importlib.util
 import json
 import shutil
@@ -9,12 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from margmcmc.simulate import get_scenario
+from margmcmc.harness import run_chain
+from margmcmc.simulate import gen_dataset, get_scenario
+from margmcmc.stats import make_rng
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
-ARMS = [(sid, method) for sid in ("ds", "two-comp-1")
-        for method in get_scenario(sid).model().methods
+ALL_ARMS = [(sid, method) for sid in ("ds", "two-comp-1")
+            for method in get_scenario(sid).model().methods]
+ARMS = [(sid, method) for sid, method in ALL_ARMS
         if method.startswith("gibbs")]
 
 
@@ -55,3 +60,20 @@ def test_different_draws_report_no_gain(ab, capsys, tmp_path):
                       "--sweeps", "1", "--warmup", "0"])
     assert not result["identical_final_state"] and result["gain"] is None
     assert "no gain reported" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("scenario_id,method", ALL_ARMS,
+                         ids=[f"{s}-{m}" for s, m in ALL_ARMS])
+def test_side_runs_the_harness_chain(ab, scenario_id, method):
+    # a warmup below 150 opens no mass-matrix window, so a NUTS side's
+    # warmup ends with the same frozen step size as run_chain's
+    seed, warmup, kept = 3, 30, 4
+    side = ab.Side(SRC, "margmcmc_a", argparse.Namespace(
+        scenario=scenario_id, method=method, items=None, seed=seed,
+        warmup=warmup))
+    side.run(kept)
+    scenario = get_scenario(scenario_id)
+    data, _ = gen_dataset(scenario, 1, seed)
+    chain = run_chain(scenario.model(), data, method, warmup + kept, warmup,
+                      make_rng(seed, f"{scenario_id}|{method}|1|0"))
+    assert side.final_state()[0] == chain.draws[-1].tobytes()

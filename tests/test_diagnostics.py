@@ -65,6 +65,15 @@ class TestEss:
     def test_constant_chain_errors(self):
         with pytest.raises(ValueError):
             ess(np.ones((2, 100)))
+        with pytest.raises(ValueError):
+            ess(np.full((1, 100), 1e300))
+
+    def test_narrow_chain_far_from_zero_is_not_constant(self):
+        # both lie within allclose's default rtol of their first draw
+        rng = make_rng(84)
+        for chains in (1e6 + rng.standard_normal((3, 1000)),
+                       5.0 + 1e-5 * rng.standard_normal((3, 1000))):
+            assert 2000 < ess(chains) <= 3000
 
     def test_too_short_errors(self):
         with pytest.raises(ValueError):

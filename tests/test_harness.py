@@ -110,14 +110,20 @@ class TestRunRecord:
         assert [r.replicate for r in seen] == [1, 2]
 
     def test_process_pool_matches_serial(self):
+        # records arrive in submission order in both modes, an empty
+        # matrix included, and on_record sees them in that order
+        assert hz.run_matrix([]) == hz.run_matrix([], parallelism=2) == []
         specs = [hz.RunSpec("two-comp-1", m, chains=1, iterations=40,
-                            warmup=20, replicates=1)
-                 for m in ("gibbs-full", "gibbs-marginal")]
-        serial = hz.run_matrix(specs)
-        seen = []
+                            warmup=20, replicates=r)
+                 for m, r in (("gibbs-full", 3), ("gibbs-marginal", 1))]
+        order = [("gibbs-full", 1), ("gibbs-full", 2), ("gibbs-full", 3),
+                 ("gibbs-marginal", 1)]
+        seen_serial, seen = [], []
+        serial = hz.run_matrix(specs, on_record=seen_serial.append)
         pooled = hz.run_matrix(specs, parallelism=2, on_record=seen.append)
-        assert seen == pooled
-        assert [r.method for r in pooled] == ["gibbs-full", "gibbs-marginal"]
+        assert seen_serial == serial and seen == pooled
+        for records in (serial, pooled):
+            assert [(r.method, r.replicate) for r in records] == order
         timing = {"comp_time_s", "time_per_min_ess"}
         for a, b in zip(serial, pooled):
             assert a.status == "ok"

@@ -12,8 +12,10 @@ never calls is still unused.  Every field of a dataclass in
 fused gradients reach the traced layers through those names.  Dirichlet
 and gamma variates are drawn in one place, `stats.sample_dirichlet`, a
 point is constrained in one place per model, its fused gradient, and
-chains are run and timed in one place, `harness.run_chain`.  A generator
-is built in one place, `stats.make_rng`, and rewound in one place,
+chains are run and timed in one place, `harness.run_chain`, and started
+in one place, `harness.start_chain`, which `benchmark/ab.py` shares and
+which leaves `run_chain` no test of a state's type.  A generator is built
+in one place, `stats.make_rng`, and rewound in one place,
 `gibbs._Uniforms.close`, which one Gibbs chain frame calls once a sweep;
 no Gibbs sweep draws a uniform one `random()` call at a time.
 Nothing compares a model family's `kind`: the scenario types and model
@@ -182,17 +184,30 @@ def test_every_dataclass_field_is_read_in_src():
     assert set(BENCHMARK_FIELDS) <= fields
 
 
-def call_sites(tree, names):
-    """The module-level def (a method as Class.method) around each call
-    of an attribute or function spelt as one of `names`."""
+def module_defs(tree):
+    """Each module-level def (a method as Class.method) with its node."""
     for node in tree.body:
         items = node.body if isinstance(node, ast.ClassDef) else [node]
         prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
         for item in items:
-            for call in ast.walk(item):
-                if isinstance(call, ast.Call) and getattr(
-                        call.func, "attr", getattr(call.func, "id", None)) in names:
-                    yield prefix + getattr(item, "name", "<module>")
+            yield prefix + getattr(item, "name", "<module>"), item
+
+
+def call_sites(tree, names):
+    """The module-level def around each call of an attribute or function
+    spelt as one of `names`."""
+    for site, item in module_defs(tree):
+        for call in ast.walk(item):
+            if isinstance(call, ast.Call) and getattr(
+                    call.func, "attr", getattr(call.func, "id", None)) in names:
+                yield site
+
+
+def load_sites(tree, names):
+    """The module-level def around any load of a name or attribute spelt
+    as one of `names`."""
+    return [site for site, item in module_defs(tree)
+            if loaded_names(item).keys() & names]
 
 
 def test_one_dirichlet_draw():
@@ -256,6 +271,27 @@ def test_one_chain_loop():
     sites = {f"{module}.{site}" for module, tree in src_trees().items()
              for site in call_sites(tree, {"perf_counter", "errstate"})}
     assert sites == {"harness.run_chain"}
+
+
+def test_one_chain_start():
+    # every arm's chain state is built in one place, which the A/B tool
+    # shares with the harness
+    sites = {f"{module}.{site}" for module, tree in src_trees().items()
+             for site in load_sites(tree, {"NutsChain", "_STATE_CLASS"})}
+    assert sites == {"harness.start_chain"}
+
+
+def test_run_chain_reads_no_state_type():
+    (fn,) = [node for node in src_trees()["harness"].body
+             if getattr(node, "name", None) == "run_chain"]
+    assert "isinstance" not in loaded_names(fn)
+
+
+def test_ab_tool_reads_only_the_harness_chain_start():
+    tree = ast.parse((SRC.parents[1] / "benchmark" / "ab.py").read_text())
+    read = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+            and getattr(n.value, "id", None) == "harness"}
+    assert read == {"start_chain"}
 
 
 def test_one_forward_simplex_pass_per_model():
